@@ -24,10 +24,9 @@ JSON document tagged ``"schema": "tracecodes/1"`` with stable field names
 (property, t, holds, witness{...}, counters{...}, bounds[{source, value,
 exponent}, ...]).  Infinite distances appear as the string ``"inf"``.
 Seeds always surface in reports; the fallback is a fixed constant, never
-the clock.  ``--threads`` is accepted for compatibility and validated, but
-execution is sequential either way — checks are deterministic and their
-counters are part of the tested contract.  If ``TRACECODES_CACHE`` names a
-directory, search results are checkpointed there and reused.
+the clock.  If ``TRACECODES_CACHE`` names a directory, search results are
+checkpointed there and reused; a path that cannot be used as a directory is
+a usage error.
 """
 
 from __future__ import annotations
@@ -324,13 +323,18 @@ def _witness_text(data: dict) -> str:
     return str(data)
 
 
+def _is_index(value: Any, n: int) -> bool:
+    """A JSON integer in 0..n-1; ``true``/``false`` are not indices."""
+    return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < n
+
+
 def _distinct_indices(values: Any, n: int, label: str, problems: list[str]) -> list[int]:
     if not isinstance(values, (list, tuple)):
         problems.append(f"{label} is not a list")
         return []
     out = []
     for v in values:
-        if not isinstance(v, int) or not 0 <= v < n:
+        if not _is_index(v, n):
             problems.append(f"{label} index {v!r} out of range")
             return []
         out.append(v)
@@ -347,7 +351,7 @@ def recheck_witness(data: dict, subject: Code | SetFamily, t: int) -> list[str]:
         if not isinstance(subject, Code):
             return ["framed-word witnesses apply to codes"]
         framed = data.get("framed")
-        if not isinstance(framed, int) or not 0 <= framed < subject.size:
+        if not _is_index(framed, subject.size):
             return [f"framed index {framed!r} out of range"]
         coalition = _distinct_indices(data.get("coalition"), subject.size, "coalition", problems)
         if problems:
@@ -365,7 +369,7 @@ def recheck_witness(data: dict, subject: Code | SetFamily, t: int) -> list[str]:
         if not isinstance(subject, SetFamily):
             return ["cover-violation witnesses apply to families"]
         covered = data.get("covered")
-        if not isinstance(covered, int) or not 0 <= covered < subject.size:
+        if not _is_index(covered, subject.size):
             return [f"covered index {covered!r} out of range"]
         covering = _distinct_indices(data.get("covering"), subject.size, "covering", problems)
         if problems:
@@ -399,7 +403,7 @@ def recheck_witness(data: dict, subject: Code | SetFamily, t: int) -> list[str]:
                 problems.append(f"coalition {which} size {len(idx)} outside 1..{t}")
             coalitions.append(idx)
         for which, c in enumerate(coalitions):
-            if not core.is_descendant(word, subject.coalition_words(c)):
+            if c and not core.is_descendant(word, subject.coalition_words(c)):
                 problems.append(f"coalition {which} cannot produce the word")
         common = set(coalitions[0])
         for c in coalitions[1:]:
@@ -420,7 +424,7 @@ def recheck_witness(data: dict, subject: Code | SetFamily, t: int) -> list[str]:
             return ["pirate word has the wrong length"]
         pirate = tuple(pirate)
         outsider = data.get("outsider")
-        if not isinstance(outsider, int) or not 0 <= outsider < subject.size:
+        if not _is_index(outsider, subject.size):
             return [f"outsider index {outsider!r} out of range"]
         if outsider in coalition:
             problems.append("outsider sits inside the coalition")
@@ -751,7 +755,10 @@ def _cache_path(problem: search_mod.SearchProblem, budget: int | None) -> Path |
     )
     digest = hashlib.sha256(key.encode()).hexdigest()[:24]
     directory = Path(root)
-    directory.mkdir(parents=True, exist_ok=True)
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"TRACECODES_CACHE={root} is not a usable directory: {exc}") from None
     return directory / f"search-{digest}.json"
 
 
@@ -957,12 +964,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--format", choices=("text", "machine"), default="text", help="report rendering"
     )
-    common.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="worker cap (accepted for compatibility; execution is sequential)",
-    )
 
     parser = argparse.ArgumentParser(
         prog="tracecodes",
@@ -1042,9 +1043,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
     try:
         return args.func(args)
     except FileFormatError as exc:

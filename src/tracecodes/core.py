@@ -5,10 +5,11 @@ length N and alphabet size q and owns an ordered tuple of distinct words; all
 index-based structures (coalitions, parent-set families, witnesses) refer to
 positions in that tuple.  Everything is immutable and hashable.
 
-For binary codes a packed representation is available: a word becomes an
-N-bit integer (``packed_words``) and a coordinate becomes an n-bit integer
-over the codewords (``packed_rows``).  The packed paths must agree bit for
-bit with the generic ones; the test suite enforces this.
+Fast paths see a word of any alphabet as its one-hot set (``onehot``), an
+N*q-bit integer with bit i*q + s set when coordinate i holds s.  Then x is a
+descendant of D exactly when onehot(x) lies inside the union of the
+members' sets, so frameproofness is cover-freeness of the one-hot family,
+and two words agree on the popcount of the intersection of their sets.
 """
 
 from __future__ import annotations
@@ -36,8 +37,7 @@ __all__ = [
     "is_descendant",
     "iter_coalitions",
     "min_distance",
-    "packed_rows",
-    "packed_words",
+    "onehot",
     "parent_sets",
     "profile_size",
 ]
@@ -158,23 +158,26 @@ def identical_count(x: Sequence[int], y: Sequence[int]) -> int:
     return len(x) - hamming_distance(x, y)
 
 
+def onehot(word: Sequence[int], q: int) -> int:
+    """The word as an N*q-bit set: bit i*q + s is set when coordinate i holds s.
+
+    Every coordinate sets exactly one bit, so x is a descendant of D exactly
+    when ``onehot(x) & ~union == 0`` for the union of D's sets, and x and y
+    agree on ``(onehot(x) & onehot(y)).bit_count()`` coordinates.  At q=2
+    this is the paper's doubling of a code into a set family.
+    """
+    return sum(1 << (i * q + s) for i, s in enumerate(word))
+
+
 def min_distance(code: Code) -> int | float:
     """Smallest pairwise distance; INFINITE_DISTANCE for codes with < 2 words."""
     if code.size < 2:
         return INFINITE_DISTANCE
-    if code.q == 2:
-        masks = packed_words(code)
-        best = code.length + 1
-        for i, j in combinations(range(code.size), 2):
-            d = (masks[i] ^ masks[j]).bit_count()
-            if d < best:
-                best = d
-                if best == 1:
-                    return 1
-        return best
-    best = code.length + 1
-    for x, y in combinations(code.words, 2):
-        d = hamming_distance(x, y)
+    N = code.length
+    sets = [onehot(w, code.q) for w in code.words]
+    best = N + 1
+    for a, b in combinations(sets, 2):
+        d = N - (a & b).bit_count()
         if d < best:
             best = d
             if best == 1:
@@ -274,17 +277,3 @@ def enumerate_descendants(
         raise DescendantSetTooLarge(f"descendant set too large: {size} words exceed cap {cap}")
     return product(*profile)
 
-
-def packed_words(code: Code) -> tuple[int, ...]:
-    """Binary codewords as N-bit integers, bit i = coordinate i."""
-    if code.q != 2:
-        raise ValueError("packed words require a binary code")
-    return tuple(sum(w[i] << i for i in range(code.length)) for w in code.words)
-
-
-def packed_rows(code: Code) -> tuple[int, ...]:
-    """Binary coordinates as n-bit integers, bit j = word j's symbol there."""
-    if code.q != 2:
-        raise ValueError("packed rows require a binary code")
-    rows = code.matrix_rows()
-    return tuple(sum(row[j] << j for j in range(code.size)) for row in rows)

@@ -10,10 +10,12 @@ and traceability alike.  Set families get no such relabelling (covering is
 not invariant under it), so family searches enumerate candidate members in
 plain ascending mask order with no normalisation.
 
-Frameproof extension steps are checked incrementally (only coalitions
-involving the incoming word need a look; binary instances use packed
-words).  The other properties re-run their full verifier on the extended
-prefix: correctness first, these searches live at desk scale.
+Frameproof codes and cover-free families share one incremental extension
+test: a code is t-frameproof exactly when the family of its one-hot word
+sets (``core.onehot``) is t-cover-free, and only covers involving the
+incoming member need a look.  Identifiability and traceability re-run
+their full verifier on the extended prefix: correctness first, these
+searches live at desk scale.
 
 Node counts are deterministic: one node per attempted extension, no
 parallelism, no randomness.
@@ -23,8 +25,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
-from typing import Iterable
+from typing import Any, Callable, Iterable
 
 from . import core, verify
 from .core import Code, Word
@@ -107,46 +110,33 @@ def _decode_word(value: int, N: int, q: int) -> Word:
     return tuple(reversed(digits))
 
 
-def _fp_ok_words(words: list[Word], new: Word, t: int) -> bool:
-    """Does adding ``new`` keep the code t-frameproof, given ``words`` is?"""
-    k = len(words)
-    for coalition in core.iter_coalitions(range(k), min(t, k)):
-        if core.is_descendant(new, [words[i] for i in coalition]):
-            return False
-    for ci in range(k):
-        target = words[ci]
-        others = [j for j in range(k) if j != ci]
-        for size in range(1, min(t - 1, len(others)) + 1):
-            for group in combinations(others, size):
-                if core.is_descendant(target, [words[j] for j in group] + [new]):
-                    return False
-    return True
+def _covered(target: int, base: int, pool: list[int], most: int) -> bool:
+    """Is ``target`` inside ``base`` joined by at most ``most`` members of ``pool``?"""
+    for size in range(min(most, len(pool)) + 1):
+        for group in combinations(pool, size):
+            union = base
+            for m in group:
+                union |= m
+            if target & ~union == 0:
+                return True
+    return False
 
 
-def _fp_ok_masks(masks: list[int], new_mask: int, t: int, full: int) -> bool:
-    def framed(target: int, union: int, inter: int) -> bool:
-        return (target & ~union & full) == 0 and (inter & ~target & full) == 0
+def _cover_free_ok(masks: list[int], new: int, t: int) -> bool:
+    """Does adding ``new`` keep ``masks`` t-cover-free, given they already are?
 
-    k = len(masks)
-    for coalition in core.iter_coalitions(range(k), min(t, k)):
-        union, inter = 0, full
-        for i in coalition:
-            union |= masks[i]
-            inter &= masks[i]
-        if framed(new_mask, union, inter):
-            return False
-    for ci in range(k):
-        target = masks[ci]
-        others = [j for j in range(k) if j != ci]
-        for size in range(1, min(t - 1, len(others)) + 1):
-            for group in combinations(others, size):
-                union, inter = new_mask, new_mask
-                for j in group:
-                    union |= masks[j]
-                    inter &= masks[j]
-                if framed(target, union, inter):
-                    return False
-    return True
+    Only covers involving the new member need a look: the new member inside
+    the union of at most t old ones, and an old member inside the new one
+    joined by at most t-1 others.  Groups of size 0 count: the empty member
+    is covered by the empty union, and an old member may lie inside the new
+    one alone.
+    """
+    if _covered(new, 0, masks, t):
+        return False
+    return not any(
+        _covered(target, new, masks[:ci] + masks[ci + 1 :], t - 1)
+        for ci, target in enumerate(masks)
+    )
 
 
 def max_code_search(
@@ -162,14 +152,36 @@ def max_code_search(
     the budget ran out before either answer.
     """
     start = time.perf_counter()
-    if problem.property == "CFF":
-        result = _family_search(problem, budget, enumeration_cap)
+    N, q, t, prop = problem.N, problem.q, problem.t, problem.property
+    total = q**N
+    if total > enumeration_cap:
+        raise ValueError(f"candidate space {q}**{N} exceeds enumeration cap {enumeration_cap}")
+    decode = partial(_decode_word, N=N, q=q)
+    cover_free_ok = partial(_cover_free_ok, t=t)
+    check = verify.check_ipp if prop == "IPP" else verify.check_ta
+
+    def holds_ok(items: list[Word], new: Word) -> bool:
+        return check(Code(tuple(items) + (new,), q), t).holds
+
+    # Codes start from the all-zero word, which relabelling symbols per
+    # coordinate puts in any code.  Families have no root: candidate 0, the
+    # empty member, is covered by the empty union.
+    if prop == "CFF":
+        encode, extend_ok, root = (lambda mask: mask), cover_free_ok, []
+    elif prop == "FP":
+        encode, extend_ok, root = (lambda cand: core.onehot(decode(cand), q)), cover_free_ok, [0]
     else:
-        result = _code_search(problem, budget, enumeration_cap)
-    optimum, decided, witness, nodes, complete = result
+        encode, extend_ok, root = decode, holds_ok, [0]
+    best, decided, nodes, complete = _dfs(problem, budget, total, encode, extend_ok, root)
+    if problem.mode == "decide" and decided is not True:
+        witness = None
+    elif prop == "CFF":
+        witness = SetFamily(N, tuple(best)) if best else None
+    else:
+        witness = Code(tuple(decode(c) for c in best), q)
     return SearchResult(
         problem=problem,
-        optimum=optimum,
+        optimum=len(best),
         decided=decided,
         witness=witness,
         nodes=nodes,
@@ -179,37 +191,37 @@ def max_code_search(
     )
 
 
-def _code_search(problem: SearchProblem, budget: int | None, cap: int):
-    N, q, t = problem.N, problem.q, problem.t
-    total = q**N
-    if total > cap:
-        raise ValueError(f"candidate space {q}**{N} exceeds enumeration cap {cap}")
+def _dfs(
+    problem: SearchProblem,
+    budget: int | None,
+    total: int,
+    encode: Callable[[int], Any],
+    extend_ok: Callable[[list, Any], bool],
+    root: list[int],
+) -> tuple[list[int], bool | None, int, bool]:
+    """Extend ``root`` by candidates 1..total-1 in ascending order, depth first.
+
+    ``encode`` turns a candidate into the item ``extend_ok(items, item)``
+    judges against the items already chosen; a rejected candidate prunes its
+    subtree.  Returns the best candidate list, the decision (None unless
+    deciding and answered), the node count and whether the tree was
+    exhausted or the goal met.
+    """
     deciding = problem.mode == "decide"
     goal = problem.goal or 0
-    prop = problem.property
-    use_masks = prop == "FP" and q == 2
-    full = (1 << N) - 1
-
-    words: list[Word] = [(0,) * N]
-    masks: list[int] = [0]
-    chosen: list[int] = [0]
-    best: list[int] = [0]
+    chosen = list(root)
+    items = [encode(c) for c in root]
+    best: list[int] = []
     nodes = 0
-
-    def extend_ok(w: Word, wmask: int) -> bool:
-        if prop == "FP":
-            if use_masks:
-                return _fp_ok_masks(masks, wmask, t, full)
-            return _fp_ok_words(words, w, t)
-        candidate = Code(tuple(words) + (w,), q)
-        if prop == "IPP":
-            return verify.check_ipp(candidate, t).holds
-        return verify.check_ta(candidate, t).holds
 
     def rec(begin: int) -> None:
         nonlocal nodes, best
+        if len(chosen) > len(best):
+            best = list(chosen)
+        if deciding and len(chosen) >= goal:
+            raise _Found
         for cand in range(begin, total):
-            room = len(words) + (total - cand)
+            room = len(chosen) + (total - cand)
             if deciding:
                 if room < goal:
                     break
@@ -218,105 +230,27 @@ def _code_search(problem: SearchProblem, budget: int | None, cap: int):
             nodes += 1
             if budget is not None and nodes > budget:
                 raise _Stop
-            w = _decode_word(cand, N, q)
-            wmask = cand if use_masks else 0
-            if not extend_ok(w, wmask):
+            item = encode(cand)
+            if not extend_ok(items, item):
                 continue
-            words.append(w)
-            masks.append(wmask)
             chosen.append(cand)
-            if len(chosen) > len(best):
-                best = list(chosen)
-            if deciding and len(words) >= goal:
-                raise _Found
+            items.append(item)
             rec(cand + 1)
-            words.pop()
-            masks.pop()
             chosen.pop()
+            items.pop()
 
     decided: bool | None = None
     complete = True
     try:
-        if deciding and goal <= 1:
-            decided = True
-        else:
-            rec(1)
-            if deciding:
-                decided = False
+        rec(1)
+        if deciding:
+            decided = False
     except _Found:
         decided = True
         best = list(chosen)
     except _Stop:
         complete = False
-        if deciding:
-            decided = None
-
-    witness_words = tuple(_decode_word(c, N, q) for c in best)
-    witness = Code(witness_words, q)
-    if deciding and decided is not True:
-        witness = None
-    return len(best), decided, witness, nodes, complete
-
-
-def _family_search(problem: SearchProblem, budget: int | None, cap: int):
-    N, t = problem.N, problem.t
-    total = 1 << N
-    if total > cap:
-        raise ValueError(f"candidate space 2**{N} exceeds enumeration cap {cap}")
-    deciding = problem.mode == "decide"
-    goal = problem.goal or 0
-
-    members: list[int] = []
-    best: list[int] = []
-    nodes = 0
-
-    def extend_ok(mask: int) -> bool:
-        fam = SetFamily(N, tuple(members) + (mask,))
-        return verify.check_cff(fam, t).holds
-
-    def rec(begin: int) -> None:
-        nonlocal nodes, best
-        for mask in range(begin, total):
-            room = len(members) + (total - mask)
-            if deciding:
-                if room < goal:
-                    break
-            elif room <= len(best):
-                break
-            nodes += 1
-            if budget is not None and nodes > budget:
-                raise _Stop
-            if not extend_ok(mask):
-                continue
-            members.append(mask)
-            if len(members) > len(best):
-                best = list(members)
-            if deciding and len(members) >= goal:
-                raise _Found
-            rec(mask + 1)
-            members.pop()
-
-    decided: bool | None = None
-    complete = True
-    try:
-        if deciding and goal < 1:
-            decided = True
-        else:
-            rec(1)  # the empty member is covered by the empty union, skip it
-            if deciding:
-                decided = False
-    except _Found:
-        decided = True
-        best = list(members)
-    except _Stop:
-        complete = False
-        if deciding:
-            decided = None
-
-    witness = SetFamily(N, tuple(best)) if best else None
-    if deciding and decided is not True:
-        witness = None
-    return len(best), decided, witness, nodes, complete
+    return best, decided, nodes, complete
 
 
 @dataclass(frozen=True)

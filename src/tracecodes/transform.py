@@ -93,17 +93,11 @@ def fpc_to_cff(code: Code) -> SetFamily:
 
     Each codeword becomes the member containing, for every coordinate i, row
     2i when the symbol is 0 and row 2i+1 when it is 1, so every member has
-    exactly N elements over a 2N ground set.
+    exactly N elements over a 2N ground set: the one-hot sets at q=2.
     """
     if code.q != 2:
         raise ValueError("doubling requires a binary code")
-    masks = []
-    for w in code.words:
-        mask = 0
-        for i, s in enumerate(w):
-            mask |= 1 << (2 * i + s)
-        masks.append(mask)
-    return SetFamily(2 * code.length, tuple(masks))
+    return SetFamily(2 * code.length, tuple(core.onehot(w, 2) for w in code.words))
 
 
 def cff_to_fpc(family: SetFamily) -> Code:

@@ -1,7 +1,9 @@
 """Exact property checkers returning verdicts with re-checkable witnesses.
 
-Frameproofness, cover-freeness and traceability are checked straight off
-their definitions.  Parent identifiability needs a word-free reformulation
+Frameproofness and cover-freeness share one cover scan: a code is
+t-frameproof exactly when the family of its one-hot word sets
+(``core.onehot``) is t-cover-free.  Traceability is checked straight off
+its definition.  Parent identifiability needs a word-free reformulation
 to stay exact without enumerating the whole ambient space: a code fails the
 t-check exactly when some family of at most t+1 coalitions (each of size at
 most t) has empty common intersection while their descendant profiles still
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Sequence
 
 from . import core
 from .core import Coalition, Code, Word
@@ -101,63 +104,62 @@ def _require_strength(t: int) -> None:
         raise ValueError(f"coalition bound must be >= 1, got {t}")
 
 
-def check_frameproof(
-    code: Code, t: int, mode: str = "def3", use_packed: bool | None = None
-) -> Verdict:
+def _first_cover(members: Sequence[int], t: int) -> tuple[tuple[int, Coalition] | None, int]:
+    """The first member inside the union of at most t others, and the groups tried.
+
+    Members are scanned in order and, for each, groups of the others by size
+    then lexicographically; an empty member is covered by the empty group at
+    once.  Returns ``((member, group), tried)`` or ``(None, tried)``.
+    """
+    n = len(members)
+    tried = 0
+    for a0, m in enumerate(members):
+        if m == 0:
+            return (a0, ()), tried
+        pool = [j for j in range(n) if j != a0]
+        for size in range(1, min(t, len(pool)) + 1):
+            for group in combinations(pool, size):
+                tried += 1
+                union = 0
+                for j in group:
+                    union |= members[j]
+                if m & ~union == 0:
+                    return (a0, group), tried
+    return None, tried
+
+
+def check_frameproof(code: Code, t: int, mode: str = "def3") -> Verdict:
     """Is no codeword producible by a coalition of <= t others?
 
-    ``def3`` iterates (codeword, coalition) pairs directly; ``def1`` checks
-    desc(D) n C = D over all coalitions.  Both modes agree on the verdict
-    (the witness may differ since the scan order differs).  Binary codes use
-    packed words unless ``use_packed=False``.
+    Codewords are compared as one-hot sets (``core.onehot``): a codeword is
+    producible by a coalition exactly when its set lies inside the union of
+    theirs.  ``def3`` iterates (codeword, coalition) pairs, which is the
+    cover-free scan of ``check_cff`` run on the one-hot family; ``def1``
+    checks desc(D) n C = D over all coalitions.  Both modes agree on the
+    verdict (the witness may differ since the scan order differs).
     """
     _require_strength(t)
     if mode not in ("def1", "def3"):
         raise ValueError(f"unknown mode {mode!r}")
-    packed = code.q == 2 if use_packed is None else use_packed
-    if packed and code.q != 2:
-        raise ValueError("packed checking requires a binary code")
-    n = code.size
-
-    if packed:
-        masks = core.packed_words(code)
-        full = (1 << code.length) - 1
-
-        def contains(ci: int, coalition: Coalition) -> bool:
-            union = 0
-            inter = full
-            for d in coalition:
-                union |= masks[d]
-                inter &= masks[d]
-            m = masks[ci]
-            return (m & ~union & full) == 0 and (inter & ~m & full) == 0
-
-    else:
-        words = code.words
-
-        def contains(ci: int, coalition: Coalition) -> bool:
-            return core.is_descendant(words[ci], [words[d] for d in coalition])
-
-    subsets = tested = 0
+    sets = [core.onehot(w, code.q) for w in code.words]
     if mode == "def3":
-        for ci in range(n):
-            pool = [j for j in range(n) if j != ci]
-            for coalition in core.iter_coalitions(pool, min(t, n - 1)):
-                subsets += 1
-                tested += 1
-                if contains(ci, coalition):
-                    return Verdict(
-                        "FP", t, False, FramedWord(ci, coalition), Counters(subsets, tested)
-                    )
-    else:
-        for coalition in core.iter_coalitions(range(n), min(t, n)):
+        hit, subsets = _first_cover(sets, t)
+        witness = None if hit is None else FramedWord(*hit)
+        return Verdict("FP", t, hit is None, witness, Counters(subsets, subsets))
+
+    n = code.size
+    subsets = tested = 0
+    for size in range(1, min(t, n) + 1):
+        for coalition in combinations(range(n), size):
             subsets += 1
-            inside = set(coalition)
+            union = 0
+            for d in coalition:
+                union |= sets[d]
             for ci in range(n):
-                if ci in inside:
+                if ci in coalition:
                     continue
                 tested += 1
-                if contains(ci, coalition):
+                if sets[ci] & ~union == 0:
                     return Verdict(
                         "FP", t, False, FramedWord(ci, coalition), Counters(subsets, tested)
                     )
@@ -172,27 +174,9 @@ def check_cff(family: SetFamily, t: int) -> Verdict:
     with fewer than t+1 members.
     """
     _require_strength(t)
-    members = family.members
-    n = len(members)
-    subsets = 0
-    for a0 in range(n):
-        m = members[a0]
-        if m == 0:
-            return Verdict(
-                "CFF", t, False, CoverViolation(a0, ()), Counters(subsets, 0)
-            )
-        pool = [j for j in range(n) if j != a0]
-        for size in range(1, min(t, len(pool)) + 1):
-            for combo in combinations(pool, size):
-                subsets += 1
-                union = 0
-                for j in combo:
-                    union |= members[j]
-                if m & ~union == 0:
-                    return Verdict(
-                        "CFF", t, False, CoverViolation(a0, combo), Counters(subsets, 0)
-                    )
-    return Verdict("CFF", t, True, None, Counters(subsets, 0))
+    hit, subsets = _first_cover(family.members, t)
+    witness = None if hit is None else CoverViolation(*hit)
+    return Verdict("CFF", t, hit is None, witness, Counters(subsets, 0))
 
 
 def check_ipp(code: Code, t: int) -> Verdict:

@@ -161,12 +161,8 @@ class TestVerifyCommand:
         assert run(capsys, "verify", "--property", "fp", good)[0] == EXIT_USAGE
         assert run(capsys, "verify", "--property", "fp", "--t", "0", good)[0] == EXIT_USAGE
         assert (
-            run(capsys, "verify", "--property", "fp", "--t", "2", "--threads", "0", good)[0]
-            == EXIT_USAGE
-        )
-        assert (
             run(capsys, "verify", "--property", "fp", "--t", "2", "--threads", "4", good)[0]
-            == EXIT_OK
+            == EXIT_USAGE
         )
 
     def test_malformed_file(self, files, capsys):
@@ -363,6 +359,14 @@ class TestSearchCommand:
         assert second["optimum"] == first["optimum"]
         assert second["nodes"] == first["nodes"]
 
+    def test_cache_path_that_is_a_file(self, capsys, tmp_path, monkeypatch):
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("")
+        monkeypatch.setenv("TRACECODES_CACHE", str(blocker))
+        code = main(["search", "--property", "fp", "--N", "3", "--q", "2", "--t", "2"])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: TRACECODES_CACHE=")
+
     def test_cached_budget_exit_is_preserved(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("TRACECODES_CACHE", str(tmp_path))
         args = (
@@ -447,6 +451,40 @@ class TestRecheckCommand:
         assert code == EXIT_VIOLATION
         assert doc["confirmed"] is False
         assert doc["problems"]
+
+    def test_boolean_is_not_an_index(self, files, capsys, tmp_path):
+        # Each witness would hold with ``true`` read as index 1.
+        square = files("square.code", SQUARE)
+        middle = files("middle.code", "2 3 2\n1 0\n1 1\n0 1\n")  # SQUARE with 11 second
+        fam = files("triangle.family", TRIANGLE_FAMILY)
+        cases = [
+            ("fp", square, {"kind": "framed-word", "framed": 2, "coalition": [True, 0]}),
+            ("fp", middle, {"kind": "framed-word", "framed": True, "coalition": [0, 2]}),
+            ("cff", fam, {"kind": "cover-violation", "covered": True, "covering": [2]}),
+            (
+                "ta", middle,
+                {"kind": "ta-violation", "coalition": [0, 2], "pirate": [1, 1],
+                 "outsider": True, "insider_distance": 1, "outsider_distance": 0},
+            ),
+        ]
+        for prop, subject, witness in cases:
+            path = tmp_path / "bool.json"
+            path.write_text(json.dumps(witness))
+            code, doc = run_json(
+                capsys, "recheck", "--property", prop, "--t", "2", "--witness", str(path), subject
+            )
+            assert code == EXIT_VIOLATION, witness
+            assert doc["confirmed"] is False
+
+    def test_empty_ipp_coalition_is_refuted(self, files, capsys, tmp_path):
+        three = files("three.code", "2 3 2\n0 0\n1 1\n0 1\n")
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"kind": "ipp-violation", "word": [0, 1], "coalitions": [[2], []]}))
+        code, doc = run_json(
+            capsys, "recheck", "--property", "ipp", "--t", "2", "--witness", str(path), three
+        )
+        assert code == EXIT_VIOLATION
+        assert doc["problems"] == ["coalition 1 size 0 outside 1..2"]
 
     def test_garbage_witness_file(self, files, capsys, tmp_path):
         bad = files("square.code", SQUARE)

@@ -1,4 +1,4 @@
-"""Data-model tests: distances, descendants, parent sets, packed words."""
+"""Data-model tests: distances, descendants, parent sets."""
 
 from __future__ import annotations
 
@@ -235,24 +235,17 @@ class TestParentSets:
                 assert (idx in family.coalitions) == expected
 
 
+
 class TestPackedRepresentation:
-    def test_round_trip_values(self):
-        code = Code.from_strings(["011", "101"], 2)
-        assert core.packed_words(code) == (0b110, 0b101)
-        rows = core.packed_rows(code)
-        assert rows == (0b10, 0b01, 0b11)
-
-    def test_requires_binary(self):
-        with pytest.raises(ValueError):
-            core.packed_words(Code(((0, 2),), 3))
-
     @given(st.data())
     @settings(max_examples=80)
     def test_packed_distance_agrees(self, data):
         N = data.draw(st.integers(1, 6))
-        n = data.draw(st.integers(2, min(6, 2**N)))
+        q = data.draw(st.integers(2, 4))
+        n = data.draw(st.integers(2, min(6, q**N)))
         seed = data.draw(st.integers(0, 10**6))
-        code = random_code(random.Random(seed), N, 2, n)
-        masks = core.packed_words(code)
+        code = random_code(random.Random(seed), N, q, n)
+        sets = [core.onehot(w, q) for w in code.words]
         for (i, wi), (j, wj) in combinations(enumerate(code.words), 2):
-            assert (masks[i] ^ masks[j]).bit_count() == core.hamming_distance(wi, wj)
+            assert sets[i].bit_count() == N
+            assert (sets[i] & sets[j]).bit_count() == N - core.hamming_distance(wi, wj)

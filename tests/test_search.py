@@ -105,6 +105,35 @@ class TestMaximumSizes:
         assert (a.optimum, a.nodes, a.witness) == (b.optimum, b.nodes, b.witness)
 
 
+TERNARY_CASES = [
+    (prop, N, t)
+    for prop in ("FP", "IPP", "TA")
+    for N, t in ((2, 1), (2, 2), (3, 1), (3, 2))
+    if (prop, N, t) != ("IPP", 3, 2)  # the oracle takes about 9 s there
+]
+# Node counts shared with the benchmark's search jobs.
+TERNARY_NODES = {("FP", 3, 2): 3250, ("FP", 2, 2): 40, ("IPP", 2, 2): 53, ("TA", 2, 2): 36}
+
+
+class TestTernarySearches:
+    ORACLES = {
+        "FP": lambda t: lambda words: oracles.frameproof_holds(words, t),
+        "IPP": lambda t: lambda words: oracles.ipp_holds(words, 3, t),
+        "TA": lambda t: lambda words: oracles.ta_holds(words, t),
+    }
+    CHECKERS = {"FP": verify.check_frameproof, "IPP": verify.check_ipp, "TA": verify.check_ta}
+
+    @pytest.mark.parametrize("prop,N,t", TERNARY_CASES)
+    def test_matches_unnormalized_oracle(self, prop, N, t):
+        res = max_code_search(SearchProblem(prop, N=N, t=t, q=3))
+        assert res.complete
+        assert res.optimum == oracles.max_code_size(N, 3, self.ORACLES[prop](t))
+        assert res.witness.size == res.optimum
+        assert self.CHECKERS[prop](res.witness, t).holds
+        if (prop, N, t) in TERNARY_NODES:
+            assert res.nodes == TERNARY_NODES[prop, N, t]
+
+
 class TestBudgets:
     def test_truncated_maximize_is_flagged(self):
         res = max_code_search(SearchProblem("FP", N=4, t=3, q=2), budget=50)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -11,8 +12,8 @@ from hypothesis import strategies as st
 import oracles
 from conftest import random_code, random_code_stream
 from tracecodes import verify
-from tracecodes.core import Code, group_distance, is_descendant
-from tracecodes.transform import SetFamily, cff_to_fpc
+from tracecodes.core import Code, group_distance, hamming_distance, is_descendant, onehot
+from tracecodes.transform import SetFamily, cff_to_fpc, fpc_to_cff
 
 IDENTITY3 = Code.from_strings(["100", "010", "001"], 2)
 SQUARE = Code.from_strings(["10", "01", "11"], 2)
@@ -100,11 +101,41 @@ class TestFrameproof:
                 reverify(got, code=code)
 
     def test_packed_path_agrees_with_generic(self):
+        # The one-hot bitset scan against word-level descendant enumeration.
         for code in random_code_stream(seed=103, count=150, max_q=2):
-            fast = verify.check_frameproof(code, 2, use_packed=True)
-            slow = verify.check_frameproof(code, 2, use_packed=False)
-            assert fast.holds == slow.holds
-            assert fast.witness == slow.witness
+            fast = verify.check_frameproof(code, 2)
+            assert fast.holds == oracles.frameproof_holds(code.words, 2), code
+            reverify(fast, code=code)
+
+
+class TestOneHotKernel:
+    """The one-hot cover test behind FP and CFF, against the oracles at tiny sizes."""
+
+    def test_checkers_match_oracles_exhaustively(self):
+        for N, q in ((2, 3), (3, 2)):
+            universe = list(product(range(q), repeat=N))
+            for x, y in combinations(universe, 2):
+                agree = (onehot(x, q) & onehot(y, q)).bit_count()
+                assert agree == N - hamming_distance(x, y)
+            for n in range(1, 5):
+                for words in combinations(universe, n):
+                    code = Code(words, q)
+                    for t in (1, 2, 3):
+                        want = oracles.frameproof_holds(words, t)
+                        def3 = verify.check_frameproof(code, t)
+                        def1 = verify.check_frameproof(code, t, mode="def1")
+                        assert def3.holds == def1.holds == want, (words, t)
+                        reverify(def3, code=code)
+                        reverify(def1, code=code)
+                        if q == 2:
+                            cff = verify.check_cff(fpc_to_cff(code), t)
+                            assert cff.holds == want
+                            assert cff.counters.subsets_examined == def3.counters.subsets_examined
+                            if not want:
+                                assert (cff.witness.covered, cff.witness.covering) == (
+                                    def3.witness.framed,
+                                    def3.witness.coalition,
+                                )
 
 
 class TestCoverFree:
