@@ -23,10 +23,14 @@ Reports
 JSON document tagged ``"schema": "tracecodes/1"`` with stable field names
 (property, t, holds, witness{...}, counters{...}, bounds[{source, value,
 exponent}, ...]).  Infinite distances appear as the string ``"inf"``.
+Bounds are exact: in both formats an integer is written out in full, in
+JSON as a plain number of any length (Python's int-to-str digit limit is
+lifted while a report is rendered; a reader needs big-integer support).
 Seeds always surface in reports; the fallback is a fixed constant, never
 the clock.  If ``TRACECODES_CACHE`` names a directory, search results are
-checkpointed there and reused; a path that cannot be used as a directory is
-a usage error.
+checkpointed there and reused when they read back well formed and their
+witness passes the checker again; a path that cannot be used as a directory
+is a usage error.
 """
 
 from __future__ import annotations
@@ -37,9 +41,11 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
+from . import __version__
 from . import bounds as bounds_mod
 from . import core
 from . import search as search_mod
@@ -246,11 +252,36 @@ def _table_lines(headers: list[str], rows: list[list[Any]]) -> list[str]:
     return out
 
 
-def _emit(args: argparse.Namespace, report: dict, text_lines: list[str]) -> None:
-    if args.format == "machine":
-        print(json.dumps(_jsonable(report), indent=2, sort_keys=False))
-    else:
-        print("\n".join(text_lines))
+@contextmanager
+def _any_int_length() -> Iterator[None]:
+    """Lift Python's int-to-str digit limit for the duration of the block."""
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:  # Pythons without the limit
+        yield
+        return
+    limit = get_limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _emit(
+    args: argparse.Namespace,
+    report: dict,
+    text_lines: list[str] | Callable[[], list[str]],
+) -> None:
+    """Print the report; exact integers of any length render in full.
+
+    ``text_lines`` may be a function building the lines, so that its
+    integers are formatted with the digit limit lifted too.
+    """
+    with _any_int_length():
+        if args.format == "machine":
+            print(json.dumps(_jsonable(report), indent=2, sort_keys=False))
+        else:
+            print("\n".join(text_lines() if callable(text_lines) else text_lines))
 
 
 def _code_json(code: Code) -> dict:
@@ -323,8 +354,8 @@ def _witness_text(data: dict) -> str:
     return str(data)
 
 
-def _is_index(value: Any, n: int) -> bool:
-    """A JSON integer in 0..n-1; ``true``/``false`` are not indices."""
+def _is_index(value: Any, n: int | float) -> bool:
+    """A JSON integer in 0..n-1 (n may be ``math.inf``); ``true``/``false`` are not."""
     return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < n
 
 
@@ -341,6 +372,18 @@ def _distinct_indices(values: Any, n: int, label: str, problems: list[str]) -> l
     if len(set(out)) != len(out):
         problems.append(f"{label} repeats indices")
     return out
+
+
+def _word(values: Any, code: Code, label: str, problems: list[str]) -> core.Word:
+    """A JSON word of the code's length whose symbols are integers in 0..q-1."""
+    if not isinstance(values, (list, tuple)) or len(values) != code.length:
+        problems.append(f"{label} has the wrong length")
+        return ()
+    for s in values:
+        if not _is_index(s, code.q):
+            problems.append(f"{label} symbol {s!r} out of range")
+            return ()
+    return tuple(values)
 
 
 def recheck_witness(data: dict, subject: Code | SetFamily, t: int) -> list[str]:
@@ -387,10 +430,9 @@ def recheck_witness(data: dict, subject: Code | SetFamily, t: int) -> list[str]:
     if kind == "ipp-violation":
         if not isinstance(subject, Code):
             return ["ipp-violation witnesses apply to codes"]
-        word = data.get("word")
-        if not isinstance(word, (list, tuple)) or len(word) != subject.length:
-            return ["witness word has the wrong length"]
-        word = tuple(word)
+        word = _word(data.get("word"), subject, "witness word", problems)
+        if problems:
+            return problems
         raw = data.get("coalitions")
         if not isinstance(raw, (list, tuple)) or len(raw) < 2:
             return ["need at least two coalitions"]
@@ -419,10 +461,9 @@ def recheck_witness(data: dict, subject: Code | SetFamily, t: int) -> list[str]:
             return problems
         if not 1 <= len(coalition) <= t:
             problems.append(f"coalition size {len(coalition)} outside 1..{t}")
-        pirate = data.get("pirate")
-        if not isinstance(pirate, (list, tuple)) or len(pirate) != subject.length:
-            return ["pirate word has the wrong length"]
-        pirate = tuple(pirate)
+        pirate = _word(data.get("pirate"), subject, "pirate word", problems)
+        if problems:
+            return problems
         outsider = data.get("outsider")
         if not _is_index(outsider, subject.size):
             return [f"outsider index {outsider!r} out of range"]
@@ -434,10 +475,10 @@ def recheck_witness(data: dict, subject: Code | SetFamily, t: int) -> list[str]:
             problems.append("coalition cannot produce the pirate word")
         best_in = min(core.hamming_distance(pirate, subject.words[i]) for i in coalition)
         d_out = core.hamming_distance(pirate, subject.words[outsider])
-        if best_in != data.get("insider_distance"):
-            problems.append(f"insider distance recomputes to {best_in}")
-        if d_out != data.get("outsider_distance"):
-            problems.append(f"outsider distance recomputes to {d_out}")
+        for key, value in (("insider", best_in), ("outsider", d_out)):
+            claimed = data.get(f"{key}_distance")
+            if type(claimed) is not int or claimed != value:  # no bools, no floats
+                problems.append(f"{key} distance recomputes to {value}")
         if best_in < d_out:
             problems.append("every insider is strictly closer; no violation")
         return problems
@@ -448,19 +489,20 @@ def recheck_witness(data: dict, subject: Code | SetFamily, t: int) -> list[str]:
 # subcommands
 
 
+_CHECKERS = {
+    "FP": verify.check_frameproof,
+    "IPP": verify.check_ipp,
+    "TA": verify.check_ta,
+    "CFF": verify.check_cff,
+}
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
-    subject: Code | SetFamily
-    if args.property == "cff":
-        subject = load_family(args.file)
-        verdict = verify.check_cff(subject, args.t)
+    subject = load_family(args.file) if args.property == "cff" else load_code(args.file)
+    if args.property == "fp":
+        verdict = verify.check_frameproof(subject, args.t, mode=args.mode)
     else:
-        subject = load_code(args.file)
-        if args.property == "fp":
-            verdict = verify.check_frameproof(subject, args.t, mode=args.mode)
-        elif args.property == "ipp":
-            verdict = verify.check_ipp(subject, args.t)
-        else:
-            verdict = verify.check_ta(subject, args.t)
+        verdict = _CHECKERS[args.property.upper()](subject, args.t)
     witness = (
         witness_to_json(verdict.witness, subject) if verdict.witness is not None else None
     )
@@ -543,16 +585,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         "t": args.t,
         "bounds": [_bound_entry_json(e) for e in report_obj.entries],
     }
-    lines = [f"bounds at N={args.N} q={args.q} t={args.t}", ""]
-    lines.extend(
-        _table_lines(
-            ["source", "value", "coefficient", "exponent", "usable", "note"],
-            [
-                [e.source, e.value, e.coefficient, e.exponent, e.usable, e.note]
-                for e in report_obj.entries
-            ],
-        )
-    )
+    status = None
     if args.q == 2 and args.t >= 3:
         status = bounds_mod.binary_fp_status(args.N, args.t)
         report["binary_fp_status"] = {
@@ -562,19 +595,34 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
             "quadratic_lower": status.quadratic_lower,
             "conjectured": status.conjectured,
         }
-        lines.append("")
+
+    def text_lines() -> list[str]:
+        lines = [f"bounds at N={args.N} q={args.q} t={args.t}", ""]
         lines.extend(
-            _kv_lines(
+            _table_lines(
+                ["source", "value", "coefficient", "exponent", "usable", "note"],
                 [
-                    ("size cap guaranteed", status.guaranteed),
-                    ("reason", status.reason),
-                    ("cap can break from length (classical)", status.binomial_lower),
-                    ("cap can break from length (quadratic)", status.quadratic_lower),
-                    ("cap can break from length (conjectured)", status.conjectured),
-                ]
+                    [e.source, e.value, e.coefficient, e.exponent, e.usable, e.note]
+                    for e in report_obj.entries
+                ],
             )
         )
-    _emit(args, report, lines)
+        if status is not None:
+            lines.append("")
+            lines.extend(
+                _kv_lines(
+                    [
+                        ("size cap guaranteed", status.guaranteed),
+                        ("reason", status.reason),
+                        ("cap can break from length (classical)", status.binomial_lower),
+                        ("cap can break from length (quadratic)", status.quadratic_lower),
+                        ("cap can break from length (conjectured)", status.conjectured),
+                    ]
+                )
+            )
+        return lines
+
+    _emit(args, report, text_lines)
     return EXIT_OK
 
 
@@ -750,6 +798,8 @@ def _cache_path(problem: search_mod.SearchProblem, budget: int | None) -> Path |
             "mode": problem.mode,
             "goal": problem.goal,
             "budget": budget,
+            "schema": SCHEMA,
+            "version": __version__,
         },
         sort_keys=True,
     )
@@ -780,6 +830,67 @@ def _search_payload(res: search_mod.SearchResult) -> dict:
         "budget": res.budget,
         "witness": _witness_json(res.witness),
     }
+
+
+def _witness_subject(data: Any, problem: search_mod.SearchProblem) -> Code | SetFamily:
+    """Rebuild a cached search witness; KeyError, TypeError or ValueError if malformed."""
+    if problem.property == "CFF":
+        members = data["members"]
+        if data["type"] != "family" or data["ground_size"] != problem.N:
+            raise ValueError("not a family over the problem's ground set")
+        if not all(_is_index(e, problem.N) for m in members for e in m):
+            raise ValueError("member element outside the ground set")
+        return SetFamily.from_sets(problem.N, members)
+    code = Code(tuple(tuple(w) for w in data["words"]), data["q"])
+    if data["type"] != "code" or code.q != problem.q or code.length != problem.N:
+        raise ValueError("not a code of the problem's length and alphabet")
+    return code
+
+
+def _cached_payload(
+    cache_file: Path, problem: search_mod.SearchProblem, budget: int | None
+) -> dict | None:
+    """The cached search payload, or None when it must be computed again.
+
+    An entry is rejected when it is unreadable or has a missing, extra or
+    mistyped field.  A witness must pass the property's checker and have
+    exactly ``optimum`` members; an entry without one (a decide "no", a
+    budget stop) is only type-checked, as rechecking it means searching.
+    """
+    try:
+        payload = json.loads(cache_file.read_text())
+    except (OSError, ValueError):
+        return None
+    if not isinstance(payload, dict) or set(payload) != {
+        "optimum", "decided", "complete", "nodes", "elapsed", "budget", "witness",
+    }:
+        return None
+    if (
+        not _is_index(payload["optimum"], math.inf)
+        or not _is_index(payload["nodes"], math.inf)
+        or type(payload["elapsed"]) not in (int, float)
+        or not (payload["decided"] is None or isinstance(payload["decided"], bool))
+        or not isinstance(payload["complete"], bool)
+        or type(payload["budget"]) is not type(budget)
+        or payload["budget"] != budget
+    ):
+        return None
+    witness = payload["witness"]
+    if witness is None:
+        no_witness_due = payload["optimum"] == 0 or (
+            problem.mode == "decide" and payload["decided"] is not True
+        )
+        return payload if no_witness_due else None
+    try:
+        subject = _witness_subject(witness, problem)
+    except (KeyError, TypeError, ValueError):
+        return None
+    if subject.size != payload["optimum"] or not _CHECKERS[problem.property](
+        subject, problem.t
+    ).holds:
+        return None
+    payload["witness"] = _witness_json(subject)
+    return payload
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
@@ -821,25 +932,19 @@ def _cmd_search(args: argparse.Namespace) -> int:
     problem = search_mod.SearchProblem(prop, N=args.N, t=args.t, q=args.q, mode=mode, goal=goal)
 
     cache_file = _cache_path(problem, args.budget)
-    cached = None
-    if cache_file is not None and cache_file.exists():
-        cached = json.loads(cache_file.read_text())
-
-    if cached is not None:
-        payload = dict(cached)
+    payload = None if cache_file is None else _cached_payload(cache_file, problem, args.budget)
+    if payload is not None:
         payload["cached"] = True
-        exit_needs_budget = payload["decided"] is None and mode == "decide" or (
-            mode == "maximize" and not payload["complete"]
-        )
     else:
-        res = search_mod.max_code_search(problem, args.budget)
-        payload = _search_payload(res)
-        payload["cached"] = False
+        payload = _search_payload(search_mod.max_code_search(problem, args.budget))
         if cache_file is not None:
-            cache_file.write_text(json.dumps(_jsonable(payload), indent=2))
-        exit_needs_budget = (mode == "decide" and res.decided is None) or (
-            mode == "maximize" and not res.complete
-        )
+            partial = cache_file.with_name(f"{cache_file.name}.{os.getpid()}.tmp")
+            partial.write_text(json.dumps(_jsonable(payload), indent=2))
+            os.replace(partial, cache_file)
+        payload["cached"] = False
+    exit_needs_budget = (mode == "decide" and payload["decided"] is None) or (
+        mode == "maximize" and not payload["complete"]
+    )
 
     report.update(
         {

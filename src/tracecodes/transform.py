@@ -472,26 +472,12 @@ def build_ipp_violation(
 
 @dataclass(frozen=True)
 class PairDiagnostics:
-    """Audit record for a minimum-distance pair that survived a strip.
+    """A minimum-distance pair that survived a strip.
 
-    Such a pair can only exist when the input was not 3-traceable.  For a
-    low-distance strip (case B) ``i1``/``i2`` split a cover of the pair's
-    disagreements and ``partners`` holds codewords matching the first pair
-    member on each half — together they frame it.  For a mid-distance strip
-    (case C) ``i1`` is the pair's agreement set and the remaining fields
-    follow the removal analysis as far as the partner hunts succeed.
+    Such a pair can only exist when the input was not 3-traceable.
     """
 
     pair: tuple[int, int]
-    i1: tuple[int, ...] | None = None
-    i2: tuple[int, ...] | None = None
-    i3: tuple[int, ...] | None = None
-    e: tuple[int, ...] | None = None
-    j: tuple[int, ...] | None = None
-    h: tuple[int, ...] | None = None
-    delta2: int | None = None
-    delta3: int | None = None
-    partners: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -522,102 +508,6 @@ def _min_pattern_frequency(code: Code, t: int) -> list[int]:
             if c < best[idx]:
                 best[idx] = c
     return best
-
-
-def _case_b_diagnostics(code: Code, pair: tuple[int, int], t: int) -> PairDiagnostics:
-    x, y = code.words[pair[0]], code.words[pair[1]]
-    N = code.length
-    disagree = [i for i in range(N) if x[i] != y[i]]
-    cover = list(disagree)
-    for i in range(N):
-        if len(cover) == 2 * t:
-            break
-        if i not in disagree:
-            cover.append(i)
-    cover.sort()
-    i1, i2 = tuple(cover[:t]), tuple(cover[t:])
-    partners = []
-    for positions in (i1, i2):
-        target = _pattern(x, positions)
-        found = next(
-            (
-                j
-                for j in range(code.size)
-                if j != pair[0] and _pattern(code.words[j], positions) == target
-            ),
-            None,
-        )
-        if found is not None:
-            partners.append(found)
-    return PairDiagnostics(pair=pair, i1=i1, i2=i2, partners=tuple(partners))
-
-
-def _case_c_diagnostics(
-    code: Code, pair: tuple[int, int], t: int, delta: int
-) -> PairDiagnostics:
-    y0, y1 = code.words[pair[0]], code.words[pair[1]]
-    N = code.length
-    i1 = tuple(i for i in range(N) if y0[i] == y1[i])
-    outside = [i for i in range(N) if i not in i1]
-    probe2 = tuple(outside[:t])
-    target = _pattern(y0, probe2)
-    y2_idx = next(
-        (
-            jdx
-            for jdx in range(code.size)
-            if jdx not in pair
-            and _pattern(code.words[jdx], probe2) == target
-            and core.identical_count(code.words[jdx], y1) <= delta
-        ),
-        None,
-    )
-    if y2_idx is None:
-        return PairDiagnostics(pair=pair, i1=i1)
-    y2 = code.words[y2_idx]
-    i2 = tuple(i for i in outside if y0[i] == y2[i])
-    delta2 = len(i2) - t
-    j_set = tuple(i for i in range(N) if i not in i1 and y1[i] == y2[i])
-    taken = set(i1) | set(i2)
-    pool = [i for i in j_set if i not in taken]
-    pool += [i for i in range(N) if i not in taken and i not in pool]
-    probe3 = tuple(sorted(pool[:t]))
-    target3 = _pattern(y0, probe3)
-    y3_idx = next(
-        (
-            jdx
-            for jdx in range(code.size)
-            if jdx not in pair
-            and jdx != y2_idx
-            and _pattern(code.words[jdx], probe3) == target3
-            and core.group_distance(code.words[jdx], (y1, y2))[1] <= delta
-        ),
-        None,
-    )
-    if y3_idx is None:
-        return PairDiagnostics(
-            pair=pair, i1=i1, i2=i2, j=j_set, delta2=delta2, partners=(y2_idx,)
-        )
-    y3 = code.words[y3_idx]
-    i3 = tuple(i for i in range(N) if i not in taken and y0[i] == y3[i])
-    delta3 = len(i3) - t
-    used = taken | set(i3)
-    e_set = tuple(i for i in range(N) if i not in used)
-    pairwise = set()
-    for wa, wb in ((y1, y2), (y1, y3), (y2, y3)):
-        pairwise |= {i for i in e_set if wa[i] == wb[i]}
-    h_set = tuple(i for i in e_set if i not in pairwise)
-    return PairDiagnostics(
-        pair=pair,
-        i1=i1,
-        i2=i2,
-        i3=i3,
-        e=e_set,
-        j=j_set,
-        h=h_set,
-        delta2=delta2,
-        delta3=delta3,
-        partners=(y2_idx, y3_idx),
-    )
 
 
 def distance_strip(
@@ -677,10 +567,7 @@ def distance_strip(
             for a, b in combinations(survivors, 2)
             if core.hamming_distance(code.words[a], code.words[b]) == d
         )
-        if case == "B":
-            diagnostics = _case_b_diagnostics(code, pair, t)
-        else:
-            diagnostics = _case_c_diagnostics(code, pair, t, delta if delta is not None else 0)
+        diagnostics = PairDiagnostics(pair)
 
     trace = StripTrace(
         case=case,

@@ -11,7 +11,11 @@ intersect coordinate-wise.  Sufficiency is immediate (any word assembled
 from the coordinate intersections has all family members as parents);
 necessity follows because, given a bad word, one starts from any of its
 parent sets and adds, at most once per member, a parent set avoiding that
-member — after at most t steps the running intersection is empty.
+member — after at most t steps the running intersection is empty.  On
+one-hot sets a coalition's descendant profile is the OR of its members'
+sets, so a family's profile intersection is the AND of those ORs, and the
+family passes the test when every q-bit coordinate block of the AND is
+non-empty.
 
 Every checker scans candidates in a fixed order (coalitions by size then
 lexicographically, words lexicographically) and reports the first violation
@@ -183,50 +187,55 @@ def check_ipp(code: Code, t: int) -> Verdict:
     """Can every traceable word be pinned on at least one shared parent?
 
     Enumerates families of 2..t+1 coalitions (size <= t each, ordered by
-    size then lexicographically) whose index sets have empty intersection;
-    the code fails exactly when some such family's descendant profiles still
-    intersect on every coordinate.  The witness word takes the smallest
-    symbol from each coordinate intersection.
+    size then lexicographically) whose members have empty intersection; the
+    code fails exactly when some such family's descendant profiles still
+    intersect on every coordinate.  A coalition is one n-bit member mask and
+    one profile, the OR of its members' one-hot sets, so a family's shared
+    members and its coordinate-wise profile intersection are each an AND.
+    ``words_examined`` counts the q-bit blocks of that AND looked at, in
+    coordinate order up to and including the first empty one.  The witness
+    word takes the smallest symbol from each coordinate intersection.
     """
     _require_strength(t)
-    n = code.size
-    N = code.length
-    coalitions = list(core.iter_coalitions(range(n), min(t, n)))
-    index_sets = [set(c) for c in coalitions]
-    profiles = [
-        [set(code.words[i][coord] for i in c) for coord in range(N)] for c in coalitions
-    ]
+    n, N, q = code.size, code.length, code.q
+    sets = [core.onehot(w, q) for w in code.words]
+    coalitions = []
+    for size in range(1, min(t, n) + 1):
+        for c in combinations(range(n), size):
+            mask = union = 0
+            for i in c:
+                mask |= 1 << i
+                union |= sets[i]
+            coalitions.append((mask, union, c))
+    # Lowest and highest bit of every block: (x - low) & ~x & high sets the
+    # high bit of every empty block of x, and of other blocks only above an
+    # empty one (through borrows), so its lowest set bit is in the first.
+    low = core.onehot((0,) * N, q)
+    high = low << (q - 1)
     families = 0
     intersections = 0
-    top = min(t + 1, len(coalitions))
-    for k in range(2, top + 1):
-        for fam in combinations(range(len(coalitions)), k):
+    for k in range(2, min(t + 1, len(coalitions)) + 1):
+        for fam in combinations(coalitions, k):
             families += 1
-            common = set(index_sets[fam[0]])
-            for f in fam[1:]:
-                common &= index_sets[f]
-                if not common:
-                    break
+            common = fam[0][0]
+            for mask, _, _ in fam[1:]:
+                common &= mask
             if common:
                 continue
-            symbols = []
-            for coord in range(N):
-                inter = set(profiles[fam[0]][coord])
-                for f in fam[1:]:
-                    inter &= profiles[f][coord]
-                    if not inter:
-                        break
-                intersections += 1
-                if not inter:
-                    break
-                symbols.append(min(inter))
-            else:
-                witness = IppViolation(
-                    tuple(symbols), tuple(coalitions[f] for f in fam)
-                )
-                return Verdict(
-                    "IPP", t, False, witness, Counters(families, intersections)
-                )
+            inter = fam[0][1]
+            for _, union, _ in fam[1:]:
+                inter &= union
+            empty = (inter - low) & ~inter & high
+            if empty:
+                intersections += (empty & -empty).bit_length() // q
+                continue
+            intersections += N
+            word = []
+            for i in range(N):
+                symbols = inter >> (i * q) & ((1 << q) - 1)
+                word.append((symbols & -symbols).bit_length() - 1)
+            witness = IppViolation(tuple(word), tuple(c for _, _, c in fam))
+            return Verdict("IPP", t, False, witness, Counters(families, intersections))
     return Verdict("IPP", t, True, None, Counters(families, intersections))
 
 
@@ -236,47 +245,33 @@ def _ta_coalition_violation(
     """Depth-first scan of the coalition's descendants for a tracing failure.
 
     Partial distances prune a branch as soon as every completion keeps some
-    insider strictly closer than every outsider.
+    insider strictly closer than every outsider.  The walk keeps its own
+    stack of (depth, symbol, distances over the prefix before it), so the
+    code length is not limited by Python's recursion depth.
     """
     words = code.words
     N = code.length
     members = [words[i] for i in coalition]
-    ins = [0] * len(members)
-    outs = [0] * len(outsiders)
+    others = [words[o] for o in outsiders]
     x = [0] * N
     leaves = 0
-
-    def rec(depth: int) -> TaViolation | None:
-        nonlocal leaves
-        if depth == N:
+    # The empty prefix is never pruned: every distance starts at 0.
+    stack = [(0, s, [0] * len(members), [0] * len(others)) for s in reversed(profile[0])]
+    while stack:
+        depth, s, ins, outs = stack.pop()
+        x[depth] = s
+        ins = [d + (m[depth] != s) for d, m in zip(ins, members)]
+        outs = [d + (o[depth] != s) for d, o in zip(outs, others)]
+        if depth + 1 == N:
             leaves += 1
             best_in = min(ins)
             k = min(range(len(outsiders)), key=outs.__getitem__)
             if best_in >= outs[k]:
-                return TaViolation(
-                    coalition, tuple(x), outsiders[k], best_in, outs[k]
-                )
-            return None
-        if min(ins) + (N - depth) < min(outs):
-            return None  # insiders stay strictly closer whatever we append
-        for s in profile[depth]:
-            x[depth] = s
-            bumped_in = [i for i, m in enumerate(members) if m[depth] != s]
-            bumped_out = [i for i, o in enumerate(outsiders) if words[o][depth] != s]
-            for i in bumped_in:
-                ins[i] += 1
-            for i in bumped_out:
-                outs[i] += 1
-            hit = rec(depth + 1)
-            for i in bumped_in:
-                ins[i] -= 1
-            for i in bumped_out:
-                outs[i] -= 1
-            if hit is not None:
-                return hit
-        return None
-
-    return rec(0), leaves
+                return TaViolation(coalition, tuple(x), outsiders[k], best_in, outs[k]), leaves
+        elif min(ins) + (N - depth - 1) >= min(outs):
+            # Otherwise insiders stay strictly closer whatever we append.
+            stack.extend((depth + 1, c, ins, outs) for c in reversed(profile[depth + 1]))
+    return None, leaves
 
 
 def check_ta(code: Code, t: int, cap: int = core.DEFAULT_DESCENDANT_CAP) -> Verdict:

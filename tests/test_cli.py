@@ -53,6 +53,11 @@ def run_json(capsys, *argv):
     return code, json.loads(out)
 
 
+def text_fields(out):
+    """A text report's ``key  value`` lines, for single-word values."""
+    return dict(line.rsplit(None, 1) for line in out.splitlines() if line.strip())
+
+
 class TestFileFormats:
     def test_code_round_trip(self):
         for code in random_code_stream(seed=61, count=60, max_q=4):
@@ -165,6 +170,15 @@ class TestVerifyCommand:
             == EXIT_USAGE
         )
 
+    def test_traceability_past_the_recursion_limit(self, files, capsys):
+        # The descendant scan goes one level per coordinate.
+        N = 1500
+        rows = [[0] * N, [1] * N, [0] * (N - 1) + [1]]
+        text = f"{N} 3 2\n" + "".join(" ".join(map(str, r)) + "\n" for r in rows)
+        code, out = run(capsys, "verify", "--property", "ta", "--t", "1", files("long.code", text))
+        assert code == EXIT_OK
+        assert text_fields(out)["holds"] == "yes"
+
     def test_malformed_file(self, files, capsys):
         bad = files("broken.code", "2 2 2\n0 1\n")
         assert run(capsys, "verify", "--property", "fp", "--t", "2", bad)[0] == EXIT_BAD_FILE
@@ -233,6 +247,31 @@ class TestBoundsCommand:
         _, doc = run_json(capsys, "bounds", "--N", "9", "--q", "2", "--t", "3", "--evaluate")
         assert all(e["value"] is not None for e in doc["bounds"])
 
+    def test_bounds_of_any_size(self, capsys):
+        # Both integers are longer than Python's default 4300-digit limit on
+        # int-to-str conversion, which the report must not be held to.
+        get_limit = getattr(sys, "get_int_max_str_digits", None)
+        limit = get_limit() if get_limit else None
+        cases = [
+            (("--N", "20000", "--q", "2", "--t", "1"), "fp-split", "value", 2**20000),
+            (("--N", "9000", "--q", "2", "--t", "3"), "ta3-ninth", "coefficient", 9000 * 2**27000),
+        ]
+        for argv, source, field, want in cases:
+            code, text = run(capsys, "bounds", *argv)
+            assert code == EXIT_OK
+            code, machine = run(capsys, "bounds", *argv, "--format", "machine")
+            assert code == EXIT_OK
+            if get_limit is None:
+                continue
+            assert get_limit() == limit  # lifted only while rendering
+            sys.set_int_max_str_digits(0)
+            try:
+                entry = next(e for e in json.loads(machine)["bounds"] if e["source"] == source)
+                assert entry[field] == want
+                assert str(want) in text
+            finally:
+                sys.set_int_max_str_digits(limit)
+
 
 class TestTransformCommand:
     def test_double_then_tocode(self, files, capsys, tmp_path):
@@ -297,6 +336,15 @@ class TestTransformCommand:
         assert doc["strip"]["case"] == "B"
         assert sorted(doc["strip"]["removed"]) == [0, 2]
         assert doc["strip"]["d_after"] == "inf"
+        assert doc["strip"]["diagnostics"] is None
+        # Not 3-traceable: the distance-1 pair (0, 1) survives and is reported.
+        pair_file = files("pair.code", "9 4 2\n" + "".join(
+            " ".join(w) + "\n" for w in ("000000000", "000000001", "111111110", "111111111")
+        ))
+        code, doc = run_json(capsys, "transform", "--op", "strip", "--t", "1", pair_file)
+        assert code == EXIT_OK
+        assert doc["strip"]["removed"] == []
+        assert doc["strip"]["diagnostics"] == {"pair": [0, 1]}
 
     def test_op_validation(self, files, capsys):
         code_file = files("pair.code", "2 2 2\n0 0\n1 1\n")
@@ -366,6 +414,25 @@ class TestSearchCommand:
         code = main(["search", "--property", "fp", "--N", "3", "--q", "2", "--t", "2"])
         assert code == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: TRACECODES_CACHE=")
+
+    @pytest.mark.parametrize("tamper", ["optimum-99", "truncated"])
+    def test_bad_cache_entry_is_recomputed(self, capsys, tmp_path, monkeypatch, tamper):
+        monkeypatch.setenv("TRACECODES_CACHE", str(tmp_path))
+        args = ("search", "--property", "fp", "--N", "3", "--q", "2", "--t", "2")
+        assert run(capsys, *args)[0] == EXIT_OK
+        (entry,) = tmp_path.iterdir()
+        if tamper == "optimum-99":
+            doc = json.loads(entry.read_text())
+            doc["optimum"] = 99
+            entry.write_text(json.dumps(doc))
+        else:
+            entry.write_text("{")
+        code, out = run(capsys, *args)
+        assert code == EXIT_OK
+        assert text_fields(out)["optimum"] == "4"
+        assert text_fields(out)["cached"] == "no"
+        # The entry was rewritten and is served again.
+        assert text_fields(run(capsys, *args)[1])["cached"] == "yes"
 
     def test_cached_budget_exit_is_preserved(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("TRACECODES_CACHE", str(tmp_path))
@@ -453,11 +520,22 @@ class TestRecheckCommand:
         assert doc["problems"]
 
     def test_boolean_is_not_an_index(self, files, capsys, tmp_path):
-        # Each witness would hold with ``true`` read as index 1.
+        # Each witness would hold with ``true``/``false`` read as 1/0.
         square = files("square.code", SQUARE)
         middle = files("middle.code", "2 3 2\n1 0\n1 1\n0 1\n")  # SQUARE with 11 second
+        three = files("three.code", "2 3 2\n0 0\n1 1\n0 1\n")
         fam = files("triangle.family", TRIANGLE_FAMILY)
+        ta_bools = {
+            "kind": "ta-violation", "coalition": [0, 2], "pirate": [True, 1],
+            "outsider": 1, "insider_distance": True, "outsider_distance": False,
+        }
         cases = [
+            ("ta", middle, ta_bools),
+            ("ta", middle, {**ta_bools, "pirate": [1, 1]}),
+            (
+                "ipp", three,
+                {"kind": "ipp-violation", "word": [False, True], "coalitions": [[2], [0, 1]]},
+            ),
             ("fp", square, {"kind": "framed-word", "framed": 2, "coalition": [True, 0]}),
             ("fp", middle, {"kind": "framed-word", "framed": True, "coalition": [0, 2]}),
             ("cff", fam, {"kind": "cover-violation", "covered": True, "covering": [2]}),

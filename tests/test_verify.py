@@ -127,6 +127,9 @@ class TestOneHotKernel:
                         assert def3.holds == def1.holds == want, (words, t)
                         reverify(def3, code=code)
                         reverify(def1, code=code)
+                        ipp = verify.check_ipp(code, t)
+                        assert ipp.holds == oracles.ipp_holds(words, q, t), (words, t)
+                        reverify(ipp, code=code)
                         if q == 2:
                             cff = verify.check_cff(fpc_to_cff(code), t)
                             assert cff.holds == want
@@ -216,6 +219,33 @@ class TestIdentifiableParents:
         lonely = Code.from_strings(["01"], 2)
         for t in (1, 3):
             assert verify.check_ipp(lonely, t).holds
+
+    def test_frozen_verdicts_on_affine_code(self):
+        # {(a + b*i) mod 7 : i < 6}, b < 2 outer, a < 7 inner: n=14, N=6, q=7.
+        words = tuple(
+            tuple((a + b * i) % 7 for i in range(6)) for b in range(2) for a in range(7)
+        )
+        code = Code(words, 7)
+        assert verify.check_ipp(code, 2) == verify.Verdict(
+            "IPP", 2, True, None, verify.Counters(192920, 204617)
+        )
+        assert verify.check_ipp(code, 3) == verify.Verdict(
+            "IPP",
+            3,
+            False,
+            verify.IppViolation((0, 1, 0, 1, 0, 1), ((0, 1), (7, 10, 12))),
+            verify.Counters(6891, 6938),
+        )
+        image = Code(tuple(tuple(onehot(w, 7) >> j & 1 for j in range(42)) for w in words), 2)
+        verdict = verify.check_ipp(image, 2)
+        assert verdict == verify.Verdict(
+            "IPP",
+            2,
+            False,
+            verify.IppViolation((0,) * 42, ((0, 1), (2, 3))),
+            verify.Counters(1390, 5855),
+        )
+        reverify(verdict, code=image)
 
     def test_matches_exhaustive_oracle_sample(self):
         # Full exhaustion over every small binary code lives in the
