@@ -22,7 +22,8 @@ Reports
 ``--format text`` renders aligned tables; ``--format machine`` emits one
 JSON document tagged ``"schema": "tracecodes/1"`` with stable field names
 (property, t, holds, witness{...}, counters{...}, bounds[{source, value,
-exponent}, ...]).  Infinite distances appear as the string ``"inf"``.
+exponent}, ...]).  The schema fixes field names and values, not the order
+of keys within an object.  Infinite distances appear as the string ``"inf"``.
 Bounds are exact: in both formats an integer is written out in full, in
 JSON as a plain number of any length (Python's int-to-str digit limit is
 lifted while a report is rendered; a reader needs big-integer support).
@@ -30,18 +31,20 @@ Seeds always surface in reports; the fallback is a fixed constant, never
 the clock.  If ``TRACECODES_CACHE`` names a directory, search results are
 checkpointed there and reused when they read back well formed and their
 witness passes the checker again; a path that cannot be used as a directory
-is a usage error.
+is a usage error, and an entry that cannot be written only draws a
+``warning:`` line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 from typing import Any, Callable, Iterator, Sequence
 
@@ -212,6 +215,23 @@ def parse_word(raw: str, N: int, q: int) -> core.Word:
 
 
 def _jsonable(value: Any) -> Any:
+    """The JSON form of a report value.
+
+    A code is ``{N, n, q, words}`` and a set family ``{ground_size, n,
+    members}`` with members as element lists; any other dataclass is the
+    dict of its fields in declaration order; infinity is ``"inf"``.
+    """
+    if isinstance(value, Code):
+        words = [list(w) for w in value.words]
+        return {"N": value.length, "n": value.size, "q": value.q, "words": words}
+    if isinstance(value, SetFamily):
+        return {
+            "ground_size": value.ground_size,
+            "n": value.size,
+            "members": [list(value.member_elements(i)) for i in range(value.size)],
+        }
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {f.name: _jsonable(getattr(value, f.name)) for f in dataclasses.fields(value)}
     if isinstance(value, float) and math.isinf(value):
         return "inf"
     if isinstance(value, (list, tuple)):
@@ -284,54 +304,24 @@ def _emit(
             print("\n".join(text_lines() if callable(text_lines) else text_lines))
 
 
-def _code_json(code: Code) -> dict:
-    return {
-        "N": code.length,
-        "n": code.size,
-        "q": code.q,
-        "words": [list(w) for w in code.words],
-    }
-
-
-def _family_json(family: SetFamily) -> dict:
-    return {
-        "ground_size": family.ground_size,
-        "n": family.size,
-        "members": [list(family.member_elements(i)) for i in range(family.size)],
-    }
+_WITNESS_KINDS = {
+    verify.FramedWord: "framed-word",
+    verify.CoverViolation: "cover-violation",
+    verify.IppViolation: "ipp-violation",
+    verify.TaViolation: "ta-violation",
+}
 
 
 def witness_to_json(witness: verify.Witness, subject: Code | SetFamily) -> dict:
+    """The witness's fields under its ``kind``; a framed word adds ``framed_word``."""
+    kind = _WITNESS_KINDS.get(type(witness))
+    if kind is None:
+        raise TypeError(f"unknown witness {witness!r}")
+    data = {"kind": kind, **_jsonable(witness)}
     if isinstance(witness, verify.FramedWord):
         assert isinstance(subject, Code)
-        return {
-            "kind": "framed-word",
-            "framed": witness.framed,
-            "framed_word": list(subject.words[witness.framed]),
-            "coalition": list(witness.coalition),
-        }
-    if isinstance(witness, verify.CoverViolation):
-        return {
-            "kind": "cover-violation",
-            "covered": witness.covered,
-            "covering": list(witness.covering),
-        }
-    if isinstance(witness, verify.IppViolation):
-        return {
-            "kind": "ipp-violation",
-            "word": list(witness.word),
-            "coalitions": [list(c) for c in witness.coalitions],
-        }
-    if isinstance(witness, verify.TaViolation):
-        return {
-            "kind": "ta-violation",
-            "coalition": list(witness.coalition),
-            "pirate": list(witness.pirate),
-            "outsider": witness.outsider,
-            "insider_distance": witness.insider_distance,
-            "outsider_distance": witness.outsider_distance,
-        }
-    raise TypeError(f"unknown witness {witness!r}")
+        data["framed_word"] = list(subject.words[witness.framed])
+    return data
 
 
 def _witness_text(data: dict) -> str:
@@ -506,18 +496,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     witness = (
         witness_to_json(verdict.witness, subject) if verdict.witness is not None else None
     )
-    report = {
-        "schema": SCHEMA,
-        "command": "verify",
-        "property": verdict.property,
-        "t": verdict.t,
-        "holds": verdict.holds,
-        "witness": witness,
-        "counters": {
-            "subsets_examined": verdict.counters.subsets_examined,
-            "words_examined": verdict.counters.words_examined,
-        },
-    }
+    # The verdict's fields, its witness tagged with a kind.
+    report = {"schema": SCHEMA, "command": "verify", **_jsonable(verdict), "witness": witness}
     pairs = [
         ("property", verdict.property),
         ("t", verdict.t),
@@ -540,16 +520,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         if args.t is None:
             raise ValueError("--t is required for the parent-set scheme")
         accusation = trace_mod.trace_ipp(code, word, args.t)
-    report = {
-        "schema": SCHEMA,
-        "command": "trace",
-        "scheme": args.scheme,
-        "pirate": list(word),
-        "accused": list(accusation.accused),
-        "status": accusation.status,
-        "min_distance": accusation.min_distance,
-        "family_size": accusation.family_size,
-    }
+    fields = _jsonable(accusation)
+    del fields["method"]  # named by the scheme
+    report = {"schema": SCHEMA, "command": "trace", "scheme": args.scheme, "pirate": word, **fields}
     pairs = [
         ("scheme", args.scheme),
         ("pirate", list(word)),
@@ -564,17 +537,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return EXIT_OK if accusation.status == "ok" else EXIT_VIOLATION
 
 
-def _bound_entry_json(entry: bounds_mod.BoundEntry) -> dict:
-    return {
-        "source": entry.source,
-        "value": entry.value,
-        "coefficient": entry.coefficient,
-        "exponent": entry.exponent,
-        "usable": entry.usable,
-        "note": entry.note,
-    }
-
-
 def _cmd_bounds(args: argparse.Namespace) -> int:
     report_obj = bounds_mod.bound_report(args.N, args.q, args.t, evaluate_symbolic=args.evaluate)
     report = {
@@ -583,18 +545,14 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         "N": args.N,
         "q": args.q,
         "t": args.t,
-        "bounds": [_bound_entry_json(e) for e in report_obj.entries],
+        "bounds": report_obj.entries,
     }
     status = None
     if args.q == 2 and args.t >= 3:
         status = bounds_mod.binary_fp_status(args.N, args.t)
-        report["binary_fp_status"] = {
-            "guaranteed": status.guaranteed,
-            "reason": status.reason,
-            "binomial_lower": status.binomial_lower,
-            "quadratic_lower": status.quadratic_lower,
-            "conjectured": status.conjectured,
-        }
+        fields = _jsonable(status)
+        del fields["t"], fields["N"]  # the report's own
+        report["binary_fp_status"] = fields
 
     def text_lines() -> list[str]:
         lines = [f"bounds at N={args.N} q={args.q} t={args.t}", ""]
@@ -657,12 +615,12 @@ def _cmd_transform(args: argparse.Namespace) -> int:
 
     if op == "double":
         family = transform.fpc_to_cff(load_code(args.file))
-        report["family"] = _family_json(family)
+        report["family"] = family
         lines = [f"# doubled code -> family over {family.ground_size} rows"]
         lines.append(render_family_text(family).rstrip("\n"))
     elif op == "tocode":
         code = transform.cff_to_fpc(load_family(args.file))
-        report["code"] = _code_json(code)
+        report["code"] = code
         lines = ["# family members as incidence words"]
         lines.append(render_code_text(code).rstrip("\n"))
     elif op == "restrict":
@@ -671,8 +629,8 @@ def _cmd_transform(args: argparse.Namespace) -> int:
             "ground_size": restriction.ground_size,
             "removed_member": restriction.removed_member,
             "clean": restriction.clean,
-            "empty_indices": list(restriction.empty_indices),
-            "duplicate_indices": list(restriction.duplicate_indices),
+            "empty_indices": restriction.empty_indices,
+            "duplicate_indices": restriction.duplicate_indices,
             "members": [
                 [e for e in range(restriction.ground_size) if m >> e & 1]
                 for m in restriction.members
@@ -691,11 +649,11 @@ def _cmd_transform(args: argparse.Namespace) -> int:
             )
     elif op == "pad":
         code = transform.pad_code(load_code(args.file), value)
-        report["code"] = _code_json(code)
+        report["code"] = code
         lines = [render_code_text(code).rstrip("\n")]
     elif op == "compose":
         code = transform.block_compose(load_code(args.file), value)
-        report["code"] = _code_json(code)
+        report["code"] = code
         lines = [render_code_text(code).rstrip("\n")]
     elif op == "prune":
         t = _require_t(args, op)
@@ -703,14 +661,7 @@ def _cmd_transform(args: argparse.Namespace) -> int:
         partition = transform.make_row_partition(code.length, t)
         result = transform.prune_special_codewords(code, partition)
         subcode = result.subcode(code)
-        report["prune"] = {
-            "survivors": list(result.survivors),
-            "steps": [
-                {"removed": s.removed, "part": s.part, "pattern": list(s.pattern)}
-                for s in result.steps
-            ],
-            "code": _code_json(subcode) if subcode else None,
-        }
+        report["prune"] = {**_jsonable(result), "code": subcode}
         lines = [f"# pruned {len(result.steps)} codeword(s); survivors {list(result.survivors)}"]
         for s in result.steps:
             lines.append(f"# removed {s.removed}: private pattern {list(s.pattern)} on part {s.part}")
@@ -730,14 +681,8 @@ def _cmd_transform(args: argparse.Namespace) -> int:
             _emit(args, report, ["# " + report["reason"]])
             return EXIT_OK
         cert = transform.build_ipp_violation(subcode, partition, t)
-        report["survivors"] = list(result.survivors)
-        report["certificate"] = {
-            "chain": list(cert.chain),
-            "milestones": list(cert.milestones),
-            "descendant": list(cert.descendant),
-            "replacements": [list(r) for r in cert.replacements],
-            "coalitions": [list(c) for c in cert.coalitions],
-        }
+        report["survivors"] = result.survivors
+        report["certificate"] = cert
         lines = [
             f"# certificate indices refer to the {subcode.size} surviving codeword(s)",
             f"# survivors (original rows): {list(result.survivors)}",
@@ -757,19 +702,7 @@ def _cmd_transform(args: argparse.Namespace) -> int:
         t = _require_t(args, op)
         code = load_code(args.file)
         removed, survivor_code, strace = transform.distance_strip(code, t)
-        report["strip"] = {
-            "case": strace.case,
-            "d_before": strace.d_before,
-            "d_after": strace.d_after,
-            "delta": strace.delta,
-            "threshold": strace.threshold,
-            "removed": list(strace.removed),
-            "survivors": list(strace.survivors),
-            "code": _code_json(survivor_code) if survivor_code else None,
-            "diagnostics": None
-            if strace.diagnostics is None
-            else {"pair": list(strace.diagnostics.pair)},
-        }
+        report["strip"] = {**_jsonable(strace), "code": survivor_code}
         lines = [
             f"# case {strace.case}: distance {strace.d_before} -> {_fmt(strace.d_after)}",
             f"# removed rows {list(strace.removed)}",
@@ -790,17 +723,7 @@ def _cache_path(problem: search_mod.SearchProblem, budget: int | None) -> Path |
     if not root:
         return None
     key = json.dumps(
-        {
-            "property": problem.property,
-            "N": problem.N,
-            "q": problem.q,
-            "t": problem.t,
-            "mode": problem.mode,
-            "goal": problem.goal,
-            "budget": budget,
-            "schema": SCHEMA,
-            "version": __version__,
-        },
+        {**_jsonable(problem), "budget": budget, "schema": SCHEMA, "version": __version__},
         sort_keys=True,
     )
     digest = hashlib.sha256(key.encode()).hexdigest()[:24]
@@ -815,21 +738,17 @@ def _cache_path(problem: search_mod.SearchProblem, budget: int | None) -> Path |
 def _witness_json(witness: Code | SetFamily | None) -> dict | None:
     if witness is None:
         return None
-    if isinstance(witness, Code):
-        return {"type": "code", **_code_json(witness)}
-    return {"type": "family", **_family_json(witness)}
+    return {"type": "code" if isinstance(witness, Code) else "family", **_jsonable(witness)}
+
+
+#: The search result fields a report shows and a cache entry stores.
+_PAYLOAD_KEYS = ("optimum", "decided", "complete", "nodes", "elapsed", "budget", "witness")
 
 
 def _search_payload(res: search_mod.SearchResult) -> dict:
-    return {
-        "optimum": res.optimum,
-        "decided": res.decided,
-        "complete": res.complete,
-        "nodes": res.nodes,
-        "elapsed": res.elapsed,
-        "budget": res.budget,
-        "witness": _witness_json(res.witness),
-    }
+    payload = {key: getattr(res, key) for key in _PAYLOAD_KEYS}
+    payload["witness"] = _witness_json(res.witness)
+    return payload
 
 
 def _witness_subject(data: Any, problem: search_mod.SearchProblem) -> Code | SetFamily:
@@ -861,9 +780,7 @@ def _cached_payload(
         payload = json.loads(cache_file.read_text())
     except (OSError, ValueError):
         return None
-    if not isinstance(payload, dict) or set(payload) != {
-        "optimum", "decided", "complete", "nodes", "elapsed", "budget", "witness",
-    }:
+    if not isinstance(payload, dict) or set(payload) != set(_PAYLOAD_KEYS):
         return None
     if (
         not _is_index(payload["optimum"], math.inf)
@@ -893,6 +810,18 @@ def _cached_payload(
     return payload
 
 
+def _write_cache_entry(cache_file: Path, payload: dict) -> None:
+    """Write through a temp file and ``os.replace``; a failure only warns."""
+    partial = cache_file.with_name(f"{cache_file.name}.{os.getpid()}.tmp")
+    try:
+        partial.write_text(json.dumps(_jsonable(payload), indent=2))
+        os.replace(partial, cache_file)
+    except OSError as exc:
+        with suppress(OSError):
+            partial.unlink(missing_ok=True)
+        print(f"warning: search cache entry not written: {exc}", file=sys.stderr)
+
+
 def _cmd_search(args: argparse.Namespace) -> int:
     prop = args.property.upper()
     report: dict = {"schema": SCHEMA, "command": "search", "property": prop, "t": args.t}
@@ -906,9 +835,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
             "value": res.value,
             "lower_bound": res.lower_bound,
             "complete": res.complete,
-            "probes": [
-                {"N": p.N, "decided": p.decided, "nodes": p.nodes} for p in res.probes
-            ],
+            "probes": res.probes,
             "witness": _witness_json(res.witness),
         }
         pairs = [
@@ -938,9 +865,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     else:
         payload = _search_payload(search_mod.max_code_search(problem, args.budget))
         if cache_file is not None:
-            partial = cache_file.with_name(f"{cache_file.name}.{os.getpid()}.tmp")
-            partial.write_text(json.dumps(_jsonable(payload), indent=2))
-            os.replace(partial, cache_file)
+            _write_cache_entry(cache_file, payload)
         payload["cached"] = False
     exit_needs_budget = (mode == "decide" and payload["decided"] is None) or (
         mode == "maximize" and not payload["complete"]
@@ -984,23 +909,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     strategy = trace_mod.PirateStrategy(args.strategy)
     rep = trace_mod.simulate_tracing(code, args.t, args.trials, strategy, args.seed)
 
-    def stats_json(s: trace_mod.MethodStats) -> dict:
-        return {
-            "subset_rate": s.subset_rate,
-            "overlap_rate": s.overlap_rate,
-            "mean_accused": s.mean_accused,
-        }
-
     report = {
         "schema": SCHEMA,
         "command": "simulate",
-        "trials": rep.trials,
-        "t": rep.t,
-        "strategy": rep.strategy.kind,
-        "seed": rep.seed,
-        "ta": stats_json(rep.ta),
-        "ipp": stats_json(rep.ipp),
-        "elapsed": rep.elapsed,
+        **_jsonable(rep),
+        "strategy": rep.strategy.kind,  # by name; the report's seed is the one used
     }
     lines = _kv_lines(
         [

@@ -151,6 +151,8 @@ def max_code_search(
     is the proof of optimality.  Decide mode reports ``decided=None`` when
     the budget ran out before either answer.
     """
+    if budget is not None and budget < 0:
+        raise ValueError(f"need a node budget >= 0, got {budget}")
     start = time.perf_counter()
     N, q, t, prop = problem.N, problem.q, problem.t, problem.property
     total = q**N
@@ -336,6 +338,8 @@ def min_length_search(
         raise ValueError(f"min-length search covers FP and CFF, got {property!r}")
     if t < 1:
         raise ValueError(f"need t >= 1, got {t}")
+    if start_length > max_length:
+        raise ValueError(f"empty length range {start_length}..{max_length}")
     probes: list[LengthProbe] = []
     for N in range(start_length, max_length + 1):
         problem = SearchProblem(property, N=N, t=t, q=2, mode="decide", goal=N + 1)

@@ -6,6 +6,7 @@ import json
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -383,6 +384,18 @@ class TestSearchCommand:
         assert code == EXIT_BUDGET
         assert doc["decided"] is None
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("fp", "--N", "3", "--t", "2", "--budget", "-1"),
+            ("cff", "--t", "2", "--min-length", "--start-length", "5", "--max-length", "3"),
+        ],
+        ids=["negative-budget", "inverted-length-range"],
+    )
+    def test_bad_search_ranges(self, capsys, argv):
+        assert main(["search", "--property", *argv]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_min_length_scan(self, capsys):
         code, doc = run_json(
             capsys, "search", "--property", "cff", "--t", "1", "--min-length"
@@ -406,6 +419,21 @@ class TestSearchCommand:
         assert second["cached"] is True
         assert second["optimum"] == first["optimum"]
         assert second["nodes"] == first["nodes"]
+
+    def test_unwritable_cache_entry_warns(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("TRACECODES_CACHE", str(tmp_path))
+        args = ("search", "--property", "fp", "--N", "3", "--q", "2", "--t", "2")
+        assert run(capsys, *args)[0] == EXIT_OK
+        (entry,) = tmp_path.iterdir()
+        entry.unlink()
+        entry.mkdir()  # os.replace cannot put a file there
+        code = main(list(args))
+        out, err = capsys.readouterr()
+        assert code == EXIT_OK
+        assert text_fields(out)["optimum"] == "4"
+        assert text_fields(out)["cached"] == "no"
+        assert err.startswith("warning: search cache entry not written:")
+        assert list(tmp_path.iterdir()) == [entry]  # no temp file left behind
 
     def test_cache_path_that_is_a_file(self, capsys, tmp_path, monkeypatch):
         blocker = tmp_path / "not-a-dir"
@@ -584,3 +612,154 @@ class TestInstalledScript:
             text=True,
         )
         assert proc.returncode == EXIT_OK
+
+
+# Every subcommand and transform op, each report frozen (exit code, text
+# and machine document) in cli_golden.json, written before the reports were
+# built from the result dataclasses.  Documents are compared as parsed
+# values: tracecodes/1 does not fix key order.  Paths are relative to a
+# directory holding GOLDEN_FILES.
+GOLDEN_FILES = {
+    "id3.code": IDENTITY3,
+    "square.code": SQUARE,
+    "reps.code": REPS4,
+    "three.code": "2 3 2\n0 0\n1 1\n0 1\n",
+    "pair.code": "2 2 2\n0 0\n1 1\n",
+    "tri.code": "3 3 2\n0 0 0\n0 0 1\n0 1 0\n",
+    "six.code": "4 6 2\n0 0 0 1\n0 0 1 0\n0 0 1 1\n0 1 0 1\n0 1 1 1\n1 1 1 0\n",
+    "cube.code": "3 8 2\n" + "".join(
+        f"{a} {b} {c}\n" for a in (0, 1) for b in (0, 1) for c in (0, 1)
+    ),
+    "strip.code": STRIP9,
+    "strip-pair.code": "9 4 2\n" + "".join(
+        " ".join(w) + "\n" for w in ("000000000", "000000001", "111111110", "111111111")
+    ),
+    "triangle.family": TRIANGLE_FAMILY,
+    "singles.family": "3 3\n100\n010\n001\n",
+    "odd.family": "3 3\n110\n011\n010\n",
+    "twins.family": "3 3\n100\n110\n010\n",
+    "framed.json": '{"kind": "framed-word", "framed": 2, "coalition": [0, 1]}',
+    "not-framed.json": '{"kind": "framed-word", "framed": 0, "coalition": [1, 2]}',
+}
+
+GOLDEN_CASES = {
+    "verify-fp-holds": ("verify", "--property", "fp", "--t", "2", "id3.code"),
+    "verify-fp-fails": ("verify", "--property", "fp", "--t", "2", "square.code"),
+    "verify-fp-def1-fails": (
+        "verify", "--property", "fp", "--t", "2", "--mode", "def1", "square.code",
+    ),
+    "verify-ipp-holds": ("verify", "--property", "ipp", "--t", "2", "reps.code"),
+    "verify-ipp-fails": ("verify", "--property", "ipp", "--t", "2", "three.code"),
+    "verify-ta-holds": ("verify", "--property", "ta", "--t", "2", "reps.code"),
+    "verify-ta-fails": ("verify", "--property", "ta", "--t", "2", "square.code"),
+    "verify-cff-holds": ("verify", "--property", "cff", "--t", "2", "singles.family"),
+    "verify-cff-fails": ("verify", "--property", "cff", "--t", "2", "triangle.family"),
+    "trace-ta": ("trace", "--scheme", "ta", "--pirate", "0011", "reps.code"),
+    "trace-ipp-ok": ("trace", "--scheme", "ipp", "--t", "2", "--pirate", "0000", "reps.code"),
+    "trace-ipp-no-parents": (
+        "trace", "--scheme", "ipp", "--t", "2", "--pirate", "0012", "reps.code",
+    ),
+    "trace-ipp-empty": ("trace", "--scheme", "ipp", "--t", "2", "--pirate", "01", "three.code"),
+    "bounds-q3": ("bounds", "--N", "4", "--q", "3", "--t", "2"),
+    "bounds-binary-status": ("bounds", "--N", "9", "--q", "2", "--t", "3"),
+    "bounds-binary-short": ("bounds", "--N", "2", "--q", "2", "--t", "3"),
+    "bounds-evaluate": ("bounds", "--N", "9", "--q", "2", "--t", "3", "--evaluate"),
+    "transform-double": ("transform", "--op", "double", "id3.code"),
+    "transform-tocode": ("transform", "--op", "tocode", "singles.family"),
+    "transform-restrict-clean": ("transform", "--op", "restrict=0", "singles.family"),
+    "transform-restrict-empty": ("transform", "--op", "restrict=0", "odd.family"),
+    "transform-restrict-duplicate": ("transform", "--op", "restrict=0", "twins.family"),
+    "transform-pad": ("transform", "--op", "pad=2", "pair.code"),
+    "transform-compose": ("transform", "--op", "compose=2", "pair.code"),
+    "transform-prune-none": ("transform", "--op", "prune", "--t", "2", "cube.code"),
+    "transform-prune-some": ("transform", "--op", "prune", "--t", "2", "six.code"),
+    "transform-prune-all": ("transform", "--op", "prune", "--t", "2", "tri.code"),
+    "transform-violate": ("transform", "--op", "violate", "--t", "2", "cube.code"),
+    "transform-violate-no-survivors": ("transform", "--op", "violate", "--t", "2", "tri.code"),
+    "transform-strip": ("transform", "--op", "strip", "--t", "1", "strip.code"),
+    "transform-strip-diagnostics": ("transform", "--op", "strip", "--t", "1", "strip-pair.code"),
+    "search-maximize": ("search", "--property", "fp", "--N", "3", "--t", "2"),
+    "search-maximize-budget": (
+        "search", "--property", "fp", "--N", "4", "--t", "2", "--budget", "10",
+    ),
+    "search-decide-no": (
+        "search", "--property", "fp", "--N", "4", "--t", "3", "--decide-exceeds-N",
+    ),
+    "search-decide-yes": ("search", "--property", "fp", "--N", "3", "--t", "2", "--goal", "4"),
+    "search-decide-budget": (
+        "search", "--property", "fp", "--N", "5", "--t", "3", "--decide-exceeds-N",
+        "--budget", "100",
+    ),
+    "search-cff-family": ("search", "--property", "cff", "--N", "4", "--t", "1"),
+    "search-ipp-ternary": ("search", "--property", "ipp", "--N", "2", "--q", "3", "--t", "2"),
+    "search-ta-ternary": ("search", "--property", "ta", "--N", "2", "--q", "3", "--t", "2"),
+    "search-min-length": ("search", "--property", "cff", "--t", "1", "--min-length"),
+    "search-min-length-fp": (
+        "search", "--property", "fp", "--t", "2", "--min-length", "--start-length", "2",
+    ),
+    "search-min-length-budget": (
+        "search", "--property", "cff", "--t", "2", "--min-length", "--budget", "50",
+    ),
+    "simulate": ("simulate", "--t", "2", "--trials", "60", "reps.code"),
+    "simulate-majority": (
+        "simulate", "--t", "2", "--trials", "10", "--strategy", "majority", "--seed", "7",
+        "reps.code",
+    ),
+    "recheck-confirmed": (
+        "recheck", "--property", "fp", "--t", "2", "--witness", "framed.json", "square.code",
+    ),
+    "recheck-refuted": (
+        "recheck", "--property", "fp", "--t", "2", "--witness", "not-framed.json", "square.code",
+    ),
+}
+
+GOLDEN = json.loads((Path(__file__).with_name("cli_golden.json")).read_text())
+
+
+def timeless(doc):
+    """A report without its wall-clock ``elapsed`` fields."""
+    if isinstance(doc, dict):
+        return {k: timeless(v) for k, v in doc.items() if k != "elapsed"}
+    if isinstance(doc, list):
+        return [timeless(v) for v in doc]
+    return doc
+
+
+@pytest.fixture
+def golden_dir(tmp_path, monkeypatch):
+    for name, text in GOLDEN_FILES.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("TRACECODES_CACHE", raising=False)
+    return tmp_path
+
+
+class TestGoldenDocuments:
+    @pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+    def test_report(self, golden_dir, capsys, case):
+        want = GOLDEN[case]
+        argv = list(GOLDEN_CASES[case])
+        assert main(argv) == want["exit"]
+        out, err = capsys.readouterr()
+        assert (out, err) == (want["text"], "")
+        assert main(argv + ["--format", "machine"]) == want["exit"]
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert timeless(json.loads(out)) == want["doc"]
+
+    def test_search_cache_entries(self, golden_dir, capsys, monkeypatch):
+        # An entry holds the search payload of the report; read back, it
+        # gives the same report with ``cached`` set.
+        keys = ("optimum", "decided", "complete", "nodes", "budget", "witness")
+        for case, argv in GOLDEN_CASES.items():
+            if argv[0] != "search" or "--min-length" in argv:
+                continue
+            cache = golden_dir / f"cache-{case}"
+            monkeypatch.setenv("TRACECODES_CACHE", str(cache))
+            want = GOLDEN[case]
+            for cached in (False, True):
+                assert main([*argv, "--format", "machine"]) == want["exit"]
+                doc = timeless(json.loads(capsys.readouterr().out))
+                assert doc == {**want["doc"], "cached": cached}, case
+            (entry,) = cache.iterdir()
+            assert timeless(json.loads(entry.read_text())) == {k: want["doc"][k] for k in keys}

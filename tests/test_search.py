@@ -151,6 +151,12 @@ class TestBudgets:
         assert not res.complete
         assert res.witness is None
 
+    def test_negative_budget_is_rejected(self):
+        with pytest.raises(ValueError):
+            max_code_search(SearchProblem("FP", N=3, t=2, q=2), budget=-1)
+        stopped = max_code_search(SearchProblem("FP", N=3, t=2, q=2), budget=0)
+        assert (stopped.nodes, stopped.complete) == (1, False)
+
     def test_budget_does_not_change_the_answer(self):
         free = max_code_search(SearchProblem("FP", N=3, t=2, q=2))
         roomy = max_code_search(SearchProblem("FP", N=3, t=2, q=2), budget=10**6)
@@ -250,6 +256,8 @@ class TestMinimumLengths:
             search.min_length_search(0, "CFF")
         with pytest.raises(ValueError):
             search.min_length_search(2, "TA")
+        with pytest.raises(ValueError):
+            search.min_length_search(2, "CFF", start_length=5, max_length=3)
 
     def test_exhausting_the_window_reports_a_bound(self):
         res = search.min_length_search(2, "CFF", start_length=1, max_length=4)
