@@ -8,6 +8,7 @@ N x n matrix view, which is column-per-codeword).  Family files carry a
 header ``N n`` followed by n rows of N binary digits (each row is one
 member's incidence vector over the ground set).  Blank lines and lines
 starting with ``#`` are ignored everywhere; duplicate rows are rejected.
+Input files, witness files included, are read as UTF-8 text.
 
 Exit codes
 ----------
@@ -176,9 +177,11 @@ def render_family_text(family: SetFamily) -> str:
 
 def _load(path: str) -> str:
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise FileFormatError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"{path} is not UTF-8 text: {exc}") from None
 
 
 def load_code(path: str) -> Code:
@@ -266,10 +269,10 @@ def _table_lines(headers: list[str], rows: list[list[Any]]) -> list[str]:
     for row in cells:
         for i, c in enumerate(row):
             widths[i] = max(widths[i], len(c))
-    out = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(headers))]
-    for row in cells:
-        out.append("  ".join(c.ljust(widths[i]) for i, c in enumerate(row)).rstrip())
-    return out
+    return [
+        "  ".join(c.ljust(widths[i]) for i, c in enumerate(row)).rstrip()
+        for row in [headers, *cells]
+    ]
 
 
 @contextmanager
@@ -827,6 +830,11 @@ def _cmd_search(args: argparse.Namespace) -> int:
     report: dict = {"schema": SCHEMA, "command": "search", "property": prop, "t": args.t}
 
     if args.min_length:
+        if args.q != 2 or args.N is not None or args.goal is not None or args.decide_exceeds_N:
+            raise ValueError(
+                "--min-length scans binary lengths: it takes no --N, --goal,"
+                " --decide-exceeds-N or --q other than 2"
+            )
         res = search_mod.min_length_search(
             args.t, prop, args.budget, args.start_length, args.max_length
         )
@@ -939,9 +947,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_recheck(args: argparse.Namespace) -> int:
     try:
-        data = json.loads(Path(args.witness).read_text())
-    except OSError as exc:
-        raise FileFormatError(f"cannot read {args.witness}: {exc}") from None
+        data = json.loads(_load(args.witness))
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"witness file is not JSON: {exc}") from None
     if isinstance(data, dict) and isinstance(data.get("witness"), dict):

@@ -3,8 +3,11 @@
 Codes grow one word at a time in ascending base-q order (first coordinate
 most significant, so numeric order is word order).  All the properties
 searched here are hereditary — every subcode of a good code is good — so a
-prefix that fails the property prunes its whole subtree.  Code searches fix
-the all-zero word at the root: relabelling symbols coordinate-wise maps any
+prefix that fails the property prunes its whole subtree.  One loop walks
+every tree over an explicit frontier (the chosen prefix and the next
+candidate at each depth), not the Python call stack, so a search may grow a
+code or family as large as its candidate space.  Code searches fix the
+all-zero word at the root: relabelling symbols coordinate-wise maps any
 code onto one containing it and preserves frameproofness, identifiability
 and traceability alike.  Set families get no such relabelling (covering is
 not invariant under it), so family searches enumerate candidate members in
@@ -92,14 +95,6 @@ class SearchResult:
     elapsed: float
     complete: bool
     budget: int | None
-
-
-class _Stop(Exception):
-    pass
-
-
-class _Found(Exception):
-    pass
 
 
 def _decode_word(value: int, N: int, q: int) -> Word:
@@ -205,54 +200,44 @@ def _dfs(
 
     ``encode`` turns a candidate into the item ``extend_ok(items, item)``
     judges against the items already chosen; a rejected candidate prunes its
-    subtree.  Returns the best candidate list, the decision (None unless
-    deciding and answered), the node count and whether the tree was
+    subtree.  The frontier is plain data: ``chosen``/``items`` hold the
+    current prefix and ``following[d]`` the next candidate to try at depth
+    d, so depth is bounded only by the candidate space.  A depth is popped
+    once too few candidates remain to beat the best (maximize) or to reach
+    the goal (decide).  Returns the best candidate list, the decision (None
+    unless deciding and answered), the node count and whether the tree was
     exhausted or the goal met.
     """
     deciding = problem.mode == "decide"
     goal = problem.goal or 0
     chosen = list(root)
     items = [encode(c) for c in root]
-    best: list[int] = []
+    following = [1]
+    best = list(chosen)
     nodes = 0
-
-    def rec(begin: int) -> None:
-        nonlocal nodes, best
-        if len(chosen) > len(best):
-            best = list(chosen)
+    while True:
         if deciding and len(chosen) >= goal:
-            raise _Found
-        for cand in range(begin, total):
-            room = len(chosen) + (total - cand)
-            if deciding:
-                if room < goal:
-                    break
-            elif room <= len(best):
-                break
-            nodes += 1
-            if budget is not None and nodes > budget:
-                raise _Stop
-            item = encode(cand)
-            if not extend_ok(items, item):
-                continue
-            chosen.append(cand)
-            items.append(item)
-            rec(cand + 1)
+            return best, True, nodes, True
+        cand = following[-1]
+        room = len(chosen) + (total - cand)
+        if (room < goal) if deciding else (room <= len(best)):
+            if len(following) == 1:
+                return best, (False if deciding else None), nodes, True
+            following.pop()
             chosen.pop()
             items.pop()
-
-    decided: bool | None = None
-    complete = True
-    try:
-        rec(1)
-        if deciding:
-            decided = False
-    except _Found:
-        decided = True
-        best = list(chosen)
-    except _Stop:
-        complete = False
-    return best, decided, nodes, complete
+            continue
+        nodes += 1
+        if budget is not None and nodes > budget:
+            return best, None, nodes, False
+        following[-1] = cand + 1
+        item = encode(cand)
+        if extend_ok(items, item):
+            chosen.append(cand)
+            items.append(item)
+            following.append(cand + 1)
+            if len(chosen) > len(best):
+                best = list(chosen)
 
 
 @dataclass(frozen=True)
@@ -345,34 +330,17 @@ def min_length_search(
         problem = SearchProblem(property, N=N, t=t, q=2, mode="decide", goal=N + 1)
         res = max_code_search(problem, budget)
         probes.append(LengthProbe(N=N, decided=res.decided, nodes=res.nodes))
-        if res.decided:
-            return MinLengthResult(
-                property=property,
-                t=t,
-                value=N,
-                lower_bound=N,
-                probes=tuple(probes),
-                witness=res.witness,
-                complete=True,
-            )
-        if res.decided is None:
-            return MinLengthResult(
-                property=property,
-                t=t,
-                value=None,
-                lower_bound=N,
-                probes=tuple(probes),
-                witness=None,
-                complete=False,
-            )
+        if res.decided is not False:
+            break
+    # Found (True), budget stop (None), or every length in range refuted (False).
     return MinLengthResult(
         property=property,
         t=t,
-        value=None,
-        lower_bound=max_length + 1,
+        value=N if res.decided else None,
+        lower_bound=N + 1 if res.decided is False else N,
         probes=tuple(probes),
-        witness=None,
-        complete=False,
+        witness=res.witness,
+        complete=res.decided is True,
     )
 
 

@@ -188,6 +188,12 @@ class TestVerifyCommand:
             == EXIT_BAD_FILE
         )
 
+    def test_non_utf8_code_file(self, capsys, tmp_path):
+        bad = tmp_path / "not-utf8.code"
+        bad.write_bytes(b"\xff\xfe2 2 2\n0 1\n1 0\n")
+        assert main(["verify", "--property", "fp", "--t", "1", str(bad)]) == EXIT_BAD_FILE
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestTraceCommand:
     def test_distance_scheme(self, files, capsys):
@@ -389,8 +395,19 @@ class TestSearchCommand:
         [
             ("fp", "--N", "3", "--t", "2", "--budget", "-1"),
             ("cff", "--t", "2", "--min-length", "--start-length", "5", "--max-length", "3"),
+            ("fp", "--t", "2", "--min-length", "--q", "3", "--start-length", "2"),
+            ("fp", "--t", "2", "--min-length", "--N", "4"),
+            ("fp", "--t", "2", "--min-length", "--goal", "5"),
+            ("cff", "--t", "1", "--min-length", "--decide-exceeds-N"),
         ],
-        ids=["negative-budget", "inverted-length-range"],
+        ids=[
+            "negative-budget",
+            "inverted-length-range",
+            "min-length-ternary",
+            "min-length-with-N",
+            "min-length-with-goal",
+            "min-length-with-decide",
+        ],
     )
     def test_bad_search_ranges(self, capsys, argv):
         assert main(["search", "--property", *argv]) == EXIT_USAGE
@@ -600,6 +617,14 @@ class TestRecheckCommand:
             run(capsys, "recheck", "--property", "fp", "--t", "2", "--witness", str(path), bad)[0]
             == EXIT_BAD_FILE
         )
+
+    def test_non_utf8_witness_file(self, files, capsys, tmp_path):
+        code = files("square.code", SQUARE)
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'\xff{"kind": "framed-word", "framed": 2, "coalition": [0, 1]}')
+        argv = ["recheck", "--property", "fp", "--t", "2", "--witness", str(path), code]
+        assert main(argv) == EXIT_BAD_FILE
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestInstalledScript:

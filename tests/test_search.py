@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import inspect
 import math
+import sys
+from contextlib import contextmanager
 
 import pytest
 
@@ -162,6 +165,32 @@ class TestBudgets:
         roomy = max_code_search(SearchProblem("FP", N=3, t=2, q=2), budget=10**6)
         assert roomy.complete
         assert (free.optimum, free.nodes) == (roomy.optimum, roomy.nodes)
+
+
+@contextmanager
+def shallow_stack(headroom=60):
+    """Allow only ``headroom`` Python frames above the caller's."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + headroom)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+class TestDeepTrees:
+    """A chain of 128 accepted words is deeper than a shortened stack allows."""
+
+    def test_maximize_every_binary_word(self):
+        with shallow_stack():
+            res = max_code_search(SearchProblem("FP", N=7, t=1))
+        assert (res.optimum, res.nodes, res.complete) == (128, 127, True)
+
+    def test_decide_every_binary_word(self):
+        with shallow_stack():
+            res = max_code_search(SearchProblem("FP", N=7, t=1, mode="decide", goal=128))
+        assert (res.decided, res.nodes) == (True, 127)
+        assert res.witness.size == 128
 
 
 class TestDecisions:
