@@ -17,6 +17,7 @@ Exit codes
 2  usage error (bad flags or parameters)
 3  malformed input file
 4  search budget exhausted before an answer
+5  internal error (an unexpected exception; its traceback goes to stderr)
 
 Reports
 -------
@@ -62,6 +63,7 @@ from .transform import SetFamily
 __all__ = [
     "EXIT_BAD_FILE",
     "EXIT_BUDGET",
+    "EXIT_INTERNAL",
     "EXIT_OK",
     "EXIT_USAGE",
     "EXIT_VIOLATION",
@@ -85,6 +87,7 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_BAD_FILE = 3
 EXIT_BUDGET = 4
+EXIT_INTERNAL = 5
 
 
 class FileFormatError(ValueError):
@@ -835,9 +838,9 @@ def _cmd_search(args: argparse.Namespace) -> int:
                 "--min-length scans binary lengths: it takes no --N, --goal,"
                 " --decide-exceeds-N or --q other than 2"
             )
-        res = search_mod.min_length_search(
-            args.t, prop, args.budget, args.start_length, args.max_length
-        )
+        start = 1 if args.start_length is None else args.start_length
+        stop = 16 if args.max_length is None else args.max_length
+        res = search_mod.min_length_search(args.t, prop, args.budget, start, stop)
         truncated = bool(res.probes) and res.probes[-1].decided is None
         report["min_length"] = {
             "value": res.value,
@@ -857,6 +860,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
         _emit(args, report, _kv_lines(pairs))
         return EXIT_BUDGET if truncated else EXIT_OK
 
+    if args.start_length is not None or args.max_length is not None:
+        raise ValueError("--start-length and --max-length bound a --min-length scan")
     if args.N is None:
         raise ValueError("--N is required unless --min-length is given")
     mode, goal = "maximize", None
@@ -1039,8 +1044,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--budget", type=int, help="node budget; exhaustion exits 4")
     p.add_argument("--min-length", action="store_true", help="scan lengths for the first excess")
-    p.add_argument("--start-length", type=int, default=1)
-    p.add_argument("--max-length", type=int, default=16)
+    p.add_argument("--start-length", type=int, help="first length of --min-length (default 1)")
+    p.add_argument("--max-length", type=int, help="last length of --min-length (default 16)")
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("simulate", parents=[common], help="forge pirates, trace them, tally rates")
@@ -1078,6 +1083,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception:
+        # A defect, not a verdict: keep it apart from exit 1 ("property fails").
+        # Imported here so that no run that works pays for the import.
+        import traceback
+
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 def console_entry() -> None:

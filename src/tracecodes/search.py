@@ -13,12 +13,16 @@ and traceability alike.  Set families get no such relabelling (covering is
 not invariant under it), so family searches enumerate candidate members in
 plain ascending mask order with no normalisation.
 
-Frameproof codes and cover-free families share one incremental extension
-test: a code is t-frameproof exactly when the family of its one-hot word
-sets (``core.onehot``) is t-cover-free, and only covers involving the
-incoming member need a look.  Identifiability and traceability re-run
-their full verifier on the extended prefix: correctness first, these
-searches live at desk scale.
+The search holds its prefix in a state with one interface: ``push_ok``
+adds a candidate when the extended prefix keeps the property, ``pop``
+takes the last one off.  Frameproof codes and cover-free families share one
+such state, because a code is t-frameproof exactly when the family of its
+one-hot word sets (``core.onehot``) is t-cover-free.  For the current
+prefix only, it keeps the unions of at most t members and each member
+minus the unions of at most t-1 others.  So a candidate costs one AND per
+stored set, and a push or pop only appends to or truncates those lists.
+Identifiability and traceability re-run their full verifier on the
+extended prefix: correctness first, these searches live at desk scale.
 
 Node counts are deterministic: one node per attempted extension, no
 parallelism, no randomness.
@@ -29,7 +33,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations
 from typing import Any, Callable, Iterable
 
 from . import core, verify
@@ -105,33 +108,77 @@ def _decode_word(value: int, N: int, q: int) -> Word:
     return tuple(reversed(digits))
 
 
-def _covered(target: int, base: int, pool: list[int], most: int) -> bool:
-    """Is ``target`` inside ``base`` joined by at most ``most`` members of ``pool``?"""
-    for size in range(min(most, len(pool)) + 1):
-        for group in combinations(pool, size):
-            union = base
-            for m in group:
-                union |= m
-            if target & ~union == 0:
-                return True
-    return False
+class _CoverFreePrefix:
+    """A t-cover-free family grown and shrunk one member at a time.
 
-
-def _cover_free_ok(masks: list[int], new: int, t: int) -> bool:
-    """Does adding ``new`` keep ``masks`` t-cover-free, given they already are?
-
-    Only covers involving the new member need a look: the new member inside
-    the union of at most t old ones, and an old member inside the new one
-    joined by at most t-1 others.  Groups of size 0 count: the empty member
-    is covered by the empty union, and an old member may lie inside the new
-    one alone.
+    ``unions[j]`` (j = 0..t) lists the union of every group of at most j
+    members, ``unions[j][0]`` being the empty union 0; ``residues[j]``
+    (j = 0..t-1) lists every member minus the union of every group of at
+    most j other members, so ``residues[0]`` is the members themselves.
+    Given the family is t-cover-free, adding ``new`` keeps it so unless
+    ``new`` lies inside some union in ``unions[t]`` (the empty member lies
+    inside 0), or some residue in ``residues[t-1]`` lies inside ``new``: an
+    old member covered by ``new`` joined by at most t-1 others.  That is one
+    AND per stored set.  The lists only grow with the family, so a push
+    appends to each and a pop truncates each to its length before the push.
     """
-    if _covered(new, 0, masks, t):
-        return False
-    return not any(
-        _covered(target, new, masks[:ci] + masks[ci + 1 :], t - 1)
-        for ci, target in enumerate(masks)
-    )
+
+    def __init__(self, t: int) -> None:
+        self.unions: list[list[int]] = [[0] for _ in range(t + 1)]
+        self.residues: list[list[int]] = [[] for _ in range(t)]
+        self._layers = self.unions + self.residues
+        self._marks: list[list[int]] = []
+
+    def push_ok(self, new: int) -> bool:
+        """Add ``new`` if the family stays t-cover-free; say whether it did."""
+        if new in map(new.__and__, self.unions[-1]):
+            return False
+        if 0 in map((~new).__and__, self.residues[-1]):
+            return False
+        self.push(new)
+        return True
+
+    def push(self, new: int) -> None:
+        """Add ``new`` without testing it (after ``push_ok``'s test, or a root)."""
+        unions, residues = self.unions, self.residues
+        self._marks.append([len(layer) for layer in self._layers])
+        outside = (~new).__and__
+        # High j first, residues before unions: each layer grows from the
+        # old contents of the layers below it.
+        for j in range(len(residues) - 1, 0, -1):
+            residues[j] += map(outside, residues[j - 1])
+            residues[j] += [new & ~u for u in unions[j]]
+        residues[0].append(new)
+        for j in range(len(unions) - 1, 0, -1):
+            unions[j] += map(new.__or__, unions[j - 1])
+
+    def pop(self) -> None:
+        """Take off the member added last."""
+        for layer, size in zip(self._layers, self._marks.pop()):
+            del layer[size:]
+
+
+class _CheckedPrefix:
+    """A code whose every extension re-runs a whole-code checker."""
+
+    def __init__(self, check: Callable[[Code, int], Any], q: int, t: int) -> None:
+        self.words: list[Word] = []
+        self._check, self._q, self._t = check, q, t
+
+    def push_ok(self, word: Word) -> bool:
+        """Add ``word`` if the extended code still holds; say whether it did."""
+        if not self._check(Code(tuple(self.words) + (word,), self._q), self._t).holds:
+            return False
+        self.push(word)
+        return True
+
+    def push(self, word: Word) -> None:
+        """Add ``word`` without testing it (after ``push_ok``'s test, or a root)."""
+        self.words.append(word)
+
+    def pop(self) -> None:
+        """Take off the word added last."""
+        self.words.pop()
 
 
 def max_code_search(
@@ -154,22 +201,19 @@ def max_code_search(
     if total > enumeration_cap:
         raise ValueError(f"candidate space {q}**{N} exceeds enumeration cap {enumeration_cap}")
     decode = partial(_decode_word, N=N, q=q)
-    cover_free_ok = partial(_cover_free_ok, t=t)
-    check = verify.check_ipp if prop == "IPP" else verify.check_ta
-
-    def holds_ok(items: list[Word], new: Word) -> bool:
-        return check(Code(tuple(items) + (new,), q), t).holds
-
     # Codes start from the all-zero word, which relabelling symbols per
     # coordinate puts in any code.  Families have no root: candidate 0, the
     # empty member, is covered by the empty union.
+    prefix: _CoverFreePrefix | _CheckedPrefix
     if prop == "CFF":
-        encode, extend_ok, root = (lambda mask: mask), cover_free_ok, []
+        encode, prefix, root = (lambda mask: mask), _CoverFreePrefix(t), []
     elif prop == "FP":
-        encode, extend_ok, root = (lambda cand: core.onehot(decode(cand), q)), cover_free_ok, [0]
+        encode, root = (lambda c: core.onehot(_decode_word(c, N, q), q)), [0]
+        prefix = _CoverFreePrefix(t)
     else:
-        encode, extend_ok, root = decode, holds_ok, [0]
-    best, decided, nodes, complete = _dfs(problem, budget, total, encode, extend_ok, root)
+        check = verify.check_ipp if prop == "IPP" else verify.check_ta
+        encode, prefix, root = decode, _CheckedPrefix(check, q, t), [0]
+    best, decided, nodes, complete = _dfs(problem, budget, total, encode, prefix, root)
     if problem.mode == "decide" and decided is not True:
         witness = None
     elif prop == "CFF":
@@ -193,16 +237,18 @@ def _dfs(
     budget: int | None,
     total: int,
     encode: Callable[[int], Any],
-    extend_ok: Callable[[list, Any], bool],
+    prefix: _CoverFreePrefix | _CheckedPrefix,
     root: list[int],
 ) -> tuple[list[int], bool | None, int, bool]:
     """Extend ``root`` by candidates 1..total-1 in ascending order, depth first.
 
-    ``encode`` turns a candidate into the item ``extend_ok(items, item)``
-    judges against the items already chosen; a rejected candidate prunes its
-    subtree.  The frontier is plain data: ``chosen``/``items`` hold the
-    current prefix and ``following[d]`` the next candidate to try at depth
-    d, so depth is bounded only by the candidate space.  A depth is popped
+    ``encode`` turns a candidate into the item ``prefix`` holds:
+    ``prefix.push_ok(item)`` adds it when the extended prefix keeps the
+    property, and a rejected candidate prunes its subtree; ``prefix.pop()``
+    takes the last item off when its depth is popped.  The frontier is plain
+    data: ``chosen`` holds the current prefix's candidates (``prefix`` its
+    items) and ``following[d]`` the next candidate to try at depth d, so
+    depth is bounded only by the candidate space.  A depth is popped
     once too few candidates remain to beat the best (maximize) or to reach
     the goal (decide).  Returns the best candidate list, the decision (None
     unless deciding and answered), the node count and whether the tree was
@@ -211,7 +257,9 @@ def _dfs(
     deciding = problem.mode == "decide"
     goal = problem.goal or 0
     chosen = list(root)
-    items = [encode(c) for c in root]
+    for c in root:
+        prefix.push(encode(c))
+    push_ok, pop = prefix.push_ok, prefix.pop
     following = [1]
     best = list(chosen)
     nodes = 0
@@ -225,16 +273,14 @@ def _dfs(
                 return best, (False if deciding else None), nodes, True
             following.pop()
             chosen.pop()
-            items.pop()
+            pop()
             continue
         nodes += 1
         if budget is not None and nodes > budget:
             return best, None, nodes, False
         following[-1] = cand + 1
-        item = encode(cand)
-        if extend_ok(items, item):
+        if push_ok(encode(cand)):
             chosen.append(cand)
-            items.append(item)
             following.append(cand + 1)
             if len(chosen) > len(best):
                 best = list(chosen)

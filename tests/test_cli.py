@@ -11,9 +11,11 @@ from pathlib import Path
 import pytest
 
 from conftest import random_code_stream, random_family
+from tracecodes import cli
 from tracecodes.cli import (
     EXIT_BAD_FILE,
     EXIT_BUDGET,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VIOLATION,
@@ -399,6 +401,9 @@ class TestSearchCommand:
             ("fp", "--t", "2", "--min-length", "--N", "4"),
             ("fp", "--t", "2", "--min-length", "--goal", "5"),
             ("cff", "--t", "1", "--min-length", "--decide-exceeds-N"),
+            ("fp", "--N", "3", "--t", "2", "--start-length", "4", "--max-length", "5"),
+            ("fp", "--N", "3", "--t", "2", "--start-length", "2"),
+            ("cff", "--N", "3", "--t", "1", "--max-length", "16"),
         ],
         ids=[
             "negative-budget",
@@ -407,6 +412,9 @@ class TestSearchCommand:
             "min-length-with-N",
             "min-length-with-goal",
             "min-length-with-decide",
+            "range-without-min-length",
+            "range-without-min-length-start",
+            "range-without-min-length-max",
         ],
     )
     def test_bad_search_ranges(self, capsys, argv):
@@ -625,6 +633,19 @@ class TestRecheckCommand:
         argv = ["recheck", "--property", "fp", "--t", "2", "--witness", str(path), code]
         assert main(argv) == EXIT_BAD_FILE
         assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestInternalErrors:
+    def test_unexpected_exception_exits_five(self, capsys, monkeypatch):
+        def broken(args):
+            raise RuntimeError("broken handler")
+
+        monkeypatch.setattr(cli, "_cmd_bounds", broken)
+        assert main(["bounds", "--N", "3", "--q", "2", "--t", "1"]) == EXIT_INTERNAL
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("Traceback (most recent call last):")
+        assert err.rstrip().endswith("RuntimeError: broken handler")
 
 
 class TestInstalledScript:

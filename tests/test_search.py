@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import inspect
 import math
+import random
 import sys
 from contextlib import contextmanager
+from itertools import combinations
 
 import pytest
 
 import oracles
-from tracecodes import bounds, search, verify
+from tracecodes import bounds, core, search, verify
 from tracecodes.search import SearchProblem, max_code_search
 
 
@@ -135,6 +137,129 @@ class TestTernarySearches:
         assert self.CHECKERS[prop](res.witness, t).holds
         if (prop, N, t) in TERNARY_NODES:
             assert res.nodes == TERNARY_NODES[prop, N, t]
+
+
+# The benchmark's cover-free search jobs, plus the deepest tree it never
+# reaches: 999 accepted words, one per node.
+COVER_FREE_JOBS = [
+    (SearchProblem("FP", N=6, t=3), 6, None, 57982),
+    (SearchProblem("FP", N=6, t=3, mode="decide", goal=7), 6, False, 57974),
+    (SearchProblem("CFF", N=5, t=2), 5, None, 6882),
+    (SearchProblem("CFF", N=6, t=2), 6, None, 185431),
+    (SearchProblem("FP", N=10, t=1, mode="decide", goal=1000), 1000, True, 999),
+]
+
+
+class TestCoverFreeNodeCounts:
+    @pytest.mark.parametrize(
+        "problem,optimum,decided,nodes",
+        COVER_FREE_JOBS,
+        ids=["fp-6-3", "fp-6-3-decide-7", "cff-5-2", "cff-6-2", "fp-10-1-decide-1000"],
+    )
+    def test_frozen_counts(self, problem, optimum, decided, nodes):
+        res = max_code_search(problem)
+        assert (res.optimum, res.decided, res.nodes, res.complete) == (
+            optimum, decided, nodes, True,
+        )
+        if decided is not False:
+            assert res.witness.size == optimum
+
+
+def _elements(mask):
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _groups(members, most):
+    for size in range(most + 1):
+        yield from combinations(members, size)
+
+
+def _union(group):
+    out = 0
+    for m in group:
+        out |= m
+    return out
+
+
+class TestCoverFreePrefix:
+    """The incremental prefix state against its definition and the oracles."""
+
+    @staticmethod
+    def layers(prefix):
+        return [list(layer) for layer in prefix.unions + prefix.residues]
+
+    def grow(self, members, t):
+        """Push ``members`` one at a time; each push must be accepted."""
+        prefix = search._CoverFreePrefix(t)
+        for m in members:
+            assert prefix.push_ok(m)
+        # unions[j]: one union per group of at most j members; residues[j]:
+        # one member-minus-union per member and group of at most j others.
+        for j, layer in enumerate(prefix.unions):
+            assert sorted(layer) == sorted(_union(g) for g in _groups(members, j))
+        for j, layer in enumerate(prefix.residues):
+            want = [
+                m & ~_union(g)
+                for i, m in enumerate(members)
+                for g in _groups(members[:i] + members[i + 1 :], j)
+            ]
+            assert sorted(layer) == sorted(want)
+        return prefix
+
+    def check_extensions(self, members, candidates, t, holds):
+        prefix = self.grow(members, t)
+        for new in candidates:
+            before = self.layers(prefix)
+            ok = prefix.push_ok(new)
+            assert ok == holds(new), (members, new, t)
+            if ok:
+                prefix.pop()
+            assert self.layers(prefix) == before
+
+    @pytest.mark.parametrize("t", [1, 2, 3, 4])
+    def test_families_match_cff_oracle(self, t):
+        rng = random.Random(600 + t)
+        for ground in range(1, 7):
+            space = range(1 << ground)  # the empty candidate 0 included
+            for _ in range(6):
+                order = list(range(1, 1 << ground))
+                rng.shuffle(order)
+                size = rng.randint(0, 3 * ground)
+                members: list[int] = []
+                for m in order:
+                    if len(members) == size:
+                        break
+                    if oracles.cff_holds([_elements(x) for x in members + [m]], t):
+                        members.append(m)
+                self.check_extensions(
+                    members,
+                    space,
+                    t,
+                    lambda new: oracles.cff_holds([_elements(x) for x in members + [new]], t),
+                )
+
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    def test_ternary_codes_match_frameproof_oracle(self, t):
+        rng = random.Random(700 + t)
+        for N in (1, 2, 3):
+            universe = oracles.all_words(N, 3)
+            for _ in range(5):
+                order = list(universe)
+                rng.shuffle(order)
+                size = rng.randint(1, 3 * N + 1)
+                words: list[tuple[int, ...]] = []
+                for w in order:
+                    if len(words) == size:
+                        break
+                    if oracles.frameproof_holds(words + [w], t):
+                        words.append(w)
+                word_of = {core.onehot(w, 3): w for w in universe}
+                self.check_extensions(
+                    [core.onehot(w, 3) for w in words],
+                    [core.onehot(w, 3) for w in universe if w not in words],
+                    t,
+                    lambda new: oracles.frameproof_holds(words + [word_of[new]], t),
+                )
 
 
 class TestBudgets:
