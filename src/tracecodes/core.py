@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "Code",
     "Coalition",
-    "DescProfile",
     "DescendantSetTooLarge",
     "DEFAULT_DESCENDANT_CAP",
     "INFINITE_DISTANCE",
@@ -30,21 +29,16 @@ __all__ = [
     "ParentSetFamily",
     "Word",
     "desc_profile",
-    "enumerate_descendants",
-    "group_distance",
     "hamming_distance",
-    "identical_count",
     "is_descendant",
     "iter_coalitions",
     "min_distance",
     "onehot",
     "parent_sets",
-    "profile_size",
 ]
 
 Word = tuple[int, ...]
 Coalition = tuple[int, ...]  # sorted code indices
-DescProfile = tuple[tuple[int, ...], ...]  # per coordinate, sorted symbols
 
 #: Minimum distance of a code with fewer than two words.  ``math.inf``
 #: compares above every integer, which is exactly the ordering we need.
@@ -153,11 +147,6 @@ def hamming_distance(x: Sequence[int], y: Sequence[int]) -> int:
     return sum(a != b for a, b in zip(x, y))
 
 
-def identical_count(x: Sequence[int], y: Sequence[int]) -> int:
-    """Number of agreeing coordinates, N - d(x, y)."""
-    return len(x) - hamming_distance(x, y)
-
-
 def onehot(word: Sequence[int], q: int) -> int:
     """The word as an N*q-bit set: bit i*q + s is set when coordinate i holds s.
 
@@ -185,7 +174,7 @@ def min_distance(code: Code) -> int | float:
     return best
 
 
-def desc_profile(members: Iterable[Word]) -> DescProfile:
+def desc_profile(members: Iterable[Word]) -> tuple[tuple[int, ...], ...]:
     """Per-coordinate symbol sets available to a coalition, sorted tuples."""
     members = tuple(members)
     if not members:
@@ -197,14 +186,6 @@ def desc_profile(members: Iterable[Word]) -> DescProfile:
     return tuple(tuple(sorted(set(col))) for col in zip(*members))
 
 
-def profile_size(profile: DescProfile) -> int:
-    """Number of words the profile describes (product of coordinate choices)."""
-    size = 1
-    for col in profile:
-        size *= len(col)
-    return size
-
-
 def is_descendant(x: Sequence[int], members: Iterable[Word]) -> bool:
     """True when every coordinate of ``x`` occurs in some coalition member there."""
     members = tuple(members)
@@ -213,21 +194,6 @@ def is_descendant(x: Sequence[int], members: Iterable[Word]) -> bool:
     if len(x) != len(members[0]):
         raise ValueError(f"length mismatch: {len(x)} vs {len(members[0])}")
     return all(any(m[i] == s for m in members) for i, s in enumerate(x))
-
-
-def group_distance(x: Sequence[int], members: Iterable[Word]) -> tuple[int, int]:
-    """Distance from ``x`` to a word set and its complement agreement count.
-
-    Returns ``(d, i)`` where ``d`` counts coordinates of ``x`` matched by no
-    member and ``i = N - d`` counts coordinates matched by at least one.
-    """
-    members = tuple(members)
-    if not members:
-        raise ValueError("empty coalition")
-    if len(x) != len(members[0]):
-        raise ValueError(f"length mismatch: {len(x)} vs {len(members[0])}")
-    d = sum(1 for i, s in enumerate(x) if all(m[i] != s for m in members))
-    return d, len(x) - d
 
 
 def iter_coalitions(pool: Iterable[int], max_size: int) -> Iterator[Coalition]:
@@ -260,20 +226,3 @@ def parent_sets(x: Sequence[int], code: Code, t: int) -> ParentSetFamily:
         if covered == full:
             found.append(coalition)
     return ParentSetFamily(word=x, t=t, coalitions=tuple(found))
-
-
-def enumerate_descendants(
-    members: Iterable[Word], cap: int = DEFAULT_DESCENDANT_CAP
-) -> Iterator[Word]:
-    """All words a coalition can assemble, in lexicographic order.
-
-    The stream is single-consumer; stop iterating to abort early.  Raises
-    DescendantSetTooLarge before yielding anything if the full set would
-    exceed ``cap`` members.
-    """
-    profile = desc_profile(members)
-    size = profile_size(profile)
-    if size > cap:
-        raise DescendantSetTooLarge(f"descendant set too large: {size} words exceed cap {cap}")
-    return product(*profile)
-

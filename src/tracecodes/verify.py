@@ -1,12 +1,19 @@
 """Exact property checkers returning verdicts with re-checkable witnesses.
 
+Every checker works on one-hot word sets (``core.onehot``).
 Frameproofness and cover-freeness share one cover scan: a code is
-t-frameproof exactly when the family of its one-hot word sets
-(``core.onehot``) is t-cover-free.  Traceability is checked straight off
-its definition.  Parent identifiability needs a word-free reformulation
-to stay exact without enumerating the whole ambient space: a code fails the
-t-check exactly when some family of at most t+1 coalitions (each of size at
-most t) has empty common intersection while their descendant profiles still
+t-frameproof exactly when the family of its one-hot sets is t-cover-free.
+
+Traceability walks each coalition's descendants depth-first as one-hot
+prefixes, taking coordinate i's symbols from q-bit block i of the union of
+the members' sets.  A prefix agrees with a codeword on the popcount of
+their AND, so a branch is cut as soon as every completion keeps some
+insider strictly nearer than every outsider.
+
+Parent identifiability needs a word-free reformulation to stay exact
+without enumerating the whole ambient space: a code fails the t-check
+exactly when some family of at most t+1 coalitions (each of size at most
+t) has empty common intersection while their descendant profiles still
 intersect coordinate-wise.  Sufficiency is immediate (any word assembled
 from the coordinate intersections has all family members as parents);
 necessity follows because, given a bad word, one starts from any of its
@@ -24,6 +31,7 @@ it meets, so verdicts and witnesses are deterministic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
@@ -240,67 +248,85 @@ def check_ipp(code: Code, t: int) -> Verdict:
 
 
 def _ta_coalition_violation(
-    code: Code, coalition: Coalition, profile: core.DescProfile, outsiders: list[int]
+    code: Code, sets: list[int], coalition: Coalition, outsiders: list[int], union: int
 ) -> tuple[TaViolation | None, int]:
     """Depth-first scan of the coalition's descendants for a tracing failure.
 
-    Partial distances prune a branch as soon as every completion keeps some
-    insider strictly closer than every outsider.  The walk keeps its own
-    stack of (depth, symbol, distances over the prefix before it), so the
-    code length is not limited by Python's recursion depth.
+    ``sets`` are the codewords' one-hot sets and ``union`` is the OR of the
+    coalition's.  The stack holds (depth, prefix set); a prefix agrees with
+    a word on the popcount of their AND.  The children of a prefix are the
+    set bits of the union's next q-bit block, pushed highest first so that
+    the lowest symbol is walked first.
     """
-    words = code.words
-    N = code.length
-    members = [words[i] for i in coalition]
-    others = [words[o] for o in outsiders]
-    x = [0] * N
+    N, q = code.length, code.q
+    mask = (1 << q) - 1
+    ins = [sets[i] for i in coalition]
+    outs = [sets[o] for o in outsiders]
     leaves = 0
-    # The empty prefix is never pruned: every distance starts at 0.
-    stack = [(0, s, [0] * len(members), [0] * len(others)) for s in reversed(profile[0])]
+    # The empty prefix (depth -1) is never pruned: every agreement is 0.
+    stack = [(-1, 0)]
     while stack:
-        depth, s, ins, outs = stack.pop()
-        x[depth] = s
-        ins = [d + (m[depth] != s) for d, m in zip(ins, members)]
-        outs = [d + (o[depth] != s) for d, o in zip(outs, others)]
+        depth, x = stack.pop()
+        a_in = max(map(int.bit_count, map(x.__and__, ins)))
         if depth + 1 == N:
             leaves += 1
-            best_in = min(ins)
-            k = min(range(len(outsiders)), key=outs.__getitem__)
-            if best_in >= outs[k]:
-                return TaViolation(coalition, tuple(x), outsiders[k], best_in, outs[k]), leaves
-        elif min(ins) + (N - depth - 1) >= min(outs):
-            # Otherwise insiders stay strictly closer whatever we append.
-            stack.extend((depth + 1, c, ins, outs) for c in reversed(profile[depth + 1]))
+            a_out = max(map(int.bit_count, map(x.__and__, outs)))
+            if a_in <= a_out:
+                k = [(x & o).bit_count() for o in outs].index(a_out)
+                pirate = tuple((x >> (i * q) & mask).bit_length() - 1 for i in range(N))
+                witness = TaViolation(coalition, pirate, outsiders[k], N - a_in, N - a_out)
+                return witness, leaves
+            continue
+        # Cut the branch when insiders stay strictly closer whatever we
+        # append, a_out + rest < a_in; only rest < a_in needs the outsiders.
+        rest = N - depth - 1
+        if rest < a_in and max(map(int.bit_count, map(x.__and__, outs))) + rest < a_in:
+            continue
+        depth += 1
+        block = union >> (depth * q) & mask
+        while block:
+            high = 1 << (block.bit_length() - 1)
+            stack.append((depth, x | high << (depth * q)))
+            block ^= high
     return None, leaves
 
 
-def check_ta(code: Code, t: int, cap: int = core.DEFAULT_DESCENDANT_CAP) -> Verdict:
+def check_ta(code: Code, t: int) -> Verdict:
     """Is the nearest codeword to any coalition's forgery always an insider?
 
-    Coalitions covering the whole code are vacuous (nobody to misaccuse) and
-    skipped.  Raises DescendantSetTooLarge when some coalition's descendant
-    set exceeds ``cap``.
+    Coalitions of size 1..t, by size then lexicographically, are scanned on
+    one-hot sets: a coalition's descendants are the words whose sets lie in
+    the union of its members' sets, walked depth-first one q-bit block at a
+    time, smallest symbol first.  ``words_examined`` counts the full words
+    reached.  Coalitions covering the whole code are vacuous (nobody to
+    misaccuse) and skipped.  Raises DescendantSetTooLarge when some
+    coalition's descendant set (the product of its union's block popcounts)
+    exceeds ``core.DEFAULT_DESCENDANT_CAP``.
     """
     _require_strength(t)
-    n = code.size
+    n, N, q = code.size, code.length, code.q
+    sets = [core.onehot(w, q) for w in code.words]
+    mask = (1 << q) - 1
+    cap = core.DEFAULT_DESCENDANT_CAP
     subsets = 0
     leaves_total = 0
-    for coalition in core.iter_coalitions(range(n), min(t, n)):
-        if len(coalition) == n:
-            continue
-        subsets += 1
-        profile = core.desc_profile(code.coalition_words(coalition))
-        if core.profile_size(profile) > cap:
-            raise core.DescendantSetTooLarge(
-                f"instance too large for exact TA check: coalition {coalition} "
-                f"spans {core.profile_size(profile)} words (cap {cap})"
-            )
-        inside = set(coalition)
-        outsiders = [i for i in range(n) if i not in inside]
-        violation, leaves = _ta_coalition_violation(code, coalition, profile, outsiders)
-        leaves_total += leaves
-        if violation is not None:
-            return Verdict("TA", t, False, violation, Counters(subsets, leaves_total))
+    for size in range(1, min(t, n - 1) + 1):
+        for coalition in combinations(range(n), size):
+            subsets += 1
+            union = 0
+            for i in coalition:
+                union |= sets[i]
+            span = math.prod((union >> (i * q) & mask).bit_count() for i in range(N))
+            if span > cap:
+                raise core.DescendantSetTooLarge(
+                    f"instance too large for exact TA check: coalition {coalition} "
+                    f"spans {span} words (cap {cap})"
+                )
+            outsiders = [i for i in range(n) if i not in coalition]
+            violation, leaves = _ta_coalition_violation(code, sets, coalition, outsiders, union)
+            leaves_total += leaves
+            if violation is not None:
+                return Verdict("TA", t, False, violation, Counters(subsets, leaves_total))
     return Verdict("TA", t, True, None, Counters(subsets, leaves_total))
 
 

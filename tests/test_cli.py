@@ -182,6 +182,17 @@ class TestVerifyCommand:
         assert code == EXIT_OK
         assert text_fields(out)["holds"] == "yes"
 
+    def test_descendant_set_too_large(self, files, capsys):
+        # A pair of length-48 binary words spans 2^48 descendants, past the cap.
+        rows = [[0] * 48, [1] * 48, [0] * 24 + [1] * 24]
+        text = "48 3 2\n" + "".join(" ".join(map(str, r)) + "\n" for r in rows)
+        argv = ["verify", "--property", "ta", "--t", "2", files("wide.code", text)]
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: instance too large ")
+        assert "Traceback" not in captured.err
+
     def test_malformed_file(self, files, capsys):
         bad = files("broken.code", "2 2 2\n0 1\n")
         assert run(capsys, "verify", "--property", "fp", "--t", "2", bad)[0] == EXIT_BAD_FILE

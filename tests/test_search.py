@@ -117,7 +117,13 @@ TERNARY_CASES = [
     if (prop, N, t) != ("IPP", 3, 2)  # the oracle takes about 9 s there
 ]
 # Node counts shared with the benchmark's search jobs.
-TERNARY_NODES = {("FP", 3, 2): 3250, ("FP", 2, 2): 40, ("IPP", 2, 2): 53, ("TA", 2, 2): 36}
+TERNARY_NODES = {
+    ("FP", 3, 2): 3250,
+    ("FP", 2, 2): 40,
+    ("IPP", 2, 2): 53,
+    ("TA", 2, 2): 36,
+    ("TA", 3, 2): 585,
+}
 
 
 class TestTernarySearches:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import oracles
 from conftest import random_code, random_code_stream
 from tracecodes import verify
-from tracecodes.core import Code, group_distance, hamming_distance, is_descendant, onehot
+from tracecodes.core import Code, DescendantSetTooLarge, hamming_distance, is_descendant, onehot
 from tracecodes.transform import SetFamily, cff_to_fpc, fpc_to_cff
 
 IDENTITY3 = Code.from_strings(["100", "010", "001"], 2)
@@ -109,7 +109,7 @@ class TestFrameproof:
 
 
 class TestOneHotKernel:
-    """The one-hot cover test behind FP and CFF, against the oracles at tiny sizes."""
+    """The one-hot checkers (FP, CFF, IPP, TA) against the oracles at tiny sizes."""
 
     def test_checkers_match_oracles_exhaustively(self):
         for N, q in ((2, 3), (3, 2)):
@@ -130,6 +130,9 @@ class TestOneHotKernel:
                         ipp = verify.check_ipp(code, t)
                         assert ipp.holds == oracles.ipp_holds(words, q, t), (words, t)
                         reverify(ipp, code=code)
+                        ta = verify.check_ta(code, t)
+                        assert ta.holds == oracles.ta_holds(words, t), (words, t)
+                        reverify(ta, code=code)
                         if q == 2:
                             cff = verify.check_cff(fpc_to_cff(code), t)
                             assert cff.holds == want
@@ -286,9 +289,31 @@ class TestTraceability:
         wide = Code(
             (tuple([0] * 48), tuple([1] * 48), tuple([0] * 24 + [1] * 24)), 2
         )
-        with pytest.raises(Exception) as err:
-            verify.check_ta(wide, 2, cap=10**6)
+        with pytest.raises(DescendantSetTooLarge) as err:
+            verify.check_ta(wide, 2)
         assert "too large" in str(err.value)
+
+    def test_frozen_verdicts_on_affine_codes(self):
+        # {(a + b*i) mod p : i < 5}, b < 3 outer, a < p inner.
+        def affine(p):
+            return Code(
+                tuple(tuple((a + b * i) % p for i in range(5)) for b in range(3) for a in range(p)),
+                p,
+            )
+
+        assert verify.check_ta(affine(13), 2) == verify.Verdict(
+            "TA", 2, True, None, verify.Counters(780, 10114)
+        )
+        code = affine(11)
+        verdict = verify.check_ta(code, 3)
+        assert verdict == verify.Verdict(
+            "TA",
+            3,
+            False,
+            verify.TaViolation((0, 1, 2), (0, 0, 0, 1, 2), 20, 2, 2),
+            verify.Counters(562, 7373),
+        )
+        reverify(verdict, code=code)
 
     def test_matches_oracle_on_stream(self):
         for code in random_code_stream(seed=205, count=150, max_N=4, max_n=5):
