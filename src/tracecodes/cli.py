@@ -495,10 +495,7 @@ _CHECKERS = {
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     subject = load_family(args.file) if args.property == "cff" else load_code(args.file)
-    if args.property == "fp":
-        verdict = verify.check_frameproof(subject, args.t, mode=args.mode)
-    else:
-        verdict = _CHECKERS[args.property.upper()](subject, args.t)
+    verdict = _CHECKERS[args.property.upper()](subject, args.t)
     witness = (
         witness_to_json(verdict.witness, subject) if verdict.witness is not None else None
     )
@@ -521,6 +518,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     code = load_code(args.file)
     word = parse_word(args.pirate, code.length, code.q)
     if args.scheme == "ta":
+        if args.t is not None:
+            raise ValueError("--t is taken only by the parent-set scheme")
         accusation = trace_mod.trace_ta(code, word)
     else:
         if args.t is None:
@@ -608,16 +607,22 @@ def _parse_op(raw: str) -> tuple[str, int | None]:
     raise ValueError(f"unknown op {raw!r}")
 
 
-def _require_t(args: argparse.Namespace, op: str) -> int:
-    if args.t is None:
-        raise ValueError(f"op {op} requires --t")
-    return args.t
-
-
 def _cmd_transform(args: argparse.Namespace) -> int:
     op, value = _parse_op(args.op)
+    t = args.t
+    if op in ("prune", "violate", "strip"):
+        if t is None:
+            raise ValueError(f"op {op} requires --t")
+    elif t is not None:
+        raise ValueError(f"op {op} takes no --t")
     report: dict = {"schema": SCHEMA, "command": "transform", "op": args.op}
     lines: list[str]
+
+    if op in ("prune", "violate"):
+        code = load_code(args.file)
+        partition = transform.make_row_partition(code.length, t)
+        result = transform.prune_special_codewords(code, partition)
+        subcode = result.subcode(code)
 
     if op == "double":
         family = transform.fpc_to_cff(load_code(args.file))
@@ -662,11 +667,6 @@ def _cmd_transform(args: argparse.Namespace) -> int:
         report["code"] = code
         lines = [render_code_text(code).rstrip("\n")]
     elif op == "prune":
-        t = _require_t(args, op)
-        code = load_code(args.file)
-        partition = transform.make_row_partition(code.length, t)
-        result = transform.prune_special_codewords(code, partition)
-        subcode = result.subcode(code)
         report["prune"] = {**_jsonable(result), "code": subcode}
         lines = [f"# pruned {len(result.steps)} codeword(s); survivors {list(result.survivors)}"]
         for s in result.steps:
@@ -676,11 +676,6 @@ def _cmd_transform(args: argparse.Namespace) -> int:
         else:
             lines.append("# every codeword was pruned")
     elif op == "violate":
-        t = _require_t(args, op)
-        code = load_code(args.file)
-        partition = transform.make_row_partition(code.length, t)
-        result = transform.prune_special_codewords(code, partition)
-        subcode = result.subcode(code)
         if subcode is None:
             report["certificate"] = None
             report["reason"] = "every codeword was pruned; nothing to build on"
@@ -705,7 +700,6 @@ def _cmd_transform(args: argparse.Namespace) -> int:
             )
         )
     elif op == "strip":
-        t = _require_t(args, op)
         code = load_code(args.file)
         removed, survivor_code, strace = transform.distance_strip(code, t)
         report["strip"] = {**_jsonable(strace), "code": survivor_code}
@@ -951,6 +945,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_recheck(args: argparse.Namespace) -> int:
+    if args.t < 1:
+        raise ValueError(f"coalition bound must be >= 1, got {args.t}")
     try:
         data = json.loads(_load(args.witness))
     except json.JSONDecodeError as exc:
@@ -1003,7 +999,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[common], help="check a property, emit a witness on failure")
     p.add_argument("--property", choices=("fp", "ipp", "ta", "cff"), required=True)
     p.add_argument("--t", type=int, required=True, help="coalition size bound")
-    p.add_argument("--mode", choices=("def1", "def3"), default="def3", help="frameproof scan order")
     p.add_argument("file")
     p.set_defaults(func=_cmd_verify)
 

@@ -181,25 +181,22 @@ class _CheckedPrefix:
         self.words.pop()
 
 
-def max_code_search(
-    problem: SearchProblem,
-    budget: int | None = None,
-    enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
-) -> SearchResult:
+def max_code_search(problem: SearchProblem, budget: int | None = None) -> SearchResult:
     """Run the search to completion, a decision, or budget exhaustion.
 
     ``optimum`` is the largest size reached (a lower bound when truncated);
     ``complete`` certifies the tree was exhausted, which for maximize mode
     is the proof of optimality.  Decide mode reports ``decided=None`` when
-    the budget ran out before either answer.
+    the budget ran out before either answer.  Raises ValueError when the
+    candidate space q**N exceeds ``DEFAULT_ENUMERATION_CAP``.
     """
     if budget is not None and budget < 0:
         raise ValueError(f"need a node budget >= 0, got {budget}")
     start = time.perf_counter()
     N, q, t, prop = problem.N, problem.q, problem.t, problem.property
-    total = q**N
-    if total > enumeration_cap:
-        raise ValueError(f"candidate space {q}**{N} exceeds enumeration cap {enumeration_cap}")
+    total, cap = q**N, DEFAULT_ENUMERATION_CAP
+    if total > cap:
+        raise ValueError(f"candidate space {q}**{N} exceeds enumeration cap {cap}")
     decode = partial(_decode_word, N=N, q=q)
     # Codes start from the all-zero word, which relabelling symbols per
     # coordinate puts in any code.  Families have no root: candidate 0, the

@@ -291,6 +291,22 @@ def _require_partition_fits(code: Code, partition: PatternPartition) -> None:
         )
 
 
+def _first_special(
+    words: Sequence[Word], parts: Sequence[Sequence[int]], alive: Sequence[int]
+) -> PruneStep | None:
+    """The lowest alive codeword with a pattern no other alive codeword shows.
+
+    Codewords are taken in the order of ``alive`` and, for each, parts in
+    order; the first private pattern found is returned as a ``PruneStep``.
+    """
+    for ci in alive:
+        for p, part in enumerate(parts):
+            pat = _pattern(words[ci], part)
+            if all(_pattern(words[cj], part) != pat for cj in alive if cj != ci):
+                return PruneStep(removed=ci, part=p, pattern=pat)
+    return None
+
+
 def prune_special_codewords(code: Code, partition: PatternPartition) -> PruneResult:
     """Iteratively delete codewords owning a pattern nobody else shows.
 
@@ -300,21 +316,9 @@ def prune_special_codewords(code: Code, partition: PatternPartition) -> PruneRes
     outcome is deterministic.  The result may be empty.
     """
     _require_partition_fits(code, partition)
-    words = code.words
     alive = list(range(code.size))
     steps: list[PruneStep] = []
-    while alive:
-        special: PruneStep | None = None
-        for ci in alive:
-            for p, part in enumerate(partition.parts):
-                pat = _pattern(words[ci], part)
-                if all(_pattern(words[cj], part) != pat for cj in alive if cj != ci):
-                    special = PruneStep(removed=ci, part=p, pattern=pat)
-                    break
-            if special is not None:
-                break
-        if special is None:
-            break
+    while (special := _first_special(code.words, partition.parts, alive)) is not None:
         alive.remove(special.removed)
         steps.append(special)
     return PruneResult(tuple(alive), tuple(steps))
@@ -397,13 +401,12 @@ def build_ipp_violation(
     parts = partition.parts
     P = len(parts)
 
-    for ci in range(n):
-        for p, part in enumerate(parts):
-            pat = _pattern(words[ci], part)
-            if all(_pattern(words[cj], part) != pat for cj in range(n) if cj != ci):
-                raise ValueError(
-                    f"codeword {ci} owns a private pattern on part {p}; prune first"
-                )
+    special = _first_special(words, parts, range(n))
+    if special is not None:
+        raise ValueError(
+            f"codeword {special.removed} owns a private pattern on part {special.part}; "
+            "prune first"
+        )
 
     step = t // 2 + 1
     chain = [0]

@@ -1,8 +1,11 @@
 """Exact property checkers returning verdicts with re-checkable witnesses.
 
 Every checker works on one-hot word sets (``core.onehot``).
-Frameproofness and cover-freeness share one cover scan: a code is
-t-frameproof exactly when the family of its one-hot sets is t-cover-free.
+Frameproofness reads equivalently as desc(D) n C = D for every coalition D
+of at most t codewords, or as no codeword lying in the descendant set of t
+others.  The check scans the second reading, which is cover-freeness: a
+code is t-frameproof exactly when the family of its one-hot sets is
+t-cover-free, so FP and CFF share one cover scan.
 
 Traceability walks each coalition's descendants depth-first as one-hot
 prefixes, taking coordinate i's symbols from q-bit block i of the union of
@@ -140,42 +143,20 @@ def _first_cover(members: Sequence[int], t: int) -> tuple[tuple[int, Coalition] 
     return None, tried
 
 
-def check_frameproof(code: Code, t: int, mode: str = "def3") -> Verdict:
+def check_frameproof(code: Code, t: int) -> Verdict:
     """Is no codeword producible by a coalition of <= t others?
 
     Codewords are compared as one-hot sets (``core.onehot``): a codeword is
     producible by a coalition exactly when its set lies inside the union of
-    theirs.  ``def3`` iterates (codeword, coalition) pairs, which is the
-    cover-free scan of ``check_cff`` run on the one-hot family; ``def1``
-    checks desc(D) n C = D over all coalitions.  Both modes agree on the
-    verdict (the witness may differ since the scan order differs).
+    theirs.  So this is the cover-free scan of ``check_cff`` run on the
+    one-hot family: (codeword, coalition) pairs, codewords in order and
+    coalitions of the others by size then lexicographically.  Both counters
+    count the coalitions tried.
     """
     _require_strength(t)
-    if mode not in ("def1", "def3"):
-        raise ValueError(f"unknown mode {mode!r}")
-    sets = [core.onehot(w, code.q) for w in code.words]
-    if mode == "def3":
-        hit, subsets = _first_cover(sets, t)
-        witness = None if hit is None else FramedWord(*hit)
-        return Verdict("FP", t, hit is None, witness, Counters(subsets, subsets))
-
-    n = code.size
-    subsets = tested = 0
-    for size in range(1, min(t, n) + 1):
-        for coalition in combinations(range(n), size):
-            subsets += 1
-            union = 0
-            for d in coalition:
-                union |= sets[d]
-            for ci in range(n):
-                if ci in coalition:
-                    continue
-                tested += 1
-                if sets[ci] & ~union == 0:
-                    return Verdict(
-                        "FP", t, False, FramedWord(ci, coalition), Counters(subsets, tested)
-                    )
-    return Verdict("FP", t, True, None, Counters(subsets, tested))
+    hit, subsets = _first_cover([core.onehot(w, code.q) for w in code.words], t)
+    witness = None if hit is None else FramedWord(*hit)
+    return Verdict("FP", t, hit is None, witness, Counters(subsets, subsets))
 
 
 def check_cff(family: SetFamily, t: int) -> Verdict:

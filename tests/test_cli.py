@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -155,15 +157,6 @@ class TestVerifyCommand:
         assert doc["witness"]["covered"] == 0
         assert doc["witness"]["covering"] == [2]
 
-    def test_both_scan_orders(self, files, capsys):
-        bad = files("square.code", SQUARE)
-        for mode in ("def1", "def3"):
-            code, doc = run_json(
-                capsys, "verify", "--property", "fp", "--t", "2", "--mode", mode, bad
-            )
-            assert code == EXIT_VIOLATION
-            assert doc["witness"]["framed"] == 2
-
     def test_usage_errors(self, files, capsys):
         good = files("id3.code", IDENTITY3)
         assert run(capsys, "verify", "--property", "fp", good)[0] == EXIT_USAGE
@@ -172,6 +165,11 @@ class TestVerifyCommand:
             run(capsys, "verify", "--property", "fp", "--t", "2", "--threads", "4", good)[0]
             == EXIT_USAGE
         )
+        # FP has one scan: no property takes a scan mode.
+        for prop in ("fp", "ipp", "ta", "cff"):
+            for mode in ("def1", "def3"):
+                argv = ["verify", "--property", prop, "--t", "2", "--mode", mode, good]
+                assert run(capsys, *argv)[0] == EXIT_USAGE, (prop, mode)
 
     def test_traceability_past_the_recursion_limit(self, files, capsys):
         # The descendant scan goes one level per coordinate.
@@ -225,6 +223,9 @@ class TestTraceCommand:
     def test_parent_scheme_needs_t(self, files, capsys):
         reps = files("reps.code", REPS4)
         assert run(capsys, "trace", "--scheme", "ipp", "--pirate", "0011", reps)[0] == EXIT_USAGE
+        # ... and only the parent-set scheme takes it.
+        argv = ["trace", "--scheme", "ta", "--t", "5", "--pirate", "0011", reps]
+        assert run(capsys, *argv)[0] == EXIT_USAGE
 
     def test_untraceable_pirate_exits_one(self, files, capsys):
         code_file = files("three.code", "2 3 2\n0 0\n1 1\n0 1\n")
@@ -372,6 +373,16 @@ class TestTransformCommand:
         assert run(capsys, "transform", "--op", "double=3", code_file)[0] == EXIT_USAGE
         assert run(capsys, "transform", "--op", "prune", code_file)[0] == EXIT_USAGE
         assert run(capsys, "transform", "--op", "shrink", code_file)[0] == EXIT_USAGE
+        fam_file = files("singles.family", "3 3\n100\n010\n001\n")
+        for op, subject in (
+            ("double", code_file),
+            ("tocode", fam_file),
+            ("restrict=0", fam_file),
+            ("pad=1", code_file),
+            ("compose=2", code_file),
+        ):
+            argv = ["transform", "--op", op, "--t", "7", subject]
+            assert run(capsys, *argv)[0] == EXIT_USAGE, op
 
 
 class TestSearchCommand:
@@ -628,6 +639,17 @@ class TestRecheckCommand:
         assert code == EXIT_VIOLATION
         assert doc["problems"] == ["coalition 1 size 0 outside 1..2"]
 
+    @pytest.mark.parametrize("t", ["0", "-3"])
+    def test_strength_below_one_is_a_usage_error(self, files, capsys, tmp_path, t):
+        bad = files("square.code", SQUARE)
+        path = tmp_path / "framed.json"
+        path.write_text(json.dumps({"kind": "framed-word", "framed": 2, "coalition": [0, 1]}))
+        argv = ["recheck", "--property", "fp", "--t", t, "--witness", str(path), bad]
+        assert main(argv) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: coalition bound must be >= 1, got {t}\n"
+
     def test_garbage_witness_file(self, files, capsys, tmp_path):
         bad = files("square.code", SQUARE)
         path = tmp_path / "junk.json"
@@ -657,6 +679,27 @@ class TestInternalErrors:
         assert out == ""
         assert err.startswith("Traceback (most recent call last):")
         assert err.rstrip().endswith("RuntimeError: broken handler")
+
+
+class TestReadmeSynopsis:
+    def test_synopsis_lists_each_subcommands_options(self):
+        # The README's "Command line" block gives one synopsis per subcommand;
+        # lines that do not start with "tracecodes" continue the one above.
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        section = readme.read_text(encoding="utf-8").split("## Command line", 1)[1]
+        synopses: dict[str, str] = {}
+        for line in section.split("```", 2)[1].strip().splitlines():
+            if line.startswith("tracecodes "):
+                command = line.split()[1]
+                synopses[command] = ""
+            synopses[command] += line
+        parser = cli._build_parser()
+        (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert set(synopses) == set(sub.choices)
+        for command, subparser in sub.choices.items():
+            options = {o for a in subparser._actions for o in a.option_strings if o[:2] == "--"}
+            listed = set(re.findall(r"--[\w-]+", synopses[command]))
+            assert listed == options - {"--format", "--help"}, command
 
 
 class TestInstalledScript:
@@ -702,9 +745,6 @@ GOLDEN_FILES = {
 GOLDEN_CASES = {
     "verify-fp-holds": ("verify", "--property", "fp", "--t", "2", "id3.code"),
     "verify-fp-fails": ("verify", "--property", "fp", "--t", "2", "square.code"),
-    "verify-fp-def1-fails": (
-        "verify", "--property", "fp", "--t", "2", "--mode", "def1", "square.code",
-    ),
     "verify-ipp-holds": ("verify", "--property", "ipp", "--t", "2", "reps.code"),
     "verify-ipp-fails": ("verify", "--property", "ipp", "--t", "2", "three.code"),
     "verify-ta-holds": ("verify", "--property", "ta", "--t", "2", "reps.code"),

@@ -71,11 +71,6 @@ class TestFrameproof:
         assert verdict.counters.words_examined == 9
         reverify(verdict, code=SQUARE)
 
-    def test_def1_same_witness(self):
-        verdict = verify.check_frameproof(SQUARE, 2, mode="def1")
-        assert not verdict.holds
-        assert verdict.witness == verify.FramedWord(framed=2, coalition=(0, 1))
-
     def test_single_codeword_holds(self):
         lonely = Code.from_strings(["0101"], 2)
         for t in (1, 2, 5):
@@ -84,14 +79,12 @@ class TestFrameproof:
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
             verify.check_frameproof(SQUARE, 0)
-        with pytest.raises(ValueError):
-            verify.check_frameproof(SQUARE, 2, mode="def2")
 
     def test_modes_agree_on_stream(self):
+        # The cover scan against the coalition-major reading desc(D) n C = D.
         for code in random_code_stream(seed=101, count=250):
-            a = verify.check_frameproof(code, 2, mode="def1")
-            b = verify.check_frameproof(code, 2, mode="def3")
-            assert a.holds == b.holds, code
+            got = verify.check_frameproof(code, 2)
+            assert got.holds == oracles.frameproof_holds(code.words, 2), code
 
     def test_matches_oracle_on_stream(self):
         for code in random_code_stream(seed=102, count=150):
@@ -122,11 +115,9 @@ class TestOneHotKernel:
                     code = Code(words, q)
                     for t in (1, 2, 3):
                         want = oracles.frameproof_holds(words, t)
-                        def3 = verify.check_frameproof(code, t)
-                        def1 = verify.check_frameproof(code, t, mode="def1")
-                        assert def3.holds == def1.holds == want, (words, t)
-                        reverify(def3, code=code)
-                        reverify(def1, code=code)
+                        fp = verify.check_frameproof(code, t)
+                        assert fp.holds == want, (words, t)
+                        reverify(fp, code=code)
                         ipp = verify.check_ipp(code, t)
                         assert ipp.holds == oracles.ipp_holds(words, q, t), (words, t)
                         reverify(ipp, code=code)
@@ -136,11 +127,11 @@ class TestOneHotKernel:
                         if q == 2:
                             cff = verify.check_cff(fpc_to_cff(code), t)
                             assert cff.holds == want
-                            assert cff.counters.subsets_examined == def3.counters.subsets_examined
+                            assert cff.counters.subsets_examined == fp.counters.subsets_examined
                             if not want:
                                 assert (cff.witness.covered, cff.witness.covering) == (
-                                    def3.witness.framed,
-                                    def3.witness.coalition,
+                                    fp.witness.framed,
+                                    fp.witness.coalition,
                                 )
 
 
