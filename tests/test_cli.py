@@ -165,11 +165,18 @@ class TestVerifyCommand:
             run(capsys, "verify", "--property", "fp", "--t", "2", "--threads", "4", good)[0]
             == EXIT_USAGE
         )
-        # FP has one scan: no property takes a scan mode.
+
+    def test_scan_mode_flag_is_refused(self, files, capsys):
+        # FP has one scan: no property takes a scan mode, and the one scan
+        # frames the same word the old def1 and def3 orders did.
+        bad = files("square.code", SQUARE)
         for prop in ("fp", "ipp", "ta", "cff"):
             for mode in ("def1", "def3"):
-                argv = ["verify", "--property", prop, "--t", "2", "--mode", mode, good]
+                argv = ["verify", "--property", prop, "--t", "2", "--mode", mode, bad]
                 assert run(capsys, *argv)[0] == EXIT_USAGE, (prop, mode)
+        code, doc = run_json(capsys, "verify", "--property", "fp", "--t", "2", bad)
+        assert code == EXIT_VIOLATION
+        assert doc["witness"]["framed"] == 2
 
     def test_traceability_past_the_recursion_limit(self, files, capsys):
         # The descendant scan goes one level per coordinate.
