@@ -8,7 +8,10 @@ N x n matrix view, which is column-per-codeword).  Family files carry a
 header ``N n`` followed by n rows of N binary digits (each row is one
 member's incidence vector over the ground set).  Blank lines and lines
 starting with ``#`` are ignored everywhere; duplicate rows are rejected.
-Input files, witness files included, are read as UTF-8 text.
+Input files, witness files included, are read as UTF-8 text.  A witness
+file is a ``verify`` report or a bare witness object; one whose witness has
+no known ``kind`` is malformed.  ``recheck --property P`` confirms only the
+witness kind ``verify --property P`` emits and refutes any other kind.
 
 Exit codes
 ----------
@@ -48,7 +51,7 @@ import os
 import sys
 from contextlib import contextmanager, suppress
 from pathlib import Path
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 from . import __version__
 from . import bounds as bounds_mod
@@ -107,20 +110,26 @@ def _data_lines(text: str) -> list[str]:
     return out
 
 
-def parse_code_text(text: str) -> Code:
+def _read_header(text: str, kind: str, fields: str, rows: str) -> tuple[list[int], list[str]]:
+    """The integer header (named ``fields``) of a ``kind`` file and the rows it promises."""
     lines = _data_lines(text)
     if not lines:
-        raise FileFormatError("empty code file")
+        raise FileFormatError(f"empty {kind} file")
     header = lines[0].split()
-    if len(header) != 3:
-        raise FileFormatError(f"code header must read 'N n q', got {lines[0]!r}")
+    if len(header) != len(fields.split()):
+        raise FileFormatError(f"{kind} header must read '{fields}', got {lines[0]!r}")
     try:
-        N, n, q = (int(x) for x in header)
+        values = [int(x) for x in header]
     except ValueError:
-        raise FileFormatError(f"non-integer code header {lines[0]!r}") from None
+        raise FileFormatError(f"non-integer {kind} header {lines[0]!r}") from None
     body = lines[1:]
-    if len(body) != n:
-        raise FileFormatError(f"header promises {n} codewords, file has {len(body)}")
+    if len(body) != values[1]:
+        raise FileFormatError(f"header promises {values[1]} {rows}, file has {len(body)}")
+    return values, body
+
+
+def parse_code_text(text: str) -> Code:
+    (N, _, q), body = _read_header(text, "code", "N n q", "codewords")
     words = []
     for ln in body:
         parts = ln.split()
@@ -143,19 +152,7 @@ def render_code_text(code: Code) -> str:
 
 
 def parse_family_text(text: str) -> SetFamily:
-    lines = _data_lines(text)
-    if not lines:
-        raise FileFormatError("empty family file")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise FileFormatError(f"family header must read 'N n', got {lines[0]!r}")
-    try:
-        N, n = (int(x) for x in header)
-    except ValueError:
-        raise FileFormatError(f"non-integer family header {lines[0]!r}") from None
-    body = lines[1:]
-    if len(body) != n:
-        raise FileFormatError(f"header promises {n} members, file has {len(body)}")
+    (N, _), body = _read_header(text, "family", "N n", "members")
     masks = []
     for ln in body:
         digits = ln.replace(" ", "")
@@ -386,9 +383,10 @@ def recheck_witness(data: dict, subject: Code | SetFamily, t: int) -> list[str]:
     """Re-derive a violation witness from first principles; [] when it holds up."""
     problems: list[str] = []
     kind = data.get("kind")
+    on_family = kind == "cover-violation"
+    if kind in _WITNESS_KINDS.values() and on_family != isinstance(subject, SetFamily):
+        return [f"{kind} witnesses apply to {'families' if on_family else 'codes'}"]
     if kind == "framed-word":
-        if not isinstance(subject, Code):
-            return ["framed-word witnesses apply to codes"]
         framed = data.get("framed")
         if not _is_index(framed, subject.size):
             return [f"framed index {framed!r} out of range"]
@@ -405,8 +403,6 @@ def recheck_witness(data: dict, subject: Code | SetFamily, t: int) -> list[str]:
             problems.append("coalition cannot produce the framed word")
         return problems
     if kind == "cover-violation":
-        if not isinstance(subject, SetFamily):
-            return ["cover-violation witnesses apply to families"]
         covered = data.get("covered")
         if not _is_index(covered, subject.size):
             return [f"covered index {covered!r} out of range"]
@@ -424,8 +420,6 @@ def recheck_witness(data: dict, subject: Code | SetFamily, t: int) -> list[str]:
             problems.append("union does not contain the covered member")
         return problems
     if kind == "ipp-violation":
-        if not isinstance(subject, Code):
-            return ["ipp-violation witnesses apply to codes"]
         word = _word(data.get("word"), subject, "witness word", problems)
         if problems:
             return problems
@@ -450,8 +444,6 @@ def recheck_witness(data: dict, subject: Code | SetFamily, t: int) -> list[str]:
             problems.append(f"coalitions share members {sorted(common)}")
         return problems
     if kind == "ta-violation":
-        if not isinstance(subject, Code):
-            return ["ta-violation witnesses apply to codes"]
         coalition = _distinct_indices(data.get("coalition"), subject.size, "coalition", problems)
         if problems:
             return problems
@@ -485,22 +477,34 @@ def recheck_witness(data: dict, subject: Code | SetFamily, t: int) -> list[str]:
 # subcommands
 
 
-_CHECKERS = {
-    "FP": verify.check_frameproof,
-    "IPP": verify.check_ipp,
-    "TA": verify.check_ta,
-    "CFF": verify.check_cff,
+class _Property(NamedTuple):
+    """What ``--property`` selects: a checker, its file reader, its failures' witness kind."""
+
+    check: Callable[[Any, int], verify.Verdict]
+    load: Callable[[str], Code | SetFamily]
+    witness: str
+
+
+_PROPERTIES = {
+    "fp": _Property(verify.check_frameproof, load_code, "framed-word"),
+    "ipp": _Property(verify.check_ipp, load_code, "ipp-violation"),
+    "ta": _Property(verify.check_ta, load_code, "ta-violation"),
+    "cff": _Property(verify.check_cff, load_family, "cover-violation"),
 }
 
+#: A subcommand's exit code, report fields and text lines (see ``_emit``).
+_Outcome = tuple[int, dict, list[str] | Callable[[], list[str]]]
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    subject = load_family(args.file) if args.property == "cff" else load_code(args.file)
-    verdict = _CHECKERS[args.property.upper()](subject, args.t)
+
+def _cmd_verify(args: argparse.Namespace) -> _Outcome:
+    check, load, _ = _PROPERTIES[args.property]
+    subject = load(args.file)
+    verdict = check(subject, args.t)
     witness = (
         witness_to_json(verdict.witness, subject) if verdict.witness is not None else None
     )
     # The verdict's fields, its witness tagged with a kind.
-    report = {"schema": SCHEMA, "command": "verify", **_jsonable(verdict), "witness": witness}
+    report = {**_jsonable(verdict), "witness": witness}
     pairs = [
         ("property", verdict.property),
         ("t", verdict.t),
@@ -510,11 +514,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     ]
     if witness is not None:
         pairs.append(("witness", _witness_text(witness)))
-    _emit(args, report, _kv_lines(pairs))
-    return EXIT_OK if verdict.holds else EXIT_VIOLATION
+    return EXIT_OK if verdict.holds else EXIT_VIOLATION, report, _kv_lines(pairs)
 
 
-def _cmd_trace(args: argparse.Namespace) -> int:
+def _cmd_trace(args: argparse.Namespace) -> _Outcome:
     code = load_code(args.file)
     word = parse_word(args.pirate, code.length, code.q)
     if args.scheme == "ta":
@@ -527,7 +530,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         accusation = trace_mod.trace_ipp(code, word, args.t)
     fields = _jsonable(accusation)
     del fields["method"]  # named by the scheme
-    report = {"schema": SCHEMA, "command": "trace", "scheme": args.scheme, "pirate": word, **fields}
+    report = {"scheme": args.scheme, "pirate": word, **fields}
     pairs = [
         ("scheme", args.scheme),
         ("pirate", list(word)),
@@ -538,20 +541,12 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         pairs.append(("min distance", accusation.min_distance))
     if accusation.family_size is not None:
         pairs.append(("parent sets", accusation.family_size))
-    _emit(args, report, _kv_lines(pairs))
-    return EXIT_OK if accusation.status == "ok" else EXIT_VIOLATION
+    return EXIT_OK if accusation.status == "ok" else EXIT_VIOLATION, report, _kv_lines(pairs)
 
 
-def _cmd_bounds(args: argparse.Namespace) -> int:
+def _cmd_bounds(args: argparse.Namespace) -> _Outcome:
     report_obj = bounds_mod.bound_report(args.N, args.q, args.t, evaluate_symbolic=args.evaluate)
-    report = {
-        "schema": SCHEMA,
-        "command": "bounds",
-        "N": args.N,
-        "q": args.q,
-        "t": args.t,
-        "bounds": report_obj.entries,
-    }
+    report = {"N": args.N, "q": args.q, "t": args.t, "bounds": report_obj.entries}
     status = None
     if args.q == 2 and args.t >= 3:
         status = bounds_mod.binary_fp_status(args.N, args.t)
@@ -585,8 +580,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
             )
         return lines
 
-    _emit(args, report, text_lines)
-    return EXIT_OK
+    return EXIT_OK, report, text_lines
 
 
 def _parse_op(raw: str) -> tuple[str, int | None]:
@@ -607,7 +601,7 @@ def _parse_op(raw: str) -> tuple[str, int | None]:
     raise ValueError(f"unknown op {raw!r}")
 
 
-def _cmd_transform(args: argparse.Namespace) -> int:
+def _cmd_transform(args: argparse.Namespace) -> _Outcome:
     op, value = _parse_op(args.op)
     t = args.t
     if op in ("prune", "violate", "strip"):
@@ -615,7 +609,7 @@ def _cmd_transform(args: argparse.Namespace) -> int:
             raise ValueError(f"op {op} requires --t")
     elif t is not None:
         raise ValueError(f"op {op} takes no --t")
-    report: dict = {"schema": SCHEMA, "command": "transform", "op": args.op}
+    report: dict = {"op": args.op}
     lines: list[str]
 
     if op in ("prune", "violate"):
@@ -679,8 +673,7 @@ def _cmd_transform(args: argparse.Namespace) -> int:
         if subcode is None:
             report["certificate"] = None
             report["reason"] = "every codeword was pruned; nothing to build on"
-            _emit(args, report, ["# " + report["reason"]])
-            return EXIT_OK
+            return EXIT_OK, report, ["# " + report["reason"]]
         cert = transform.build_ipp_violation(subcode, partition, t)
         report["survivors"] = result.survivors
         report["certificate"] = cert
@@ -714,8 +707,7 @@ def _cmd_transform(args: argparse.Namespace) -> int:
     else:  # pragma: no cover - _parse_op filters
         raise ValueError(f"unknown op {op!r}")
 
-    _emit(args, report, lines)
-    return EXIT_OK
+    return EXIT_OK, report, lines
 
 
 def _cache_path(problem: search_mod.SearchProblem, budget: int | None) -> Path | None:
@@ -802,9 +794,8 @@ def _cached_payload(
         subject = _witness_subject(witness, problem)
     except (KeyError, TypeError, ValueError):
         return None
-    if subject.size != payload["optimum"] or not _CHECKERS[problem.property](
-        subject, problem.t
-    ).holds:
+    check = _PROPERTIES[problem.property.lower()].check
+    if subject.size != payload["optimum"] or not check(subject, problem.t).holds:
         return None
     payload["witness"] = _witness_json(subject)
     return payload
@@ -822,9 +813,9 @@ def _write_cache_entry(cache_file: Path, payload: dict) -> None:
         print(f"warning: search cache entry not written: {exc}", file=sys.stderr)
 
 
-def _cmd_search(args: argparse.Namespace) -> int:
+def _cmd_search(args: argparse.Namespace) -> _Outcome:
     prop = args.property.upper()
-    report: dict = {"schema": SCHEMA, "command": "search", "property": prop, "t": args.t}
+    report: dict = {"property": prop, "t": args.t}
 
     if args.min_length:
         if args.q != 2 or args.N is not None or args.goal is not None or args.decide_exceeds_N:
@@ -851,8 +842,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
             ("complete", res.complete),
             ("lengths probed", [p.N for p in res.probes]),
         ]
-        _emit(args, report, _kv_lines(pairs))
-        return EXIT_BUDGET if truncated else EXIT_OK
+        return EXIT_BUDGET if truncated else EXIT_OK, report, _kv_lines(pairs)
 
     if args.start_length is not None or args.max_length is not None:
         raise ValueError("--start-length and --max-length bound a --min-length scan")
@@ -861,7 +851,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     mode, goal = "maximize", None
     if args.decide_exceeds_N:
         mode, goal = "decide", args.N + 1
-    if args.goal is not None:
+    elif args.goal is not None:
         mode, goal = "decide", args.goal
     problem = search_mod.SearchProblem(prop, N=args.N, t=args.t, q=args.q, mode=mode, goal=goal)
 
@@ -907,18 +897,15 @@ def _cmd_search(args: argparse.Namespace) -> int:
     )
     if payload["witness"]:
         pairs.append(("witness size", payload["witness"]["n"]))
-    _emit(args, report, _kv_lines(pairs))
-    return EXIT_BUDGET if exit_needs_budget else EXIT_OK
+    return EXIT_BUDGET if exit_needs_budget else EXIT_OK, report, _kv_lines(pairs)
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
+def _cmd_simulate(args: argparse.Namespace) -> _Outcome:
     code = load_code(args.file)
     strategy = trace_mod.PirateStrategy(args.strategy)
     rep = trace_mod.simulate_tracing(code, args.t, args.trials, strategy, args.seed)
 
     report = {
-        "schema": SCHEMA,
-        "command": "simulate",
         **_jsonable(rep),
         "strategy": rep.strategy.kind,  # by name; the report's seed is the one used
     }
@@ -940,11 +927,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             ],
         )
     )
-    _emit(args, report, lines)
-    return EXIT_OK
+    return EXIT_OK, report, lines
 
 
-def _cmd_recheck(args: argparse.Namespace) -> int:
+def _cmd_recheck(args: argparse.Namespace) -> _Outcome:
     if args.t < 1:
         raise ValueError(f"coalition bound must be >= 1, got {args.t}")
     try:
@@ -955,29 +941,22 @@ def _cmd_recheck(args: argparse.Namespace) -> int:
         data = data["witness"]
     if not isinstance(data, dict):
         raise FileFormatError("witness document must be a JSON object")
-    subject: Code | SetFamily
-    if args.property == "cff":
-        subject = load_family(args.file)
+    kind = data.get("kind")
+    if kind not in _WITNESS_KINDS.values():
+        raise FileFormatError(f"unknown witness kind {kind!r}")
+    _, load, expected = _PROPERTIES[args.property]
+    subject = load(args.file)
+    prop = args.property.upper()
+    if kind != expected:
+        # Only the kind ``verify`` emits for the property is confirmed.
+        problems = [f"{prop} witnesses are {expected}, not {kind}"]
     else:
-        subject = load_code(args.file)
-    problems = recheck_witness(data, subject, args.t)
-    report = {
-        "schema": SCHEMA,
-        "command": "recheck",
-        "property": args.property.upper(),
-        "t": args.t,
-        "confirmed": not problems,
-        "problems": problems,
-    }
-    pairs: list[tuple[str, Any]] = [
-        ("property", args.property.upper()),
-        ("t", args.t),
-        ("confirmed", not problems),
-    ]
+        problems = recheck_witness(data, subject, args.t)
+    report = {"property": prop, "t": args.t, "confirmed": not problems, "problems": problems}
+    pairs: list[tuple[str, Any]] = [("property", prop), ("t", args.t), ("confirmed", not problems)]
     for p in problems:
         pairs.append(("problem", p))
-    _emit(args, report, _kv_lines(pairs))
-    return EXIT_OK if not problems else EXIT_VIOLATION
+    return EXIT_OK if not problems else EXIT_VIOLATION, report, _kv_lines(pairs)
 
 
 # --------------------------------------------------------------------------
@@ -997,7 +976,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", parents=[common], help="check a property, emit a witness on failure")
-    p.add_argument("--property", choices=("fp", "ipp", "ta", "cff"), required=True)
+    p.add_argument("--property", choices=_PROPERTIES, required=True)
     p.add_argument("--t", type=int, required=True, help="coalition size bound")
     p.add_argument("file")
     p.set_defaults(func=_cmd_verify)
@@ -1027,12 +1006,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_transform)
 
     p = sub.add_parser("search", parents=[common], help="exhaustive extremal search")
-    p.add_argument("--property", choices=("fp", "ipp", "ta", "cff"), required=True)
+    p.add_argument("--property", choices=_PROPERTIES, required=True)
     p.add_argument("--N", type=int, help="length (ground size for cff)")
     p.add_argument("--q", type=int, default=2)
     p.add_argument("--t", type=int, required=True)
-    p.add_argument("--goal", type=int, help="decide: does a code of this size exist?")
-    p.add_argument(
+    decide = p.add_mutually_exclusive_group()
+    decide.add_argument("--goal", type=int, help="decide: does a code of this size exist?")
+    decide.add_argument(
         "--decide-exceeds-N",
         action="store_true",
         help="decide: does some code beat N words?",
@@ -1052,7 +1032,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("recheck", parents=[common], help="re-verify an emitted witness")
-    p.add_argument("--property", choices=("fp", "ipp", "ta", "cff"), required=True)
+    p.add_argument("--property", choices=_PROPERTIES, required=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--witness", required=True, help="JSON report or bare witness object")
     p.add_argument("file")
@@ -1068,14 +1048,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        status, fields, text_lines = args.func(args)
+        _emit(args, {"schema": SCHEMA, "command": args.command, **fields}, text_lines)
+        return status
     except FileFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_FILE
-    except core.DescendantSetTooLarge as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (core.DescendantSetTooLarge, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception:

@@ -194,9 +194,11 @@ def max_code_search(problem: SearchProblem, budget: int | None = None) -> Search
         raise ValueError(f"need a node budget >= 0, got {budget}")
     start = time.perf_counter()
     N, q, t, prop = problem.N, problem.q, problem.t, problem.property
-    total, cap = q**N, DEFAULT_ENUMERATION_CAP
-    if total > cap:
+    cap = DEFAULT_ENUMERATION_CAP
+    # q >= 2, so a length past the cap's bit length is over the cap without q**N.
+    if N >= cap.bit_length() or q**N > cap:
         raise ValueError(f"candidate space {q}**{N} exceeds enumeration cap {cap}")
+    total = q**N
     decode = partial(_decode_word, N=N, q=q)
     # Codes start from the all-zero word, which relabelling symbols per
     # coordinate puts in any code.  Families have no root: candidate 0, the

@@ -1,29 +1,40 @@
-"""The names the benchmark's layer tracer wraps must exist in the package.
+"""What the benchmark relies on in the package must hold.
 
 ``perfbench/layers.py`` replaces functions by module attribute; a name
 removed from ``tracecodes`` would only surface when the benchmark runs.
-The file is loaded as data here, without installing its wrappers.
+``perfbench/workloads.py`` freezes the answer and node count of each search
+job, but the benchmark checks only that the counts repeat across passes.
+Both files are loaded as data here, without installing wrappers.
 """
 
 from __future__ import annotations
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
-LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+from tracecodes import search
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _layers():
-    spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+def _load(name: str):
+    # workloads.py imports its sibling module ``speed``.
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        path = PERFBENCH / f"{name}.py"
+        spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(PERFBENCH))
     return module
 
 
-_LAYERS = _layers()
+_LAYERS = _load("layers")
 WRAPPED = [
     (mod, fn)
     for table in (_LAYERS.SPANNED, _LAYERS.COUNTED)
@@ -36,3 +47,21 @@ WRAPPED = [
 def test_wrapped_name_exists(mod, fn):
     module = importlib.import_module(f"tracecodes.{mod}")
     assert callable(getattr(module, fn, None)), f"tracecodes.{mod}.{fn}"
+
+
+SWEEP = _load("workloads").SearchSweep
+SWEEP_JOBS = SWEEP.JOBS + SWEEP.SMOKE_JOBS
+
+
+@pytest.mark.parametrize(
+    "job", SWEEP_JOBS, ids=["{}-N{}-t{}-q{}-goal{}-budget{}".format(*j[:6]) for j in SWEEP_JOBS]
+)
+def test_search_sweep_frozen_answers(job):
+    prop, N, t, q, goal, budget, optimum, decided, nodes = job
+    mode = "maximize" if goal is None else "decide"
+    problem = search.SearchProblem(prop, N=N, t=t, q=q, mode=mode, goal=goal)
+    res = search.max_code_search(problem, budget)
+    assert res.nodes == nodes
+    if budget is None:  # a budget stop's optimum is only a lower bound
+        assert res.complete
+        assert (res.optimum, res.decided) == (optimum, decided)

@@ -80,33 +80,39 @@ class TestFileFormats:
         code = parse_code_text(text)
         assert code.words == ((0, 1), (1, 0))
 
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "",  # no header
-            "2 2\n0 1\n1 0\n",  # missing q
-            "2 2 2\n0 1\n",  # fewer rows than declared
-            "2 2 2\n0 1\n1 0\n1 1\n",  # more rows than declared
-            "2 2 2\n0 1\n0 1\n",  # duplicate rows
-            "2 2 2\n0 2\n1 0\n",  # symbol out of range
-            "2 2 2\n0\n1 0\n",  # short row
-            "2 2 2\n0 x\n1 0\n",  # not an integer
-        ],
-    )
-    def test_bad_code_files(self, text):
-        with pytest.raises(FileFormatError):
+    BAD_CODE_FILES = [
+        ("", "^empty code file$"),
+        ("2 2\n0 1\n1 0\n", "^code header must read 'N n q', got '2 2'$"),
+        ("2 x 2\n0 1\n1 0\n", "^non-integer code header '2 x 2'$"),
+        ("2 2 2\n0 1\n", "^header promises 2 codewords, file has 1$"),
+        ("2 2 2\n0 1\n1 0\n1 1\n", "^header promises 2 codewords, file has 3$"),
+        ("2 2 2\n0 1\n0 1\n", "^duplicate words are not allowed$"),
+        ("2 2 2\n0 2\n1 0\n", "^symbol 2 out of range for q=2$"),
+        ("2 2 2\n0\n1 0\n", "^expected 2 symbols per row, got 1 in '0'$"),
+        ("2 2 2\n0 x\n1 0\n", "^non-integer symbol in row '0 x'$"),
+    ]
+
+    @pytest.mark.parametrize("text,match", BAD_CODE_FILES, ids=[t for t, _ in BAD_CODE_FILES])
+    def test_bad_code_files(self, text, match):
+        with pytest.raises(FileFormatError, match=match):
             parse_code_text(text)
 
+    BAD_FAMILY_FILES = [
+        ("2 2\n10\n02\n", "^non-binary digit in row '02'$"),
+        ("2 2\n10\n10\n", "^duplicate members are not allowed$"),
+        ("3 1\n10\n", "^expected 3 binary digits per row, got 2 in '10'$"),
+        ("", "^empty family file$"),
+        ("2 2 2\n10\n01\n", "^family header must read 'N n', got '2 2 2'$"),
+        ("2 x\n10\n01\n", "^non-integer family header '2 x'$"),
+        ("2 2\n10\n", "^header promises 2 members, file has 1$"),
+        ("2 2\n10\n01\n11\n", "^header promises 2 members, file has 3$"),
+    ]
+
     @pytest.mark.parametrize(
-        "text",
-        [
-            "2 2\n10\n02\n",  # non-binary digit
-            "2 2\n10\n10\n",  # duplicate member
-            "3 1\n10\n",  # width mismatch
-        ],
+        "text,match", BAD_FAMILY_FILES, ids=[t for t, _ in BAD_FAMILY_FILES]
     )
-    def test_bad_family_files(self, text):
-        with pytest.raises(FileFormatError):
+    def test_bad_family_files(self, text, match):
+        with pytest.raises(FileFormatError, match=match):
             parse_family_text(text)
 
     def test_family_rows_tolerate_spaces(self):
@@ -450,6 +456,13 @@ class TestSearchCommand:
         assert main(["search", "--property", *argv]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_goal_and_decide_exceeds_exclude_each_other(self, capsys):
+        argv = ["search", "--property", "fp", "--N", "4", "--t", "2", "--goal", "3"]
+        assert main([*argv, "--decide-exceeds-N"]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "argument --decide-exceeds-N: not allowed with argument --goal" in err
+
     def test_min_length_scan(self, capsys):
         code, doc = run_json(
             capsys, "search", "--property", "cff", "--t", "1", "--min-length"
@@ -635,6 +648,51 @@ class TestRecheckCommand:
             )
             assert code == EXIT_VIOLATION, witness
             assert doc["confirmed"] is False
+
+    def test_witness_of_another_property_is_refuted(self, files, capsys, tmp_path):
+        # A 2-frameproof code that is not 2-IPP (so not 2-TA either). Its IPP
+        # witness shows no FP failure, and TA fails with a witness of its own
+        # kind: only the IPP recheck may confirm it.
+        fpc = files("fpc.code", "2 4 3\n0 0\n0 1\n1 2\n2 2\n")
+        assert run(capsys, "verify", "--property", "fp", "--t", "2", fpc)[0] == EXIT_OK
+        w = self.emit_witness(capsys, tmp_path, "verify", "--property", "ipp", "--t", "2", fpc)
+        witness = json.loads(Path(w).read_text())["witness"]
+        assert (witness["word"], witness["coalitions"]) == ([0, 2], [[0, 2], [1, 3]])
+        argv = ["recheck", "--t", "2", "--witness", w, fpc]
+        assert run_json(capsys, *argv, "--property", "ipp")[0] == EXIT_OK
+        for prop, kind in (("fp", "framed-word"), ("ta", "ta-violation")):
+            code, doc = run_json(capsys, *argv, "--property", prop)
+            assert code == EXIT_VIOLATION
+            assert doc["confirmed"] is False
+            assert doc["problems"] == [f"{prop.upper()} witnesses are {kind}, not ipp-violation"]
+            code, out = run(capsys, *argv, "--property", prop)
+            assert code == EXIT_VIOLATION
+            assert text_fields(out)["confirmed"] == "no"
+
+    @pytest.mark.parametrize(
+        "witness",
+        [{"framed": 2, "coalition": [0, 1]}, {"kind": "framed"}, {"kind": None}, {"kind": 3}],
+        ids=["missing", "unknown", "null", "number"],
+    )
+    def test_witness_without_a_known_kind_is_a_bad_file(self, files, capsys, tmp_path, witness):
+        bad = files("square.code", SQUARE)
+        path = tmp_path / "kindless.json"
+        path.write_text(json.dumps(witness))
+        argv = ["recheck", "--property", "fp", "--t", "2", "--witness", str(path), bad]
+        assert main(argv) == EXIT_BAD_FILE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: unknown witness kind {witness.get('kind')!r}\n"
+
+    def test_search_report_is_not_a_witness(self, files, capsys, tmp_path):
+        # Its "witness" is the code found, an object without a kind.
+        _, doc = run_json(capsys, "search", "--property", "fp", "--N", "2", "--t", "2")
+        path = tmp_path / "search.json"
+        path.write_text(json.dumps(doc))
+        bad = files("square.code", SQUARE)
+        argv = ["recheck", "--property", "fp", "--t", "2", "--witness", str(path), bad]
+        assert main(argv) == EXIT_BAD_FILE
+        assert capsys.readouterr() == ("", "error: unknown witness kind None\n")
 
     def test_empty_ipp_coalition_is_refuted(self, files, capsys, tmp_path):
         three = files("three.code", "2 3 2\n0 0\n1 1\n0 1\n")
@@ -850,6 +908,30 @@ class TestGoldenDocuments:
         out, err = capsys.readouterr()
         assert err == ""
         assert timeless(json.loads(out)) == want["doc"]
+
+    def test_recheck_confirms_only_its_own_witness_kind(self, golden_dir, capsys):
+        # Each failing verify report, passed back as the witness file: its own
+        # property confirms it, every other property on the same file type refutes it.
+        readers = {"fp": ".code", "ipp": ".code", "ta": ".code", "cff": ".family"}
+        failing = {
+            case: argv for case, argv in GOLDEN_CASES.items()
+            if argv[0] == "verify" and GOLDEN[case]["exit"] == EXIT_VIOLATION
+        }
+        assert len(failing) == len(readers)
+        for case, (_, _, own, _, t, subject) in failing.items():
+            Path("witness.json").write_text(json.dumps(GOLDEN[case]["doc"]))
+            for prop, suffix in readers.items():
+                if not subject.endswith(suffix):
+                    continue
+                argv = ["recheck", "--property", prop, "--t", t, "--witness", "witness.json"]
+                code, out = run(capsys, *argv, subject, "--format", "machine")
+                doc = json.loads(out)
+                if prop == own:
+                    assert (code, doc["problems"]) == (EXIT_OK, []), case
+                else:
+                    assert code == EXIT_VIOLATION, (case, prop)
+                    (problem,) = doc["problems"]
+                    assert GOLDEN[case]["doc"]["witness"]["kind"] in problem, (case, prop)
 
     def test_search_cache_entries(self, golden_dir, capsys, monkeypatch):
         # An entry holds the search payload of the report; read back, it

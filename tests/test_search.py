@@ -6,6 +6,7 @@ import inspect
 import math
 import random
 import sys
+import time
 from contextlib import contextmanager
 from itertools import combinations
 
@@ -34,6 +35,20 @@ class TestProblemValidation:
     def test_enumeration_cap(self):
         with pytest.raises(ValueError):
             max_code_search(SearchProblem("FP", N=30, t=2, q=2))
+
+    def test_enumeration_cap_without_the_candidate_space(self):
+        # q**N would have six million digits; the refusal must not build it.
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"^candidate space 1000000\*\*1000000 exceeds"):
+            max_code_search(SearchProblem("FP", N=10**6, t=2, q=10**6))
+        assert time.perf_counter() - start < 1.0
+        # The same problems are refused on either side of the shortcut.
+        for N, q, refused in ((22, 2, False), (23, 2, True), (13, 3, False), (14, 3, True)):
+            if refused:
+                with pytest.raises(ValueError, match=f"^candidate space {q}\\*\\*{N} exceeds"):
+                    max_code_search(SearchProblem("FP", N=N, t=2, q=q), budget=0)
+            else:
+                assert max_code_search(SearchProblem("FP", N=N, t=2, q=q), budget=0).nodes == 1
 
 
 class TestMaximumSizes:
