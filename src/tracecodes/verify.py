@@ -5,7 +5,13 @@ Frameproofness reads equivalently as desc(D) n C = D for every coalition D
 of at most t codewords, or as no codeword lying in the descendant set of t
 others.  The check scans the second reading, which is cover-freeness: a
 code is t-frameproof exactly when the family of its one-hot sets is
-t-cover-free, so FP and CFF share one cover scan.
+t-cover-free, so FP and CFF share one cover scan.  For each member it
+tests every group of at most t others, one size at a time: a level list
+holds what each group of the size below leaves of the member, and one
+``map`` of ANDs per other member tests all the groups that end with it.
+Only a size that holds a cover is walked group by group, to find the first
+one.  A level is kept only while it has at most ``_LEVEL_CAP`` entries;
+the sizes after the first larger one are walked group by group.
 
 Traceability walks each coalition's descendants depth-first as one-hot
 prefixes, taking coordinate i's symbols from q-bit block i of the union of
@@ -36,7 +42,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, repeat
+from operator import and_
 from typing import Sequence
 
 from . import core
@@ -61,7 +68,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Counters:
-    """How much work a check performed (deterministic for a given input)."""
+    """How much work a check performed (deterministic for a given input).
+
+    Each checker counts in its own scan order, up to and including the
+    first violation, or to the end when the property holds:
+
+    * FP: ``subsets_examined`` counts the (codeword, coalition of at most t
+      others) groups tried for a cover, and ``words_examined`` repeats it.
+    * CFF: ``subsets_examined`` counts the (member, group of at most t
+      others) groups tried the same way; ``words_examined`` is always 0.
+    * IPP: ``subsets_examined`` counts families of coalitions, and
+      ``words_examined`` the q-bit blocks of their profile intersections
+      looked at.
+    * TA: ``subsets_examined`` counts coalitions, and ``words_examined`` the
+      leaves (full descendant words) reached.
+    """
 
     subsets_examined: int = 0
     words_examined: int = 0
@@ -119,12 +140,30 @@ def _require_strength(t: int) -> None:
         raise ValueError(f"coalition bound must be >= 1, got {t}")
 
 
+# The most entries a level list of ``_first_cover`` may hold, a few MB of ints;
+# the sizes past it run the plain loop.
+_LEVEL_CAP = 1 << 16
+
+
 def _first_cover(members: Sequence[int], t: int) -> tuple[tuple[int, Coalition] | None, int]:
     """The first member inside the union of at most t others, and the groups tried.
 
     Members are scanned in order and, for each, groups of the others by size
     then lexicographically; an empty member is covered by the empty group at
-    once.  Returns ``((member, group), tried)`` or ``(None, tried)``.
+    once.  Returns ``((member, group), tried)`` or ``(None, tried)``, where
+    ``tried`` counts the groups in that order up to and including the cover.
+
+    Each size is tested whole before any group of it is named.  For the P
+    others of member m, ``left[k]`` is what other k leaves of m, and
+    ``level`` lists what each group of size-1 others leaves of m, in colex
+    order (largest index first).  The groups of the size whose largest index
+    is k then extend the first comb(k, size-1) entries of ``level``, so one
+    ``map`` of ANDs with ``left[k]`` per k tests them all, and a 0 is a
+    cover.  A size without a cover adds comb(P, size) to ``tried``; a size
+    with one runs the plain lexicographic loop, which finds the first cover
+    and its exact count.  A level is kept only while it has at most
+    ``_LEVEL_CAP`` entries, so the sizes after the last kept level run the
+    plain loop and memory stays bounded whatever t is.
     """
     n = len(members)
     tried = 0
@@ -132,7 +171,24 @@ def _first_cover(members: Sequence[int], t: int) -> tuple[tuple[int, Coalition] 
         if m == 0:
             return (a0, ()), tried
         pool = [j for j in range(n) if j != a0]
-        for size in range(1, min(t, len(pool)) + 1):
+        P, top = len(pool), min(t, len(pool))
+        left = [m & ~members[j] for j in pool]
+        level: list[int] | None = [m]
+        for size in range(1, top + 1):
+            if level is not None:
+                groups = chain.from_iterable(
+                    map(and_, repeat(left[k]), level[: math.comb(k, size - 1)])
+                    for k in range(size - 1, P)
+                )
+                if size < top and math.comb(P, size) <= _LEVEL_CAP:
+                    level = list(groups)
+                    clear = all(level)
+                else:
+                    clear = all(groups)
+                    level = None
+                if clear:
+                    tried += math.comb(P, size)
+                    continue
             for group in combinations(pool, size):
                 tried += 1
                 union = 0
@@ -149,9 +205,11 @@ def check_frameproof(code: Code, t: int) -> Verdict:
     Codewords are compared as one-hot sets (``core.onehot``): a codeword is
     producible by a coalition exactly when its set lies inside the union of
     theirs.  So this is the cover-free scan of ``check_cff`` run on the
-    one-hot family: (codeword, coalition) pairs, codewords in order and
-    coalitions of the others by size then lexicographically.  Both counters
-    count the coalitions tried.
+    one-hot family (``_first_cover``): codewords in order and, for each,
+    coalitions of the others by size then lexicographically, every size
+    tested at once by the level pass.  The witness is the first framed
+    codeword and coalition in that order.  Both counters count the
+    coalitions tried in that order up to and including the witness.
     """
     _require_strength(t)
     hit, subsets = _first_cover([core.onehot(w, code.q) for w in code.words], t)
@@ -164,7 +222,10 @@ def check_cff(family: SetFamily, t: int) -> Verdict:
 
     The "at most" reading makes the empty set always covered (by the union
     of zero members) and matches the frameproof correspondence for families
-    with fewer than t+1 members.
+    with fewer than t+1 members.  The scan is ``_first_cover``'s level pass:
+    members in order and, for each, groups of the others by size then
+    lexicographically.  ``subsets_examined`` counts the groups tried in
+    that order up to and including the witness; ``words_examined`` is 0.
     """
     _require_strength(t)
     hit, subsets = _first_cover(family.members, t)

@@ -160,3 +160,27 @@ def max_family_size(N: int, t: int) -> int:
 
     grow([], 0)
     return best
+
+
+def first_cover(members, t: int):
+    """The first member inside the union of at most t others, and the groups tried.
+
+    Members (iterables of hashable elements) are scanned in order and, for
+    each, groups of the other members' indices by size then
+    lexicographically; an empty member is covered by the empty group at
+    once.  Returns ``((member, group), tried)`` or ``(None, tried)``, where
+    ``tried`` counts the groups in that order up to and including the cover:
+    the scan order and counter of the frameproof and cover-free checkers.
+    """
+    sets = [frozenset(m) for m in members]
+    tried = 0
+    for i, target in enumerate(sets):
+        if not target:
+            return (i, ()), tried
+        others = [j for j in range(len(sets)) if j != i]
+        for size in range(1, min(t, len(others)) + 1):
+            for group in combinations(others, size):
+                tried += 1
+                if target <= frozenset().union(*(sets[j] for j in group)):
+                    return (i, group), tried
+    return None, tried

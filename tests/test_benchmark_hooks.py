@@ -4,6 +4,8 @@
 removed from ``tracecodes`` would only surface when the benchmark runs.
 ``perfbench/workloads.py`` freezes the answer and node count of each search
 job, but the benchmark checks only that the counts repeat across passes.
+The verify-large frameproof and cover-free verdicts, witnesses and counters
+are frozen here too, and one small verify-large pass runs with its checks.
 Both files are loaded as data here, without installing wrappers.
 """
 
@@ -16,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from tracecodes import search
+from tracecodes import search, transform, verify
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -49,7 +51,8 @@ def test_wrapped_name_exists(mod, fn):
     assert callable(getattr(module, fn, None)), f"tracecodes.{mod}.{fn}"
 
 
-SWEEP = _load("workloads").SearchSweep
+WORKLOADS = _load("workloads")
+SWEEP = WORKLOADS.SearchSweep
 SWEEP_JOBS = SWEEP.JOBS + SWEEP.SMOKE_JOBS
 
 
@@ -65,3 +68,33 @@ def test_search_sweep_frozen_answers(job):
     if budget is None:  # a budget stop's optimum is only a lower bound
         assert res.complete
         assert (res.optimum, res.decided) == (optimum, decided)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_verify_large_cover_verdicts(seed):
+    # The relabelling a seed applies leaves every verdict, witness and counter as it is.
+    large = WORKLOADS.VerifyLarge(seed, smoke=False)
+    made, fp_t, cff_t = large.inputs, large.FULL["fp_t"], large.FULL["cff_t"]
+    framed = verify.FramedWord(0, (2, 13))
+    for key in ("big", "big bin"):
+        assert verify.check_frameproof(made[key], fp_t) == verify.Verdict(
+            "FP", fp_t, True, None, verify.Counters(181104, 181104)
+        )
+    for key in ("forged", "forged bin"):
+        assert verify.check_frameproof(made[key], fp_t) == verify.Verdict(
+            "FP", fp_t, False, framed, verify.Counters(76, 76)
+        )
+    assert verify.check_cff(transform.fpc_to_cff(made["big bin"]), cff_t) == verify.Verdict(
+        "CFF", cff_t, True, None, verify.Counters(1367784, 0)
+    )
+    assert verify.check_cff(transform.fpc_to_cff(made["forged bin"]), WORKLOADS.T) == verify.Verdict(
+        "CFF", WORKLOADS.T, False, verify.CoverViolation(0, (2, 13)), verify.Counters(76, 0)
+    )
+
+
+def test_verify_large_smoke_pass_checks():
+    # One pass and its checks: every witness the workload rechecks, rechecked.
+    large = WORKLOADS.VerifyLarge(1, smoke=True)
+    ops = list(large.run_pass(None))
+    assert [label for label, _, _ in ops] == [label for label, _, _ in large.steps]
+    assert large.check(ops) == ([], [])

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import random_code, random_code_stream
+from conftest import random_code, random_code_stream, random_family
 from tracecodes import verify
 from tracecodes.core import Code, DescendantSetTooLarge, hamming_distance, is_descendant, onehot
 from tracecodes.transform import SetFamily, cff_to_fpc, fpc_to_cff
@@ -57,6 +57,40 @@ def reverify(verdict, code=None, family=None):
         assert d_in >= d_out
     else:  # pragma: no cover - exhaustiveness guard
         raise AssertionError(f"unknown witness {w!r}")
+
+
+def word_sets(code):
+    """Each codeword as the set of its (coordinate, symbol) pairs."""
+    return [set(enumerate(w)) for w in code.words]
+
+
+def member_sets(family):
+    return [family.member_elements(i) for i in range(family.size)]
+
+
+def assert_scan_matches_oracle(verdict, sets, t):
+    """An FP or CFF verdict has the plain scan's witness and counters."""
+    hit, tried = oracles.first_cover(sets, t)
+    if verdict.property == "FP":
+        witness = None if hit is None else verify.FramedWord(*hit)
+        counters = verify.Counters(tried, tried)
+    else:
+        witness = None if hit is None else verify.CoverViolation(*hit)
+        counters = verify.Counters(tried, 0)
+    assert (verdict.holds, verdict.witness, verdict.counters) == (hit is None, witness, counters)
+
+
+def random_cover_instances(seed, count):
+    """(family, code, t): up to 14 members or codewords, in shuffled order, t up to 5."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        ground = rng.randint(2, 12)
+        members = list(random_family(rng, ground, rng.randint(1, min(14, (1 << ground) - 1))).members)
+        rng.shuffle(members)
+        N, q = rng.randint(1, 6), rng.randint(2, 3)
+        words = list(random_code(rng, N, q, rng.randint(1, min(14, q**N))).words)
+        rng.shuffle(words)
+        yield SetFamily(ground, tuple(members)), Code(tuple(words), q), rng.randint(1, 5)
 
 
 class TestFrameproof:
@@ -118,6 +152,7 @@ class TestOneHotKernel:
                         fp = verify.check_frameproof(code, t)
                         assert fp.holds == want, (words, t)
                         reverify(fp, code=code)
+                        assert_scan_matches_oracle(fp, word_sets(code), t)
                         ipp = verify.check_ipp(code, t)
                         assert ipp.holds == oracles.ipp_holds(words, q, t), (words, t)
                         reverify(ipp, code=code)
@@ -125,8 +160,10 @@ class TestOneHotKernel:
                         assert ta.holds == oracles.ta_holds(words, t), (words, t)
                         reverify(ta, code=code)
                         if q == 2:
-                            cff = verify.check_cff(fpc_to_cff(code), t)
+                            family = fpc_to_cff(code)
+                            cff = verify.check_cff(family, t)
                             assert cff.holds == want
+                            assert_scan_matches_oracle(cff, member_sets(family), t)
                             assert cff.counters.subsets_examined == fp.counters.subsets_examined
                             if not want:
                                 assert (cff.witness.covered, cff.witness.covering) == (
@@ -195,6 +232,54 @@ class TestCoverFree:
             found += 1
             code = cff_to_fpc(fam)
             assert verify.check_frameproof(code, 2).holds
+
+
+class TestCoverScan:
+    """FP and CFF give the plain (size, lexicographic) scan's witness and counters."""
+
+    def test_every_small_family(self):
+        subsets = [s for size in range(5) for s in combinations(range(4), size)]
+        for n in range(1, 6):
+            for sets in combinations(subsets, n):
+                family = SetFamily.from_sets(4, sets)
+                code = Code(tuple(tuple(int(e in s) for e in range(4)) for s in sets), 2)
+                for t in range(1, 6):
+                    assert_scan_matches_oracle(verify.check_cff(family, t), sets, t)
+                    fp = verify.check_frameproof(code, t)
+                    assert_scan_matches_oracle(fp, word_sets(code), t)
+
+    def test_random_families_and_codes(self):
+        for family, code, t in random_cover_instances(seed=301, count=150):
+            assert_scan_matches_oracle(verify.check_cff(family, t), member_sets(family), t)
+            assert_scan_matches_oracle(verify.check_frameproof(code, t), word_sets(code), t)
+
+    @pytest.mark.parametrize("cap,first_plain", [(1, 2), (10, 3)])
+    def test_past_the_level_cap(self, monkeypatch, cap, first_plain):
+        # Singletons hold at every t, so every size is scanned in full.  A
+        # member has 7 others: its size-1 level (7 entries) is kept when
+        # 7 <= cap and its size-2 level when 21 <= cap; the size after the
+        # last kept level is still tested from it, and each later size runs
+        # the plain loop.
+        plain = []
+
+        def recorded(pool, size):
+            plain.append(size)
+            return combinations(pool, size)
+
+        monkeypatch.setattr(verify, "combinations", recorded)
+        singletons = SetFamily.from_sets(8, [[e] for e in range(8)])
+        for t in range(1, 6):
+            del plain[:]
+            assert_scan_matches_oracle(verify.check_cff(singletons, t), member_sets(singletons), t)
+            assert plain == []
+        monkeypatch.setattr(verify, "_LEVEL_CAP", cap)
+        for t in range(1, 6):
+            del plain[:]
+            assert_scan_matches_oracle(verify.check_cff(singletons, t), member_sets(singletons), t)
+            assert plain == list(range(first_plain, t + 1)) * 8
+        for family, code, t in random_cover_instances(seed=303, count=100):
+            assert_scan_matches_oracle(verify.check_cff(family, t), member_sets(family), t)
+            assert_scan_matches_oracle(verify.check_frameproof(code, t), word_sets(code), t)
 
 
 class TestIdentifiableParents:
