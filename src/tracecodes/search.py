@@ -33,6 +33,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import partial
+from itertools import repeat
+from operator import and_, or_
 from typing import Any, Callable, Iterable
 
 from . import core, verify
@@ -131,9 +133,9 @@ class _CoverFreePrefix:
 
     def push_ok(self, new: int) -> bool:
         """Add ``new`` if the family stays t-cover-free; say whether it did."""
-        if new in map(new.__and__, self.unions[-1]):
+        if new in map(and_, repeat(new), self.unions[-1]):
             return False
-        if 0 in map((~new).__and__, self.residues[-1]):
+        if 0 in map(and_, repeat(~new), self.residues[-1]):
             return False
         self.push(new)
         return True
@@ -142,15 +144,14 @@ class _CoverFreePrefix:
         """Add ``new`` without testing it (after ``push_ok``'s test, or a root)."""
         unions, residues = self.unions, self.residues
         self._marks.append([len(layer) for layer in self._layers])
-        outside = (~new).__and__
         # High j first, residues before unions: each layer grows from the
         # old contents of the layers below it.
         for j in range(len(residues) - 1, 0, -1):
-            residues[j] += map(outside, residues[j - 1])
+            residues[j] += map(and_, repeat(~new), residues[j - 1])
             residues[j] += [new & ~u for u in unions[j]]
         residues[0].append(new)
         for j in range(len(unions) - 1, 0, -1):
-            unions[j] += map(new.__or__, unions[j - 1])
+            unions[j] += map(or_, repeat(new), unions[j - 1])
 
     def pop(self) -> None:
         """Take off the member added last."""

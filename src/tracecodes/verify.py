@@ -31,7 +31,15 @@ member — after at most t steps the running intersection is empty.  On
 one-hot sets a coalition's descendant profile is the OR of its members'
 sets, so a family's profile intersection is the AND of those ORs, and the
 family passes the test when every q-bit coordinate block of the AND is
-non-empty.
+non-empty.  At t=2 the families of three coalitions are not scanned first:
+once no family of two fails, every two disjoint pairs of codewords have a
+coordinate where their symbol sets are disjoint, and then the code is
+2-IPP exactly when every three codewords have a coordinate where all three
+symbols differ (Hollmann, van Lint, Linnartz and Tolhuizen, *On codes with
+the identifiable parent property*, JCTA 82 (1998)).  A triple passes when
+some q-bit block of its pairwise agreements ``(a & b) | (a & c) | (b & c)``
+is empty.  Only when a triple fails is the flat scan of three-coalition
+families run, to name the same first witness.
 
 Every checker scans candidates in a fixed order (coalitions by size then
 lexicographically, words lexicographically) and reports the first violation
@@ -79,7 +87,12 @@ class Counters:
       others) groups tried the same way; ``words_examined`` is always 0.
     * IPP: ``subsets_examined`` counts families of coalitions, and
       ``words_examined`` the q-bit blocks of their profile intersections
-      looked at.
+      looked at.  At t=2 the triple test follows the families of two:
+      each codeword triple tested adds 1 to ``subsets_examined`` and its
+      blocks up to and including the first where all three symbols
+      differ (N when none does) to ``words_examined``; a failing triple
+      then adds the flat scan of three-coalition families as counted
+      above.
     * TA: ``subsets_examined`` counts coalitions, and ``words_examined`` the
       leaves (full descendant words) reached.
     """
@@ -233,6 +246,28 @@ def check_cff(family: SetFamily, t: int) -> Verdict:
     return Verdict("CFF", t, hit is None, witness, Counters(subsets, 0))
 
 
+def _distinct_triples(
+    sets: list[int], low: int, high: int, q: int, N: int
+) -> tuple[int, int, bool]:
+    """Does every triple of one-hot sets have a coordinate where all three differ?
+
+    Triples are taken lexicographically up to and including the first that
+    has none.  Returns (triples tested, blocks looked at, whether all
+    passed), where each triple adds its q-bit blocks up to and including
+    the first all-distinct one, or N when there is none.  A block of the
+    pairwise agreements is empty exactly where the three symbols differ.
+    """
+    tried = blocks = 0
+    for a, b, c in combinations(sets, 3):
+        tried += 1
+        agree = (a & b) | (a & c) | (b & c)
+        distinct = (agree - low) & ~agree & high
+        if not distinct:
+            return tried, blocks + N, False
+        blocks += (distinct & -distinct).bit_length() // q
+    return tried, blocks, True
+
+
 def check_ipp(code: Code, t: int) -> Verdict:
     """Can every traceable word be pinned on at least one shared parent?
 
@@ -245,6 +280,13 @@ def check_ipp(code: Code, t: int) -> Verdict:
     ``words_examined`` counts the q-bit blocks of that AND looked at, in
     coordinate order up to and including the first empty one.  The witness
     word takes the smallest symbol from each coordinate intersection.
+
+    At t=2, once no family of two fails, the codeword triples decide
+    (Hollmann et al. 1998): the code holds when every triple has a
+    coordinate where all three symbols differ, and no family of three is
+    scanned.  Otherwise the flat scan of families of three runs and names
+    the first witness; the counters add the triples tested
+    (``_distinct_triples``) before it.
     """
     _require_strength(t)
     n, N, q = code.size, code.length, code.q
@@ -265,6 +307,15 @@ def check_ipp(code: Code, t: int) -> Verdict:
     families = 0
     intersections = 0
     for k in range(2, min(t + 1, len(coalitions)) + 1):
+        triple_test = t == 2 and k == 3
+        if triple_test:
+            # No family of two failed, so the code is 2-IPP exactly when
+            # every codeword triple passes (Hollmann et al. 1998).
+            tried, blocks, passed = _distinct_triples(sets, low, high, q, N)
+            families += tried
+            intersections += blocks
+            if passed:
+                break
         for fam in combinations(coalitions, k):
             families += 1
             common = fam[0][0]
@@ -286,6 +337,8 @@ def check_ipp(code: Code, t: int) -> Verdict:
                 word.append((symbols & -symbols).bit_length() - 1)
             witness = IppViolation(tuple(word), tuple(c for _, _, c in fam))
             return Verdict("IPP", t, False, witness, Counters(families, intersections))
+        if triple_test:
+            raise RuntimeError("a codeword triple failed but no family of three coalitions did")
     return Verdict("IPP", t, True, None, Counters(families, intersections))
 
 
@@ -309,10 +362,10 @@ def _ta_coalition_violation(
     stack = [(-1, 0)]
     while stack:
         depth, x = stack.pop()
-        a_in = max(map(int.bit_count, map(x.__and__, ins)))
+        a_in = max(map(int.bit_count, map(and_, repeat(x), ins)))
         if depth + 1 == N:
             leaves += 1
-            a_out = max(map(int.bit_count, map(x.__and__, outs)))
+            a_out = max(map(int.bit_count, map(and_, repeat(x), outs)))
             if a_in <= a_out:
                 k = [(x & o).bit_count() for o in outs].index(a_out)
                 pirate = tuple((x >> (i * q) & mask).bit_length() - 1 for i in range(N))
@@ -322,7 +375,7 @@ def _ta_coalition_violation(
         # Cut the branch when insiders stay strictly closer whatever we
         # append, a_out + rest < a_in; only rest < a_in needs the outsiders.
         rest = N - depth - 1
-        if rest < a_in and max(map(int.bit_count, map(x.__and__, outs))) + rest < a_in:
+        if rest < a_in and max(map(int.bit_count, map(and_, repeat(x), outs))) + rest < a_in:
             continue
         depth += 1
         block = union >> (depth * q) & mask

@@ -184,3 +184,30 @@ def first_cover(members, t: int):
                 if target <= frozenset().union(*(sets[j] for j in group)):
                     return (i, group), tried
     return None, tried
+
+
+def ipp_first_family(words, t: int):
+    """The first family of coalitions that shares no member yet explains one word.
+
+    Coalitions are tuples of word indices, sizes 1..t, by size then
+    lexicographically; families are groups of 2..t+1 coalitions in the
+    same order.  A family whose coalitions share no member fails when at
+    every coordinate their symbol sets share a symbol: the word taking the
+    smallest shared symbol at each coordinate has every coalition as
+    parents.  Returns ``(True, None)`` when no family fails, otherwise
+    ``(False, (word, family))`` for the first that does: the flat scan of
+    the parent-identifiability checker.
+    """
+    words = list(words)
+    N = len(words[0])
+    coalitions = [c for size in range(1, t + 1) for c in combinations(range(len(words)), size)]
+    for k in range(2, t + 2):
+        for family in combinations(coalitions, k):
+            if set.intersection(*(set(c) for c in family)):
+                continue
+            shared = [
+                set.intersection(*({words[j][i] for j in c} for c in family)) for i in range(N)
+            ]
+            if all(shared):
+                return False, (tuple(min(s) for s in shared), family)
+    return True, None

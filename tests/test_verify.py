@@ -306,7 +306,7 @@ class TestIdentifiableParents:
         )
         code = Code(words, 7)
         assert verify.check_ipp(code, 2) == verify.Verdict(
-            "IPP", 2, True, None, verify.Counters(192920, 204617)
+            "IPP", 2, True, None, verify.Counters(5824, 5978)
         )
         assert verify.check_ipp(code, 3) == verify.Verdict(
             "IPP",
@@ -325,6 +325,35 @@ class TestIdentifiableParents:
             verify.Counters(1390, 5855),
         )
         reverify(verdict, code=image)
+
+    def test_two_ipp_matches_flat_family_scan(self):
+        # At t=2 a code passing every family of two coalitions is decided by
+        # the codeword triples; a failing triple falls back to the flat scan
+        # of three-coalition families, whose first witness must not move.
+        fallback = Code.from_strings(["000", "011", "101"], 3)
+        verdict = verify.check_ipp(fallback, 2)
+        assert verdict.witness == verify.IppViolation((0, 0, 1), ((0, 1), (0, 2), (1, 2)))
+        codes = [fallback, *random_code_stream(seed=211, count=3000, max_N=4, max_q=5, max_n=8)]
+        sizes = []
+        for code in codes:
+            verdict = verify.check_ipp(code, 2)
+            holds, first = oracles.ipp_first_family(code.words, 2)
+            assert verdict.holds == holds, code
+            if not holds:
+                assert (verdict.witness.word, verdict.witness.coalitions) == first, code
+                sizes.append(len(first[1]))
+            if code.q**code.length <= 27:
+                assert holds == oracles.ipp_holds(code.words, code.q, 2), code
+        assert sizes.count(3) >= 20 and sizes.count(2) >= 500
+        assert len(sizes) < len(codes) - 500
+
+    def test_reed_solomon_five_holds(self):
+        # {a + b*x mod 5 : x < 5}, words sorted: n=25, N=5, q=5.  Every
+        # family of two coalitions is scanned, then the C(25, 3) triples.
+        words = sorted(tuple((a + b * x) % 5 for x in range(5)) for a in range(5) for b in range(5))
+        assert verify.check_ipp(Code(tuple(words), 5), 2) == verify.Verdict(
+            "IPP", 2, True, None, verify.Counters(54950, 84525)
+        )
 
     def test_matches_exhaustive_oracle_sample(self):
         # Full exhaustion over every small binary code lives in the
