@@ -31,15 +31,18 @@ member — after at most t steps the running intersection is empty.  On
 one-hot sets a coalition's descendant profile is the OR of its members'
 sets, so a family's profile intersection is the AND of those ORs, and the
 family passes the test when every q-bit coordinate block of the AND is
-non-empty.  At t=2 the families of three coalitions are not scanned first:
-once no family of two fails, every two disjoint pairs of codewords have a
-coordinate where their symbol sets are disjoint, and then the code is
-2-IPP exactly when every three codewords have a coordinate where all three
-symbols differ (Hollmann, van Lint, Linnartz and Tolhuizen, *On codes with
-the identifiable parent property*, JCTA 82 (1998)).  A triple passes when
-some q-bit block of its pairwise agreements ``(a & b) | (a & c) | (b & c)``
-is empty.  Only when a triple fails is the flat scan of three-coalition
-families run, to name the same first witness.
+non-empty.  At t=2 the families of three coalitions are not scanned:
+once no family of two fails, every two coalitions of a failing family of
+three share a member (else those two would fail), so none is a singleton
+and the family is {a,b}, {a,c}, {b,c} for three codewords.  Its profile
+intersection is their pairwise agreements ``(a & b) | (a & c) | (b & c)``,
+so the code is 2-IPP exactly when every codeword triple has a coordinate
+where all three symbols differ, an empty block of that value (the
+criterion of Hollmann, van Lint, Linnartz and Tolhuizen, *On codes with the
+identifiable parent property*, JCTA 82 (1998)).  Pairs are ordered
+lexicographically, so the families {a,b}, {a,c}, {b,c} sort as their
+triples do, and the lexicographically first failing triple gives the first
+failing family of three and its word.
 
 Every checker scans candidates in a fixed order (coalitions by size then
 lexicographically, words lexicographically) and reports the first violation
@@ -50,7 +53,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations, repeat
+from itertools import chain, combinations, islice, repeat
 from operator import and_
 from typing import Sequence
 
@@ -87,12 +90,10 @@ class Counters:
       others) groups tried the same way; ``words_examined`` is always 0.
     * IPP: ``subsets_examined`` counts families of coalitions, and
       ``words_examined`` the q-bit blocks of their profile intersections
-      looked at.  At t=2 the triple test follows the families of two:
-      each codeword triple tested adds 1 to ``subsets_examined`` and its
-      blocks up to and including the first where all three symbols
-      differ (N when none does) to ``words_examined``; a failing triple
-      then adds the flat scan of three-coalition families as counted
-      above.
+      looked at.  At t=2 the codeword triples take the place of the
+      families of three: each triple tested adds 1 to ``subsets_examined``
+      and its blocks up to and including the first where all three symbols
+      differ (N when none does) to ``words_examined``.
     * TA: ``subsets_examined`` counts coalitions, and ``words_examined`` the
       leaves (full descendant words) reached.
     """
@@ -246,16 +247,18 @@ def check_cff(family: SetFamily, t: int) -> Verdict:
     return Verdict("CFF", t, hit is None, witness, Counters(subsets, 0))
 
 
-def _distinct_triples(
+def _first_confusable_triple(
     sets: list[int], low: int, high: int, q: int, N: int
-) -> tuple[int, int, bool]:
-    """Does every triple of one-hot sets have a coordinate where all three differ?
+) -> tuple[int, int, tuple[tuple[int, int, int], int] | None]:
+    """The first triple of one-hot sets with no coordinate where all three differ.
 
     Triples are taken lexicographically up to and including the first that
-    has none.  Returns (triples tested, blocks looked at, whether all
-    passed), where each triple adds its q-bit blocks up to and including
-    the first all-distinct one, or N when there is none.  A block of the
-    pairwise agreements is empty exactly where the three symbols differ.
+    has none.  Returns (triples tested, blocks looked at, the first such
+    triple's indices and pairwise agreements, or None when every triple
+    has such a coordinate), where each triple adds its q-bit blocks up to
+    and including the first all-distinct one, or N when there is none.  A
+    block of the agreements ``(a & b) | (a & c) | (b & c)`` is empty
+    exactly where the three symbols differ.
     """
     tried = blocks = 0
     for a, b, c in combinations(sets, 3):
@@ -263,9 +266,19 @@ def _distinct_triples(
         agree = (a & b) | (a & c) | (b & c)
         distinct = (agree - low) & ~agree & high
         if not distinct:
-            return tried, blocks + N, False
+            first = next(islice(combinations(range(len(sets)), 3), tried - 1, None))
+            return tried, blocks + N, (first, agree)
         blocks += (distinct & -distinct).bit_length() // q
-    return tried, blocks, True
+    return tried, blocks, None
+
+
+def _smallest_symbols(inter: int, q: int, N: int) -> Word:
+    """The word taking the smallest symbol of every q-bit block of ``inter``."""
+    word = []
+    for i in range(N):
+        symbols = inter >> (i * q) & ((1 << q) - 1)
+        word.append((symbols & -symbols).bit_length() - 1)
+    return tuple(word)
 
 
 def check_ipp(code: Code, t: int) -> Verdict:
@@ -281,12 +294,13 @@ def check_ipp(code: Code, t: int) -> Verdict:
     coordinate order up to and including the first empty one.  The witness
     word takes the smallest symbol from each coordinate intersection.
 
-    At t=2, once no family of two fails, the codeword triples decide
-    (Hollmann et al. 1998): the code holds when every triple has a
-    coordinate where all three symbols differ, and no family of three is
-    scanned.  Otherwise the flat scan of families of three runs and names
-    the first witness; the counters add the triples tested
-    (``_distinct_triples``) before it.
+    At t=2, once no family of two fails, a failing family of three can only
+    be {a,b}, {a,c}, {b,c} for some codeword triple, and its profile
+    intersection is the triple's pairwise agreements (the module docstring
+    gives the reduction; Hollmann et al. 1998 state it as a criterion).  So
+    the triples are tested in its place (``_first_confusable_triple``), and
+    the first one with no all-distinct coordinate gives the same witness the
+    scan of families of three would.
     """
     _require_strength(t)
     n, N, q = code.size, code.length, code.q
@@ -307,15 +321,15 @@ def check_ipp(code: Code, t: int) -> Verdict:
     families = 0
     intersections = 0
     for k in range(2, min(t + 1, len(coalitions)) + 1):
-        triple_test = t == 2 and k == 3
-        if triple_test:
-            # No family of two failed, so the code is 2-IPP exactly when
-            # every codeword triple passes (Hollmann et al. 1998).
-            tried, blocks, passed = _distinct_triples(sets, low, high, q, N)
+        if t == 2 and k == 3:
+            tried, blocks, hit = _first_confusable_triple(sets, low, high, q, N)
             families += tried
             intersections += blocks
-            if passed:
+            if hit is None:
                 break
+            (a, b, c), agree = hit
+            witness = IppViolation(_smallest_symbols(agree, q, N), ((a, b), (a, c), (b, c)))
+            return Verdict("IPP", t, False, witness, Counters(families, intersections))
         for fam in combinations(coalitions, k):
             families += 1
             common = fam[0][0]
@@ -331,14 +345,8 @@ def check_ipp(code: Code, t: int) -> Verdict:
                 intersections += (empty & -empty).bit_length() // q
                 continue
             intersections += N
-            word = []
-            for i in range(N):
-                symbols = inter >> (i * q) & ((1 << q) - 1)
-                word.append((symbols & -symbols).bit_length() - 1)
-            witness = IppViolation(tuple(word), tuple(c for _, _, c in fam))
+            witness = IppViolation(_smallest_symbols(inter, q, N), tuple(c for _, _, c in fam))
             return Verdict("IPP", t, False, witness, Counters(families, intersections))
-        if triple_test:
-            raise RuntimeError("a codeword triple failed but no family of three coalitions did")
     return Verdict("IPP", t, True, None, Counters(families, intersections))
 
 

@@ -328,12 +328,18 @@ class TestIdentifiableParents:
 
     def test_two_ipp_matches_flat_family_scan(self):
         # At t=2 a code passing every family of two coalitions is decided by
-        # the codeword triples; a failing triple falls back to the flat scan
-        # of three-coalition families, whose first witness must not move.
-        fallback = Code.from_strings(["000", "011", "101"], 3)
-        verdict = verify.check_ipp(fallback, 2)
-        assert verdict.witness == verify.IppViolation((0, 0, 1), ((0, 1), (0, 2), (1, 2)))
-        codes = [fallback, *random_code_stream(seed=211, count=3000, max_N=4, max_q=5, max_n=8)]
+        # the codeword triples; the first failing triple names the first
+        # failing family of three, so the flat scan's witness must not move.
+        triple = Code.from_strings(["000", "011", "101"], 3)
+        # C(6, 2) = 15 families of two, then the one triple, which adds N.
+        assert verify.check_ipp(triple, 2) == verify.Verdict(
+            "IPP",
+            2,
+            False,
+            verify.IppViolation((0, 0, 1), ((0, 1), (0, 2), (1, 2))),
+            verify.Counters(16, 13),
+        )
+        codes = [triple, *random_code_stream(seed=211, count=3000, max_N=4, max_q=5, max_n=8)]
         sizes = []
         for code in codes:
             verdict = verify.check_ipp(code, 2)
