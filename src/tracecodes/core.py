@@ -10,12 +10,13 @@ N*q-bit integer with bit i*q + s set when coordinate i holds s.  Then x is a
 descendant of D exactly when onehot(x) lies inside the union of the
 members' sets, so frameproofness is cover-freeness of the one-hot family,
 and two words agree on the popcount of the intersection of their sets.
+A Code owns this encoding, read through ``Code.sets`` and ``Code.word_set``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
@@ -60,11 +61,13 @@ class Code:
     """An (N, n, q) code: ``n`` distinct length-``N`` words over {0..q-1}.
 
     Word order is significant (file order / construction order); every
-    tie-break in the package resolves to the lowest index.
+    tie-break in the package resolves to the lowest index.  ``sets`` holds
+    the words' one-hot sets (``word_set``), outside equality, hash and repr.
     """
 
     words: tuple[Word, ...]
     q: int
+    sets: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         words = tuple(tuple(int(s) for s in w) for w in self.words)
@@ -75,15 +78,9 @@ class Code:
             raise ValueError(f"alphabet size {self.q} exceeds supported maximum {MAX_ALPHABET}")
         if not words:
             raise ValueError("a code needs at least one word")
-        n0 = len(words[0])
-        if n0 < 1:
+        if not words[0]:
             raise ValueError("words must have length >= 1")
-        for w in words:
-            if len(w) != n0:
-                raise ValueError(f"ragged word lengths: {len(w)} vs {n0}")
-            for s in w:
-                if not 0 <= s < self.q:
-                    raise ValueError(f"symbol {s} out of range for q={self.q}")
+        object.__setattr__(self, "sets", tuple(map(self.word_set, words)))
         if len(set(words)) != len(words):
             raise ValueError("duplicate words are not allowed")
 
@@ -108,6 +105,15 @@ class Code:
 
     def coalition_words(self, indices: Iterable[int]) -> tuple[Word, ...]:
         return tuple(self.words[i] for i in indices)
+
+    def word_set(self, x: Sequence[int]) -> int:
+        """``onehot(x, q)`` of a length-N word over {0..q-1}; ValueError otherwise."""
+        if len(x) != self.length:
+            raise ValueError(f"length mismatch: {len(x)} vs {self.length}")
+        for s in x:
+            if not 0 <= s < self.q:
+                raise ValueError(f"symbol {s} out of range for q={self.q}")
+        return onehot(x, self.q)
 
 
 @dataclass(frozen=True)
@@ -163,9 +169,8 @@ def min_distance(code: Code) -> int | float:
     if code.size < 2:
         return INFINITE_DISTANCE
     N = code.length
-    sets = [onehot(w, code.q) for w in code.words]
     best = N + 1
-    for a, b in combinations(sets, 2):
+    for a, b in combinations(code.sets, 2):
         d = N - (a & b).bit_count()
         if d < best:
             best = d
@@ -204,25 +209,20 @@ def iter_coalitions(pool: Iterable[int], max_size: int) -> Iterator[Coalition]:
 
 
 def parent_sets(x: Sequence[int], code: Code, t: int) -> ParentSetFamily:
-    """Every coalition of size <= t whose descendant set contains ``x``."""
+    """Every coalition of size <= t whose descendant set contains ``x``.
+
+    That is, whose agreements with x (``need & s`` over ``Code.sets``) cover x's set.
+    """
     if t < 1:
         raise ValueError(f"coalition bound must be >= 1, got {t}")
     x = tuple(x)
-    if len(x) != code.length:
-        raise ValueError(f"length mismatch: {len(x)} vs {code.length}")
-    full = (1 << code.length) - 1
-    match_masks = []
-    for w in code.words:
-        mask = 0
-        for i in range(code.length):
-            if w[i] == x[i]:
-                mask |= 1 << i
-        match_masks.append(mask)
+    need = code.word_set(x)
+    agree = [need & s for s in code.sets]
     found = []
     for coalition in iter_coalitions(range(code.size), t):
         covered = 0
         for idx in coalition:
-            covered |= match_masks[idx]
-        if covered == full:
+            covered |= agree[idx]
+        if covered == need:
             found.append(coalition)
     return ParentSetFamily(word=x, t=t, coalitions=tuple(found))

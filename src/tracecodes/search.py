@@ -204,12 +204,13 @@ def max_code_search(problem: SearchProblem, budget: int | None = None) -> Search
     # Codes start from the all-zero word, which relabelling symbols per
     # coordinate puts in any code.  Families have no root: candidate 0, the
     # empty member, is covered by the empty union.
+    # A member has at most total-1 others; a larger t only costs 2t lists.
     prefix: _CoverFreePrefix | _CheckedPrefix
     if prop == "CFF":
-        encode, prefix, root = (lambda mask: mask), _CoverFreePrefix(t), []
+        encode, prefix, root = (lambda mask: mask), _CoverFreePrefix(min(t, total - 1)), []
     elif prop == "FP":
         encode, root = (lambda c: core.onehot(_decode_word(c, N, q), q)), [0]
-        prefix = _CoverFreePrefix(t)
+        prefix = _CoverFreePrefix(min(t, total - 1))
     else:
         check = verify.check_ipp if prop == "IPP" else verify.check_ta
         encode, prefix, root = decode, _CheckedPrefix(check, q, t), [0]

@@ -66,9 +66,10 @@ class Accusation:
 
 
 def trace_ta(code: Code, x: Sequence[int]) -> Accusation:
-    """Accuse every codeword at minimum distance from the pirate word."""
-    x = tuple(x)
-    distances = [core.hamming_distance(x, w) for w in code.words]
+    """Accuse every codeword at minimum distance from the pirate word, each
+    distance N - popcount(``word_set(x) & s``) over the code's ``sets``."""
+    xs, N = code.word_set(x), code.length
+    distances = [N - (xs & s).bit_count() for s in code.sets]
     best = min(distances)
     accused = tuple(i for i, d in enumerate(distances) if d == best)
     return Accusation("TA", accused, "ok", min_distance=best)

@@ -97,7 +97,7 @@ def fpc_to_cff(code: Code) -> SetFamily:
     """
     if code.q != 2:
         raise ValueError("doubling requires a binary code")
-    return SetFamily(2 * code.length, tuple(core.onehot(w, 2) for w in code.words))
+    return SetFamily(2 * code.length, code.sets)
 
 
 def cff_to_fpc(family: SetFamily) -> Code:

@@ -1,6 +1,6 @@
 """Exact property checkers returning verdicts with re-checkable witnesses.
 
-Every checker works on one-hot word sets (``core.onehot``).
+Every checker works on one-hot word sets (``core.onehot``, ``Code.sets``).
 Frameproofness reads equivalently as desc(D) n C = D for every coalition D
 of at most t codewords, or as no codeword lying in the descendant set of t
 others.  The check scans the second reading, which is cover-freeness: a
@@ -216,7 +216,7 @@ def _first_cover(members: Sequence[int], t: int) -> tuple[tuple[int, Coalition] 
 def check_frameproof(code: Code, t: int) -> Verdict:
     """Is no codeword producible by a coalition of <= t others?
 
-    Codewords are compared as one-hot sets (``core.onehot``): a codeword is
+    Codewords are compared as one-hot sets (``Code.sets``): a codeword is
     producible by a coalition exactly when its set lies inside the union of
     theirs.  So this is the cover-free scan of ``check_cff`` run on the
     one-hot family (``_first_cover``): codewords in order and, for each,
@@ -226,7 +226,7 @@ def check_frameproof(code: Code, t: int) -> Verdict:
     coalitions tried in that order up to and including the witness.
     """
     _require_strength(t)
-    hit, subsets = _first_cover([core.onehot(w, code.q) for w in code.words], t)
+    hit, subsets = _first_cover(code.sets, t)
     witness = None if hit is None else FramedWord(*hit)
     return Verdict("FP", t, hit is None, witness, Counters(subsets, subsets))
 
@@ -248,7 +248,7 @@ def check_cff(family: SetFamily, t: int) -> Verdict:
 
 
 def _first_confusable_triple(
-    sets: list[int], low: int, high: int, q: int, N: int
+    sets: Sequence[int], low: int, high: int, q: int, N: int
 ) -> tuple[int, int, tuple[tuple[int, int, int], int] | None]:
     """The first triple of one-hot sets with no coordinate where all three differ.
 
@@ -303,8 +303,7 @@ def check_ipp(code: Code, t: int) -> Verdict:
     scan of families of three would.
     """
     _require_strength(t)
-    n, N, q = code.size, code.length, code.q
-    sets = [core.onehot(w, q) for w in code.words]
+    n, N, q, sets = code.size, code.length, code.q, code.sets
     coalitions = []
     for size in range(1, min(t, n) + 1):
         for c in combinations(range(n), size):
@@ -351,17 +350,17 @@ def check_ipp(code: Code, t: int) -> Verdict:
 
 
 def _ta_coalition_violation(
-    code: Code, sets: list[int], coalition: Coalition, outsiders: list[int], union: int
+    code: Code, coalition: Coalition, outsiders: list[int], union: int
 ) -> tuple[TaViolation | None, int]:
     """Depth-first scan of the coalition's descendants for a tracing failure.
 
-    ``sets`` are the codewords' one-hot sets and ``union`` is the OR of the
-    coalition's.  The stack holds (depth, prefix set); a prefix agrees with
-    a word on the popcount of their AND.  The children of a prefix are the
-    set bits of the union's next q-bit block, pushed highest first so that
-    the lowest symbol is walked first.
+    ``union`` is the OR of the coalition's one-hot sets (``Code.sets``).
+    The stack holds (depth, prefix set); a prefix agrees with a word on the
+    popcount of their AND.  The children of a prefix are the set bits of
+    the union's next q-bit block, pushed highest first so that the lowest
+    symbol is walked first.
     """
-    N, q = code.length, code.q
+    N, q, sets = code.length, code.q, code.sets
     mask = (1 << q) - 1
     ins = [sets[i] for i in coalition]
     outs = [sets[o] for o in outsiders]
@@ -407,8 +406,7 @@ def check_ta(code: Code, t: int) -> Verdict:
     exceeds ``core.DEFAULT_DESCENDANT_CAP``.
     """
     _require_strength(t)
-    n, N, q = code.size, code.length, code.q
-    sets = [core.onehot(w, q) for w in code.words]
+    n, N, q, sets = code.size, code.length, code.q, code.sets
     mask = (1 << q) - 1
     cap = core.DEFAULT_DESCENDANT_CAP
     subsets = 0
@@ -426,7 +424,7 @@ def check_ta(code: Code, t: int) -> Verdict:
                     f"spans {span} words (cap {cap})"
                 )
             outsiders = [i for i in range(n) if i not in coalition]
-            violation, leaves = _ta_coalition_violation(code, sets, coalition, outsiders, union)
+            violation, leaves = _ta_coalition_violation(code, coalition, outsiders, union)
             leaves_total += leaves
             if violation is not None:
                 return Verdict("TA", t, False, violation, Counters(subsets, leaves_total))

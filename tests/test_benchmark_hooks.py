@@ -5,7 +5,8 @@ removed from ``tracecodes`` would only surface when the benchmark runs.
 ``perfbench/workloads.py`` freezes the answer and node count of each search
 job, but the benchmark checks only that the counts repeat across passes.
 The verify-large frameproof and cover-free verdicts, witnesses and counters
-are frozen here too, and one small verify-large pass runs with its checks.
+are frozen here too, and one small verify-large pass and one small
+trace-stream pass run with their checks.
 Both files are loaded as data here, without installing wrappers.
 """
 
@@ -98,3 +99,12 @@ def test_verify_large_smoke_pass_checks():
     ops = list(large.run_pass(None))
     assert [label for label, _, _ in ops] == [label for label, _, _ in large.steps]
     assert large.check(ops) == ([], [])
+
+
+def test_trace_stream_smoke_pass_checks():
+    # One pass and its checks: both accusations of every word non-empty,
+    # "ok" and inside the coalition that forged it.
+    stream = WORKLOADS.TraceStream(1, smoke=True)
+    ops = list(stream.run_pass(None))
+    assert len(ops) == len(stream.stream)
+    assert stream.check(ops) == ([], [])

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import random_code
+from conftest import random_code, random_code_stream
 from tracecodes import core
 from tracecodes.core import Code
 
@@ -50,6 +50,28 @@ class TestCodeConstruction:
     def test_rejects_bad_input(self, words, q):
         with pytest.raises(ValueError):
             Code(words, q)
+
+    def test_sets_are_the_onehot_words(self):
+        for code in random_code_stream(seed=35, count=100, max_q=4):
+            assert code.sets == tuple(core.onehot(w, code.q) for w in code.words)
+
+    def test_sets_leave_equality_hash_and_repr_alone(self):
+        code = Code(((0, 1), (1, 0)), 2)
+        same = Code([[0, 1], [1, 0]], 2)
+        assert code == same and hash(code) == hash(same)
+        assert repr(code) == "Code(words=((0, 1), (1, 0)), q=2)"
+        assert code != Code(((1, 0), (0, 1)), 2)
+        assert code != Code(((0, 1), (1, 0)), 3)
+
+    def test_word_set_checks_length_and_alphabet(self):
+        code = Code(((0, 1), (1, 0)), 2)
+        assert code.word_set((1, 1)) == core.onehot((1, 1), 2)
+        with pytest.raises(ValueError, match=r"^length mismatch: 1 vs 2$"):
+            code.word_set((0,))
+        with pytest.raises(ValueError, match=r"^symbol 2 out of range for q=2$"):
+            code.word_set((0, 2))
+        with pytest.raises(ValueError, match=r"^symbol -1 out of range for q=2$"):
+            code.word_set((-1, 0))
 
     def test_rejects_bad_alphabet(self):
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ import math
 import random
 import sys
 import time
+import tracemalloc
 from contextlib import contextmanager
 from itertools import combinations
 
@@ -439,6 +440,48 @@ class TestMinimumLengths:
         assert res.value is None
         assert res.lower_bound == 5
         assert all(p.decided is False for p in res.probes)
+
+
+class TestHugeStrength:
+    """A member never has more than total-1 others, so any larger t decides alike."""
+
+    HUGE = 10**5
+
+    @pytest.mark.parametrize(
+        "prop,N,q,goals",
+        [("FP", 3, 2, (3, 4)), ("CFF", 3, 2, (3, 4)), ("FP", 2, 3, (4, 5))],
+        ids=["fp-3-q2", "cff-3", "fp-2-q3"],
+    )
+    def test_same_search_as_every_other_member(self, prop, N, q, goals):
+        total = q**N
+        for mode, goal in [("maximize", None)] + [("decide", g) for g in goals]:
+            def run(t):
+                return max_code_search(SearchProblem(prop, N=N, t=t, q=q, mode=mode, goal=goal))
+
+            tracemalloc.start()
+            try:
+                huge = run(self.HUGE)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            capped = run(total - 1)
+            assert huge.problem.t == self.HUGE
+            assert (huge.optimum, huge.decided, huge.nodes, huge.witness, huge.complete) == (
+                capped.optimum, capped.decided, capped.nodes, capped.witness, True,
+            )
+            # Nothing is allocated per unit of t: no 2t lists.
+            assert peak < 1 << 20
+
+    @pytest.mark.parametrize("prop,start", [("CFF", 1), ("FP", 2)])
+    def test_min_length_scan_as_every_other_member(self, prop, start):
+        # 2**4 - 1 others is the most any length up to 4 allows.
+        huge = search.min_length_search(self.HUGE, prop, start_length=start, max_length=4)
+        capped = search.min_length_search(15, prop, start_length=start, max_length=4)
+        assert huge.t == self.HUGE
+        assert (huge.value, huge.lower_bound, huge.probes, huge.witness, huge.complete) == (
+            capped.value, capped.lower_bound, capped.probes, capped.witness, capped.complete,
+        )
+        assert [p.decided for p in huge.probes] == [False] * (5 - start)
 
 
 class TestSandwich:

@@ -8,8 +8,8 @@ from itertools import combinations
 import pytest
 
 import oracles
-from conftest import random_code_stream, sample_verified
-from tracecodes import trace, verify
+from conftest import random_code, random_code_stream, sample_verified
+from tracecodes import core, trace, verify
 from tracecodes.core import Code, is_descendant
 
 REPS4 = Code(tuple(tuple(s for _ in range(4)) for s in range(3)), 3)
@@ -45,6 +45,25 @@ class TestTraceTa:
             shuffled = Code(tuple(code.words[i] for i in perm), code.q)
             other = {shuffled.words[i] for i in trace.trace_ta(shuffled, x).accused}
             assert base == other
+
+    def test_matches_brute_force_nearest(self):
+        rng = random.Random(34)
+        ties = 0
+        for _ in range(600):
+            q = rng.randint(2, 4)
+            N = rng.randint(1, 5)
+            code = random_code(rng, N, q, rng.randint(1, min(6, q**N)))
+            if rng.random() < 0.25:
+                x = rng.choice(code.words)
+            else:
+                x = tuple(rng.randrange(q) for _ in range(N))
+            distances = [oracles.hamming(x, w) for w in code.words]
+            best = min(distances)
+            acc = trace.trace_ta(code, x)
+            assert acc.min_distance == best
+            assert acc.accused == tuple(i for i, d in enumerate(distances) if d == best)
+            ties += len(acc.accused) > 1
+        assert ties > 100
 
 
 class TestTraceIpp:
@@ -88,6 +107,21 @@ class TestTraceIpp:
                 want = set.intersection(*[set(p) for p in parents])
                 assert {code.words[i] for i in acc.accused} == want
                 assert acc.family_size == len(parents)
+
+
+class TestWordBoundary:
+    def test_symbol_outside_the_alphabet_is_rejected(self):
+        code = Code.from_strings(["00", "11"], 2)
+        calls = [
+            lambda x: trace.trace_ta(code, x),
+            lambda x: trace.trace_ipp(code, x, 2),
+            lambda x: core.parent_sets(x, code, 2),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=r"^symbol 2 out of range for q=2$"):
+                call((0, 2))
+            with pytest.raises(ValueError, match=r"^length mismatch: 3 vs 2$"):
+                call((0, 1, 1))
 
 
 class TestForgery:
