@@ -187,6 +187,29 @@ class TestCoverFreeNodeCounts:
             assert res.witness.size == optimum
 
 
+# Identifiable and traceable searches off t=2, where no benchmark job
+# reaches: (property, N, t, q) -> (optimum, nodes).
+OFF_PAIR_JOBS = {
+    ("IPP", 3, 3, 3): (3, 1646),
+    ("TA", 3, 3, 3): (3, 585),
+    ("TA", 4, 3, 2): (2, 119),
+    ("IPP", 2, 3, 4): (4, 608),
+    ("IPP", 3, 1, 3): (27, 26),
+    ("TA", 3, 1, 3): (27, 26),
+}
+
+
+class TestOffPairNodeCounts:
+    @pytest.mark.parametrize(
+        "job", OFF_PAIR_JOBS, ids=["{}-N{}-t{}-q{}".format(*job) for job in OFF_PAIR_JOBS]
+    )
+    def test_frozen_counts(self, job):
+        prop, N, t, q = job
+        res = max_code_search(SearchProblem(prop, N=N, t=t, q=q))
+        assert (res.optimum, res.nodes, res.complete) == (*OFF_PAIR_JOBS[job], True)
+        assert res.witness.size == res.optimum
+
+
 def _elements(mask):
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
