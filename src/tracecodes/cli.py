@@ -207,9 +207,7 @@ def parse_word(raw: str, N: int, q: int) -> core.Word:
         raise ValueError(f"cannot parse word {raw!r}") from None
     if len(word) != N:
         raise ValueError(f"word {raw!r} has {len(word)} symbols, the code has length {N}")
-    for s in word:
-        if not 0 <= s < q:
-            raise ValueError(f"symbol {s} out of range for q={q}")
+    core.require_symbols(word, q)
     return word
 
 

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, repeat
+from operator import and_
 from typing import Iterable, Iterator, Sequence
 
 __all__ = [
@@ -36,6 +37,8 @@ __all__ = [
     "min_distance",
     "onehot",
     "parent_sets",
+    "require_symbols",
+    "untraced_descendant",
 ]
 
 Word = tuple[int, ...]
@@ -110,9 +113,7 @@ class Code:
         """``onehot(x, q)`` of a length-N word over {0..q-1}; ValueError otherwise."""
         if len(x) != self.length:
             raise ValueError(f"length mismatch: {len(x)} vs {self.length}")
-        for s in x:
-            if not 0 <= s < self.q:
-                raise ValueError(f"symbol {s} out of range for q={self.q}")
+        require_symbols(x, self.q)
         return onehot(x, self.q)
 
 
@@ -146,6 +147,13 @@ class ParentSetFamily:
         return tuple(sorted(common))
 
 
+def require_symbols(x: Iterable[int], q: int) -> None:
+    """Raise ValueError at the first symbol of ``x`` outside {0..q-1}."""
+    for s in x:
+        if not 0 <= s < q:
+            raise ValueError(f"symbol {s} out of range for q={q}")
+
+
 def hamming_distance(x: Sequence[int], y: Sequence[int]) -> int:
     """Number of coordinates where the two words differ."""
     if len(x) != len(y):
@@ -177,6 +185,47 @@ def min_distance(code: Code) -> int | float:
             if best == 1:
                 break
     return best
+
+
+def untraced_descendant(
+    ins: Sequence[int], outs: Sequence[int], union: int, N: int, q: int
+) -> tuple[int | None, int]:
+    """The first descendant that no insider is strictly nearer to than every outsider.
+
+    ``ins`` and ``outs`` are the one-hot sets of a coalition's members and
+    of the words outside it, and ``union`` is the OR of ``ins``.  The
+    descendants are walked depth-first as one-hot prefixes, smallest symbol
+    first: the stack holds (depth, prefix set), a prefix agrees with a word
+    on the popcount of their AND, and the children of a prefix are the set
+    bits of the union's next q-bit block, pushed highest first.  A branch
+    is cut as soon as every completion keeps some insider strictly nearer
+    than every outsider.  Returns (that descendant's set, or None when
+    there is none, and the full words reached).
+    """
+    mask = (1 << q) - 1
+    leaves = 0
+    # The empty prefix (depth -1) is never pruned: every agreement is 0.
+    stack = [(-1, 0)]
+    while stack:
+        depth, x = stack.pop()
+        a_in = max(map(int.bit_count, map(and_, repeat(x), ins)))
+        if depth + 1 == N:
+            leaves += 1
+            if a_in <= max(map(int.bit_count, map(and_, repeat(x), outs))):
+                return x, leaves
+            continue
+        # Cut the branch when insiders stay strictly closer whatever we
+        # append, a_out + rest < a_in; only rest < a_in needs the outsiders.
+        rest = N - depth - 1
+        if rest < a_in and max(map(int.bit_count, map(and_, repeat(x), outs))) + rest < a_in:
+            continue
+        depth += 1
+        block = union >> (depth * q) & mask
+        while block:
+            high = 1 << (block.bit_length() - 1)
+            stack.append((depth, x | high << (depth * q)))
+            block ^= high
+    return None, leaves
 
 
 def desc_profile(members: Iterable[Word]) -> tuple[tuple[int, ...], ...]:

@@ -14,15 +14,24 @@ not invariant under it), so family searches enumerate candidate members in
 plain ascending mask order with no normalisation.
 
 The search holds its prefix in a state with one interface: ``push_ok``
-adds a candidate when the extended prefix keeps the property, ``pop``
-takes the last one off.  Frameproof codes and cover-free families share one
-such state, because a code is t-frameproof exactly when the family of its
-one-hot word sets (``core.onehot``) is t-cover-free.  For the current
-prefix only, it keeps the unions of at most t members and each member
-minus the unions of at most t-1 others.  So a candidate costs one AND per
-stored set, and a push or pop only appends to or truncates those lists.
-Identifiability and traceability re-run their full verifier on the
-extended prefix: correctness first, these searches live at desk scale.
+adds a candidate's one-hot set (``core.onehot``, encoded straight from the
+candidate's base-q digits) when the extended prefix keeps the property,
+``pop`` takes the last one off.  The prefix is known to hold, so a
+candidate is tested only for what it can break.  Frameproof codes and
+cover-free families share one such state, because a code is t-frameproof
+exactly when the family of its one-hot word sets is t-cover-free.  For the
+current prefix only, it keeps the unions of at most t members and each
+member minus the unions of at most t-1 others.  So a candidate costs one
+AND per stored set, and a push or pop only appends to or truncates those
+lists.  Identifiable and traceable codes keep every coalition of at most t
+prefix words as a member mask and a union.  A new word breaks a 2-IPP
+code only through two disjoint coalitions, one holding it, or a codeword
+triple holding it (the triple criterion of Hollmann, van Lint, Linnartz
+and Tolhuizen, JCTA 82 (1998)); at any other t the failing families
+holding it are listed directly.  A new word breaks a t-traceable code only
+as the outsider of an old coalition or as an insider (the outsider test of
+Staddon, Stinson and Wei, IEEE Trans. IT 47 (2001)), each walked by
+``core.untraced_descendant``.
 
 Node counts are deterministic: one node per attempted extension, no
 parallelism, no randomness.
@@ -32,12 +41,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import partial
-from itertools import repeat
+from itertools import combinations, repeat
 from operator import and_, or_
-from typing import Any, Callable, Iterable
+from typing import Callable, Iterable
 
-from . import core, verify
+from . import core
 from .core import Code, Word
 from .transform import SetFamily
 
@@ -110,6 +118,15 @@ def _decode_word(value: int, N: int, q: int) -> Word:
     return tuple(reversed(digits))
 
 
+def _encode_word(value: int, N: int, q: int) -> int:
+    """``core.onehot(_decode_word(value, N, q), q)``, straight from the base-q digits."""
+    word = 0
+    for shift in range((N - 1) * q, -1, -q):
+        word |= 1 << (shift + value % q)
+        value //= q
+    return word
+
+
 class _CoverFreePrefix:
     """A t-cover-free family grown and shrunk one member at a time.
 
@@ -159,27 +176,124 @@ class _CoverFreePrefix:
             del layer[size:]
 
 
-class _CheckedPrefix:
-    """A code whose every extension re-runs a whole-code checker."""
+class _CoalitionPrefix:
+    """A code grown and shrunk one word at a time, with its coalitions of at most t words.
 
-    def __init__(self, check: Callable[[Code, int], Any], q: int, t: int) -> None:
-        self.words: list[Word] = []
-        self._check, self._q, self._t = check, q, t
+    ``sets`` lists the words' one-hot sets, and ``groups`` lists every group
+    of at most t words as (member mask, OR of the members' sets, the
+    members' sets), the empty group first.  The groups of the code plus one
+    more word are the old ones and the new word joined to every old group of
+    at most t-1 words, so a push appends those and a pop truncates to the
+    length before the push: coalitions never outgrow the code, whatever t
+    is.  ``push_ok`` adds a word unless ``_breaks`` finds a failure that
+    the new word brings into the code, which is held to have the property.
+    """
 
-    def push_ok(self, word: Word) -> bool:
-        """Add ``word`` if the extended code still holds; say whether it did."""
-        if not self._check(Code(tuple(self.words) + (word,), self._q), self._t).holds:
+    def __init__(self, t: int, N: int, q: int) -> None:
+        self.t, self.N, self.q = t, N, q
+        self.sets: list[int] = []
+        self.groups: list[tuple[int, int, tuple[int, ...]]] = [(0, 0, ())]
+        self._marks: list[int] = []
+
+    def _breaks(self, new: int) -> bool:
+        raise NotImplementedError
+
+    def push_ok(self, new: int) -> bool:
+        """Add ``new`` if the extended code keeps the property; say whether it did."""
+        if self._breaks(new):
             return False
-        self.push(word)
+        self.push(new)
         return True
 
-    def push(self, word: Word) -> None:
-        """Add ``word`` without testing it (after ``push_ok``'s test, or a root)."""
-        self.words.append(word)
+    def push(self, new: int) -> None:
+        """Add ``new`` without testing it (after ``push_ok``'s test, or a root)."""
+        bit, t = 1 << len(self.sets), self.t
+        self._marks.append(len(self.groups))
+        self.groups += [(m | bit, u | new, c + (new,)) for m, u, c in self.groups if len(c) < t]
+        self.sets.append(new)
 
     def pop(self) -> None:
         """Take off the word added last."""
-        self.words.pop()
+        del self.groups[self._marks.pop():]
+        self.sets.pop()
+
+
+class _IdentifiablePrefix(_CoalitionPrefix):
+    """A t-IPP code: a new word can only add failing families that it joins.
+
+    A family of coalitions fails when their members share none while the
+    AND of their unions has every q-bit block non-empty (see ``verify``).
+    Every failing family of the extended code has a coalition holding the
+    new word x.  At t=2 two kinds are tested: two disjoint coalitions, one
+    holding x, and the codeword triples holding x, whose test replaces the
+    families of three.  At any other t the families are listed from a
+    coalition holding x, adding coalitions in list order (those holding x,
+    then the old ones) while each shrinks the shared members and leaves
+    every block non-empty: a coalition that shrinks nothing only narrows a
+    family that fails without it, so the failing families this misses all
+    have a failing sub-family it reaches.
+    """
+
+    def __init__(self, t: int, N: int, q: int) -> None:
+        super().__init__(t, N, q)
+        # Lowest and highest bit of every block: (v - low) & ~v & high is
+        # non-zero exactly when some block of v is empty.
+        self._low = core.onehot((0,) * N, q)
+        self._high = self._low << (q - 1)
+
+    def _breaks(self, new: int) -> bool:
+        low, high, t = self._low, self._high, self.t
+        bit = 1 << len(self.sets)
+        old = [(m, u) for m, u, _ in self.groups[1:]]
+        joined = [(m | bit, u | new) for m, u, c in self.groups if len(c) < t]
+        if t == 2:
+            for jm, ju in joined:
+                for m, u in old:
+                    v = ju & u
+                    if not jm & m and not (v - low) & ~v & high:
+                        return True
+            for a, b in combinations(self.sets, 2):
+                v = new & (a | b) | a & b
+                if not (v - low) & ~v & high:
+                    return True
+            return False
+        family = joined + old
+        stack = [(i + 1, m, u) for i, (m, u) in enumerate(joined)]
+        while stack:
+            start, common, inter = stack.pop()
+            for j in range(start, len(family)):
+                m, u = family[j]
+                c, v = common & m, inter & u
+                if c == common or (v - low) & ~v & high:
+                    continue
+                if not c:
+                    return True
+                stack.append((j + 1, c, v))
+        return False
+
+
+class _TraceablePrefix(_CoalitionPrefix):
+    """A t-traceable code: a new word can only fail as an outsider or an insider.
+
+    A coalition of one word has only that word as a descendant, so it never
+    fails and is skipped.  An old coalition of 2..t words (the whole code
+    included) already beats every old outsider, so only the new word is
+    tested as its outsider; a coalition of 2..t words holding the new word
+    is tested against every other word, and needs one.  Both run the walk
+    of ``core.untraced_descendant``.
+    """
+
+    def _breaks(self, new: int) -> bool:
+        N, q, t, sets = self.N, self.q, self.t, self.sets
+        walk = core.untraced_descendant
+        for m, u, ins in self.groups:
+            if len(ins) >= 2 and walk(ins, (new,), u, N, q)[0] is not None:
+                return True
+            if 0 < len(ins) < min(t, len(sets)):
+                outs = [s for i, s in enumerate(sets) if not m >> i & 1]
+                if walk(ins + (new,), outs, u | new, N, q)[0] is not None:
+                    return True
+        return False
 
 
 def max_code_search(problem: SearchProblem, budget: int | None = None) -> SearchResult:
@@ -200,27 +314,30 @@ def max_code_search(problem: SearchProblem, budget: int | None = None) -> Search
     if N >= cap.bit_length() or q**N > cap:
         raise ValueError(f"candidate space {q}**{N} exceeds enumeration cap {cap}")
     total = q**N
-    decode = partial(_decode_word, N=N, q=q)
     # Codes start from the all-zero word, which relabelling symbols per
     # coordinate puts in any code.  Families have no root: candidate 0, the
     # empty member, is covered by the empty union.
-    # A member has at most total-1 others; a larger t only costs 2t lists.
-    prefix: _CoverFreePrefix | _CheckedPrefix
-    if prop == "CFF":
-        encode, prefix, root = (lambda mask: mask), _CoverFreePrefix(min(t, total - 1)), []
-    elif prop == "FP":
-        encode, root = (lambda c: core.onehot(_decode_word(c, N, q), q)), [0]
-        prefix = _CoverFreePrefix(min(t, total - 1))
+    # A word has at most total-1 others, so any larger t decides every
+    # property alike; the cover-free state would otherwise keep 2t lists.
+    strength = min(t, total - 1)
+    prefix: _CoverFreePrefix | _CoalitionPrefix
+    if prop in ("FP", "CFF"):
+        prefix = _CoverFreePrefix(strength)
+    elif prop == "IPP":
+        prefix = _IdentifiablePrefix(strength, N, q)
     else:
-        check = verify.check_ipp if prop == "IPP" else verify.check_ta
-        encode, prefix, root = decode, _CheckedPrefix(check, q, t), [0]
+        prefix = _TraceablePrefix(strength, N, q)
+    if prop == "CFF":
+        encode, root = (lambda mask: mask), []
+    else:
+        encode, root = (lambda c: _encode_word(c, N, q)), [0]
     best, decided, nodes, complete = _dfs(problem, budget, total, encode, prefix, root)
     if problem.mode == "decide" and decided is not True:
         witness = None
     elif prop == "CFF":
         witness = SetFamily(N, tuple(best)) if best else None
     else:
-        witness = Code(tuple(decode(c) for c in best), q)
+        witness = Code(tuple(_decode_word(c, N, q) for c in best), q)
     return SearchResult(
         problem=problem,
         optimum=len(best),
@@ -237,18 +354,19 @@ def _dfs(
     problem: SearchProblem,
     budget: int | None,
     total: int,
-    encode: Callable[[int], Any],
-    prefix: _CoverFreePrefix | _CheckedPrefix,
+    encode: Callable[[int], int],
+    prefix: _CoverFreePrefix | _CoalitionPrefix,
     root: list[int],
 ) -> tuple[list[int], bool | None, int, bool]:
     """Extend ``root`` by candidates 1..total-1 in ascending order, depth first.
 
-    ``encode`` turns a candidate into the item ``prefix`` holds:
-    ``prefix.push_ok(item)`` adds it when the extended prefix keeps the
-    property, and a rejected candidate prunes its subtree; ``prefix.pop()``
-    takes the last item off when its depth is popped.  The frontier is plain
-    data: ``chosen`` holds the current prefix's candidates (``prefix`` its
-    items) and ``following[d]`` the next candidate to try at depth d, so
+    ``encode`` turns a candidate into the set ``prefix`` holds:
+    ``prefix.push_ok(s)`` adds it when the extended prefix keeps the
+    property, testing only what the new set can break, and a rejected
+    candidate prunes its subtree; ``prefix.pop()`` takes the last set off
+    when its depth is popped.  The frontier is plain data: ``chosen`` holds
+    the current prefix's candidates (``prefix`` their sets) and
+    ``following[d]`` the next candidate to try at depth d, so
     depth is bounded only by the candidate space.  A depth is popped
     once too few candidates remain to beat the best (maximize) or to reach
     the goal (decide).  Returns the best candidate list, the decision (None

@@ -14,10 +14,10 @@ one.  A level is kept only while it has at most ``_LEVEL_CAP`` entries;
 the sizes after the first larger one are walked group by group.
 
 Traceability walks each coalition's descendants depth-first as one-hot
-prefixes, taking coordinate i's symbols from q-bit block i of the union of
-the members' sets.  A prefix agrees with a codeword on the popcount of
-their AND, so a branch is cut as soon as every completion keeps some
-insider strictly nearer than every outsider.
+prefixes (``core.untraced_descendant``), taking coordinate i's symbols from
+q-bit block i of the union of the members' sets.  A prefix agrees with a
+codeword on the popcount of their AND, so a branch is cut as soon as every
+completion keeps some insider strictly nearer than every outsider.
 
 Parent identifiability needs a word-free reformulation to stay exact
 without enumerating the whole ambient space: a code fails the t-check
@@ -349,50 +349,6 @@ def check_ipp(code: Code, t: int) -> Verdict:
     return Verdict("IPP", t, True, None, Counters(families, intersections))
 
 
-def _ta_coalition_violation(
-    code: Code, coalition: Coalition, outsiders: list[int], union: int
-) -> tuple[TaViolation | None, int]:
-    """Depth-first scan of the coalition's descendants for a tracing failure.
-
-    ``union`` is the OR of the coalition's one-hot sets (``Code.sets``).
-    The stack holds (depth, prefix set); a prefix agrees with a word on the
-    popcount of their AND.  The children of a prefix are the set bits of
-    the union's next q-bit block, pushed highest first so that the lowest
-    symbol is walked first.
-    """
-    N, q, sets = code.length, code.q, code.sets
-    mask = (1 << q) - 1
-    ins = [sets[i] for i in coalition]
-    outs = [sets[o] for o in outsiders]
-    leaves = 0
-    # The empty prefix (depth -1) is never pruned: every agreement is 0.
-    stack = [(-1, 0)]
-    while stack:
-        depth, x = stack.pop()
-        a_in = max(map(int.bit_count, map(and_, repeat(x), ins)))
-        if depth + 1 == N:
-            leaves += 1
-            a_out = max(map(int.bit_count, map(and_, repeat(x), outs)))
-            if a_in <= a_out:
-                k = [(x & o).bit_count() for o in outs].index(a_out)
-                pirate = tuple((x >> (i * q) & mask).bit_length() - 1 for i in range(N))
-                witness = TaViolation(coalition, pirate, outsiders[k], N - a_in, N - a_out)
-                return witness, leaves
-            continue
-        # Cut the branch when insiders stay strictly closer whatever we
-        # append, a_out + rest < a_in; only rest < a_in needs the outsiders.
-        rest = N - depth - 1
-        if rest < a_in and max(map(int.bit_count, map(and_, repeat(x), outs))) + rest < a_in:
-            continue
-        depth += 1
-        block = union >> (depth * q) & mask
-        while block:
-            high = 1 << (block.bit_length() - 1)
-            stack.append((depth, x | high << (depth * q)))
-            block ^= high
-    return None, leaves
-
-
 def check_ta(code: Code, t: int) -> Verdict:
     """Is the nearest codeword to any coalition's forgery always an insider?
 
@@ -423,11 +379,19 @@ def check_ta(code: Code, t: int) -> Verdict:
                     f"instance too large for exact TA check: coalition {coalition} "
                     f"spans {span} words (cap {cap})"
                 )
+            ins = [sets[i] for i in coalition]
             outsiders = [i for i in range(n) if i not in coalition]
-            violation, leaves = _ta_coalition_violation(code, coalition, outsiders, union)
+            outs = [sets[o] for o in outsiders]
+            x, leaves = core.untraced_descendant(ins, outs, union, N, q)
             leaves_total += leaves
-            if violation is not None:
-                return Verdict("TA", t, False, violation, Counters(subsets, leaves_total))
+            if x is not None:
+                a_in = max((x & s).bit_count() for s in ins)
+                agree = [(x & o).bit_count() for o in outs]
+                a_out = max(agree)
+                pirate = tuple((x >> (i * q) & mask).bit_length() - 1 for i in range(N))
+                outsider = outsiders[agree.index(a_out)]
+                witness = TaViolation(coalition, pirate, outsider, N - a_in, N - a_out)
+                return Verdict("TA", t, False, witness, Counters(subsets, leaves_total))
     return Verdict("TA", t, True, None, Counters(subsets, leaves_total))
 
 

@@ -29,6 +29,7 @@ from tracecodes.cli import (
     render_code_text,
     render_family_text,
 )
+from tracecodes.core import Code
 
 IDENTITY3 = "3 3 2\n1 0 0\n0 1 0\n0 0 1\n"
 SQUARE = "# the length-two square minus 00\n2 3 2\n1 0\n0 1\n1 1\n"
@@ -127,6 +128,17 @@ class TestFileFormats:
             parse_word("012", 3, 2)  # symbol 2 outside binary
         with pytest.raises(ValueError):
             parse_word("01", 3, 2)  # wrong length
+
+    def test_word_symbols_checked_as_code_words_are(self):
+        # One rule decides whether a symbol fits the alphabet, with one message.
+        code = Code(((0, 1, 0), (1, 0, 1)), 2)
+        for raw, word in (("012", (0, 1, 2)), ("5,0,0", (5, 0, 0))):
+            with pytest.raises(ValueError) as parsed:
+                parse_word(raw, 3, 2)
+            with pytest.raises(ValueError) as encoded:
+                code.word_set(word)
+            message = f"symbol {max(word)} out of range for q=2"
+            assert str(parsed.value) == str(encoded.value) == message
 
 
 class TestVerifyCommand:

@@ -307,6 +307,78 @@ class TestCoverFreePrefix:
                 )
 
 
+class _CoalitionPrefixCase:
+    """A coalition prefix state against its definition and an oracle on words."""
+
+    PREFIX = None  # the state class under test
+
+    @staticmethod
+    def holds(words, q, t):
+        raise NotImplementedError
+
+    @staticmethod
+    def state(prefix):
+        return list(prefix.sets), list(prefix.groups), list(prefix._marks)
+
+    def grow(self, words, N, q, t):
+        """Push ``words`` one at a time; each push must be accepted."""
+        prefix = self.PREFIX(t, N, q)
+        for w in words:
+            assert prefix.push_ok(core.onehot(w, q))
+        sets = [core.onehot(w, q) for w in words]
+        # One group per set of at most t words, the empty one included.
+        want = [
+            (sum(1 << i for i in g), _union(sets[i] for i in g), tuple(sets[i] for i in g))
+            for g in _groups(range(len(words)), min(t, len(words)))
+        ]
+        assert sorted(prefix.groups) == sorted(want)
+        return prefix
+
+    # A huge t must keep no group beyond the words there are.
+    @pytest.mark.parametrize("t", [1, 2, 3, 10**5])
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_extensions_match_oracle(self, q, t):
+        rng = random.Random(100 * q + t)
+        for N in (1, 2, 3):
+            universe = oracles.all_words(N, q)
+            for _ in range(10):
+                order = list(universe)
+                rng.shuffle(order)
+                size = rng.randint(1, len(universe))
+                words: list[tuple[int, ...]] = []
+                for w in order:
+                    if len(words) == size:
+                        break
+                    if self.holds(words + [w], q, t):
+                        words.append(w)
+                prefix = self.grow(words, N, q, t)
+                for w in universe:
+                    if w in words:
+                        continue
+                    before = self.state(prefix)
+                    ok = prefix.push_ok(core.onehot(w, q))
+                    assert ok == self.holds(words + [w], q, t), (words, w, t)
+                    if ok:
+                        prefix.pop()
+                    assert self.state(prefix) == before
+
+
+class TestIdentifiablePrefix(_CoalitionPrefixCase):
+    PREFIX = search._IdentifiablePrefix
+
+    @staticmethod
+    def holds(words, q, t):
+        return oracles.ipp_holds(words, q, t)
+
+
+class TestTraceablePrefix(_CoalitionPrefixCase):
+    PREFIX = search._TraceablePrefix
+
+    @staticmethod
+    def holds(words, q, t):
+        return oracles.ta_holds(words, t)
+
+
 class TestBudgets:
     def test_truncated_maximize_is_flagged(self):
         res = max_code_search(SearchProblem("FP", N=4, t=3, q=2), budget=50)
@@ -329,6 +401,23 @@ class TestBudgets:
             max_code_search(SearchProblem("FP", N=3, t=2, q=2), budget=-1)
         stopped = max_code_search(SearchProblem("FP", N=3, t=2, q=2), budget=0)
         assert (stopped.nodes, stopped.complete) == (1, False)
+
+    @pytest.mark.parametrize("prop,nodes", [("IPP", 1563), ("TA", 585)])
+    def test_ladder_of_identifiable_and_traceable_budgets(self, prop, nodes):
+        problem = SearchProblem(prop, N=3, t=2, q=3)
+        free = max_code_search(problem)
+        assert (free.nodes, free.complete) == (nodes, True)
+        optima = []
+        for budget in range(61):
+            stopped = max_code_search(problem, budget)
+            assert (stopped.nodes, stopped.complete) == (budget + 1, False)
+            optima.append(stopped.optimum)
+        assert optima == sorted(optima)
+        for budget in (nodes, nodes + 1, 10**6):
+            roomy = max_code_search(problem, budget)
+            assert (roomy.optimum, roomy.decided, roomy.nodes, roomy.witness, roomy.complete) == (
+                free.optimum, free.decided, free.nodes, free.witness, True,
+            )
 
     def test_budget_does_not_change_the_answer(self):
         free = max_code_search(SearchProblem("FP", N=3, t=2, q=2))
@@ -472,8 +561,16 @@ class TestHugeStrength:
 
     @pytest.mark.parametrize(
         "prop,N,q,goals",
-        [("FP", 3, 2, (3, 4)), ("CFF", 3, 2, (3, 4)), ("FP", 2, 3, (4, 5))],
-        ids=["fp-3-q2", "cff-3", "fp-2-q3"],
+        [
+            ("FP", 3, 2, (3, 4)),
+            ("CFF", 3, 2, (3, 4)),
+            ("FP", 2, 3, (4, 5)),
+            ("IPP", 3, 2, (2, 3)),
+            ("IPP", 2, 3, (3, 4)),
+            ("TA", 3, 2, (2, 3)),
+            ("TA", 2, 3, (3, 4)),
+        ],
+        ids=["fp-3-q2", "cff-3", "fp-2-q3", "ipp-3-q2", "ipp-2-q3", "ta-3-q2", "ta-2-q3"],
     )
     def test_same_search_as_every_other_member(self, prop, N, q, goals):
         total = q**N
