@@ -190,7 +190,7 @@ def min_distance(code: Code) -> int | float:
 def untraced_descendant(
     ins: Sequence[int], outs: Sequence[int], union: int, N: int, q: int
 ) -> tuple[int | None, int]:
-    """The first descendant that no insider is strictly nearer to than every outsider.
+    """The first descendant to which no insider is nearer than every outsider.
 
     ``ins`` and ``outs`` are the one-hot sets of a coalition's members and
     of the words outside it, and ``union`` is the OR of ``ins``.  The

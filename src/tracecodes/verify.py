@@ -355,11 +355,12 @@ def check_ta(code: Code, t: int) -> Verdict:
     Coalitions of size 1..t, by size then lexicographically, are scanned on
     one-hot sets: a coalition's descendants are the words whose sets lie in
     the union of its members' sets, walked depth-first one q-bit block at a
-    time, smallest symbol first.  ``words_examined`` counts the full words
-    reached.  Coalitions covering the whole code are vacuous (nobody to
-    misaccuse) and skipped.  Raises DescendantSetTooLarge when some
-    coalition's descendant set (the product of its union's block popcounts)
-    exceeds ``core.DEFAULT_DESCENDANT_CAP``.
+    time, smallest symbol first (``core.untraced_descendant``); the witness
+    names the first outsider nearest the first word found.
+    ``words_examined`` counts the full words reached.  Coalitions covering
+    the whole code are vacuous (nobody to misaccuse) and skipped.  Raises
+    DescendantSetTooLarge when some coalition's descendant set (the product
+    of its union's block popcounts) exceeds ``core.DEFAULT_DESCENDANT_CAP``.
     """
     _require_strength(t)
     n, N, q, sets = code.size, code.length, code.q, code.sets
