@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations, repeat
 from operator import and_
 from typing import Iterable, Iterator, Sequence
@@ -30,7 +31,9 @@ __all__ = [
     "MAX_ALPHABET",
     "ParentSetFamily",
     "Word",
+    "block_masks",
     "desc_profile",
+    "failing_family",
     "hamming_distance",
     "is_descendant",
     "iter_coalitions",
@@ -167,9 +170,21 @@ def onehot(word: Sequence[int], q: int) -> int:
     Every coordinate sets exactly one bit, so x is a descendant of D exactly
     when ``onehot(x) & ~union == 0`` for the union of D's sets, and x and y
     agree on ``(onehot(x) & onehot(y)).bit_count()`` coordinates.  At q=2
-    this is the paper's doubling of a code into a set family.
+    this is the paper's doubling of a code into a set family.  Linear in N*q.
     """
-    return sum(1 << (i * q + s) for i, s in enumerate(word))
+    buf, bit = bytearray((len(word) * q + 7) >> 3), 0
+    for s in word:
+        buf[(bit + s) >> 3] |= 1 << ((bit + s) & 7)
+        bit += q
+    return int.from_bytes(buf, "little")
+
+
+@lru_cache(maxsize=8)
+def block_masks(N: int, q: int) -> tuple[int, int]:
+    """The lowest and highest bit of each q-bit block: ``(v - low) & ~v & high``
+    is 0 exactly when no block of v is empty, else its lowest bit is in the first."""
+    low = onehot((0,) * N, q)
+    return low, low << (q - 1)
 
 
 def min_distance(code: Code) -> int | float:
@@ -226,6 +241,49 @@ def untraced_descendant(
             stack.append((depth, x | high << (depth * q)))
             block ^= high
     return None, leaves
+
+
+def failing_family(
+    entries: Sequence[tuple[int, int]], starts: int, size: int, N: int, q: int
+) -> tuple[tuple[int, ...] | None, int, int]:
+    """The first family of 2..size entries sharing no member, with no empty block.
+
+    An entry is (member mask, OR of the members' one-hot sets); a family is
+    judged on the AND of each.  Families start at one of the first
+    ``starts`` entries and add later ones, met in lexicographic order of
+    indices; below ``size`` an added entry must shrink the shared members
+    and leave every q-bit block non-empty.  Returns (indices or None,
+    families formed, blocks looked at): a family's blocks up to the first
+    empty one, or all N, count when its last entry shrinks the shared
+    members, and at ``size`` only when it leaves none shared.
+    """
+    low, high = block_masks(N, q)
+    families = blocks = 0
+    # A frame: the next entry to try, the family's two ANDs and its indices.
+    frames = [(i + 1, m, u, (i,)) for i, (m, u) in enumerate(entries[:starts])][::-1]
+    while frames:
+        start, common, inter, path = frames.pop()
+        last = len(path) + 1 == size
+        # No tuple per family: ``index`` recovers j, as an equal earlier entry would be taken.
+        for m, u in entries[start:]:
+            c = common & m
+            if c and (last or c == common):
+                continue
+            v = inter & u
+            empty = (v - low) & ~v & high
+            if empty:
+                blocks += (empty & -empty).bit_length() // q
+                continue
+            j = entries.index((m, u), start)
+            families += j - start + 1
+            blocks += N
+            if not c:
+                return (*path, j), families, blocks
+            frames += [(j + 1, common, inter, path), (j + 1, c, v, (*path, j))]
+            break
+        else:
+            families += len(entries) - start
+    return None, families, blocks
 
 
 def desc_profile(members: Iterable[Word]) -> tuple[tuple[int, ...], ...]:

@@ -24,14 +24,14 @@ current prefix only, it keeps the unions of at most t members and each
 member minus the unions of at most t-1 others.  So a candidate costs one
 AND per stored set, and a push or pop only appends to or truncates those
 lists.  Identifiable and traceable codes keep every coalition of at most t
-prefix words as a member mask and a union.  A new word breaks a 2-IPP
-code only through two disjoint coalitions, one holding it, or a codeword
-triple holding it (the triple criterion of Hollmann, van Lint, Linnartz
-and Tolhuizen, JCTA 82 (1998)); at any other t the failing families
-holding it are listed directly.  A new word breaks a t-traceable code only
-as the outsider of an old coalition or as an insider (the outsider test of
-Staddon, Stinson and Wei, IEEE Trans. IT 47 (2001)), each walked by
-``core.untraced_descendant``.
+prefix words as a member mask and a union.  A new word breaks a t-IPP
+code only through a failing family with a coalition holding it, walked
+from those as ``check_ipp`` walks (``core.failing_family``); at t=2 the
+codeword triples holding it replace the families of three (the criterion
+of Hollmann, van Lint, Linnartz and Tolhuizen, JCTA 82 (1998)).  A new
+word breaks a t-traceable code only as the outsider of an old coalition
+or as an insider (the outsider test of Staddon, Stinson and Wei, IEEE
+Trans. IT 47 (2001)), each walked by ``core.untraced_descendant``.
 
 Node counts are deterministic: one node per attempted extension, no
 parallelism, no randomness.
@@ -221,55 +221,23 @@ class _CoalitionPrefix:
 class _IdentifiablePrefix(_CoalitionPrefix):
     """A t-IPP code: a new word can only add failing families that it joins.
 
-    A family of coalitions fails when their members share none while the
-    AND of their unions has every q-bit block non-empty (see ``verify``).
-    Every failing family of the extended code has a coalition holding the
-    new word x.  At t=2 two kinds are tested: two disjoint coalitions, one
-    holding x, and the codeword triples holding x, whose test replaces the
-    families of three.  At any other t the families are listed from a
-    coalition holding x, adding coalitions in list order (those holding x,
-    then the old ones) while each shrinks the shared members and leaves
-    every block non-empty: a coalition that shrinks nothing only narrows a
-    family that fails without it, so the failing families this misses all
-    have a failing sub-family it reaches.
+    Every failing family (see ``verify``) of the extended code has a
+    coalition holding the new word x, so ``core.failing_family`` walks from
+    those, then the old ones, up to t+1 coalitions; at t=2 up to pairs,
+    and the codeword triples holding x replace the families of three.
     """
 
-    def __init__(self, t: int, N: int, q: int) -> None:
-        super().__init__(t, N, q)
-        # Lowest and highest bit of every block: (v - low) & ~v & high is
-        # non-zero exactly when some block of v is empty.
-        self._low = core.onehot((0,) * N, q)
-        self._high = self._low << (q - 1)
-
     def _breaks(self, new: int) -> bool:
-        low, high, t = self._low, self._high, self.t
-        bit = 1 << len(self.sets)
-        old = [(m, u) for m, u, _ in self.groups[1:]]
+        t, bit = self.t, 1 << len(self.sets)
         joined = [(m | bit, u | new) for m, u, c in self.groups if len(c) < t]
-        if t == 2:
-            for jm, ju in joined:
-                for m, u in old:
-                    v = ju & u
-                    if not jm & m and not (v - low) & ~v & high:
-                        return True
-            for a, b in combinations(self.sets, 2):
-                v = new & (a | b) | a & b
-                if not (v - low) & ~v & high:
-                    return True
-            return False
-        family = joined + old
-        stack = [(i + 1, m, u) for i, (m, u) in enumerate(joined)]
-        while stack:
-            start, common, inter = stack.pop()
-            for j in range(start, len(family)):
-                m, u = family[j]
-                c, v = common & m, inter & u
-                if c == common or (v - low) & ~v & high:
-                    continue
-                if not c:
-                    return True
-                stack.append((j + 1, c, v))
-        return False
+        entries = joined + [(m, u) for m, u, _ in self.groups[1:]]
+        if t != 2:
+            return core.failing_family(entries, len(joined), t + 1, self.N, self.q)[0] is not None
+        if core.failing_family(entries, len(joined), 2, self.N, self.q)[0] is not None:
+            return True
+        low, high = core.block_masks(self.N, self.q)
+        agree = (new & (a | b) | a & b for a, b in combinations(self.sets, 2))
+        return any(not (v - low) & ~v & high for v in agree)
 
 
 class _TraceablePrefix(_CoalitionPrefix):

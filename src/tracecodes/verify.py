@@ -31,7 +31,10 @@ member — after at most t steps the running intersection is empty.  On
 one-hot sets a coalition's descendant profile is the OR of its members'
 sets, so a family's profile intersection is the AND of those ORs, and the
 family passes the test when every q-bit coordinate block of the AND is
-non-empty.  At t=2 the families of three coalitions are not scanned:
+non-empty.  ``core.failing_family`` walks them by size up to min(t, n)+1,
+past pairs adding only coalitions that shrink the shared members: a failing
+family with one that shrinks nothing fails one size smaller without it, so
+the first witness is the flat scan's.  At t=2 the families of three are not walked:
 once no family of two fails, every two coalitions of a failing family of
 three share a member (else those two would fail), so none is a singleton
 and the family is {a,b}, {a,c}, {b,c} for three codewords.  Its profile
@@ -53,8 +56,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations, islice, repeat
-from operator import and_
+from functools import reduce
+from itertools import chain, combinations, repeat
+from operator import and_, or_
 from typing import Sequence
 
 from . import core
@@ -88,12 +92,13 @@ class Counters:
       others) groups tried for a cover, and ``words_examined`` repeats it.
     * CFF: ``subsets_examined`` counts the (member, group of at most t
       others) groups tried the same way; ``words_examined`` is always 0.
-    * IPP: ``subsets_examined`` counts families of coalitions, and
+    * IPP: ``subsets_examined`` counts families of coalitions formed and
       ``words_examined`` the q-bit blocks of their profile intersections
-      looked at.  At t=2 the codeword triples take the place of the
-      families of three: each triple tested adds 1 to ``subsets_examined``
-      and its blocks up to and including the first where all three symbols
-      differ (N when none does) to ``words_examined``.
+      looked at: every pair, and at sizes k >= 3 what ``core.failing_family``
+      counts.  At t=2 the codeword triples take the place of the families
+      of three: each adds 1 to ``subsets_examined`` and its blocks up to
+      and including the first where all three symbols differ (N when none
+      does) to ``words_examined``.
     * TA: ``subsets_examined`` counts coalitions, and ``words_examined`` the
       leaves (full descendant words) reached.
     """
@@ -248,51 +253,47 @@ def check_cff(family: SetFamily, t: int) -> Verdict:
 
 
 def _first_confusable_triple(
-    sets: Sequence[int], low: int, high: int, q: int, N: int
-) -> tuple[int, int, tuple[tuple[int, int, int], int] | None]:
+    sets: Sequence[int], q: int, N: int
+) -> tuple[int, int, tuple[int, int, int] | None]:
     """The first triple of one-hot sets with no coordinate where all three differ.
 
     Triples are taken lexicographically up to and including the first that
-    has none.  Returns (triples tested, blocks looked at, the first such
-    triple's indices and pairwise agreements, or None when every triple
-    has such a coordinate), where each triple adds its q-bit blocks up to
-    and including the first all-distinct one, or N when there is none.  A
-    block of the agreements ``(a & b) | (a & c) | (b & c)`` is empty
-    exactly where the three symbols differ.
+    has none.  Returns (triples tested, blocks looked at, that triple's
+    indices or None), each triple adding its q-bit blocks up to and
+    including the first all-distinct one, or N when there is none.  A block
+    of the agreements ``(a & b) | (a & c) | (b & c)`` is empty exactly where
+    the three symbols differ.  The sets are distinct, so each names its index.
     """
+    low, high = core.block_masks(N, q)
     tried = blocks = 0
     for a, b, c in combinations(sets, 3):
         tried += 1
         agree = (a & b) | (a & c) | (b & c)
         distinct = (agree - low) & ~agree & high
         if not distinct:
-            first = next(islice(combinations(range(len(sets)), 3), tried - 1, None))
-            return tried, blocks + N, (first, agree)
+            return tried, blocks + N, tuple(map(sets.index, (a, b, c)))
         blocks += (distinct & -distinct).bit_length() // q
     return tried, blocks, None
 
 
 def _smallest_symbols(inter: int, q: int, N: int) -> Word:
     """The word taking the smallest symbol of every q-bit block of ``inter``."""
-    word = []
-    for i in range(N):
-        symbols = inter >> (i * q) & ((1 << q) - 1)
-        word.append((symbols & -symbols).bit_length() - 1)
-    return tuple(word)
+    blocks = [inter >> (i * q) & ((1 << q) - 1) for i in range(N)]
+    return tuple((b & -b).bit_length() - 1 for b in blocks)
 
 
 def check_ipp(code: Code, t: int) -> Verdict:
     """Can every traceable word be pinned on at least one shared parent?
 
-    Enumerates families of 2..t+1 coalitions (size <= t each, ordered by
-    size then lexicographically) whose members have empty intersection; the
-    code fails exactly when some such family's descendant profiles still
-    intersect on every coordinate.  A coalition is one n-bit member mask and
-    one profile, the OR of its members' one-hot sets, so a family's shared
-    members and its coordinate-wise profile intersection are each an AND.
-    ``words_examined`` counts the q-bit blocks of that AND looked at, in
-    coordinate order up to and including the first empty one.  The witness
-    word takes the smallest symbol from each coordinate intersection.
+    The code fails exactly when some family of 2..t+1 coalitions (size <= t
+    each, ordered by size then lexicographically) with no shared member has
+    descendant profiles that still intersect on every coordinate.  A
+    coalition is one n-bit member mask and one profile, the OR of its
+    members' one-hot sets, so a family's shared members and its profile
+    intersection are each an AND.  ``core.failing_family`` walks the
+    families of each size k = 2..min(t, n)+1, past pairs only through
+    coalitions that shrink the shared members, and meets the flat scan's
+    witness, whose word takes each intersection's smallest symbols.
 
     At t=2, once no family of two fails, a failing family of three can only
     be {a,b}, {a,c}, {b,c} for some codeword triple, and its profile
@@ -300,51 +301,24 @@ def check_ipp(code: Code, t: int) -> Verdict:
     gives the reduction; Hollmann et al. 1998 state it as a criterion).  So
     the triples are tested in its place (``_first_confusable_triple``), and
     the first one with no all-distinct coordinate gives the same witness the
-    scan of families of three would.
+    walk over families of three would.
     """
     _require_strength(t)
     n, N, q, sets = code.size, code.length, code.q, code.sets
-    coalitions = []
-    for size in range(1, min(t, n) + 1):
-        for c in combinations(range(n), size):
-            mask = union = 0
-            for i in c:
-                mask |= 1 << i
-                union |= sets[i]
-            coalitions.append((mask, union, c))
-    # Lowest and highest bit of every block: (x - low) & ~x & high sets the
-    # high bit of every empty block of x, and of other blocks only above an
-    # empty one (through borrows), so its lowest set bit is in the first.
-    low = core.onehot((0,) * N, q)
-    high = low << (q - 1)
-    families = 0
-    intersections = 0
-    for k in range(2, min(t + 1, len(coalitions)) + 1):
+    coalitions = [c for size in range(1, min(t, n) + 1) for c in combinations(range(n), size)]
+    entries = [(sum(1 << i for i in c), reduce(or_, [sets[i] for i in c])) for c in coalitions]
+    families = intersections = 0
+    for k in range(2, min(t, n) + 2):
         if t == 2 and k == 3:
-            tried, blocks, hit = _first_confusable_triple(sets, low, high, q, N)
-            families += tried
-            intersections += blocks
-            if hit is None:
-                break
-            (a, b, c), agree = hit
-            witness = IppViolation(_smallest_symbols(agree, q, N), ((a, b), (a, c), (b, c)))
-            return Verdict("IPP", t, False, witness, Counters(families, intersections))
-        for fam in combinations(coalitions, k):
-            families += 1
-            common = fam[0][0]
-            for mask, _, _ in fam[1:]:
-                common &= mask
-            if common:
-                continue
-            inter = fam[0][1]
-            for _, union, _ in fam[1:]:
-                inter &= union
-            empty = (inter - low) & ~inter & high
-            if empty:
-                intersections += (empty & -empty).bit_length() // q
-                continue
-            intersections += N
-            witness = IppViolation(_smallest_symbols(inter, q, N), tuple(c for _, _, c in fam))
+            tried, blocks, abc = _first_confusable_triple(sets, q, N)
+            found = None if abc is None else tuple(map(coalitions.index, combinations(abc, 2)))
+        else:
+            found, tried, blocks = core.failing_family(entries, len(entries), k, N, q)
+        families += tried
+        intersections += blocks
+        if found is not None:
+            word = _smallest_symbols(reduce(and_, [entries[j][1] for j in found]), q, N)
+            witness = IppViolation(word, tuple(coalitions[j] for j in found))
             return Verdict("IPP", t, False, witness, Counters(families, intersections))
     return Verdict("IPP", t, True, None, Counters(families, intersections))
 
@@ -389,8 +363,8 @@ def check_ta(code: Code, t: int) -> Verdict:
                 a_in = max((x & s).bit_count() for s in ins)
                 agree = [(x & o).bit_count() for o in outs]
                 a_out = max(agree)
-                pirate = tuple((x >> (i * q) & mask).bit_length() - 1 for i in range(N))
                 outsider = outsiders[agree.index(a_out)]
+                pirate = _smallest_symbols(x, q, N)  # a one-hot word's only symbols
                 witness = TaViolation(coalition, pirate, outsider, N - a_in, N - a_out)
                 return Verdict("TA", t, False, witness, Counters(subsets, leaves_total))
     return Verdict("TA", t, True, None, Counters(subsets, leaves_total))

@@ -4,9 +4,9 @@
 removed from ``tracecodes`` would only surface when the benchmark runs.
 ``perfbench/workloads.py`` freezes the answer and node count of each search
 job, but the benchmark checks only that the counts repeat across passes.
-The verify-large frameproof and cover-free verdicts, witnesses and counters
-are frozen here too, and one small verify-large pass and one small
-trace-stream pass run with their checks.
+The verify-large frameproof, cover-free and parent-identifiability
+verdicts, witnesses and counters are frozen here too, and one small
+verify-large pass and one small trace-stream pass run with their checks.
 Both files are loaded as data here, without installing wrappers.
 """
 
@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from tracecodes import search, transform, verify
+from tracecodes import cli, search, transform, verify
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -91,6 +91,31 @@ def test_verify_large_cover_verdicts(seed):
     assert verify.check_cff(transform.fpc_to_cff(made["forged bin"]), WORKLOADS.T) == verify.Verdict(
         "CFF", WORKLOADS.T, False, verify.CoverViolation(0, (2, 13)), verify.Counters(76, 0)
     )
+
+
+@pytest.mark.parametrize("seed,bin_blocks", [(1, 5849), (2, 5846)])
+def test_verify_large_ipp_verdicts(seed, bin_blocks):
+    # The relabelling a seed applies moves the witness word, so it is rechecked.
+    large = WORKLOADS.VerifyLarge(seed, smoke=False)
+    made, T = large.inputs, WORKLOADS.T
+    codes = {
+        "ipp": made["ipp"],
+        "pad": transform.pad_code(made["ipp"], 3),
+        "ipp bin": made["ipp bin"],
+        "compose": transform.block_compose(made["compose src"], large.FULL["compose"][0]),
+    }
+    expected = {
+        "ipp": (True, None, verify.Counters(5824, 5978)),
+        "pad": (True, None, verify.Counters(5824, 5978)),
+        "ipp bin": (False, ((0, 1), (2, 3)), verify.Counters(1390, bin_blocks)),
+        "compose": (False, ((0, 1), (5, 8)), verify.Counters(1742, 1978)),
+    }
+    for key, code in codes.items():
+        verdict = verify.check_ipp(code, T)
+        coalitions = None if verdict.witness is None else verdict.witness.coalitions
+        assert (verdict.holds, coalitions, verdict.counters) == expected[key], key
+        if verdict.witness is not None:
+            assert cli.recheck_witness(cli.witness_to_json(verdict.witness, code), code, T) == []
 
 
 def test_verify_large_smoke_pass_checks():

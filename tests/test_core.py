@@ -242,3 +242,76 @@ class TestPackedRepresentation:
         for (i, wi), (j, wj) in combinations(enumerate(code.words), 2):
             assert sets[i].bit_count() == N
             assert (sets[i] & sets[j]).bit_count() == N - core.hamming_distance(wi, wj)
+
+    def test_onehot_is_its_definition_up_to_the_largest_alphabet(self):
+        rng = random.Random(61)
+        shapes = [(200, core.MAX_ALPHABET), (1, 2), (200, 2)]
+        shapes += [(rng.randint(1, 200), rng.randint(2, 2 ** rng.randint(1, 16))) for _ in range(30)]
+        for N, q in shapes:
+            word = [rng.randrange(q) for _ in range(N)]
+            assert core.onehot(word, q) == sum(1 << (i * q + s) for i, s in enumerate(word)), (N, q)
+
+    def test_block_masks(self):
+        for N, q in [(1, 2), (3, 5), (7, 7), (4, 16)]:
+            low, high = core.block_masks(N, q)
+            assert low == sum(1 << (i * q) for i in range(N))
+            assert high == sum(1 << (i * q + q - 1) for i in range(N))
+
+
+def first_failing_family_by_definition(entries, starts, size, N, q):
+    """The lexicographically first family ``core.failing_family`` may return.
+
+    Families are index tuples starting below ``starts``, of 2..``size``
+    entries, in which every entry after the first shrinks the shared
+    members and every prefix keeps each q-bit block of its AND non-empty;
+    the first such family sharing no member is returned.
+    """
+    def blocks_full(v):
+        return all(v >> (i * q) & ((1 << q) - 1) for i in range(N))
+
+    best = None
+    for k in range(2, size + 1):
+        for fam in combinations(range(len(entries)), k):
+            if fam[0] >= starts:
+                continue
+            common, inter = entries[fam[0]]
+            ok = True
+            for j in fam[1:]:
+                m, u = entries[j]
+                if common & m == common or not blocks_full(inter & u):
+                    ok = False
+                    break
+                common, inter = common & m, inter & u
+            if ok and not common and (best is None or fam < best):
+                best = fam
+    return best
+
+
+class TestFailingFamily:
+    def test_matches_its_definition_on_random_entries(self):
+        rng = random.Random(73)
+        hits = set()
+        for _ in range(400):
+            N, q, n = rng.randint(1, 3), rng.randint(2, 3), rng.randint(2, 5)
+            words = [[rng.randrange(q) for _ in range(N)] for _ in range(n)]
+            entries = []
+            for _ in range(rng.randint(2, 8)):
+                members = rng.sample(range(n), rng.randint(1, min(3, n)))
+                union = 0
+                for i in members:
+                    union |= core.onehot(words[i], q)
+                entries.append((sum(1 << i for i in members), union))
+            starts, size = rng.randint(1, len(entries)), rng.randint(2, 4)
+            found = core.failing_family(entries, starts, size, N, q)[0]
+            assert found == first_failing_family_by_definition(entries, starts, size, N, q)
+            if found is not None:
+                hits.add(len(found))
+        assert hits >= {2, 3}
+
+    def test_pairs_count_as_a_flat_scan(self):
+        # At size 2 every pair is formed, and blocks are counted only for
+        # pairs sharing no member: up to the first empty block, N for the hit.
+        sets = [core.onehot(w, 3) for w in [(0, 0), (1, 1), (0, 1)]]
+        entries = [(1, sets[0]), (2, sets[1]), (4, sets[2]), (3, sets[0] | sets[1])]
+        assert core.failing_family(entries, 4, 2, 2, 3) == ((2, 3), 6, 1 + 2 + 1 + 2)
+        assert core.failing_family(entries[:3], 3, 2, 2, 3) == (None, 3, 1 + 2 + 1)

@@ -326,6 +326,24 @@ class TestIdentifiableParents:
         )
         reverify(verdict, code=image)
 
+    def test_frozen_counters_past_two(self):
+        # Families of three and more coalitions are walked (core.failing_family)
+        # only through coalitions that shrink the shared members.
+        constant = Code(tuple((s,) * 7 for s in range(7)), 7)
+        assert verify.check_ipp(constant, 3) == verify.Verdict(
+            "IPP", 3, True, None, verify.Counters(55957, 57532)
+        )
+        code = Code(((0, 0, 2, 2), (0, 3, 0, 0), (1, 3, 1, 2), (3, 1, 2, 0)), 4)
+        verdict = verify.check_ipp(code, 3)
+        assert verdict == verify.Verdict(
+            "IPP",
+            3,
+            False,
+            verify.IppViolation((0, 3, 2, 2), ((0, 1), (0, 2), (1, 2, 3))),
+            verify.Counters(146, 85),
+        )
+        reverify(verdict, code=code)
+
     def test_two_ipp_matches_flat_family_scan(self):
         # At t=2 a code passing every family of two coalitions is decided by
         # the codeword triples; the first failing triple names the first
@@ -352,6 +370,18 @@ class TestIdentifiableParents:
                 assert holds == oracles.ipp_holds(code.words, code.q, 2), code
         assert sizes.count(3) >= 20 and sizes.count(2) >= 500
         assert len(sizes) < len(codes) - 500
+        # Past t=2 the families of three and more are walked, not replaced.
+        for t, seed, max_n in ((3, 212, 7), (4, 213, 6)):
+            sizes = []
+            for code in random_code_stream(seed=seed, count=2000, max_N=4, max_q=4, max_n=max_n):
+                verdict = verify.check_ipp(code, t)
+                holds, first = oracles.ipp_first_family(code.words, t)
+                assert verdict.holds == holds, (code, t)
+                if not holds:
+                    assert (verdict.witness.word, verdict.witness.coalitions) == first, (code, t)
+                    sizes.append(len(first[1]))
+            assert sum(k >= 3 for k in sizes) >= 15 and sizes.count(2) >= 500, t
+            assert len(sizes) < 2000 - 500, t
 
     def test_reed_solomon_five_holds(self):
         # {a + b*x mod 5 : x < 5}, words sorted: n=25, N=5, q=5.  Every
