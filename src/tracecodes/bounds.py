@@ -89,12 +89,10 @@ def min_exceed_length_quadratic(t: int) -> int:
     if t < 3:
         raise ValueError(f"need t >= 3, got {t}")
     b = (t - 2) ** 2
-    # float start, exact finish
+    # isqrt rounds down, so the start never passes the threshold: only step up.
     m = max(1, (15 * b + isqrt(33 * b * b)) // 24)
     while _below_quadratic_threshold(m, t):
         m += 1
-    while m > 1 and not _below_quadratic_threshold(m - 1, t):
-        m -= 1
     return m
 
 

@@ -581,15 +581,17 @@ def _cmd_bounds(args: argparse.Namespace) -> _Outcome:
     return EXIT_OK, report, text_lines
 
 
+_PLAIN_OPS = {"double", "tocode", "prune", "violate", "strip"}
+_VALUED_OPS = {"restrict", "pad", "compose"}
+
+
 def _parse_op(raw: str) -> tuple[str, int | None]:
     name, _, arg = raw.partition("=")
-    plain = {"double", "tocode", "prune", "violate", "strip"}
-    valued = {"restrict", "pad", "compose"}
-    if name in plain:
+    if name in _PLAIN_OPS:
         if arg:
             raise ValueError(f"op {name} takes no =VALUE")
         return name, None
-    if name in valued:
+    if name in _VALUED_OPS:
         if not arg:
             raise ValueError(f"op {name} needs =VALUE")
         try:
@@ -1052,8 +1054,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except FileFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_FILE
-    except (core.DescendantSetTooLarge, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (core.DescendantSetTooLarge, ValueError, MemoryError, OverflowError) as exc:
+        # A huge size parameter fails in the allocator; MemoryError carries no message.
+        print(f"error: {str(exc) or 'instance too large for memory'}", file=sys.stderr)
         return EXIT_USAGE
     except Exception:
         # A defect, not a verdict: keep it apart from exit 1 ("property fails").

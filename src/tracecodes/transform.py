@@ -145,31 +145,19 @@ def cff_restrict(family: SetFamily, a: int) -> Restriction:
         raise ValueError(f"member index {a} out of range")
     removed = family.members[a]
     kept = [e for e in range(family.ground_size) if not removed >> e & 1]
-    position = {e: p for p, e in enumerate(kept)}
-    new_members = []
-    for j in range(family.size):
-        if j == a:
-            continue
-        mask = 0
-        m = family.members[j]
-        for e in kept:
-            if m >> e & 1:
-                mask |= 1 << position[e]
-        new_members.append(mask)
-    empties = tuple(i for i, m in enumerate(new_members) if m == 0)
-    seen: dict[int, int] = {}
-    duplicates = []
-    for i, m in enumerate(new_members):
-        if m in seen:
-            duplicates.append(i)
-        else:
-            seen[m] = i
+    new_members = [
+        sum(1 << p for p, e in enumerate(kept) if m >> e & 1)
+        for j, m in enumerate(family.members)
+        if j != a
+    ]
+    # Walked backwards, the lowest index showing a member is written last.
+    first_seen = {m: i for i, m in reversed(list(enumerate(new_members)))}
     return Restriction(
         ground_size=len(kept),
         members=tuple(new_members),
         removed_member=a,
-        empty_indices=empties,
-        duplicate_indices=tuple(duplicates),
+        empty_indices=tuple(i for i, m in enumerate(new_members) if m == 0),
+        duplicate_indices=tuple(i for i, m in enumerate(new_members) if first_seen[m] != i),
     )
 
 
@@ -291,6 +279,14 @@ def _require_partition_fits(code: Code, partition: PatternPartition) -> None:
         )
 
 
+def _first_sharer(
+    words: Sequence[Word], part: Sequence[int], i: int, pool: Iterable[int]
+) -> int | None:
+    """The first codeword of ``pool`` but ``i`` showing word i's pattern on ``part``, or None."""
+    pat = _pattern(words[i], part)
+    return next((j for j in pool if j != i and _pattern(words[j], part) == pat), None)
+
+
 def _first_special(
     words: Sequence[Word], parts: Sequence[Sequence[int]], alive: Sequence[int]
 ) -> PruneStep | None:
@@ -301,9 +297,8 @@ def _first_special(
     """
     for ci in alive:
         for p, part in enumerate(parts):
-            pat = _pattern(words[ci], part)
-            if all(_pattern(words[cj], part) != pat for cj in alive if cj != ci):
-                return PruneStep(removed=ci, part=p, pattern=pat)
+            if _first_sharer(words, part, ci, alive) is None:
+                return PruneStep(removed=ci, part=p, pattern=_pattern(words[ci], part))
     return None
 
 
@@ -329,7 +324,7 @@ class IppViolationCertificate:
     """Explicit evidence that a code is not t-parent-identifiable.
 
     ``chain`` lists the backbone codewords x_1..x_k (indices), ``milestones``
-    the positions into the partition's parts where consecutive backbone
+    the 0-based positions into the partition's parts where consecutive backbone
     members agree, ``descendant`` the word assembled blockwise from the
     backbone.  ``coalitions`` holds X_0 = chain plus, per backbone member,
     the coalition with that member swapped for its replacement family; all
@@ -378,15 +373,17 @@ def build_ipp_violation(
 ) -> IppViolationCertificate:
     """Assemble a t-identifiability violation for a code with no private patterns.
 
-    Walk a backbone through the code: start at the lowest-index word, and
-    repeatedly jump at least ``t//2 + 1`` parts ahead to the first part where
-    the current word's pattern differs from every earlier backbone member;
-    some other codeword shares that pattern (nothing is private), and the
-    lowest-index sharer becomes the next member.  Reading the descendant
-    blockwise off the backbone, each member x_i can be swapped for a small
-    replacement family covering the few patterns only x_i contributed, which
-    yields pairwise intersection-free coalitions of size <= t that all
-    explain the same descendant.
+    Parts are numbered from 0.  A *sharer* of word x on a part is another
+    codeword agreeing with x there.  Walk a backbone: start at word 0; the
+    next milestone is the first part, from ``t//2`` for the first and at
+    least ``t//2 + 1`` past the previous one after, where no earlier backbone
+    member shares the current word's pattern; nothing is private, so its
+    lowest-index sharer exists and becomes the next member.  Member x_i's
+    segment runs from the part after milestone i-1 through milestone i, and
+    the descendant copies x_i there.  Swapping x_i for its replacement
+    family, the lowest-index sharers on the first ``t//2`` parts of its
+    segment (the few patterns only x_i contributed), yields coalitions of
+    size <= t that all explain the descendant and share no member.
     """
     if t < 2:
         raise ValueError(f"coalition bound must be >= 2, got {t}")
@@ -410,59 +407,39 @@ def build_ipp_violation(
 
     step = t // 2 + 1
     chain = [0]
-    milestones_1b: list[int] = []
-    while True:
-        cur = chain[-1]
-        prev_m = milestones_1b[-1] if milestones_1b else 0
-        found = None
-        for m in range(prev_m + step, P + 1):
-            pat = _pattern(words[cur], parts[m - 1])
-            if all(_pattern(words[e], parts[m - 1]) != pat for e in chain[:-1]):
-                found = m
-                break
-        if found is None:
-            break
-        pat = _pattern(words[cur], parts[found - 1])
-        nxt = min(
-            j for j in range(n) if j != cur and _pattern(words[j], parts[found - 1]) == pat
-        )
-        milestones_1b.append(found)
-        chain.append(nxt)
+    milestones: list[int] = []
+    m = step - 1
+    while m < P:
+        if _first_sharer(words, parts[m], chain[-1], chain[:-1]) is not None:
+            m += 1
+        else:
+            milestones.append(m)
+            chain.append(_first_sharer(words, parts[m], chain[-1], range(n)))
+            m += step
 
-    k = len(chain)
-    seg_ends = milestones_1b + [P]
+    # Each member's segment runs from the part after the previous milestone
+    # through its own milestone (the last part for the last member).
+    bounds = [0, *(m + 1 for m in milestones), P]
     descendant = [0] * code.length
-    prev = 0
-    for i in range(k):
-        for m in range(prev + 1, seg_ends[i] + 1):
-            for coord in parts[m - 1]:
-                descendant[coord] = words[chain[i]][coord]
-        prev = seg_ends[i]
-
     replacements: list[tuple[int, ...]] = []
-    prev = 0
-    for i in range(k):
-        end = seg_ends[i]
-        ys: set[int] = set()
-        for m in range(prev + 1, min(prev + step - 1, end) + 1):
-            pat = _pattern(words[chain[i]], parts[m - 1])
-            y = min(
-                j
-                for j in range(n)
-                if j != chain[i] and _pattern(words[j], parts[m - 1]) == pat
-            )
-            ys.add(y)
+    for x, first, end in zip(chain, bounds, bounds[1:]):
+        for part in parts[first:end]:
+            for coord in part:
+                descendant[coord] = words[x][coord]
+        ys = {
+            _first_sharer(words, part, x, range(n))
+            for part in parts[first : min(first + step - 1, end)]
+        }
         replacements.append(tuple(sorted(ys)))
-        prev = end
 
     coalitions = [tuple(sorted(chain))]
-    for i in range(k):
-        swapped = (set(chain) - {chain[i]}) | set(replacements[i])
+    for x, repl in zip(chain, replacements):
+        swapped = (set(chain) - {x}) | set(repl)
         coalitions.append(tuple(sorted(swapped)))
 
     cert = IppViolationCertificate(
         chain=tuple(chain),
-        milestones=tuple(m - 1 for m in milestones_1b),
+        milestones=tuple(milestones),
         descendant=tuple(descendant),
         replacements=tuple(replacements),
         coalitions=tuple(coalitions),
@@ -544,15 +521,14 @@ def distance_strip(
     if d > N - t:
         case = "A"
         removed_idx = tuple(range(code.size))
-    elif d <= 2 * t:
-        case = "B"
-        threshold = 1
-        freq = _min_pattern_frequency(code, t)
-        removed_idx = tuple(i for i in range(code.size) if freq[i] <= threshold)
     else:
-        case = "C"
-        delta = N - t - d
-        threshold = 2 ** (delta + 1) * comb(N - t, delta + 1)
+        if d <= 2 * t:
+            case = "B"
+            threshold = 1
+        else:
+            case = "C"
+            delta = N - t - d
+            threshold = 2 ** (delta + 1) * comb(N - t, delta + 1)
         freq = _min_pattern_frequency(code, t)
         removed_idx = tuple(i for i in range(code.size) if freq[i] <= threshold)
 

@@ -71,6 +71,29 @@ class TestQuadraticThreshold:
                 assert bounds._below_quadratic_threshold(N, t), (N, t)
             assert not bounds._below_quadratic_threshold(cutoff, t)
 
+    def test_cutoff_matches_integer_search(self):
+        # N lies below (15 + sqrt(33)) * b / 24 exactly when 24N - 15b < sqrt(33) * b.
+        for t in range(3, 201):
+            b = (t - 2) ** 2
+            N = 15 * b // 24  # 24N <= 15b: below
+            while 24 * N - 15 * b <= 0 or (24 * N - 15 * b) ** 2 < 33 * b * b:
+                N += 1
+            assert bounds.min_exceed_length_quadratic(t) == N, t
+
+    def test_quadratic_window_at_t8(self):
+        # The guaranteed window ends at 3t = 24, the quadratic threshold covers
+        # 25..31 (31.12 = (15 + sqrt(33)) * 36 / 24), and 32 is beyond it.
+        assert bounds.min_exceed_length_quadratic(8) == 32
+        medium = "medium length: within the guaranteed window (t+1 .. 3t)"
+        for N, guaranteed, reason in (
+            (24, True, medium),
+            (25, True, "below the quadratic threshold"),
+            (31, True, "below the quadratic threshold"),
+            (32, False, "beyond every known guarantee"),
+        ):
+            status = bounds.binary_fp_status(N, 8)
+            assert (status.guaranteed, status.reason) == (guaranteed, reason), N
+
     def test_status_windows(self):
         assert bounds.binary_fp_status(9, 3).guaranteed is True
         assert "medium" in bounds.binary_fp_status(9, 3).reason

@@ -410,6 +410,16 @@ class TestTransformCommand:
             assert run(capsys, *argv)[0] == EXIT_USAGE, op
 
 
+    @pytest.mark.parametrize("r", ["4611686018427387904", "100000000000000000000"])
+    def test_huge_padding_is_a_usage_error(self, files, capsys, r):
+        # Both fail in the allocator before anything is allocated.
+        code_file = files("pair.code", "2 2 2\n0 0\n1 1\n")
+        assert main(["transform", "--op", f"pad={r}", code_file]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestSearchCommand:
     def test_maximize(self, capsys):
         code, doc = run_json(
@@ -574,7 +584,101 @@ class TestSimulateCommand:
         assert doc["seed"] == 7
 
 
+# Per property: the subject file and a witness ``recheck`` confirms on it at t=2.
+VALID_WITNESSES = {
+    "fp": (SQUARE, {"kind": "framed-word", "framed": 2, "coalition": [0, 1]}),
+    "cff": (TRIANGLE_FAMILY, {"kind": "cover-violation", "covered": 2, "covering": [0, 1]}),
+    "ipp": (
+        "2 3 2\n0 0\n1 1\n0 1\n",
+        {"kind": "ipp-violation", "word": [0, 1], "coalitions": [[2], [0, 1]]},
+    ),
+    "ta": (
+        SQUARE,
+        {
+            "kind": "ta-violation", "coalition": [0, 1], "pirate": [1, 1],
+            "outsider": 2, "insider_distance": 1, "outsider_distance": 0,
+        },
+    ),
+}
+
+# One tampering per refutation: (property, t, changed fields, the one problem line).
+REFUTATIONS = [
+    ("fp", 2, {"framed": 3}, "framed index 3 out of range"),
+    ("fp", 2, {"coalition": 1}, "coalition is not a list"),
+    ("fp", 2, {"coalition": [0, 5]}, "coalition index 5 out of range"),
+    ("fp", 2, {"coalition": [0, 0]}, "coalition repeats indices"),
+    ("fp", 2, {"coalition": [0, 2]}, "framed word sits inside the coalition"),
+    ("fp", 2, {"coalition": []}, "coalition size 0 outside 1..2"),
+    ("fp", 1, {}, "coalition size 2 outside 1..1"),
+    ("fp", 2, {"coalition": [0]}, "coalition cannot produce the framed word"),
+    ("cff", 2, {"covered": 3}, "covered index 3 out of range"),
+    ("cff", 2, {"covering": {}}, "covering is not a list"),
+    ("cff", 2, {"covering": [0, 4]}, "covering index 4 out of range"),
+    ("cff", 2, {"covering": [0, 0]}, "covering repeats indices"),
+    ("cff", 2, {"covering": [1, 2]}, "covered member listed among the covering members"),
+    ("cff", 1, {}, "covering uses 2 members, cap is 1"),
+    ("cff", 2, {"covering": [0]}, "union does not contain the covered member"),
+    ("ipp", 2, {"word": [0]}, "witness word has the wrong length"),
+    ("ipp", 2, {"word": [0, 2]}, "witness word symbol 2 out of range"),
+    ("ipp", 2, {"coalitions": [[2]]}, "need at least two coalitions"),
+    ("ipp", 2, {"coalitions": [[2], 1]}, "coalition 1 is not a list"),
+    ("ipp", 2, {"coalitions": [[2], [0, 5]]}, "coalition 1 index 5 out of range"),
+    ("ipp", 2, {"coalitions": [[2], [0, 0]]}, "coalition 1 repeats indices"),
+    ("ipp", 1, {}, "coalition 1 size 2 outside 1..1"),
+    ("ipp", 2, {"coalitions": [[2], [0]]}, "coalition 1 cannot produce the word"),
+    ("ipp", 2, {"coalitions": [[2], [1, 2]]}, "coalitions share members [2]"),
+    ("ta", 2, {"coalition": "01"}, "coalition is not a list"),
+    ("ta", 2, {"coalition": [0, 3]}, "coalition index 3 out of range"),
+    ("ta", 2, {"coalition": [0, 0]}, "coalition repeats indices"),
+    ("ta", 2, {"coalition": []}, "coalition size 0 outside 1..2"),
+    ("ta", 2, {"pirate": [1]}, "pirate word has the wrong length"),
+    ("ta", 2, {"pirate": [1, 2]}, "pirate word symbol 2 out of range"),
+    ("ta", 2, {"outsider": 3}, "outsider index 3 out of range"),
+    ("ta", 2, {"outsider": 0}, "outsider sits inside the coalition"),
+    ("ta", 2, {"coalition": [0]}, "coalition cannot produce the pirate word"),
+    ("ta", 2, {"insider_distance": 2}, "insider distance recomputes to 1"),
+    ("ta", 2, {"outsider_distance": 1}, "outsider distance recomputes to 0"),
+    (
+        "ta", 2, {"pirate": [1, 0], "insider_distance": 0, "outsider_distance": 1},
+        "every insider is strictly closer; no violation",
+    ),
+]
+
+
 class TestRecheckCommand:
+    @pytest.mark.parametrize("prop", sorted(VALID_WITNESSES))
+    def test_valid_witness_is_confirmed(self, files, capsys, tmp_path, prop):
+        subject, witness = VALID_WITNESSES[prop]
+        path = tmp_path / "witness.json"
+        path.write_text(json.dumps(witness))
+        argv = ["recheck", "--property", prop, "--t", "2", "--witness", str(path)]
+        code, doc = run_json(capsys, *argv, files("subject", subject))
+        assert (code, doc["problems"]) == (EXIT_OK, [])
+
+    @pytest.mark.parametrize(
+        "prop, t, tamper, problem", REFUTATIONS, ids=[f"{r[0]}: {r[3]}" for r in REFUTATIONS]
+    )
+    def test_each_refutation(self, files, capsys, tmp_path, prop, t, tamper, problem):
+        subject, witness = VALID_WITNESSES[prop]
+        path = tmp_path / "witness.json"
+        path.write_text(json.dumps({**witness, **tamper}))
+        argv = ["recheck", "--property", prop, "--t", str(t), "--witness", str(path)]
+        code, doc = run_json(capsys, *argv, files("subject", subject))
+        assert code == EXIT_VIOLATION
+        assert doc["problems"] == [problem]
+
+    def test_library_guards(self):
+        # The CLI matches kinds to properties and refuses unknown kinds first.
+        code = parse_code_text(SQUARE)
+        family = parse_family_text(TRIANGLE_FAMILY)
+        framed = VALID_WITNESSES["fp"][1]
+        cover = VALID_WITNESSES["cff"][1]
+        assert cli.recheck_witness(framed, family, 2) == ["framed-word witnesses apply to codes"]
+        assert cli.recheck_witness(cover, code, 2) == [
+            "cover-violation witnesses apply to families"
+        ]
+        assert cli.recheck_witness({"kind": "bogus"}, code, 2) == ["unknown witness kind 'bogus'"]
+
     def emit_witness(self, capsys, tmp_path, *argv):
         code, doc = run_json(capsys, *argv)
         assert code == EXIT_VIOLATION
@@ -777,6 +881,37 @@ class TestReadmeSynopsis:
             options = {o for a in subparser._actions for o in a.option_strings if o[:2] == "--"}
             listed = set(re.findall(r"--[\w-]+", synopses[command]))
             assert listed == options - {"--format", "--help"}, command
+
+
+class TestReadmeTransformOps:
+    def test_op_lists_agree(self, files, capsys):
+        # README's "Transform ops" line, the --op help string and the ops
+        # _parse_op accepts are one list; exactly the ops README says need
+        # --t refuse to run without it.
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        line = readme.read_text(encoding="utf-8").split("Transform ops:", 1)[1].split("\n\n")[0]
+        listed, needs_t_note = line.split("(", 1)
+        readme_ops = set(re.findall(r"`([\w=]+)`", listed))
+        parser = cli._build_parser()
+        (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        (op,) = (a for a in sub.choices["transform"]._actions if "--op" in a.option_strings)
+        assert readme_ops == {item.strip() for item in op.help.split("|")}
+        valued = {o.split("=")[0] for o in readme_ops if "=" in o}
+        plain = {o for o in readme_ops if "=" not in o}
+        assert (plain, valued) == (cli._PLAIN_OPS, cli._VALUED_OPS)
+
+        needs_t = set(re.findall(r"`(\w+)`", needs_t_note))
+        code_file = files("pair.code", "2 2 2\n0 0\n1 1\n")
+        fam_file = files("pair.family", "2 2\n10\n01\n")
+        refused = set()
+        for name in plain | valued:
+            raw = f"{name}=1" if name in valued else name
+            assert cli._parse_op(raw) == (name, 1 if name in valued else None)
+            subject = fam_file if name in ("tocode", "restrict") else code_file
+            if main(["transform", "--op", raw, subject]) == EXIT_USAGE:
+                refused.add(name)
+            capsys.readouterr()
+        assert refused == needs_t == {"prune", "violate", "strip"}
 
 
 class TestInstalledScript:

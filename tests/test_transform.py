@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 from itertools import product
@@ -108,6 +109,18 @@ class TestRestriction:
         assert res.duplicate_indices == (1,)
         with pytest.raises(ValueError):
             res.family()
+
+    def test_renumbering_with_empty_and_duplicate_members(self):
+        # Removing {0, 1} keeps elements 2, 3, 4, renumbered 0, 1, 2. Members
+        # 1 and 4 empty out, and 4 and 8 repeat 1 and 2; survivors are
+        # indexed without member 0, so these are reported one lower.
+        sets = [[0, 1], [0], [2], [2, 3], [1], [1, 2, 4], [3], [0, 4], [0, 2]]
+        res = tr.cff_restrict(tr.SetFamily.from_sets(5, sets), 0)
+        assert res.ground_size == 3
+        assert res.members == (0b000, 0b001, 0b011, 0b000, 0b101, 0b010, 0b100, 0b001)
+        assert res.removed_member == 0
+        assert res.empty_indices == (0, 3)
+        assert res.duplicate_indices == (3, 7)
 
     def test_out_of_range_member(self):
         fam = tr.SetFamily.from_sets(2, [[0], [1]])
@@ -288,6 +301,57 @@ class TestViolationCertificate:
         assert tr.certificate_problems(cert, FULL3, 2) == []
         assert not verify.check_ipp(FULL3, 2).holds
 
+    @pytest.mark.parametrize(
+        "t, q, words, survivors, chain, milestones, descendant, replacements, coalitions",
+        [
+            (
+                3, 2, ["000010", "000101", "010010", "010011", "011111", "100000", "110110", "110111"],
+                (2, 3, 6, 7), (0, 1, 3), (1, 4), (0, 1, 0, 0, 1, 1),
+                ((1,), (0,), ()), ((0, 1, 3), (1, 3), (0, 3), (0, 1)),
+            ),
+            (
+                3, 2, ["10101", "10111", "11100", "11110"],
+                (0, 1, 2, 3), (0, 1, 3), (1, 3), (1, 0, 1, 1, 0),
+                ((1,), (0,), (2,)), ((0, 1, 3), (1, 3), (0, 3), (0, 1, 2)),
+            ),
+            (
+                3, 3, ["00000", "00210", "01122", "01202", "02010", "02211", "11102", "12022", "12121"],
+                tuple(range(9)), (0, 1, 4), (1, 3), (0, 0, 2, 1, 0),
+                ((1,), (3,), (0,)), ((0, 1, 4), (1, 4), (0, 3, 4), (0, 1)),
+            ),
+            (
+                4, 2, ["00000000", "00000101", "00010001", "00010011", "01001001", "01100001",
+                       "01110111", "11011011"],
+                (1, 2, 3, 5, 6), (0, 1, 2), (2, 5), (0, 0, 0, 1, 0, 0, 1, 1),
+                ((1,), (0, 2), (0, 4)), ((0, 1, 2), (1, 2), (0, 2), (0, 1, 4)),
+            ),
+            (
+                # Nine coordinates over eight parts: the first part has two.
+                4, 2, ["000010001", "000010011", "000101010", "001100111", "001101100",
+                       "010000100", "100100001", "101011110", "110100101"],
+                (0, 1, 2, 3, 4, 6, 7), (0, 1, 2), (2, 6), (0, 0, 0, 0, 1, 0, 0, 1, 0),
+                ((1,), (0,), (4,)), ((0, 1, 2), (1, 2), (0, 2), (0, 1, 4)),
+            ),
+            (
+                4, 3, ["01022002", "02010221", "10000100", "10020020", "11210122", "12000220",
+                       "20202221", "22122111", "22202120"],
+                (0, 1, 2, 3, 4, 5, 6, 8), (0, 1, 5), (2, 5), (0, 1, 0, 1, 0, 2, 2, 0),
+                ((1, 4), (2, 4), (1, 2)), ((0, 1, 5), (1, 4, 5), (0, 2, 4, 5), (0, 1, 2)),
+            ),
+        ],
+    )
+    def test_three_member_backbones(
+        self, t, q, words, survivors, chain, milestones, descendant, replacements, coalitions
+    ):
+        code = Code.from_strings(words, q)
+        partition = tr.make_row_partition(code.length, t)
+        res = tr.prune_special_codewords(code, partition)
+        assert res.survivors == survivors
+        cert = tr.build_ipp_violation(res.subcode(code), partition, t)
+        assert cert == tr.IppViolationCertificate(
+            chain, milestones, descendant, replacements, coalitions
+        )
+
     def test_private_pattern_is_an_error(self):
         code = Code.from_strings(["000", "001", "010"], 2)
         with pytest.raises(ValueError, match="private"):
@@ -313,6 +377,26 @@ class TestViolationCertificate:
             cert = tr.build_ipp_violation(sub, SINGLETON3, 2)
             assert tr.certificate_problems(cert, sub, 2) == []
             assert not verify.check_ipp(code, 2).holds
+
+    @pytest.mark.parametrize(
+        "damage, problem",
+        [
+            ({"chain": (0, 0)}, "chain members repeat"),
+            (
+                {"coalitions": ((1,), (0, 3))},
+                "expected one coalition per chain member plus the chain itself",
+            ),
+            ({"coalitions": ((0, 1), (), (0, 3))}, "coalition 1 is empty"),
+            ({"coalitions": ((0, 1), (1,), (0, 3, 5))}, "coalition 2 has 3 members, cap is 2"),
+            ({"replacements": ((0,), (3,))}, "replacement family 0 contains the member it replaces"),
+            ({"coalitions": ((0, 1), (1,), (1, 3))}, "coalitions share members [1]"),
+        ],
+    )
+    def test_each_problem_line(self, damage, problem):
+        cert = tr.build_ipp_violation(FULL3, SINGLETON3, 2)
+        assert cert.replacements == ((1,), (3,))
+        broken = dataclasses.replace(cert, **damage)
+        assert tr.certificate_problems(broken, FULL3, 2) == [problem]
 
     def test_problem_listing_catches_damage(self):
         cert = tr.build_ipp_violation(FULL3, SINGLETON3, 2)
