@@ -595,9 +595,12 @@ def _parse_op(raw: str) -> tuple[str, int | None]:
         if not arg:
             raise ValueError(f"op {name} needs =VALUE")
         try:
-            return name, int(arg)
+            value = int(arg)
         except ValueError:
             raise ValueError(f"op {name} needs an integer value, got {arg!r}") from None
+        if value > sys.maxsize:
+            raise ValueError(f"op {name} value {value} exceeds the largest index {sys.maxsize}")
+        return name, value
     raise ValueError(f"unknown op {raw!r}")
 
 

@@ -1,47 +1,69 @@
-"""Exhaustive extremal searches by depth-first lexicographic extension.
+"""Exhaustive extremal searches by forward-checked depth-first lexicographic extension.
 
 Codes grow one word at a time in ascending base-q order (first coordinate
 most significant, so numeric order is word order).  All the properties
 searched here are hereditary — every subcode of a good code is good — so a
-prefix that fails the property prunes its whole subtree.  One loop walks
-every tree over an explicit frontier (the chosen prefix and the next
-candidate at each depth), not the Python call stack, so a search may grow a
-code or family as large as its candidate space.  Code searches fix the
-all-zero word at the root: relabelling symbols coordinate-wise maps any
-code onto one containing it and preserves frameproofness, identifiability
-and traceability alike.  Set families get no such relabelling (covering is
-not invariant under it), so family searches enumerate candidate members in
-plain ascending mask order with no normalisation.
+candidate that breaks a prefix is dead in that prefix's whole subtree, and
+one that keeps a prefix keeps every shorter one.  One loop walks every tree
+over an explicit frontier (the chosen prefix), not the Python call stack,
+so a search may grow a code or family as large as its candidate space.
+Code searches fix the all-zero word at the root: relabelling symbols
+coordinate-wise maps any code onto one containing it and preserves
+frameproofness, identifiability and traceability alike.  Set families get
+no such relabelling (covering is not invariant under it), so family
+searches enumerate candidate members in plain ascending mask order with no
+normalisation.
 
-The search holds its prefix in a state with one interface: ``push_ok``
-adds a candidate's one-hot set (``core.onehot``, encoded straight from the
-candidate's base-q digits) when the extended prefix keeps the property,
-``pop`` takes the last one off.  The prefix is known to hold, so a
-candidate is tested only for what it can break.  Frameproof codes and
-cover-free families share one such state, because a code is t-frameproof
-exactly when the family of its one-hot word sets is t-cover-free.  For the
-current prefix only, it keeps the unions of at most t members and each
-member minus the unions of at most t-1 others.  So a candidate costs one
-AND per stored set, and a push or pop only appends to or truncates those
-lists.  Identifiable and traceable codes keep every coalition of at most t
-prefix words as a member mask and a union.  A new word breaks a t-IPP
-code only through a failing family with a coalition holding it, walked
-from those as ``check_ipp`` walks (``core.failing_family``); at t=2 the
-codeword triples holding it replace the families of three (the criterion
-of Hollmann, van Lint, Linnartz and Tolhuizen, JCTA 82 (1998)).  A new
-word breaks a t-traceable code only as the outsider of an old coalition
-or as an insider (the outsider test of Staddon, Stinson and Wei, IEEE
-Trans. IT 47 (2001)), each walked by ``core.untraced_descendant``.
+The loop is forward checked (Haralick and Elliott, AI 14 (1980); the
+candidate sets of Carraghan and Pardalos, Oper. Res. Lett. 9 (1990)),
+lazily.  Each candidate keeps the prefix length it was last found to keep
+the property with, or a dead mark, and a per-depth trail undoes both when
+that depth is popped.  A node's room is its size plus its live candidates
+left, and it tests candidates ahead only until enough are live to beat the
+best size (maximize) or to reach the goal (decide), or too few can be.
+Then it pushes the first live one; with too few, it is popped.  So it walks
+the same tree in the same order as a loop that tests each candidate only
+when it reaches it, and cuts only subtrees that cannot beat the best or
+reach the goal: it finds the same maximum, decisions and witnesses.
 
-Node counts are deterministic: one node per attempted extension, no
-parallelism, no randomness.
+The search holds its prefix in a state with one interface: ``breaks``
+says whether a candidate's one-hot set (``core.onehot``, encoded straight
+from the candidate's base-q digits) breaks the property with the prefix,
+``push`` adds a set and ``pop`` takes the last one off.  The prefix is
+known to hold, so a candidate is tested only for what it can break.
+Frameproof codes and cover-free families share one such state, because a
+code is t-frameproof exactly when the family of its one-hot word sets is
+t-cover-free.  For the current prefix only, it keeps the unions of at most
+t members and each member minus the unions of at most t-1 others.  So a
+candidate costs one AND per stored set, and a push or pop only appends to
+or truncates those lists.  The sets each push appended stay together, so
+a candidate already known to keep the first members is tested only on the
+sets the later members brought: the pushes before the last one are one
+test, kept at the parent's depth for its other children too, and the last
+push another.  Identifiable and traceable codes keep every coalition of at
+most t prefix words as a member mask and a union, and test a candidate
+against the whole prefix.  A new word breaks a t-IPP code only through a
+failing family with a coalition holding it, walked from those as
+``check_ipp`` walks (``core.failing_family``); at t=2 the codeword triples
+holding it replace the families of three (the criterion of Hollmann, van
+Lint, Linnartz and Tolhuizen, JCTA 82 (1998)).  A new word breaks a
+t-traceable code only as the outsider of an old coalition or as an insider
+(the outsider test of Staddon, Stinson and Wei, IEEE Trans. IT 47 (2001)),
+each walked by ``core.untraced_descendant``.
+
+Node counts are deterministic: one node per candidate test, no
+parallelism, no randomness.  A live candidate c makes the prefix plus c a
+code that holds, so it counts as reached: the ``optimum`` of a decide
+"no" is the largest code the tests certified on the way, a lower bound
+like the optimum of a budget stop.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
-from itertools import combinations, repeat
+from itertools import combinations, islice, repeat
 from operator import and_, or_
 from typing import Callable, Iterable
 
@@ -100,6 +122,15 @@ class SearchProblem:
 
 @dataclass(frozen=True)
 class SearchResult:
+    """What ``max_code_search`` found.
+
+    ``nodes`` counts candidate tests.  ``optimum`` is the size of the
+    largest code reached: a complete maximize run proves it optimal, and
+    after a budget stop or a decide "no" it is a lower bound.  ``witness``
+    is that code in maximize mode and for a decide "yes", else None.
+    ``decided`` is None in maximize mode and after a budget stop.
+    """
+
     problem: SearchProblem
     optimum: int
     decided: bool | None
@@ -140,7 +171,11 @@ class _CoverFreePrefix:
     old member covered by ``new`` joined by at most t-1 others.  That is one
     AND per stored set.  The lists only grow with the family, so a push
     appends to each and a pop truncates each to its length before the push.
+    A push appends exactly the sets whose latest member it is, so the sets
+    of a run of members lie between two marks, and ``breaks`` tests any run.
     """
+
+    partial = True  # ``breaks`` can stop short of the last member
 
     def __init__(self, t: int) -> None:
         self.unions: list[list[int]] = [[0] for _ in range(t + 1)]
@@ -148,17 +183,27 @@ class _CoverFreePrefix:
         self._layers = self.unions + self.residues
         self._marks: list[list[int]] = []
 
-    def push_ok(self, new: int) -> bool:
-        """Add ``new`` if the family stays t-cover-free; say whether it did."""
-        if new in map(and_, repeat(new), self.unions[-1]):
-            return False
-        if 0 in map(and_, repeat(~new), self.residues[-1]):
-            return False
-        self.push(new)
-        return True
+    def breaks(self, new: int, since: int = 0, until: int | None = None) -> bool:
+        """Whether adding ``new`` breaks the family, given it keeps the first ``since`` members.
+
+        Only the unions and residues whose latest member is one of members
+        since..until-1 are tested, every member from ``since`` on when
+        ``until`` is None.  ``since`` is 0 or below the member count.
+        """
+        t, marks = len(self.residues), self._marks
+        unions, residues = self.unions[-1], self.residues[-1]
+        if since:
+            u1, r1 = (None, None) if until is None else (marks[until][t], marks[until][-1])
+            unions, residues = unions[marks[since][t] : u1], residues[marks[since][-1] : r1]
+        elif until is not None:
+            # From the first member on, stopping early costs less than a copy.
+            unions, residues = islice(unions, marks[until][t]), islice(residues, marks[until][-1])
+        if new in map(and_, repeat(new), unions):
+            return True
+        return not all(map(and_, repeat(~new), residues))
 
     def push(self, new: int) -> None:
-        """Add ``new`` without testing it (after ``push_ok``'s test, or a root)."""
+        """Add ``new`` without testing it (after ``breaks``, or a root)."""
         unions, residues = self.unions, self.residues
         self._marks.append([len(layer) for layer in self._layers])
         # High j first, residues before unions: each layer grows from the
@@ -185,9 +230,11 @@ class _CoalitionPrefix:
     more word are the old ones and the new word joined to every old group of
     at most t-1 words, so a push appends those and a pop truncates to the
     length before the push: coalitions never outgrow the code, whatever t
-    is.  ``push_ok`` adds a word unless ``_breaks`` finds a failure that
-    the new word brings into the code, which is held to have the property.
+    is.  ``breaks`` looks for a failure that the new word brings into the
+    code, which is held to have the property.
     """
+
+    partial = False  # ``breaks`` tests against every word
 
     def __init__(self, t: int, N: int, q: int) -> None:
         self.t, self.N, self.q = t, N, q
@@ -195,18 +242,12 @@ class _CoalitionPrefix:
         self.groups: list[tuple[int, int, tuple[int, ...]]] = [(0, 0, ())]
         self._marks: list[int] = []
 
-    def _breaks(self, new: int) -> bool:
+    def breaks(self, new: int, since: int = 0, until: None = None) -> bool:
+        """Whether adding ``new`` breaks the code; every word is tested, whatever ``since`` says."""
         raise NotImplementedError
 
-    def push_ok(self, new: int) -> bool:
-        """Add ``new`` if the extended code keeps the property; say whether it did."""
-        if self._breaks(new):
-            return False
-        self.push(new)
-        return True
-
     def push(self, new: int) -> None:
-        """Add ``new`` without testing it (after ``push_ok``'s test, or a root)."""
+        """Add ``new`` without testing it (after ``breaks``, or a root)."""
         bit, t = 1 << len(self.sets), self.t
         self._marks.append(len(self.groups))
         self.groups += [(m | bit, u | new, c + (new,)) for m, u, c in self.groups if len(c) < t]
@@ -227,7 +268,7 @@ class _IdentifiablePrefix(_CoalitionPrefix):
     and the codeword triples holding x replace the families of three.
     """
 
-    def _breaks(self, new: int) -> bool:
+    def breaks(self, new: int, since: int = 0, until: None = None) -> bool:
         t, bit = self.t, 1 << len(self.sets)
         joined = [(m | bit, u | new) for m, u, c in self.groups if len(c) < t]
         entries = joined + [(m, u) for m, u, _ in self.groups[1:]]
@@ -251,7 +292,7 @@ class _TraceablePrefix(_CoalitionPrefix):
     of ``core.untraced_descendant``.
     """
 
-    def _breaks(self, new: int) -> bool:
+    def breaks(self, new: int, since: int = 0, until: None = None) -> bool:
         N, q, t, sets = self.N, self.q, self.t, self.sets
         walk = core.untraced_descendant
         for m, u, ins in self.groups:
@@ -267,11 +308,15 @@ class _TraceablePrefix(_CoalitionPrefix):
 def max_code_search(problem: SearchProblem, budget: int | None = None) -> SearchResult:
     """Run the search to completion, a decision, or budget exhaustion.
 
-    ``optimum`` is the largest size reached (a lower bound when truncated);
-    ``complete`` certifies the tree was exhausted, which for maximize mode
-    is the proof of optimality.  Decide mode reports ``decided=None`` when
-    the budget ran out before either answer.  Raises ValueError when the
-    candidate space q**N exceeds ``DEFAULT_ENUMERATION_CAP``.
+    ``nodes`` counts candidate tests, and a budget caps them: the test
+    that would exceed it is counted and not run.  ``optimum`` is the
+    largest code reached, a tested live candidate counting as reached with
+    its prefix; after a budget stop or a decide "no" it is only a lower
+    bound.  ``complete`` certifies the tree was exhausted, which for
+    maximize mode is the proof of optimality.  Decide mode reports
+    ``decided=None`` when the budget ran out before either answer.  Raises
+    ValueError when the candidate space q**N exceeds
+    ``DEFAULT_ENUMERATION_CAP``.
     """
     if budget is not None and budget < 0:
         raise ValueError(f"need a node budget >= 0, got {budget}")
@@ -299,7 +344,7 @@ def max_code_search(problem: SearchProblem, budget: int | None = None) -> Search
         encode, root = (lambda mask: mask), []
     else:
         encode, root = (lambda c: _encode_word(c, N, q)), [0]
-    best, decided, nodes, complete = _dfs(problem, budget, total, encode, prefix, root)
+    best, decided, nodes, complete = _forward_check(problem, budget, total, encode, prefix, root)
     if problem.mode == "decide" and decided is not True:
         witness = None
     elif prop == "CFF":
@@ -318,7 +363,7 @@ def max_code_search(problem: SearchProblem, budget: int | None = None) -> Search
     )
 
 
-def _dfs(
+def _forward_check(
     problem: SearchProblem,
     budget: int | None,
     total: int,
@@ -326,51 +371,106 @@ def _dfs(
     prefix: _CoverFreePrefix | _CoalitionPrefix,
     root: list[int],
 ) -> tuple[list[int], bool | None, int, bool]:
-    """Extend ``root`` by candidates 1..total-1 in ascending order, depth first.
+    """Extend ``root`` by candidates 1..total-1 in ascending order, depth first, forward checked.
 
-    ``encode`` turns a candidate into the set ``prefix`` holds:
-    ``prefix.push_ok(s)`` adds it when the extended prefix keeps the
-    property, testing only what the new set can break, and a rejected
-    candidate prunes its subtree; ``prefix.pop()`` takes the last set off
-    when its depth is popped.  The frontier is plain data: ``chosen`` holds
-    the current prefix's candidates (``prefix`` their sets) and
-    ``following[d]`` the next candidate to try at depth d, so
-    depth is bounded only by the candidate space.  A depth is popped
-    once too few candidates remain to beat the best (maximize) or to reach
-    the goal (decide).  Returns the best candidate list, the decision (None
-    unless deciding and answered), the node count and whether the tree was
-    exhausted or the goal met.
+    ``chosen`` is the whole frontier: ``prefix`` holds its candidates'
+    sets (``encode`` turns a candidate into its set), and a node's
+    candidates are those above its last one.  ``level[c]`` is how many of
+    the chosen candidates c is known to keep the property with: c is live
+    at the current node when that is ``len(chosen)``, dead when it is
+    ``dead`` (c broke some prefix of the current one), and not yet tested
+    against the later pushes otherwise.  A level set to d or to ``dead``
+    while the prefix has d members goes on ``trail[d]`` with its old value,
+    and popping depth d restores that.
+
+    A node scans its candidates in order, bringing each untested one up to
+    date, until enough are live to beat the best size (maximize) or reach
+    the goal (decide), or too few are left for that: the room is
+    ``len(chosen)`` plus the live candidates left.  Then it pushes the
+    first live one, which needs no further test, or is popped.  A test
+    covers only the pushes since the candidate's level.  When
+    ``prefix.partial``, the pushes before the last are one test at the
+    parent's depth, which its other children reuse, and the last push is
+    another.  Each test is a node.  A live candidate c makes
+    ``chosen + [c]`` a code that holds, so it counts as reached.  Returns
+    the best candidate list, the decision (None unless deciding and
+    answered), the node count and whether the tree was exhausted or the
+    goal met.
     """
     deciding = problem.mode == "decide"
     goal = problem.goal or 0
+    limit = math.inf if budget is None else budget
+    breaks, push, pop, partial = prefix.breaks, prefix.push, prefix.pop, prefix.partial
+    dead = total + 1  # deeper than any prefix
+    # Grown only as far as the scans reach, with each candidate's set;
+    # candidate 0, the root or the empty member, is never scanned.
+    level, sets = [dead], [encode(0)]
+    grown = 1
     chosen = list(root)
     for c in root:
-        prefix.push(encode(c))
-    push_ok, pop = prefix.push_ok, prefix.pop
-    following = [1]
+        push(encode(c))
+    trail: list[list[tuple[int, int]]] = [[] for _ in range(len(chosen) + 1)]
     best = list(chosen)
     nodes = 0
+    if deciding and len(best) >= goal:
+        return best, True, nodes, True
+    cand = 1
     while True:
-        if deciding and len(chosen) >= goal:
-            return best, True, nodes, True
-        cand = following[-1]
-        room = len(chosen) + (total - cand)
-        if (room < goal) if deciding else (room <= len(best)):
-            if len(following) == 1:
+        depth = len(chosen)
+        need = goal - depth if deciding else len(best) - depth + 1
+        first, live = -1, 0
+        while total - cand >= need - live:
+            if cand == grown:
+                grown = min(total, 2 * cand + 64)
+                level += repeat(0, grown - cand)
+                sets += map(encode, range(cand, grown))
+            known = level[cand]
+            if known > depth:
+                cand += 1
+                continue
+            if known < depth:
+                if partial and known < depth - 1:
+                    # The pushes before the last, once for all the parent's children.
+                    nodes += 1
+                    if nodes > limit:
+                        return best, None, nodes, False
+                    trail[depth - 1].append((cand, known))
+                    if breaks(sets[cand], known, depth - 1):
+                        level[cand] = dead
+                        cand += 1
+                        continue
+                    known = depth - 1
+                nodes += 1
+                if nodes > limit:
+                    return best, None, nodes, False
+                trail[depth].append((cand, known))
+                if breaks(sets[cand], known):
+                    level[cand] = dead
+                    cand += 1
+                    continue
+                level[cand] = depth
+            if first < 0:
+                first = cand
+                if depth == len(best):
+                    best = chosen + [cand]
+                    if deciding and len(best) >= goal:
+                        return best, True, nodes, True
+            live += 1
+            if live == need:
+                break
+            cand += 1
+        else:  # too few live candidates left
+            if depth == len(root):
                 return best, (False if deciding else None), nodes, True
-            following.pop()
-            chosen.pop()
+            for c, known in trail.pop():
+                level[c] = known
             pop()
+            cand = chosen.pop() + 1
             continue
-        nodes += 1
-        if budget is not None and nodes > budget:
-            return best, None, nodes, False
-        following[-1] = cand + 1
-        if push_ok(encode(cand)):
-            chosen.append(cand)
-            following.append(cand + 1)
-            if len(chosen) > len(best):
-                best = list(chosen)
+        push(sets[first])
+        chosen.append(first)
+        trail.append([])
+        cand = first + 1
 
 
 @dataclass(frozen=True)

@@ -142,6 +142,40 @@ def exists_code_of_size(N: int, q: int, size: int, holds) -> bool:
     return grow([], 0)
 
 
+def forward_checked_pushes(universe, holds, root, goal=None) -> list:
+    """Every prefix that plain forward checking pushes, in order.
+
+    Each depth filters the whole list of later candidates down to those
+    that extend its prefix to a code that ``holds``.  A depth pushes its
+    live candidates in order while, counting from the next one, enough are
+    left to beat the best size reached (``goal`` None) or to reach the
+    goal; the next live candidate counts as reached with its prefix before
+    the count is compared.  The search starts from ``root`` and stops at
+    the goal.  Use only at tiny parameters.
+    """
+    pushes = []
+    best = len(root)
+
+    def grow(prefix: list, live: list) -> bool:
+        nonlocal best
+        for i, candidate in enumerate(live):
+            need = best - len(prefix) + 1 if goal is None else goal - len(prefix)
+            best = max(best, len(prefix) + 1)
+            if goal is not None and best >= goal:
+                return True
+            if len(live) - i < need:
+                return False
+            extended = prefix + [candidate]
+            pushes.append(extended)
+            if grow(extended, [c for c in live[i + 1 :] if holds(extended + [c])]):
+                return True
+        return False
+
+    if goal is None or best < goal:
+        grow(list(root), [c for c in universe if holds(list(root) + [c])])
+    return pushes
+
+
 def max_family_size(N: int, t: int) -> int:
     """Largest cover-free family on a tiny ground set, unnormalized DFS."""
     universe = [frozenset(s) for size in range(1, N + 1) for s in combinations(range(N), size)]

@@ -410,6 +410,20 @@ class TestTransformCommand:
             assert run(capsys, *argv)[0] == EXIT_USAGE, op
 
 
+    @pytest.mark.parametrize("op", ["pad", "compose", "restrict"])
+    def test_value_beyond_the_index_range_names_the_op(self, files, capsys, op):
+        subject = files("pair.code", "2 2 2\n0 0\n1 1\n")
+        if op == "restrict":
+            subject = files("singles.family", "3 3\n100\n010\n001\n")
+        huge = sys.maxsize + 1
+        assert main(["transform", "--op", f"{op}={huge}", subject]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: op {op} value {huge} exceeds the largest index {sys.maxsize}\n"
+        # The largest index itself is left to the op to judge.
+        assert main(["transform", "--op", f"{op}={sys.maxsize}", subject]) == EXIT_USAGE
+        assert "exceeds the largest index" not in capsys.readouterr().err
+
     @pytest.mark.parametrize("r", ["4611686018427387904", "100000000000000000000"])
     def test_huge_padding_is_a_usage_error(self, files, capsys, r):
         # Both fail in the allocator before anything is allocated.
@@ -508,6 +522,27 @@ class TestSearchCommand:
         assert second["cached"] is True
         assert second["optimum"] == first["optimum"]
         assert second["nodes"] == first["nodes"]
+
+    def test_entry_of_the_version_before_is_not_served(self, capsys, tmp_path, monkeypatch):
+        # Version 0.1.0 searched without forward checking, so its counts differ:
+        # 20 nodes here, where this version takes 24 tests.
+        monkeypatch.setenv("TRACECODES_CACHE", str(tmp_path))
+        args = ("search", "--property", "fp", "--N", "3", "--q", "2", "--t", "2")
+        with monkeypatch.context() as before:
+            before.setattr(cli, "__version__", "0.1.0")
+            assert run(capsys, *args)[0] == EXIT_OK
+            (entry,) = tmp_path.iterdir()
+            doc = json.loads(entry.read_text())
+            entry.write_text(json.dumps({**doc, "nodes": 20}))
+            # Well-formed: that version serves it.
+            fields = text_fields(run(capsys, *args)[1])
+            assert (fields["cached"], fields["nodes"]) == ("yes", "20")
+        assert cli.__version__ == "0.2.0"
+        code, out = run(capsys, *args)
+        assert code == EXIT_OK
+        fields = text_fields(out)
+        assert (fields["cached"], fields["nodes"]) == ("no", "24")
+        assert len(list(tmp_path.iterdir())) == 2
 
     def test_unwritable_cache_entry_warns(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("TRACECODES_CACHE", str(tmp_path))

@@ -59,7 +59,7 @@ class TestMaximumSizes:
         assert res.complete
         assert res.witness.words == ((0, 0), (0, 1))
         assert verify.check_frameproof(res.witness, 2).holds
-        assert res.nodes == 5
+        assert res.nodes == 6
 
     def test_three_coordinates_even_weight_code(self):
         res = max_code_search(SearchProblem("FP", N=3, t=2, q=2))
@@ -68,7 +68,7 @@ class TestMaximumSizes:
         assert res.optimum == 4
         assert res.witness.words == ((0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0))
         assert verify.check_frameproof(res.witness, 2).holds
-        assert res.nodes == 20
+        assert res.nodes == 24
 
     def test_matches_unnormalized_oracle(self):
         # The production search fixes the all-zero first word by relabeling;
@@ -82,18 +82,18 @@ class TestMaximumSizes:
         res = max_code_search(SearchProblem("FP", N=4, t=3, q=2))
         assert res.optimum == 4
         assert res.complete
-        assert res.nodes == 193
+        assert res.nodes == 160
         assert verify.check_frameproof(res.witness, 3).holds
 
         res = max_code_search(SearchProblem("FP", N=5, t=3, q=2))
         assert res.optimum == 5
         assert res.complete
-        assert res.nodes == 2671
+        assert res.nodes == 1447
 
     def test_identifiable_and_traceable_maxima(self):
         ipp = max_code_search(SearchProblem("IPP", N=3, t=2, q=2))
         assert ipp.optimum == 2
-        assert ipp.nodes == 27
+        assert ipp.nodes == 28
         assert verify.check_ipp(ipp.witness, 2).holds
         ta = max_code_search(SearchProblem("TA", N=3, t=2, q=2))
         assert ta.optimum == 2
@@ -114,7 +114,7 @@ class TestMaximumSizes:
     def test_sperner_family(self):
         res = max_code_search(SearchProblem("CFF", N=4, t=1))
         assert res.optimum == math.comb(4, 2)
-        assert res.nodes == 374
+        assert res.nodes == 191
         fam = res.witness
         assert fam.size == 6
         assert all(fam.member_size(i) == 2 for i in range(6))
@@ -134,11 +134,11 @@ TERNARY_CASES = [
 ]
 # Node counts shared with the benchmark's search jobs.
 TERNARY_NODES = {
-    ("FP", 3, 2): 3250,
-    ("FP", 2, 2): 40,
-    ("IPP", 2, 2): 53,
-    ("TA", 2, 2): 36,
-    ("TA", 3, 2): 585,
+    ("FP", 3, 2): 1919,
+    ("FP", 2, 2): 42,
+    ("IPP", 2, 2): 55,
+    ("TA", 2, 2): 37,
+    ("TA", 3, 2): 491,
 }
 
 
@@ -161,14 +161,136 @@ class TestTernarySearches:
             assert res.nodes == TERNARY_NODES[prop, N, t]
 
 
+# The spaces the oracles search exhaustively, about 5 s in all over t = 1..3: (property, N, q).
+ORACLE_SPACES = [
+    *((prop, N, 2) for prop in ("FP", "IPP", "TA", "CFF") for N in (1, 2, 3, 4)),
+    *((prop, N, 3) for prop in ("FP", "IPP", "TA") for N in (1, 2)),
+    ("CFF", 5, 2),
+    ("FP", 2, 4),
+    ("TA", 2, 4),
+]
+
+
+class TestOracleAgreement:
+    """The search loop against the unnormalized oracle searches, exhaustively at tiny sizes."""
+
+    HOLDS = {
+        "FP": lambda q, t: lambda words: oracles.frameproof_holds(words, t),
+        "IPP": lambda q, t: lambda words: oracles.ipp_holds(words, q, t),
+        "TA": lambda q, t: lambda words: oracles.ta_holds(words, t),
+        # A binary word stands for the member it is the incidence vector of.
+        "CFF": lambda q, t: lambda words: oracles.cff_holds(
+            [[i for i, bit in enumerate(w) if bit] for w in words], t
+        ),
+    }
+    CHECKERS = {
+        "FP": verify.check_frameproof,
+        "IPP": verify.check_ipp,
+        "TA": verify.check_ta,
+        "CFF": verify.check_cff,
+    }
+
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "prop,N,q", ORACLE_SPACES, ids=["{}-N{}-q{}".format(*s) for s in ORACLE_SPACES]
+    )
+    def test_optimum_and_decisions(self, prop, N, q, t):
+        holds = self.HOLDS[prop](q, t)
+        res = max_code_search(SearchProblem(prop, N=N, t=t, q=q))
+        assert res.complete
+        assert res.optimum == oracles.max_code_size(N, q, holds)
+        assert res.witness.size == res.optimum
+        assert self.CHECKERS[prop](res.witness, t).holds
+        for goal in range(max(1, res.optimum - 1), res.optimum + 3):
+            dec = max_code_search(SearchProblem(prop, N=N, t=t, q=q, mode="decide", goal=goal))
+            assert dec.complete
+            assert dec.decided == oracles.exists_code_of_size(N, q, goal, holds), goal
+            if dec.decided:
+                assert dec.witness.size == goal
+                assert self.CHECKERS[prop](dec.witness, t).holds
+            else:
+                assert dec.witness is None
+                # A "no" still reports a code it reached: a lower bound.
+                assert dec.optimum <= res.optimum
+
+
+class TestForwardCheckedTree:
+    """The lazy loop pushes exactly the prefixes of eager forward checking.
+
+    Equal answers do not show this: a loop that wrongly counts a live
+    candidate as dead may cut only subtrees that hold no better code, and
+    still find every optimum.  The reference filters whole lists with the
+    oracles.
+    """
+
+    @staticmethod
+    def pushes(monkeypatch, problem):
+        """Every prefix ``max_code_search`` pushes, as its list of sets."""
+        stack, seen = [], []
+        for cls in (search._CoverFreePrefix, search._CoalitionPrefix):
+            def push(self, new, push=cls.push):
+                stack.append(new)
+                seen.append(list(stack))
+                push(self, new)
+
+            def pop(self, pop=cls.pop):
+                stack.pop()
+                pop(self)
+
+            monkeypatch.setattr(cls, "push", push)
+            monkeypatch.setattr(cls, "pop", pop)
+        max_code_search(problem)
+        return seen
+
+    @pytest.mark.parametrize(
+        "prop,N,q,t",
+        [
+            ("FP", 4, 2, 2),
+            ("FP", 4, 2, 3),
+            ("FP", 2, 4, 2),
+            ("CFF", 4, 2, 1),
+            ("CFF", 4, 2, 2),
+            ("IPP", 2, 4, 2),
+            ("TA", 2, 4, 2),
+            ("TA", 3, 3, 2),
+        ],
+        ids=["fp-4-2", "fp-4-3", "fp-q4-2", "cff-4-1", "cff-4-2", "ipp-q4-2", "ta-q4-2", "ta-q3-3"],
+    )
+    def test_same_pushes_as_eager_forward_checking(self, monkeypatch, prop, N, q, t):
+        if prop == "CFF":
+            universe, root = list(range(1, 1 << N)), []
+
+            def holds(masks):
+                return oracles.cff_holds([_elements(m) for m in masks], t)
+
+            def as_set(mask):
+                return mask
+        else:
+            words = oracles.all_words(N, q)
+            universe, root = words[1:], words[:1]
+            holds = TestOracleAgreement.HOLDS[prop](q, t)
+
+            def as_set(word):
+                return core.onehot(word, q)
+        optimum = max_code_search(SearchProblem(prop, N=N, t=t, q=q)).optimum
+        for goal in [None, *range(max(1, optimum - 1), optimum + 3)]:
+            mode = "maximize" if goal is None else "decide"
+            got = self.pushes(monkeypatch, SearchProblem(prop, N=N, t=t, q=q, mode=mode, goal=goal))
+            want = oracles.forward_checked_pushes(universe, holds, root, goal)
+            # The search pushes its root first; the reference starts from it.
+            assert got[len(root):] == [[as_set(c) for c in prefix] for prefix in want], goal
+
+
 # The benchmark's cover-free search jobs, plus the deepest tree it never
-# reaches: 999 accepted words, one per node.
+# reaches: 999 accepted words.  Every word is live, and a decide run tests
+# ahead the goal-depth live words its room needs at each depth, so that
+# one takes 999 * 1000 / 2 tests.
 COVER_FREE_JOBS = [
-    (SearchProblem("FP", N=6, t=3), 6, None, 57982),
-    (SearchProblem("FP", N=6, t=3, mode="decide", goal=7), 6, False, 57974),
-    (SearchProblem("CFF", N=5, t=2), 5, None, 6882),
-    (SearchProblem("CFF", N=6, t=2), 6, None, 185431),
-    (SearchProblem("FP", N=10, t=1, mode="decide", goal=1000), 1000, True, 999),
+    (SearchProblem("FP", N=6, t=3), 6, None, 20763),
+    (SearchProblem("FP", N=6, t=3, mode="decide", goal=7), 6, False, 20721),
+    (SearchProblem("CFF", N=5, t=2), 5, None, 2956),
+    (SearchProblem("CFF", N=6, t=2), 6, None, 58874),
+    (SearchProblem("FP", N=10, t=1, mode="decide", goal=1000), 1000, True, 499500),
 ]
 
 
@@ -190,10 +312,10 @@ class TestCoverFreeNodeCounts:
 # Identifiable and traceable searches off t=2, where no benchmark job
 # reaches: (property, N, t, q) -> (optimum, nodes).
 OFF_PAIR_JOBS = {
-    ("IPP", 3, 3, 3): (3, 1646),
-    ("TA", 3, 3, 3): (3, 585),
-    ("TA", 4, 3, 2): (2, 119),
-    ("IPP", 2, 3, 4): (4, 608),
+    ("IPP", 3, 3, 3): (3, 1575),
+    ("TA", 3, 3, 3): (3, 491),
+    ("TA", 4, 3, 2): (2, 120),
+    ("IPP", 2, 3, 4): (4, 548),
     ("IPP", 3, 1, 3): (27, 26),
     ("TA", 3, 1, 3): (27, 26),
 }
@@ -234,10 +356,11 @@ class TestCoverFreePrefix:
         return [list(layer) for layer in prefix.unions + prefix.residues]
 
     def grow(self, members, t):
-        """Push ``members`` one at a time; each push must be accepted."""
+        """Push ``members`` one at a time; none may break the family."""
         prefix = search._CoverFreePrefix(t)
         for m in members:
-            assert prefix.push_ok(m)
+            assert not prefix.breaks(m)
+            prefix.push(m)
         # unions[j]: one union per group of at most j members; residues[j]:
         # one member-minus-union per member and group of at most j others.
         for j, layer in enumerate(prefix.unions):
@@ -252,13 +375,27 @@ class TestCoverFreePrefix:
         return prefix
 
     def check_extensions(self, members, candidates, t, holds):
+        """``breaks`` on every run of members against ``holds``, the oracle on a member list."""
         prefix = self.grow(members, t)
+        before = self.layers(prefix)
+        n = len(members)
         for new in candidates:
-            before = self.layers(prefix)
-            ok = prefix.push_ok(new)
-            assert ok == holds(new), (members, new, t)
-            if ok:
-                prefix.pop()
+            # Heredity: ``new`` keeps the first k members exactly for k <= kept
+            # (kept = -1 when it fails alone), so a bisection finds kept.
+            low, high = -1, n
+            while low < high:
+                mid = (low + high + 1) // 2
+                if holds(members[:mid] + [new]):
+                    low = mid
+                else:
+                    high = mid - 1
+            kept = low
+            assert prefix.breaks(new) == (kept < n), (members, new, t)
+            # Given it keeps the first ``since`` members, members since..until-1 decide.
+            for since in range(min(max(kept, 0), n - 1) + 1):
+                assert prefix.breaks(new, since) == (kept < n), (members, new, t, since)
+                for until in range(since, n):
+                    assert prefix.breaks(new, since, until) == (kept < until)
             assert self.layers(prefix) == before
 
     @pytest.mark.parametrize("t", [1, 2, 3, 4])
@@ -280,7 +417,7 @@ class TestCoverFreePrefix:
                     members,
                     space,
                     t,
-                    lambda new: oracles.cff_holds([_elements(x) for x in members + [new]], t),
+                    lambda group: oracles.cff_holds([_elements(x) for x in group], t),
                 )
 
     @pytest.mark.parametrize("t", [1, 2, 3])
@@ -303,7 +440,7 @@ class TestCoverFreePrefix:
                     [core.onehot(w, 3) for w in words],
                     [core.onehot(w, 3) for w in universe if w not in words],
                     t,
-                    lambda new: oracles.frameproof_holds(words + [word_of[new]], t),
+                    lambda group: oracles.frameproof_holds([word_of[x] for x in group], t),
                 )
 
 
@@ -321,10 +458,11 @@ class _CoalitionPrefixCase:
         return list(prefix.sets), list(prefix.groups), list(prefix._marks)
 
     def grow(self, words, N, q, t):
-        """Push ``words`` one at a time; each push must be accepted."""
+        """Push ``words`` one at a time; none may break the property."""
         prefix = self.PREFIX(t, N, q)
         for w in words:
-            assert prefix.push_ok(core.onehot(w, q))
+            assert not prefix.breaks(core.onehot(w, q))
+            prefix.push(core.onehot(w, q))
         sets = [core.onehot(w, q) for w in words]
         # One group per set of at most t words, the empty one included.
         want = [
@@ -356,10 +494,8 @@ class _CoalitionPrefixCase:
                     if w in words:
                         continue
                     before = self.state(prefix)
-                    ok = prefix.push_ok(core.onehot(w, q))
-                    assert ok == self.holds(words + [w], q, t), (words, w, t)
-                    if ok:
-                        prefix.pop()
+                    broken = prefix.breaks(core.onehot(w, q))
+                    assert broken != self.holds(words + [w], q, t), (words, w, t)
                     assert self.state(prefix) == before
 
 
@@ -402,17 +538,28 @@ class TestBudgets:
         stopped = max_code_search(SearchProblem("FP", N=3, t=2, q=2), budget=0)
         assert (stopped.nodes, stopped.complete) == (1, False)
 
-    @pytest.mark.parametrize("prop,nodes", [("IPP", 1563), ("TA", 585)])
-    def test_ladder_of_identifiable_and_traceable_budgets(self, prop, nodes):
-        problem = SearchProblem(prop, N=3, t=2, q=3)
+    @pytest.mark.parametrize(
+        "problem,nodes",
+        [
+            (SearchProblem("FP", N=3, t=2, q=3), 1919),
+            (SearchProblem("CFF", N=5, t=2), 2956),
+            (SearchProblem("IPP", N=3, t=2, q=3), 1418),
+            (SearchProblem("TA", N=3, t=2, q=3), 491),
+            (SearchProblem("FP", N=4, t=2, mode="decide", goal=6), 142),
+        ],
+        ids=["FP", "CFF", "IPP", "TA", "FP-decide"],
+    )
+    def test_ladder_of_budgets(self, problem, nodes):
+        # A budget counts candidate tests: the test past it is counted, not run.
         free = max_code_search(problem)
         assert (free.nodes, free.complete) == (nodes, True)
         optima = []
-        for budget in range(61):
+        for budget in [*range(61), nodes - 1]:
             stopped = max_code_search(problem, budget)
-            assert (stopped.nodes, stopped.complete) == (budget + 1, False)
+            assert (stopped.nodes, stopped.decided, stopped.complete) == (budget + 1, None, False)
             optima.append(stopped.optimum)
         assert optima == sorted(optima)
+        assert optima[-1] <= free.optimum
         for budget in (nodes, nodes + 1, 10**6):
             roomy = max_code_search(problem, budget)
             assert (roomy.optimum, roomy.decided, roomy.nodes, roomy.witness, roomy.complete) == (
@@ -443,13 +590,21 @@ class TestDeepTrees:
     def test_maximize_every_binary_word(self):
         with shallow_stack():
             res = max_code_search(SearchProblem("FP", N=7, t=1))
-        assert (res.optimum, res.nodes, res.complete) == (128, 127, True)
+        assert (res.optimum, res.nodes, res.complete) == (128, 253, True)
 
     def test_decide_every_binary_word(self):
+        # The room test brings the 128-depth live words ahead up to date at each depth.
         with shallow_stack():
             res = max_code_search(SearchProblem("FP", N=7, t=1, mode="decide", goal=128))
-        assert (res.decided, res.nodes) == (True, 127)
+        assert (res.decided, res.nodes) == (True, 128 * 127 // 2)
         assert res.witness.size == 128
+
+    def test_at_most_two_tests_per_accepted_word(self):
+        # Maximizing needs one live word ahead, so each word is tested once
+        # on the pushes before its parent's (past the first) and once on the last.
+        res = max_code_search(SearchProblem("FP", N=10, t=1))
+        assert (res.optimum, res.nodes, res.complete) == (1024, 2 * 1023 - 1, True)
+        assert res.witness.words == tuple(oracles.all_words(10, 2))
 
 
 class TestDecisions:
@@ -482,8 +637,8 @@ class TestUpperBoundRegion:
         assert report.all_confirmed
         by_N = {e.N: e for e in report.entries}
         assert by_N[4].in_window and by_N[5].in_window
-        assert by_N[4].nodes == 189
-        assert by_N[5].nodes == 2665
+        assert by_N[4].nodes == 153
+        assert by_N[5].nodes == 1430
         assert by_N[4].witness is None
 
     def test_pair_coalitions_break_at_length_three(self):
@@ -501,8 +656,8 @@ class TestUpperBoundRegion:
     def test_budget_exhaustion_is_per_length(self):
         report = search.verify_upper_bound_region(3, [4, 5], budget=200)
         by_N = {e.N: e for e in report.entries}
-        assert by_N[4].confirmed is True  # finishes in 189 nodes
-        assert by_N[5].confirmed is None  # needs 2665
+        assert by_N[4].confirmed is True  # finishes in 153 tests
+        assert by_N[5].confirmed is None  # needs 1430
 
 
 class TestMinimumLengths:
@@ -512,9 +667,9 @@ class TestMinimumLengths:
         assert res.complete
         assert [(p.N, p.decided, p.nodes) for p in res.probes] == [
             (1, False, 0),
-            (2, False, 3),
-            (3, False, 30),
-            (4, True, 211),
+            (2, False, 2),
+            (3, False, 20),
+            (4, True, 97),
         ]
         fam = res.witness
         assert fam.size == 5
@@ -610,7 +765,7 @@ class TestSandwich:
         assert report.t == 3
         assert report.family_lower.value == 4  # pairs-of-others answer
         assert report.code.value is None
-        assert report.code.lower_bound == 5
+        assert report.code.lower_bound == 6  # N=5 is refuted in 1430 tests
         assert report.family_upper.value is None
         assert report.consistent is None
 
