@@ -3,144 +3,65 @@
 Exact verifiers, tracing algorithms, constructive transforms, closed-form
 size caps and exhaustive searches for frameproof, parent-identifiable and
 traceability codes and their cover-free set-family twins.
+
+Every public name below is re-exported from its submodule, which is
+imported on first use (PEP 562), so ``import tracecodes.cli`` loads only
+what a command runs.
 """
 
-from .bounds import (
-    BinaryFpStatus,
-    BoundEntry,
-    BoundReport,
-    binary_fp_status,
-    bound_report,
-    fp_bound,
-    ipp_bound,
-    min_exceed_length_quadratic,
-    singleton_bound,
-    ta_bound,
-)
-from .core import (
-    Code,
-    DescendantSetTooLarge,
-    INFINITE_DISTANCE,
-    ParentSetFamily,
-    desc_profile,
-    hamming_distance,
-    is_descendant,
-    min_distance,
-    parent_sets,
-)
-from .search import (
-    MinLengthResult,
-    SearchProblem,
-    SearchResult,
-    max_code_search,
-    min_length_sandwich,
-    min_length_search,
-    verify_upper_bound_region,
-)
-from .trace import (
-    Accusation,
-    DEFAULT_SEED,
-    PirateStrategy,
-    TracingReport,
-    forge_pirate,
-    simulate_tracing,
-    trace_ipp,
-    trace_ta,
-)
-from .transform import (
-    IppViolationCertificate,
-    PatternPartition,
-    PruneResult,
-    Restriction,
-    SetFamily,
-    StripTrace,
-    block_compose,
-    build_ipp_violation,
-    certificate_problems,
-    cff_restrict,
-    cff_to_fpc,
-    distance_strip,
-    fpc_to_cff,
-    make_row_partition,
-    pad_code,
-    prune_special_codewords,
-)
-from .verify import (
-    Counters,
-    CoverViolation,
-    FramedWord,
-    IppViolation,
-    TaViolation,
-    Verdict,
-    check_cff,
-    check_frameproof,
-    check_ipp,
-    check_ta,
-    ta_distance_sufficient,
-)
+from importlib import import_module
 
 __version__ = "0.2.0"
 
-__all__ = [
-    "Accusation",
-    "BinaryFpStatus",
-    "BoundEntry",
-    "BoundReport",
-    "Code",
-    "Counters",
-    "CoverViolation",
-    "DEFAULT_SEED",
-    "DescendantSetTooLarge",
-    "FramedWord",
-    "INFINITE_DISTANCE",
-    "IppViolation",
-    "IppViolationCertificate",
-    "MinLengthResult",
-    "ParentSetFamily",
-    "PatternPartition",
-    "PirateStrategy",
-    "PruneResult",
-    "Restriction",
-    "SearchProblem",
-    "SearchResult",
-    "SetFamily",
-    "StripTrace",
-    "TaViolation",
-    "TracingReport",
-    "Verdict",
-    "binary_fp_status",
-    "block_compose",
-    "bound_report",
-    "build_ipp_violation",
-    "certificate_problems",
-    "cff_restrict",
-    "cff_to_fpc",
-    "check_cff",
-    "check_frameproof",
-    "check_ipp",
-    "check_ta",
-    "desc_profile",
-    "distance_strip",
-    "forge_pirate",
-    "fp_bound",
-    "fpc_to_cff",
-    "hamming_distance",
-    "ipp_bound",
-    "is_descendant",
-    "make_row_partition",
-    "max_code_search",
-    "min_distance",
-    "min_exceed_length_quadratic",
-    "min_length_sandwich",
-    "min_length_search",
-    "pad_code",
-    "parent_sets",
-    "prune_special_codewords",
-    "simulate_tracing",
-    "singleton_bound",
-    "ta_bound",
-    "ta_distance_sufficient",
-    "trace_ipp",
-    "trace_ta",
-    "verify_upper_bound_region",
-]
+#: The submodule that defines each public name.
+_SUBMODULE = {
+    name: module
+    for module, names in {
+        "bounds": (
+            "BinaryFpStatus", "BoundEntry", "BoundReport", "binary_fp_status", "bound_report",
+            "fp_bound", "ipp_bound", "min_exceed_length_quadratic", "singleton_bound",
+            "ta_bound",
+        ),
+        "core": (
+            "Code", "DescendantSetTooLarge", "INFINITE_DISTANCE", "ParentSetFamily", "SetFamily",
+            "desc_profile", "hamming_distance", "is_descendant", "min_distance", "parent_sets",
+        ),
+        "search": (
+            "MinLengthResult", "SearchProblem", "SearchResult", "max_code_search",
+            "min_length_sandwich", "min_length_search", "verify_upper_bound_region",
+        ),
+        "trace": (
+            "Accusation", "DEFAULT_SEED", "PirateStrategy", "TracingReport", "forge_pirate",
+            "simulate_tracing", "trace_ipp", "trace_ta",
+        ),
+        "transform": (
+            "IppViolationCertificate", "PatternPartition", "PruneResult", "Restriction",
+            "StripTrace", "block_compose", "build_ipp_violation", "certificate_problems",
+            "cff_restrict", "cff_to_fpc", "distance_strip", "fpc_to_cff", "make_row_partition",
+            "pad_code", "prune_special_codewords",
+        ),
+        "verify": (
+            "Counters", "CoverViolation", "FramedWord", "IppViolation", "TaViolation", "Verdict",
+            "check_cff", "check_frameproof", "check_ipp", "check_ta", "ta_distance_sufficient",
+        ),
+    }.items()
+    for name in names
+}
+
+__all__ = sorted(_SUBMODULE)
+
+
+def __getattr__(name: str):
+    """A public name or a submodule, imported on first access and kept."""
+    if name in _SUBMODULE:
+        value = getattr(import_module(f".{_SUBMODULE[name]}", __name__), name)
+    elif name in _SUBMODULE.values():
+        value = import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -38,30 +38,29 @@ checkpointed there and reused when they read back well formed and their
 witness passes the checker again; a path that cannot be used as a directory
 is a usage error, and an entry that cannot be written only draws a
 ``warning:`` line on stderr.
+
+A subcommand imports only the modules it runs: this module loads ``core``
+alone, and each ``_cmd_*`` imports the rest of the package that it needs.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import math
 import os
 import sys
 from contextlib import contextmanager, suppress
 from pathlib import Path
-from typing import Any, Callable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterator, NamedTuple, Sequence
 
-from . import __version__
-from . import bounds as bounds_mod
-from . import core
-from . import search as search_mod
-from . import trace as trace_mod
-from . import transform
-from . import verify
-from .core import Code
-from .transform import SetFamily
+from . import __version__, core
+from .core import Code, SetFamily
+
+if TYPE_CHECKING:
+    from . import search as search_mod
+    from . import verify
 
 __all__ = [
     "EXIT_BAD_FILE",
@@ -305,17 +304,12 @@ def _emit(
             print("\n".join(text_lines() if callable(text_lines) else text_lines))
 
 
-_WITNESS_KINDS = {
-    verify.FramedWord: "framed-word",
-    verify.CoverViolation: "cover-violation",
-    verify.IppViolation: "ipp-violation",
-    verify.TaViolation: "ta-violation",
-}
-
-
 def witness_to_json(witness: verify.Witness, subject: Code | SetFamily) -> dict:
     """The witness's fields under its ``kind``; a framed word adds ``framed_word``."""
-    kind = _WITNESS_KINDS.get(type(witness))
+    from . import verify
+
+    kinds = {getattr(verify, p.witness_class): p.witness for p in _PROPERTIES.values()}
+    kind = kinds.get(type(witness))
     if kind is None:
         raise TypeError(f"unknown witness {witness!r}")
     data = {"kind": kind, **_jsonable(witness)}
@@ -382,7 +376,7 @@ def recheck_witness(data: dict, subject: Code | SetFamily, t: int) -> list[str]:
     problems: list[str] = []
     kind = data.get("kind")
     on_family = kind == "cover-violation"
-    if kind in _WITNESS_KINDS.values() and on_family != isinstance(subject, SetFamily):
+    if kind in _KINDS and on_family != isinstance(subject, SetFamily):
         return [f"{kind} witnesses apply to {'families' if on_family else 'codes'}"]
     if kind == "framed-word":
         framed = data.get("framed")
@@ -476,28 +470,40 @@ def recheck_witness(data: dict, subject: Code | SetFamily, t: int) -> list[str]:
 
 
 class _Property(NamedTuple):
-    """What ``--property`` selects: a checker, its file reader, its failures' witness kind."""
+    """What ``--property`` selects: its ``verify`` checker and witness class (by
+    name, read when a command runs), its file reader, its failures' witness kind."""
 
-    check: Callable[[Any, int], verify.Verdict]
+    check: str
+    witness_class: str
     load: Callable[[str], Code | SetFamily]
     witness: str
 
 
 _PROPERTIES = {
-    "fp": _Property(verify.check_frameproof, load_code, "framed-word"),
-    "ipp": _Property(verify.check_ipp, load_code, "ipp-violation"),
-    "ta": _Property(verify.check_ta, load_code, "ta-violation"),
-    "cff": _Property(verify.check_cff, load_family, "cover-violation"),
+    "fp": _Property("check_frameproof", "FramedWord", load_code, "framed-word"),
+    "ipp": _Property("check_ipp", "IppViolation", load_code, "ipp-violation"),
+    "ta": _Property("check_ta", "TaViolation", load_code, "ta-violation"),
+    "cff": _Property("check_cff", "CoverViolation", load_family, "cover-violation"),
 }
+
+#: Every witness kind that ``verify`` emits and ``recheck`` reads.
+_KINDS = frozenset(p.witness for p in _PROPERTIES.values())
+
+
+def _checker(prop: str) -> Callable[[Any, int], verify.Verdict]:
+    """The ``verify`` checker of ``--property prop``, looked up when it is called."""
+    from . import verify
+
+    return getattr(verify, _PROPERTIES[prop].check)
+
 
 #: A subcommand's exit code, report fields and text lines (see ``_emit``).
 _Outcome = tuple[int, dict, list[str] | Callable[[], list[str]]]
 
 
 def _cmd_verify(args: argparse.Namespace) -> _Outcome:
-    check, load, _ = _PROPERTIES[args.property]
-    subject = load(args.file)
-    verdict = check(subject, args.t)
+    subject = _PROPERTIES[args.property].load(args.file)
+    verdict = _checker(args.property)(subject, args.t)
     witness = (
         witness_to_json(verdict.witness, subject) if verdict.witness is not None else None
     )
@@ -516,6 +522,8 @@ def _cmd_verify(args: argparse.Namespace) -> _Outcome:
 
 
 def _cmd_trace(args: argparse.Namespace) -> _Outcome:
+    from . import trace as trace_mod
+
     code = load_code(args.file)
     word = parse_word(args.pirate, code.length, code.q)
     if args.scheme == "ta":
@@ -543,6 +551,8 @@ def _cmd_trace(args: argparse.Namespace) -> _Outcome:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> _Outcome:
+    from . import bounds as bounds_mod
+
     report_obj = bounds_mod.bound_report(args.N, args.q, args.t, evaluate_symbolic=args.evaluate)
     report = {"N": args.N, "q": args.q, "t": args.t, "bounds": report_obj.entries}
     status = None
@@ -605,6 +615,8 @@ def _parse_op(raw: str) -> tuple[str, int | None]:
 
 
 def _cmd_transform(args: argparse.Namespace) -> _Outcome:
+    from . import transform
+
     op, value = _parse_op(args.op)
     t = args.t
     if op in ("prune", "violate", "strip"):
@@ -717,6 +729,8 @@ def _cache_path(problem: search_mod.SearchProblem, budget: int | None) -> Path |
     root = os.environ.get("TRACECODES_CACHE")
     if not root:
         return None
+    import hashlib  # only a cached search pays for it
+
     key = json.dumps(
         {**_jsonable(problem), "budget": budget, "schema": SCHEMA, "version": __version__},
         sort_keys=True,
@@ -797,7 +811,7 @@ def _cached_payload(
         subject = _witness_subject(witness, problem)
     except (KeyError, TypeError, ValueError):
         return None
-    check = _PROPERTIES[problem.property.lower()].check
+    check = _checker(problem.property.lower())
     if subject.size != payload["optimum"] or not check(subject, problem.t).holds:
         return None
     payload["witness"] = _witness_json(subject)
@@ -817,6 +831,8 @@ def _write_cache_entry(cache_file: Path, payload: dict) -> None:
 
 
 def _cmd_search(args: argparse.Namespace) -> _Outcome:
+    from . import search as search_mod
+
     prop = args.property.upper()
     report: dict = {"property": prop, "t": args.t}
 
@@ -904,6 +920,8 @@ def _cmd_search(args: argparse.Namespace) -> _Outcome:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> _Outcome:
+    from . import trace as trace_mod
+
     code = load_code(args.file)
     strategy = trace_mod.PirateStrategy(args.strategy)
     rep = trace_mod.simulate_tracing(code, args.t, args.trials, strategy, args.seed)
@@ -945,14 +963,14 @@ def _cmd_recheck(args: argparse.Namespace) -> _Outcome:
     if not isinstance(data, dict):
         raise FileFormatError("witness document must be a JSON object")
     kind = data.get("kind")
-    if kind not in _WITNESS_KINDS.values():
+    if kind not in _KINDS:
         raise FileFormatError(f"unknown witness kind {kind!r}")
-    _, load, expected = _PROPERTIES[args.property]
-    subject = load(args.file)
+    selected = _PROPERTIES[args.property]
+    subject = selected.load(args.file)
     prop = args.property.upper()
-    if kind != expected:
+    if kind != selected.witness:
         # Only the kind ``verify`` emits for the property is confirmed.
-        problems = [f"{prop} witnesses are {expected}, not {kind}"]
+        problems = [f"{prop} witnesses are {selected.witness}, not {kind}"]
     else:
         problems = recheck_witness(data, subject, args.t)
     report = {"property": prop, "t": args.t, "confirmed": not problems, "problems": problems}
@@ -1029,7 +1047,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", parents=[common], help="forge pirates, trace them, tally rates")
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--strategy", choices=trace_mod.STRATEGY_KINDS, default="interleave")
+    p.add_argument("--strategy", choices=core.STRATEGY_KINDS, default="interleave")
     p.add_argument("--seed", type=int, help="master seed (fixed default when omitted)")
     p.add_argument("file")
     p.set_defaults(func=_cmd_simulate)

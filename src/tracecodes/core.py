@@ -1,9 +1,10 @@
-"""Data model for q-ary codes: words, codes, coalitions, descendants.
+"""Data model for q-ary codes and set families: words, coalitions, descendants.
 
 Words are plain tuples of symbols drawn from {0, .., q-1}.  A Code fixes the
 length N and alphabet size q and owns an ordered tuple of distinct words; all
 index-based structures (coalitions, parent-set families, witnesses) refer to
-positions in that tuple.  Everything is immutable and hashable.
+positions in that tuple.  A SetFamily, the other subject type, is an ordered
+tuple of distinct subsets of a ground set.  Everything is immutable and hashable.
 
 Fast paths see a word of any alphabet as its one-hot set (``onehot``), an
 N*q-bit integer with bit i*q + s set when coordinate i holds s.  Then x is a
@@ -30,6 +31,8 @@ __all__ = [
     "INFINITE_DISTANCE",
     "MAX_ALPHABET",
     "ParentSetFamily",
+    "STRATEGY_KINDS",
+    "SetFamily",
     "Word",
     "block_masks",
     "desc_profile",
@@ -56,6 +59,9 @@ DEFAULT_DESCENDANT_CAP = 2**32
 
 #: Symbols are kept as small non-negative integers.
 MAX_ALPHABET = 2**16
+
+#: How a coalition may assemble a pirate word (``trace.PirateStrategy``).
+STRATEGY_KINDS = ("first", "interleave", "majority", "minority", "random")
 
 
 class DescendantSetTooLarge(RuntimeError):
@@ -148,6 +154,53 @@ class ParentSetFamily:
             if not common:
                 break
         return tuple(sorted(common))
+
+
+@dataclass(frozen=True)
+class SetFamily:
+    """An ordered family of distinct subsets of {0..ground_size-1}.
+
+    Members are stored as bitmasks (bit e set = element e present), which
+    makes union/containment checks single integer operations.
+    """
+
+    ground_size: int
+    members: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        members = tuple(int(m) for m in self.members)
+        object.__setattr__(self, "members", members)
+        if self.ground_size < 1:
+            raise ValueError("ground set must be non-empty")
+        if not members:
+            raise ValueError("a family needs at least one member")
+        limit = 1 << self.ground_size
+        for m in members:
+            if not 0 <= m < limit:
+                raise ValueError("member outside the ground set")
+        if len(set(members)) != len(members):
+            raise ValueError("duplicate members are not allowed")
+
+    @property
+    def size(self) -> int:
+        return len(self.members)
+
+    @classmethod
+    def from_sets(cls, ground_size: int, sets: Iterable[Iterable[int]]) -> "SetFamily":
+        masks = []
+        for s in sets:
+            mask = 0
+            for e in s:
+                mask |= 1 << e
+            masks.append(mask)
+        return cls(ground_size, tuple(masks))
+
+    def member_elements(self, i: int) -> tuple[int, ...]:
+        m = self.members[i]
+        return tuple(e for e in range(self.ground_size) if m >> e & 1)
+
+    def member_size(self, i: int) -> int:
+        return self.members[i].bit_count()
 
 
 def require_symbols(x: Iterable[int], q: int) -> None:

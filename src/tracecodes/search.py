@@ -68,8 +68,7 @@ from operator import and_, or_
 from typing import Callable, Iterable
 
 from . import core
-from .core import Code, Word
-from .transform import SetFamily
+from .core import Code, SetFamily, Word
 
 __all__ = [
     "LengthProbe",

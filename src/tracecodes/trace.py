@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from . import core
-from .core import Coalition, Code, Word
+from .core import STRATEGY_KINDS, Coalition, Code, Word
 
 __all__ = [
     "Accusation",
@@ -27,8 +27,6 @@ __all__ = [
 
 #: Fixed fallback seed so unseeded runs are still reproducible.
 DEFAULT_SEED = 0xC0DE
-
-STRATEGY_KINDS = ("first", "interleave", "majority", "minority", "random")
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ package's structural results: pruning codewords that own a private pattern
 on a row partition, and assembling an explicit parent-identifiability
 violation for any code that survives pruning.  Both produce certificates
 that are re-checked against first principles before they are returned.
+``SetFamily`` lives in ``core`` and is re-exported here.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from math import comb
 from typing import Iterable, Sequence
 
 from . import core
-from .core import Code, Word
+from .core import Code, SetFamily, Word
 
 __all__ = [
     "IppViolationCertificate",
@@ -39,53 +40,6 @@ __all__ = [
     "pattern_frequency",
     "prune_special_codewords",
 ]
-
-
-@dataclass(frozen=True)
-class SetFamily:
-    """An ordered family of distinct subsets of {0..ground_size-1}.
-
-    Members are stored as bitmasks (bit e set = element e present), which
-    makes union/containment checks single integer operations.
-    """
-
-    ground_size: int
-    members: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        members = tuple(int(m) for m in self.members)
-        object.__setattr__(self, "members", members)
-        if self.ground_size < 1:
-            raise ValueError("ground set must be non-empty")
-        if not members:
-            raise ValueError("a family needs at least one member")
-        limit = 1 << self.ground_size
-        for m in members:
-            if not 0 <= m < limit:
-                raise ValueError("member outside the ground set")
-        if len(set(members)) != len(members):
-            raise ValueError("duplicate members are not allowed")
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-    @classmethod
-    def from_sets(cls, ground_size: int, sets: Iterable[Iterable[int]]) -> "SetFamily":
-        masks = []
-        for s in sets:
-            mask = 0
-            for e in s:
-                mask |= 1 << e
-            masks.append(mask)
-        return cls(ground_size, tuple(masks))
-
-    def member_elements(self, i: int) -> tuple[int, ...]:
-        m = self.members[i]
-        return tuple(e for e in range(self.ground_size) if m >> e & 1)
-
-    def member_size(self, i: int) -> int:
-        return self.members[i].bit_count()
 
 
 def fpc_to_cff(code: Code) -> SetFamily:

@@ -62,8 +62,7 @@ from operator import and_, or_
 from typing import Sequence
 
 from . import core
-from .core import Coalition, Code, Word
-from .transform import SetFamily
+from .core import Coalition, Code, SetFamily, Word
 
 __all__ = [
     "Counters",

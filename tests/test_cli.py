@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from conftest import random_code_stream, random_family
-from tracecodes import cli
+from tracecodes import cli, core, trace, verify
 from tracecodes.cli import (
     EXIT_BAD_FILE,
     EXIT_BUDGET,
@@ -229,6 +229,27 @@ class TestVerifyCommand:
         bad.write_bytes(b"\xff\xfe2 2 2\n0 1\n1 0\n")
         assert main(["verify", "--property", "fp", "--t", "1", str(bad)]) == EXIT_BAD_FILE
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_checker_is_looked_up_when_it_runs(self, files, capsys, tmp_path, monkeypatch):
+        # A wrapper put on tracecodes.verify (as the benchmark's tracer does)
+        # sees the checks of verify and of a cache entry's witness.
+        calls = []
+        original = verify.check_ipp
+
+        def spy(subject, t):
+            calls.append(t)
+            return original(subject, t)
+
+        monkeypatch.setattr(verify, "check_ipp", spy)
+        reps = files("reps.code", REPS4)
+        assert run(capsys, "verify", "--property", "ipp", "--t", "2", reps)[0] == EXIT_OK
+        assert calls == [2]
+        monkeypatch.setenv("TRACECODES_CACHE", str(tmp_path / "cache"))
+        args = ("search", "--property", "ipp", "--N", "2", "--q", "3", "--t", "2")
+        assert run(capsys, *args)[0] == EXIT_OK
+        calls.clear()
+        assert text_fields(run(capsys, *args)[1])["cached"] == "yes"
+        assert calls == [2]  # _cached_payload rechecked the entry's witness
 
 
 class TestTraceCommand:
@@ -617,6 +638,14 @@ class TestSimulateCommand:
         )
         assert doc["strategy"] == "majority"
         assert doc["seed"] == 7
+
+    def test_unknown_strategy_is_a_usage_error(self, files, capsys):
+        reps = files("reps.code", REPS4)
+        code = main(["simulate", "--t", "2", "--trials", "1", "--strategy", "bogus", reps])
+        assert code == EXIT_USAGE
+        usage = capsys.readouterr().err.split("error:")[0]
+        assert "[--strategy {first,interleave,majority,minority,random}]" in usage
+        assert trace.STRATEGY_KINDS is core.STRATEGY_KINDS
 
 
 # Per property: the subject file and a witness ``recheck`` confirms on it at t=2.
