@@ -19,9 +19,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations, repeat
-from operator import and_
-from typing import Iterable, Iterator, Sequence
+from itertools import combinations, islice, repeat
+from operator import and_, or_
+from typing import Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
     "Code",
@@ -256,43 +256,70 @@ def min_distance(code: Code) -> int | float:
 
 
 def untraced_descendant(
-    ins: Sequence[int], outs: Sequence[int], union: int, N: int, q: int
+    cols: Mapping[int, int], ins: int, outs: int, union: int, N: int, q: int
 ) -> tuple[int | None, int]:
     """The first descendant to which no insider is nearer than every outsider.
 
-    ``ins`` and ``outs`` are the one-hot sets of a coalition's members and
-    of the words outside it, and ``union`` is the OR of ``ins``.  The
-    descendants are walked depth-first as one-hot prefixes, smallest symbol
-    first: the stack holds (depth, prefix set), a prefix agrees with a word
-    on the popcount of their AND, and the children of a prefix are the set
-    bits of the union's next q-bit block, pushed highest first.  A branch
-    is cut as soon as every completion keeps some insider strictly nearer
-    than every outsider.  Returns (that descendant's set, or None when
-    there is none, and the full words reached).
+    Words are bits of a mask: ``cols`` maps a one-hot bit position to the
+    mask of the words holding it (at least every bit of ``union``; a sparse
+    dict needs only the bits some word holds), ``ins`` and ``outs`` are the
+    masks of a coalition's members and of the words outside it, and
+    ``union`` is the OR of the members' one-hot sets.  The descendants are
+    walked depth-first as one-hot prefixes, smallest symbol first: the
+    children of a prefix are the set bits of the union's next q-bit block,
+    pushed highest first.  A prefix has agreement levels, level k the mask
+    of the words agreeing with it on more than k coordinates; appending a
+    bit with column c makes level k the old level k OR the old level k-1
+    AND c.  The insiders' best agreement a_in is the number of levels
+    meeting ``ins``, and some outsider agrees on at least a coordinates when
+    level a-1 meets ``outs``.  So a branch is cut as soon as every
+    completion keeps some insider strictly nearer than every outsider
+    (a_out + rest < a_in, one AND with ``outs``), and a full word fails
+    when an outsider is as near (another).  A node costs O(depth) ANDs of
+    word masks, whatever the number of words.  Returns (that descendant's
+    set, or None when there is none, and the full words reached).
     """
     mask = (1 << q) - 1
+    kids = []  # each depth's bit positions, highest first
+    for i in range(N):
+        block, here = union >> (i * q) & mask, []
+        while block:
+            s = block.bit_length() - 1
+            here.append(i * q + s)
+            block ^= 1 << s
+        kids.append(here)
+    path = [0] * N
+    # Each depth's parent prefix, as the DFS has it: its a_in and its levels
+    # kept as [every word, level 0, .., level depth-1, no word], so level k
+    # of a child is levels[k + 1] | levels[k] & c.  A stack entry is a bit
+    # position, and its depth is position // q.
+    ain = [0] * N
+    lv = [[-1, 0]] * N
     leaves = 0
-    # The empty prefix (depth -1) is never pruned: every agreement is 0.
-    stack = [(-1, 0)]
+    stack = kids[0][:]
     while stack:
-        depth, x = stack.pop()
-        a_in = max(map(int.bit_count, map(and_, repeat(x), ins)))
-        if depth + 1 == N:
-            leaves += 1
-            if a_in <= max(map(int.bit_count, map(and_, repeat(x), outs))):
-                return x, leaves
-            continue
-        # Cut the branch when insiders stay strictly closer whatever we
-        # append, a_out + rest < a_in; only rest < a_in needs the outsiders.
+        pos = stack.pop()
+        depth = pos // q
+        path[depth] = pos
+        levels, a_in = lv[depth], ain[depth]
+        c = cols[pos]
+        # No insider is at level a_in, so the child's insiders reach it through c.
+        if levels[a_in] & c & ins:
+            a_in += 1
         rest = N - depth - 1
-        if rest < a_in and max(map(int.bit_count, map(and_, repeat(x), outs))) + rest < a_in:
+        if not rest:
+            leaves += 1
+            if (levels[a_in] | levels[a_in - 1] & c) & outs:
+                return sum(1 << p for p in path), leaves
+            continue
+        # Only rest < a_in can cut: a_out + rest < a_in.
+        k = a_in - rest
+        if k > 0 and not (levels[k] | levels[k - 1] & c) & outs:
             continue
         depth += 1
-        block = union >> (depth * q) & mask
-        while block:
-            high = 1 << (block.bit_length() - 1)
-            stack.append((depth, x | high << (depth * q)))
-            block ^= high
+        lv[depth] = [-1, *map(or_, islice(levels, 1, None), map(and_, levels, repeat(c))), 0]
+        ain[depth] = a_in
+        stack += kids[depth]
     return None, leaves
 
 

@@ -49,7 +49,8 @@ holding it replace the families of three (the criterion of Hollmann, van
 Lint, Linnartz and Tolhuizen, JCTA 82 (1998)).  A new word breaks a
 t-traceable code only as the outsider of an old coalition or as an insider
 (the outsider test of Staddon, Stinson and Wei, IEEE Trans. IT 47 (2001)),
-each walked by ``core.untraced_descendant``.
+each walked by ``core.untraced_descendant`` on columns over the prefix and
+the candidate, kept up to date by each push and pop.
 
 Node counts are deterministic: one node per candidate test, no
 parallelism, no randomness.  A live candidate c makes the prefix plus c a
@@ -224,13 +225,13 @@ class _CoalitionPrefix:
     """A code grown and shrunk one word at a time, with its coalitions of at most t words.
 
     ``sets`` lists the words' one-hot sets, and ``groups`` lists every group
-    of at most t words as (member mask, OR of the members' sets, the
-    members' sets), the empty group first.  The groups of the code plus one
-    more word are the old ones and the new word joined to every old group of
-    at most t-1 words, so a push appends those and a pop truncates to the
-    length before the push: coalitions never outgrow the code, whatever t
-    is.  ``breaks`` looks for a failure that the new word brings into the
-    code, which is held to have the property.
+    of at most t words as (member mask, OR of the members' sets), the empty
+    group first.  The groups of the code plus one more word are the old
+    ones and the new word joined to every old group of at most t-1 words,
+    so a push appends those and a pop truncates to the length before the
+    push: coalitions never outgrow the code, whatever t is.  ``breaks``
+    looks for a failure that the new word brings into the code, which is
+    held to have the property.
     """
 
     partial = False  # ``breaks`` tests against every word
@@ -238,7 +239,7 @@ class _CoalitionPrefix:
     def __init__(self, t: int, N: int, q: int) -> None:
         self.t, self.N, self.q = t, N, q
         self.sets: list[int] = []
-        self.groups: list[tuple[int, int, tuple[int, ...]]] = [(0, 0, ())]
+        self.groups: list[tuple[int, int]] = [(0, 0)]
         self._marks: list[int] = []
 
     def breaks(self, new: int, since: int = 0, until: None = None) -> bool:
@@ -249,7 +250,7 @@ class _CoalitionPrefix:
         """Add ``new`` without testing it (after ``breaks``, or a root)."""
         bit, t = 1 << len(self.sets), self.t
         self._marks.append(len(self.groups))
-        self.groups += [(m | bit, u | new, c + (new,)) for m, u, c in self.groups if len(c) < t]
+        self.groups += [(m | bit, u | new) for m, u in self.groups if m.bit_count() < t]
         self.sets.append(new)
 
     def pop(self) -> None:
@@ -269,8 +270,8 @@ class _IdentifiablePrefix(_CoalitionPrefix):
 
     def breaks(self, new: int, since: int = 0, until: None = None) -> bool:
         t, bit = self.t, 1 << len(self.sets)
-        joined = [(m | bit, u | new) for m, u, c in self.groups if len(c) < t]
-        entries = joined + [(m, u) for m, u, _ in self.groups[1:]]
+        joined = [(m | bit, u | new) for m, u in self.groups if m.bit_count() < t]
+        entries = joined + self.groups[1:]
         if t != 2:
             return core.failing_family(entries, len(joined), t + 1, self.N, self.q)[0] is not None
         if core.failing_family(entries, len(joined), 2, self.N, self.q)[0] is not None:
@@ -288,20 +289,50 @@ class _TraceablePrefix(_CoalitionPrefix):
     included) already beats every old outsider, so only the new word is
     tested as its outsider; a coalition of 2..t words holding the new word
     is tested against every other word, and needs one.  Both run the walk
-    of ``core.untraced_descendant``.
+    of ``core.untraced_descendant`` on ``cols``, which maps each one-hot bit
+    that a word holds to the mask of the words holding it, word j as bit j.
+    A push adds its word's bit, a pop takes it off, and ``breaks`` adds the
+    new word as bit ``len(sets)`` for the length of the test.
     """
 
+    def __init__(self, t: int, N: int, q: int) -> None:
+        super().__init__(t, N, q)
+        self.cols: dict[int, int] = {}
+
+    def _toggle(self, s: int, bit: int) -> None:
+        """Flip ``bit`` in the columns of the one-hot bits of ``s``."""
+        cols = self.cols
+        while s:
+            low = s & -s
+            pos = low.bit_length() - 1
+            cols[pos] = cols.get(pos, 0) ^ bit
+            s ^= low
+
     def breaks(self, new: int, since: int = 0, until: None = None) -> bool:
-        N, q, t, sets = self.N, self.q, self.t, self.sets
+        N, q, t, sets, cols = self.N, self.q, self.t, self.sets, self.cols
         walk = core.untraced_descendant
-        for m, u, ins in self.groups:
-            if len(ins) >= 2 and walk(ins, (new,), u, N, q)[0] is not None:
-                return True
-            if 0 < len(ins) < min(t, len(sets)):
-                outs = [s for i, s in enumerate(sets) if not m >> i & 1]
-                if walk(ins + (new,), outs, u | new, N, q)[0] is not None:
+        bit = 1 << len(sets)
+        old = bit - 1
+        self._toggle(new, bit)
+        try:
+            for m, u in self.groups:
+                size = m.bit_count()
+                if size >= 2 and walk(cols, m, bit, u, N, q)[0] is not None:
                     return True
-        return False
+                if 0 < size < min(t, len(sets)):
+                    if walk(cols, m | bit, old ^ m, u | new, N, q)[0] is not None:
+                        return True
+            return False
+        finally:
+            self._toggle(new, bit)
+
+    def push(self, new: int) -> None:
+        self._toggle(new, 1 << len(self.sets))
+        super().push(new)
+
+    def pop(self) -> None:
+        self._toggle(self.sets[-1], 1 << (len(self.sets) - 1))
+        super().pop()
 
 
 def max_code_search(problem: SearchProblem, budget: int | None = None) -> SearchResult:

@@ -15,9 +15,13 @@ the sizes after the first larger one are walked group by group.
 
 Traceability walks each coalition's descendants depth-first as one-hot
 prefixes (``core.untraced_descendant``), taking coordinate i's symbols from
-q-bit block i of the union of the members' sets.  A prefix agrees with a
-codeword on the popcount of their AND, so a branch is cut as soon as every
-completion keeps some insider strictly nearer than every outsider.
+q-bit block i of the union of the members' sets.  The codewords are bits of
+a mask, and each one-hot bit has a column, the mask of the codewords
+holding it.  A prefix keeps its agreement levels, level k the codewords
+agreeing with it on more than k coordinates, and a new coordinate updates
+them from its column; so a branch is cut, by one AND with the outsiders, as
+soon as every completion keeps some insider strictly nearer than every
+outsider.
 
 Parent identifiability needs a word-free reformulation to stay exact
 without enumerating the whole ambient space: a code fails the t-check
@@ -328,8 +332,10 @@ def check_ta(code: Code, t: int) -> Verdict:
     Coalitions of size 1..t, by size then lexicographically, are scanned on
     one-hot sets: a coalition's descendants are the words whose sets lie in
     the union of its members' sets, walked depth-first one q-bit block at a
-    time, smallest symbol first (``core.untraced_descendant``); the witness
-    names the first outsider nearest the first word found.
+    time, smallest symbol first (``core.untraced_descendant``), on columns
+    built once from ``code.words``, one per symbol a codeword holds.  The
+    coalition is the insider mask and every other codeword an outsider; the
+    witness names the first outsider nearest the first word found.
     ``words_examined`` counts the full words reached.  Coalitions covering
     the whole code are vacuous (nobody to misaccuse) and skipped.  Raises
     DescendantSetTooLarge when some coalition's descendant set (the product
@@ -339,26 +345,32 @@ def check_ta(code: Code, t: int) -> Verdict:
     n, N, q, sets = code.size, code.length, code.q, code.sets
     mask = (1 << q) - 1
     cap = core.DEFAULT_DESCENDANT_CAP
+    cols: dict[int, int] = {}
+    for j, word in enumerate(code.words):
+        for base, s in zip(range(0, N * q, q), word):
+            cols[base + s] = cols.get(base + s, 0) | 1 << j
+    everyone = (1 << n) - 1
     subsets = 0
     leaves_total = 0
     for size in range(1, min(t, n - 1) + 1):
         for coalition in combinations(range(n), size):
             subsets += 1
-            union = 0
+            union = members = 0
             for i in coalition:
                 union |= sets[i]
+                members |= 1 << i
             span = math.prod((union >> (i * q) & mask).bit_count() for i in range(N))
             if span > cap:
                 raise core.DescendantSetTooLarge(
                     f"instance too large for exact TA check: coalition {coalition} "
                     f"spans {span} words (cap {cap})"
                 )
-            ins = [sets[i] for i in coalition]
-            outsiders = [i for i in range(n) if i not in coalition]
-            outs = [sets[o] for o in outsiders]
-            x, leaves = core.untraced_descendant(ins, outs, union, N, q)
+            x, leaves = core.untraced_descendant(cols, members, everyone ^ members, union, N, q)
             leaves_total += leaves
             if x is not None:
+                ins = [sets[i] for i in coalition]
+                outsiders = [i for i in range(n) if i not in coalition]
+                outs = [sets[o] for o in outsiders]
                 a_in = max((x & s).bit_count() for s in ins)
                 agree = [(x & o).bit_count() for o in outs]
                 a_out = max(agree)

@@ -4,11 +4,15 @@ Everything here works on plain tuples/frozensets by value, never on the
 package's Code/SetFamily types or index conventions, and never shares code
 with the package.  The point is independence: when a fast checker and its
 oracle agree on an exhaustive family of inputs, both are probably right.
+One exception pins a walk order rather than a verdict: ``untraced_walk``
+takes one-hot sets (bit i*q + s for symbol s at coordinate i) and reads
+every agreement as the popcount of an AND.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations, product, repeat
+from operator import and_
 
 
 def all_words(N: int, q: int) -> list[tuple[int, ...]]:
@@ -245,3 +249,39 @@ def ipp_first_family(words, t: int):
             if all(shared):
                 return False, (tuple(min(s) for s in shared), family)
     return True, None
+
+
+def untraced_walk(ins, outs, union: int, N: int, q: int):
+    """The first descendant to which no insider is nearer than every outsider.
+
+    ``ins`` and ``outs`` are the one-hot sets of a coalition's members and
+    of the words outside it, and ``union`` is the OR of ``ins``.  The
+    descendants are walked depth-first as one-hot prefixes, smallest symbol
+    first: the stack holds (depth, prefix set), a prefix agrees with a word
+    on the popcount of their AND, and the children of a prefix are the set
+    bits of the union's next q-bit block, pushed highest first.  A branch
+    is cut when a_out + rest < a_in.  Returns (that descendant's set, or
+    None, and the full words reached): the order and counter of the
+    traceability checker's walk.
+    """
+    mask = (1 << q) - 1
+    leaves = 0
+    stack = [(-1, 0)]
+    while stack:
+        depth, x = stack.pop()
+        a_in = max(map(int.bit_count, map(and_, repeat(x), ins)))
+        if depth + 1 == N:
+            leaves += 1
+            if a_in <= max(map(int.bit_count, map(and_, repeat(x), outs))):
+                return x, leaves
+            continue
+        rest = N - depth - 1
+        if rest < a_in and max(map(int.bit_count, map(and_, repeat(x), outs))) + rest < a_in:
+            continue
+        depth += 1
+        block = union >> (depth * q) & mask
+        while block:
+            high = 1 << (block.bit_length() - 1)
+            stack.append((depth, x | high << (depth * q)))
+            block ^= high
+    return None, leaves

@@ -6,11 +6,11 @@ removed from ``tracecodes`` would only surface when the benchmark runs.
 here and by the benchmark, and a node count that the benchmark checks
 only for repeating across passes.  The counts there are those of the loop
 before forward checking, so the counts and witnesses of the current loop are
-frozen here instead.  The verify-large frameproof, cover-free and
-parent-identifiability verdicts, witnesses and counters are frozen here
-too, and one search-sweep pass (small and full), one small verify-large
-pass and one small trace-stream pass run with their checks.  Both files
-are loaded as data here, without installing wrappers.
+frozen here instead.  The verify-large frameproof, cover-free,
+parent-identifiability and traceability verdicts, witnesses and counters
+are frozen here too, and one search-sweep pass (small and full), one small
+verify-large pass and one small trace-stream pass run with their checks.
+Both files are loaded as data here, without installing wrappers.
 """
 
 from __future__ import annotations
@@ -179,6 +179,40 @@ def test_verify_large_ipp_verdicts(seed, bin_blocks):
         assert (verdict.holds, coalitions, verdict.counters) == expected[key], key
         if verdict.witness is not None:
             assert cli.recheck_witness(cli.witness_to_json(verdict.witness, code), code, T) == []
+
+
+@pytest.mark.parametrize(
+    "seed,big_witness,compose_witness",
+    [(1, (19, 3, 3), (11, 2, 2)), (2, (20, 3, 2), (8, 2, 2))],
+)
+def test_verify_large_ta_verdicts(seed, big_witness, compose_witness):
+    # The relabelling a seed applies moves the pirate word and the outsider,
+    # so witnesses are frozen as (coalition, outsider, insider and outsider
+    # distances) and rechecked.
+    large = WORKLOADS.VerifyLarge(seed, smoke=False)
+    made = large.inputs
+    codes = {
+        "ta": (made["ta"], WORKLOADS.T),
+        "big": (made["big"], large.FULL["ta_fail_t"]),
+        "compose": (
+            transform.block_compose(made["compose src"], large.FULL["compose"][0]),
+            WORKLOADS.T,
+        ),
+    }
+    expected = {
+        "ta": (True, None, verify.Counters(780, 10114)),
+        "big": (False, ((0, 1, 2), *big_witness), verify.Counters(562, 7371)),
+        "compose": (False, ((0, 1), *compose_witness), verify.Counters(16, 2)),
+    }
+    for key, (code, t) in codes.items():
+        verdict = verify.check_ta(code, t)
+        w = verdict.witness
+        seen = None if w is None else (
+            w.coalition, w.outsider, w.insider_distance, w.outsider_distance
+        )
+        assert (verdict.holds, seen, verdict.counters) == expected[key], key
+        if w is not None:
+            assert cli.recheck_witness(cli.witness_to_json(w, code), code, t) == []
 
 
 def test_verify_large_smoke_pass_checks():

@@ -315,3 +315,67 @@ class TestFailingFamily:
         entries = [(1, sets[0]), (2, sets[1]), (4, sets[2]), (3, sets[0] | sets[1])]
         assert core.failing_family(entries, 4, 2, 2, 3) == ((2, 3), 6, 1 + 2 + 1 + 2)
         assert core.failing_family(entries[:3], 3, 2, 2, 3) == (None, 3, 1 + 2 + 1)
+
+
+class TestUntracedDescendant:
+    """The levels walk against the AND-and-popcount walk, descendant and leaves alike."""
+
+    @staticmethod
+    def both_walks(words, members, outsiders, q):
+        N = len(words[0])
+        cols: dict[int, int] = {}
+        for j, w in enumerate(words):
+            for i, s in enumerate(w):
+                cols[i * q + s] = cols.get(i * q + s, 0) | 1 << j
+        sets = [core.onehot(w, q) for w in words]
+        union = 0
+        for i in members:
+            union |= sets[i]
+        ins, outs = sum(1 << i for i in members), sum(1 << o for o in outsiders)
+        fast = core.untraced_descendant(cols, ins, outs, union, N, q)
+        slow = oracles.untraced_walk(
+            [sets[i] for i in members], [sets[o] for o in outsiders], union, N, q
+        )
+        return fast, slow
+
+    @staticmethod
+    def draw(rng, N, n, symbols):
+        words = []
+        while len(words) < n:
+            w = tuple(rng.choice(symbols) for _ in range(N))
+            if w not in words:
+                words.append(w)
+        return words
+
+    def test_matches_the_and_walk_on_random_instances(self):
+        rng = random.Random(2001)
+        seen = set()
+        for _ in range(2400):
+            q, N = rng.randint(2, 5), rng.randint(1, 6)
+            n = rng.randint(2, min(q**N, 9))
+            words = self.draw(rng, N, n, range(q))
+            members = sorted(rng.sample(range(n), rng.randint(1, min(3, n - 1))))
+            others = [i for i in range(n) if i not in members]
+            # One outsider is the search's test of a new word; all of them the checker's.
+            single = rng.random() < 0.5
+            outsiders = [rng.choice(others)] if single else others
+            fast, slow = self.both_walks(words, members, outsiders, q)
+            assert fast == slow, (words, members, outsiders, q)
+            seen.add((single, fast[0] is None))
+        assert seen == {(s, f) for s in (True, False) for f in (True, False)}
+
+    def test_matches_the_and_walk_on_a_wide_alphabet(self):
+        rng = random.Random(2002)
+        q = core.MAX_ALPHABET
+        found = 0
+        for _ in range(40):
+            N = rng.randint(1, 3)
+            n = rng.randint(2, min(5**N, 6))
+            symbols = rng.sample(range(1, q - 1), 3) + [0, q - 1]
+            words = self.draw(rng, N, n, symbols)
+            members = sorted(rng.sample(range(n), rng.randint(1, min(3, n - 1))))
+            outsiders = [i for i in range(n) if i not in members]
+            fast, slow = self.both_walks(words, members, outsiders, q)
+            assert fast == slow, (words, members, q)
+            found += fast[0] is not None
+        assert 0 < found < 40

@@ -466,7 +466,7 @@ class _CoalitionPrefixCase:
         sets = [core.onehot(w, q) for w in words]
         # One group per set of at most t words, the empty one included.
         want = [
-            (sum(1 << i for i in g), _union(sets[i] for i in g), tuple(sets[i] for i in g))
+            (sum(1 << i for i in g), _union(sets[i] for i in g))
             for g in _groups(range(len(words)), min(t, len(words)))
         ]
         assert sorted(prefix.groups) == sorted(want)
@@ -513,6 +513,20 @@ class TestTraceablePrefix(_CoalitionPrefixCase):
     @staticmethod
     def holds(words, q, t):
         return oracles.ta_holds(words, t)
+
+    @staticmethod
+    def state(prefix):
+        # ``breaks`` must also leave each one-hot bit's column of words as it was.
+        cols = {pos: m for pos, m in prefix.cols.items() if m}
+        return (*_CoalitionPrefixCase.state(prefix), cols)
+
+    def test_columns_follow_pushes_and_pops(self):
+        prefix = self.PREFIX(2, 2, 3)
+        words = [(0, 0), (0, 1), (2, 1)]
+        for w in words:
+            prefix.push(core.onehot(w, 3))
+        prefix.pop()
+        assert {pos: m for pos, m in prefix.cols.items() if m} == {0: 0b11, 3: 0b1, 4: 0b10}
 
 
 class TestBudgets:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from itertools import combinations, product
 
 import pytest
@@ -455,6 +456,20 @@ class TestTraceability:
             verify.Counters(562, 7373),
         )
         reverify(verdict, code=code)
+
+    def test_wide_alphabet_stays_sparse(self):
+        # The walk reads columns only for the symbols the words hold: a
+        # column per one-hot bit would take about 20 MB here.
+        rng = random.Random(65536)
+        code = Code(tuple(tuple(rng.randrange(2**16) for _ in range(40)) for _ in range(8)), 2**16)
+        tracemalloc.start()
+        try:
+            verdict = verify.check_ta(code, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verdict.holds
+        assert peak < 4 * 2**20
 
     def test_matches_oracle_on_stream(self):
         for code in random_code_stream(seed=205, count=150, max_N=4, max_n=5):
