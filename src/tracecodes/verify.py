@@ -5,13 +5,11 @@ Frameproofness reads equivalently as desc(D) n C = D for every coalition D
 of at most t codewords, or as no codeword lying in the descendant set of t
 others.  The check scans the second reading, which is cover-freeness: a
 code is t-frameproof exactly when the family of its one-hot sets is
-t-cover-free, so FP and CFF share one cover scan.  For each member it
-tests every group of at most t others, one size at a time: a level list
-holds what each group of the size below leaves of the member, and one
-``map`` of ANDs per other member tests all the groups that end with it.
-Only a size that holds a cover is walked group by group, to find the first
-one.  A level is kept only while it has at most ``_LEVEL_CAP`` entries;
-the sizes after the first larger one are walked group by group.
+t-cover-free, so FP and CFF share one cover scan.  For each member a
+branch search over its elements, the one with the fewest holders first
+(the MRV rule of Knuth's Algorithm X), finds the fewest others, up to t,
+whose union holds it; groups are walked only at that size, to name the
+first cover.
 
 Traceability walks each coalition's descendants depth-first as one-hot
 prefixes (``core.untraced_descendant``), taking coordinate i's symbols from
@@ -61,7 +59,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, combinations, repeat
+from itertools import combinations
 from operator import and_, or_
 from typing import Sequence
 
@@ -86,15 +84,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Counters:
-    """How much work a check performed (deterministic for a given input).
+    """How far a check went in its scan order (deterministic for a given input).
 
     Each checker counts in its own scan order, up to and including the
     first violation, or to the end when the property holds:
 
-    * FP: ``subsets_examined`` counts the (codeword, coalition of at most t
-      others) groups tried for a cover, and ``words_examined`` repeats it.
-    * CFF: ``subsets_examined`` counts the (member, group of at most t
-      others) groups tried the same way; ``words_examined`` is always 0.
+    * FP and CFF: ``subsets_examined`` is the witness's position among the
+      (codeword or member, group of at most t others) pairs, or their number
+      when the property holds, not how many were tested; FP's
+      ``words_examined`` repeats it and CFF's is always 0.
     * IPP: ``subsets_examined`` counts families of coalitions formed and
       ``words_examined`` the q-bit blocks of their profile intersections
       looked at: every pair, and at sizes k >= 3 what ``core.failing_family``
@@ -162,11 +160,6 @@ def _require_strength(t: int) -> None:
         raise ValueError(f"coalition bound must be >= 1, got {t}")
 
 
-# The most entries a level list of ``_first_cover`` may hold, a few MB of ints;
-# the sizes past it run the plain loop.
-_LEVEL_CAP = 1 << 16
-
-
 def _first_cover(members: Sequence[int], t: int) -> tuple[tuple[int, Coalition] | None, int]:
     """The first member inside the union of at most t others, and the groups tried.
 
@@ -175,48 +168,55 @@ def _first_cover(members: Sequence[int], t: int) -> tuple[tuple[int, Coalition] 
     once.  Returns ``((member, group), tried)`` or ``(None, tried)``, where
     ``tried`` counts the groups in that order up to and including the cover.
 
-    Each size is tested whole before any group of it is named.  For the P
-    others of member m, ``left[k]`` is what other k leaves of m, and
-    ``level`` lists what each group of size-1 others leaves of m, in colex
-    order (largest index first).  The groups of the size whose largest index
-    is k then extend the first comb(k, size-1) entries of ``level``, so one
-    ``map`` of ANDs with ``left[k]`` per k tests them all, and a 0 is a
-    cover.  A size without a cover adds comb(P, size) to ``tried``; a size
-    with one runs the plain lexicographic loop, which finds the first cover
-    and its exact count.  A level is kept only while it has at most
-    ``_LEVEL_CAP`` entries, so the sizes after the last kept level run the
-    plain loop and memory stays bounded whatever t is.
+    Groups are walked only at a member's smallest cover size, found first by
+    a depth-first search that branches on the first uncovered element's
+    holders (``cols``), each banning those tried before it.  Elements go
+    fewest holders first, and one no other holds leaves the member uncovered.
+    A node is cut when the members it may still add, below the smallest
+    cover found so far, times the most elements of the member one other
+    holds, fall short of what it leaves uncovered.
+    Each size below the smallest cover (up to t if none) adds comb(P, size)
+    for the P others, and the plain lexicographic loop names the first cover.
     """
-    n = len(members)
+    cols: dict[int, int] = {}
+    bits: list[list[int]] = [[] for _ in members]
+    for j, s in enumerate(members):
+        while s:
+            low = s & -s
+            bits[j].append(low)
+            cols[low] = cols.get(low, 0) | 1 << j
+            s ^= low
     tried = 0
     for a0, m in enumerate(members):
         if m == 0:
             return (a0, ()), tried
-        pool = [j for j in range(n) if j != a0]
-        P, top = len(pool), min(t, len(pool))
-        left = [m & ~members[j] for j in pool]
-        level: list[int] | None = [m]
-        for size in range(1, top + 1):
-            if level is not None:
-                groups = chain.from_iterable(
-                    map(and_, repeat(left[k]), level[: math.comb(k, size - 1)])
-                    for k in range(size - 1, P)
-                )
-                if size < top and math.comb(P, size) <= _LEVEL_CAP:
-                    level = list(groups)
-                    clear = all(level)
-                else:
-                    clear = all(groups)
-                    level = None
-                if clear:
-                    tried += math.comb(P, size)
+        pool = [j for j in range(len(members)) if j != a0]
+        top = reach = min(t, len(pool))  # reach: the largest size still worth trying
+        order = sorted(bits[a0], key=lambda low: cols[low].bit_count())
+        if cols[order[0]] != 1 << a0:
+            widest = max((m & members[j]).bit_count() for j in pool)
+            stack = [(m, 1 << a0, 0, 0)]  # (uncovered, banned, depth, first element to try)
+            while stack:
+                left, banned, depth, i = stack.pop()
+                if (reach - depth) * widest < left.bit_count():
                     continue
-            for group in combinations(pool, size):
+                while not left & order[i]:
+                    i += 1
+                free = cols[order[i]] & ~banned
+                while free:
+                    low = free & -free
+                    rest = left & ~members[low.bit_length() - 1]
+                    if not rest:
+                        reach = depth
+                        break
+                    stack.append((rest, banned, depth + 1, i + 1))
+                    banned |= low
+                    free ^= low
+        tried += sum(math.comb(len(pool), size) for size in range(1, reach + 1))
+        if reach < top:  # a cover of size reach + 1 exists
+            for group in combinations(pool, reach + 1):
                 tried += 1
-                union = 0
-                for j in group:
-                    union |= members[j]
-                if m & ~union == 0:
+                if not m & ~reduce(or_, map(members.__getitem__, group)):
                     return (a0, group), tried
     return None, tried
 
@@ -228,10 +228,10 @@ def check_frameproof(code: Code, t: int) -> Verdict:
     producible by a coalition exactly when its set lies inside the union of
     theirs.  So this is the cover-free scan of ``check_cff`` run on the
     one-hot family (``_first_cover``): codewords in order and, for each,
-    coalitions of the others by size then lexicographically, every size
-    tested at once by the level pass.  The witness is the first framed
-    codeword and coalition in that order.  Both counters count the
-    coalitions tried in that order up to and including the witness.
+    coalitions of the others by size then lexicographically.  The witness
+    is the first framed codeword and coalition in that order, and both
+    counters are its position there (the number of coalitions when the
+    code holds), not how many coalitions were tested.
     """
     _require_strength(t)
     hit, subsets = _first_cover(code.sets, t)
@@ -244,10 +244,10 @@ def check_cff(family: SetFamily, t: int) -> Verdict:
 
     The "at most" reading makes the empty set always covered (by the union
     of zero members) and matches the frameproof correspondence for families
-    with fewer than t+1 members.  The scan is ``_first_cover``'s level pass:
-    members in order and, for each, groups of the others by size then
-    lexicographically.  ``subsets_examined`` counts the groups tried in
-    that order up to and including the witness; ``words_examined`` is 0.
+    with fewer than t+1 members.  The scan is ``_first_cover``: members in
+    order and, for each, groups of the others by size then lexicographically.
+    ``subsets_examined`` is the witness's position in that order (all the
+    groups when the family holds); ``words_examined`` is 0.
     """
     _require_strength(t)
     hit, subsets = _first_cover(family.members, t)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import math
 import random
+import time
 import tracemalloc
 from itertools import combinations, product
 
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import random_code, random_code_stream, random_family
-from tracecodes import verify
+from tracecodes import cli, verify
 from tracecodes.core import Code, DescendantSetTooLarge, hamming_distance, is_descendant, onehot
 from tracecodes.transform import SetFamily, cff_to_fpc, fpc_to_cff
 
@@ -92,6 +94,58 @@ def random_cover_instances(seed, count):
         words = list(random_code(rng, N, q, rng.randint(1, min(14, q**N))).words)
         rng.shuffle(words)
         yield SetFamily(ground, tuple(members)), Code(tuple(words), q), rng.randint(1, 5)
+
+
+def bit_elements(mask):
+    return [e for e in range(mask.bit_length()) if mask >> e & 1]
+
+
+def dense_cover_instances(seed, count):
+    """(member masks, code, t): heavily overlapping, with the smallest covers past the first.
+
+    The masks start with one or two members holding a private top element
+    and random shared ones, then members made of whole pieces (pairs of
+    elements) and one holder per piece that may reach one element into
+    another piece, a duplicated holder at times and an empty member at
+    times.  The code starts with one or two words holding a private symbol
+    on a late coordinate; its other words are 0 on some blocks of
+    coordinates and take symbols 1..q-2 elsewhere, one per block (a holder)
+    or several.
+    """
+    rng = random.Random(seed)
+    for _ in range(count):
+        pieces = rng.randint(2, 6)
+        low = 2 * pieces
+        hard = [
+            1 << low + i | rng.getrandbits(low) & rng.getrandbits(low)
+            for i in range(rng.randint(1, 2))
+        ]
+        holders = [3 << 2 * i | rng.choice([0, 1 << rng.randrange(low)]) for i in range(pieces)]
+        mixed = [
+            sum(3 << 2 * i for i in rng.sample(range(pieces), rng.randint(1, pieces)))
+            for _ in range(rng.randint(1, 2))
+        ]
+        rest = holders + rng.sample(holders, rng.randint(0, 1)) + [0] * (rng.random() < 0.3)
+        rng.shuffle(rest)
+        N, q = rng.randint(3, 7), rng.randint(3, 5)
+        cuts = sorted(rng.sample(range(1, N), rng.randint(1, min(4, N - 1))))
+        blocks = [range(a, b) for a, b in zip([0] + cuts, cuts + [N])]
+
+        def word(zero):
+            return tuple(
+                0 if any(i in blocks[b] for b in zero) else rng.randint(1, q - 2) for i in range(N)
+            )
+
+        tagged = [
+            tuple(q - 1 if i == N - 1 - k else rng.randrange(q - 1) for i in range(N))
+            for k in range(rng.randint(1, 2))
+        ]
+        blended = [
+            word(rng.sample(range(len(blocks)), rng.randint(1, len(blocks))))
+            for _ in range(rng.randint(1, 2))
+        ]
+        words = dict.fromkeys(tagged + blended + [word([b]) for b in range(len(blocks))])
+        yield hard + mixed + rest, Code(tuple(words), q), rng.randint(1, 5)
 
 
 class TestFrameproof:
@@ -254,13 +308,10 @@ class TestCoverScan:
             assert_scan_matches_oracle(verify.check_cff(family, t), member_sets(family), t)
             assert_scan_matches_oracle(verify.check_frameproof(code, t), word_sets(code), t)
 
-    @pytest.mark.parametrize("cap,first_plain", [(1, 2), (10, 3)])
-    def test_past_the_level_cap(self, monkeypatch, cap, first_plain):
-        # Singletons hold at every t, so every size is scanned in full.  A
-        # member has 7 others: its size-1 level (7 entries) is kept when
-        # 7 <= cap and its size-2 level when 21 <= cap; the size after the
-        # last kept level is still tested from it, and each later size runs
-        # the plain loop.
+    def test_uncovered_singletons_walk_no_group(self, monkeypatch):
+        # No other member holds a singleton's element, so the plain loop,
+        # which names a cover only at the smallest size that has one, never
+        # runs, whatever t is.
         plain = []
 
         def recorded(pool, size):
@@ -270,17 +321,60 @@ class TestCoverScan:
         monkeypatch.setattr(verify, "combinations", recorded)
         singletons = SetFamily.from_sets(8, [[e] for e in range(8)])
         for t in range(1, 6):
-            del plain[:]
             assert_scan_matches_oracle(verify.check_cff(singletons, t), member_sets(singletons), t)
-            assert plain == []
-        monkeypatch.setattr(verify, "_LEVEL_CAP", cap)
-        for t in range(1, 6):
-            del plain[:]
-            assert_scan_matches_oracle(verify.check_cff(singletons, t), member_sets(singletons), t)
-            assert plain == list(range(first_plain, t + 1)) * 8
+        assert plain == []
         for family, code, t in random_cover_instances(seed=303, count=100):
             assert_scan_matches_oracle(verify.check_cff(family, t), member_sets(family), t)
             assert_scan_matches_oracle(verify.check_frameproof(code, t), word_sets(code), t)
+
+    def test_dense_overlapping_families_and_codes(self):
+        # The first member or codeword holds an element no other holds, above
+        # its shared ones, and the smallest covers of sizes 1..5 fall later.
+        sizes = {"CFF": set(), "FP": set()}
+        for members, code, t in dense_cover_instances(seed=401, count=300):
+            hit, tried = oracles.first_cover(map(bit_elements, members), t)
+            assert verify._first_cover(members, t) == (hit, tried)
+            if 0 not in members and len(set(members)) == len(members):
+                family = SetFamily(max(members).bit_length(), tuple(members))
+                assert_scan_matches_oracle(verify.check_cff(family, t), member_sets(family), t)
+            assert_scan_matches_oracle(verify.check_frameproof(code, t), word_sets(code), t)
+            for prop, found in (("CFF", hit), ("FP", oracles.first_cover(word_sets(code), t)[0])):
+                if found is not None:
+                    assert found[0] > 0
+                    sizes[prop].add(len(found[1]))
+        assert sizes == {"CFF": {0, 1, 2, 3, 4, 5}, "FP": {2, 3, 4, 5}}
+
+    def test_deep_cover(self):
+        # A member of k elements and its k singletons: no group of fewer than
+        # k others covers it, and the first of size k is every singleton.
+        for k in range(1, 8):
+            members = [(1 << k) - 1] + [1 << e for e in range(k)]
+            hit, tried = oracles.first_cover(map(bit_elements, members), k)
+            assert hit == (0, tuple(range(1, k + 1))) and tried == 2**k - 1
+            assert verify._first_cover(members, k) == (hit, tried)
+        k = 1200
+        family = SetFamily.from_sets(k, [range(k)] + [[e] for e in range(k)])
+        start = time.perf_counter()
+        verdict = verify.check_cff(family, k)
+        assert time.perf_counter() - start < 1.0
+        assert verdict.witness == verify.CoverViolation(0, tuple(range(1, k + 1)))
+        assert verdict.counters == verify.Counters(2**k - 1, 0)
+        assert cli.recheck_witness(cli.witness_to_json(verdict.witness, family), family, k) == []
+
+    def test_uncoverable_element_cuts_the_search(self):
+        # Member 0 holds elements 0..k and no other member holds k.  The
+        # others tile 0..k-1 with singletons and neighbouring pairs in far
+        # too many ways for a search that branched on element 0 first.
+        k = 20
+        sets = [range(k + 1)] + [[e] for e in range(k)] + [[e, e + 1] for e in range(k - 1)]
+        family = SetFamily.from_sets(k + 1, sets)
+        start = time.perf_counter()
+        verdict = verify.check_cff(family, k)
+        assert time.perf_counter() - start < 1.0
+        P = len(sets) - 1
+        tried = sum(math.comb(P, size) for size in range(1, k + 1)) + 1
+        assert verdict.witness == verify.CoverViolation(1, (0,))
+        assert verdict.counters == verify.Counters(tried, 0)
 
 
 class TestIdentifiableParents:
