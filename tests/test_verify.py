@@ -327,6 +327,36 @@ class TestCoverScan:
             assert_scan_matches_oracle(verify.check_cff(family, t), member_sets(family), t)
             assert_scan_matches_oracle(verify.check_frameproof(code, t), word_sets(code), t)
 
+    @pytest.mark.parametrize("k,t", [(1, 2), (10, 3)])
+    def test_past_the_level_cap(self, monkeypatch, k, t):
+        # Member 0 holds elements 0..k-1 and x = k + 80; members 1..k are its
+        # singletons, 80 singletons of other elements follow and {x} comes
+        # last, so member 0's smallest cover has size k + 1 and at t=3 the
+        # sizes up to t hold more than 1 << 16 groups.  The plain loop runs at
+        # one size only: k + 1 for member 0 when k < t, else 1 for member 1,
+        # which member 0 covers.
+        plain = []
+
+        def recorded(pool, size):
+            plain.append(size)
+            return combinations(pool, size)
+
+        monkeypatch.setattr(verify, "combinations", recorded)
+        x = k + 80
+        sets = [[*range(k), x]] + [[e] for e in range(x)] + [[x]]
+        family = SetFamily.from_sets(x + 1, sets)
+        P = family.size - 1
+        verdict = verify.check_cff(family, t)
+        if k < t:
+            witness = verify.CoverViolation(0, (*range(1, k + 1), P))
+            tried = sum(math.comb(P, size) for size in range(1, k + 1)) + P - k
+        else:
+            witness = verify.CoverViolation(1, (0,))
+            tried = sum(math.comb(P, size) for size in range(1, t + 1)) + 1
+        assert (verdict.witness, verdict.counters) == (witness, verify.Counters(tried, 0))
+        assert plain == [k + 1 if k < t else 1]
+        assert_scan_matches_oracle(verdict, member_sets(family), t)
+
     def test_dense_overlapping_families_and_codes(self):
         # The first member or codeword holds an element no other holds, above
         # its shared ones, and the smallest covers of sizes 1..5 fall later.
