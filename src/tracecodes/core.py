@@ -196,8 +196,12 @@ class SetFamily:
         return cls(ground_size, tuple(masks))
 
     def member_elements(self, i: int) -> tuple[int, ...]:
-        m = self.members[i]
-        return tuple(e for e in range(self.ground_size) if m >> e & 1)
+        m, elements = self.members[i], []
+        while m:
+            low = m & -m
+            elements.append(low.bit_length() - 1)
+            m ^= low
+        return tuple(elements)
 
     def member_size(self, i: int) -> int:
         return self.members[i].bit_count()

@@ -160,63 +160,62 @@ def _require_strength(t: int) -> None:
         raise ValueError(f"coalition bound must be >= 1, got {t}")
 
 
-def _first_cover(members: Sequence[int], t: int) -> tuple[tuple[int, Coalition] | None, int]:
+def _first_cover(
+    elements: Sequence[Sequence[int]], t: int
+) -> tuple[tuple[int, Coalition] | None, int]:
     """The first member inside the union of at most t others, and the groups tried.
 
-    Members are scanned in order and, for each, groups of the others by size
-    then lexicographically; an empty member is covered by the empty group at
-    once.  Returns ``((member, group), tried)`` or ``(None, tried)``, where
-    ``tried`` counts the groups in that order up to and including the cover.
+    Members, given by their elements, are scanned in order and, for each,
+    groups of the others by size then lexicographically; an empty member is
+    covered by the empty group at once.  Returns ``((member, group), tried)``
+    or ``(None, tried)``, ``tried`` counting the groups in that order up to
+    and including the cover.
 
-    Groups are walked only at a member's smallest cover size, found first by
-    a depth-first search that branches on the first uncovered element's
-    holders (``cols``), each banning those tried before it.  Elements go
-    fewest holders first, and one no other holds leaves the member uncovered.
-    A node is cut when the members it may still add, below the smallest
-    cover found so far, times the most elements of the member one other
-    holds, fall short of what it leaves uncovered.
-    Each size below the smallest cover (up to t if none) adds comb(P, size)
-    for the P others, and the plain lexicographic loop names the first cover.
+    Members become compact sets, one bit per element, fewest holders first,
+    and ``cols`` maps each bit to its holders.  A depth-first search finds a
+    member's smallest cover size: it branches on the holders of the lowest
+    uncovered bit, each banning those tried before it, and cuts a node when
+    the members it may still add, below the smallest cover found so far,
+    times the most elements of the member one other holds, fall short of
+    what is uncovered.  Each size below the smallest cover (up to t if none)
+    adds comb(P, size) for the P others, and the plain lexicographic loop
+    names the first cover at that size.
     """
-    cols: dict[int, int] = {}
-    bits: list[list[int]] = [[] for _ in members]
-    for j, s in enumerate(members):
-        while s:
-            low = s & -s
-            bits[j].append(low)
-            cols[low] = cols.get(low, 0) | 1 << j
-            s ^= low
+    holders: dict[int, int] = {}
+    for j, es in enumerate(elements):
+        for e in es:
+            holders[e] = holders.get(e, 0) | 1 << j
+    ranked = sorted(holders, key=lambda e: holders[e].bit_count())
+    bit = {e: i for i, e in enumerate(ranked)}
+    cols = [holders[e] for e in ranked]
+    sets = [sum(1 << bit[e] for e in es) for es in elements]
     tried = 0
-    for a0, m in enumerate(members):
+    for a0, m in enumerate(sets):
         if m == 0:
             return (a0, ()), tried
-        pool = [j for j in range(len(members)) if j != a0]
+        pool = [j for j in range(len(sets)) if j != a0]
         top = reach = min(t, len(pool))  # reach: the largest size still worth trying
-        order = sorted(bits[a0], key=lambda low: cols[low].bit_count())
-        if cols[order[0]] != 1 << a0:
-            widest = max((m & members[j]).bit_count() for j in pool)
-            stack = [(m, 1 << a0, 0, 0)]  # (uncovered, banned, depth, first element to try)
-            while stack:
-                left, banned, depth, i = stack.pop()
-                if (reach - depth) * widest < left.bit_count():
-                    continue
-                while not left & order[i]:
-                    i += 1
-                free = cols[order[i]] & ~banned
-                while free:
-                    low = free & -free
-                    rest = left & ~members[low.bit_length() - 1]
-                    if not rest:
-                        reach = depth
-                        break
-                    stack.append((rest, banned, depth + 1, i + 1))
-                    banned |= low
-                    free ^= low
+        widest = max([(m & sets[j]).bit_count() for j in pool], default=0)
+        stack = [(m, 1 << a0, 0)]  # (uncovered, banned, depth)
+        while stack:
+            left, banned, depth = stack.pop()
+            if (reach - depth) * widest < left.bit_count():
+                continue
+            free = cols[(left & -left).bit_length() - 1] & ~banned
+            while free:
+                low = free & -free
+                rest = left & ~sets[low.bit_length() - 1]
+                if not rest:
+                    reach = depth
+                    break
+                stack.append((rest, banned, depth + 1))
+                banned |= low
+                free ^= low
         tried += sum(math.comb(len(pool), size) for size in range(1, reach + 1))
         if reach < top:  # a cover of size reach + 1 exists
             for group in combinations(pool, reach + 1):
                 tried += 1
-                if not m & ~reduce(or_, map(members.__getitem__, group)):
+                if not m & ~reduce(or_, map(sets.__getitem__, group)):
                     return (a0, group), tried
     return None, tried
 
@@ -224,17 +223,18 @@ def _first_cover(members: Sequence[int], t: int) -> tuple[tuple[int, Coalition] 
 def check_frameproof(code: Code, t: int) -> Verdict:
     """Is no codeword producible by a coalition of <= t others?
 
-    Codewords are compared as one-hot sets (``Code.sets``): a codeword is
-    producible by a coalition exactly when its set lies inside the union of
-    theirs.  So this is the cover-free scan of ``check_cff`` run on the
-    one-hot family (``_first_cover``): codewords in order and, for each,
-    coalitions of the others by size then lexicographically.  The witness
+    Codewords are compared as one-hot sets, given by their bits i*q + s
+    rather than as ints (``core.onehot``): a codeword is producible by a
+    coalition exactly when its set lies inside the union of theirs.  So this
+    is the cover-free scan of ``check_cff`` run on the one-hot family
+    (``_first_cover``): codewords in order and, for each, coalitions of the
+    others by size then lexicographically.  The witness
     is the first framed codeword and coalition in that order, and both
     counters are its position there (the number of coalitions when the
     code holds), not how many coalitions were tested.
     """
     _require_strength(t)
-    hit, subsets = _first_cover(code.sets, t)
+    hit, subsets = _first_cover([[i * code.q + s for i, s in enumerate(w)] for w in code.words], t)
     witness = None if hit is None else FramedWord(*hit)
     return Verdict("FP", t, hit is None, witness, Counters(subsets, subsets))
 
@@ -250,7 +250,7 @@ def check_cff(family: SetFamily, t: int) -> Verdict:
     groups when the family holds); ``words_examined`` is 0.
     """
     _require_strength(t)
-    hit, subsets = _first_cover(family.members, t)
+    hit, subsets = _first_cover(list(map(family.member_elements, range(family.size))), t)
     witness = None if hit is None else CoverViolation(*hit)
     return Verdict("CFF", t, hit is None, witness, Counters(subsets, 0))
 

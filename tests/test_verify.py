@@ -331,10 +331,10 @@ class TestCoverScan:
     def test_past_the_level_cap(self, monkeypatch, k, t):
         # Member 0 holds elements 0..k-1 and x = k + 80; members 1..k are its
         # singletons, 80 singletons of other elements follow and {x} comes
-        # last, so member 0's smallest cover has size k + 1 and at t=3 the
-        # sizes up to t hold more than 1 << 16 groups.  The plain loop runs at
-        # one size only: k + 1 for member 0 when k < t, else 1 for member 1,
-        # which member 0 covers.
+        # last, so member 0's smallest cover has size k + 1.  The sizes below
+        # a member's smallest cover are counted in closed form, and the plain
+        # loop runs at one size only: k + 1 for member 0 when k < t, else 1
+        # for member 1, which member 0 covers.
         plain = []
 
         def recorded(pool, size):
@@ -363,7 +363,7 @@ class TestCoverScan:
         sizes = {"CFF": set(), "FP": set()}
         for members, code, t in dense_cover_instances(seed=401, count=300):
             hit, tried = oracles.first_cover(map(bit_elements, members), t)
-            assert verify._first_cover(members, t) == (hit, tried)
+            assert verify._first_cover(list(map(bit_elements, members)), t) == (hit, tried)
             if 0 not in members and len(set(members)) == len(members):
                 family = SetFamily(max(members).bit_length(), tuple(members))
                 assert_scan_matches_oracle(verify.check_cff(family, t), member_sets(family), t)
@@ -381,7 +381,7 @@ class TestCoverScan:
             members = [(1 << k) - 1] + [1 << e for e in range(k)]
             hit, tried = oracles.first_cover(map(bit_elements, members), k)
             assert hit == (0, tuple(range(1, k + 1))) and tried == 2**k - 1
-            assert verify._first_cover(members, k) == (hit, tried)
+            assert verify._first_cover(list(map(bit_elements, members)), k) == (hit, tried)
         k = 1200
         family = SetFamily.from_sets(k, [range(k)] + [[e] for e in range(k)])
         start = time.perf_counter()
@@ -390,6 +390,21 @@ class TestCoverScan:
         assert verdict.witness == verify.CoverViolation(0, tuple(range(1, k + 1)))
         assert verdict.counters == verify.Counters(2**k - 1, 0)
         assert cli.recheck_witness(cli.witness_to_json(verdict.witness, family), family, k) == []
+
+    def test_wide_alphabet_stays_sparse(self):
+        # The scan reads the positions of a codeword's one-hot bits, not its
+        # one-hot set: one such set here is 320 KB, so keeping one per other
+        # member or per element would exceed the bound.
+        rng = random.Random(65536)
+        code = Code(tuple(tuple(rng.randrange(2**16) for _ in range(40)) for _ in range(8)), 2**16)
+        tracemalloc.start()
+        try:
+            verdict = verify.check_frameproof(code, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verdict.holds and verdict.counters == verify.Counters(56, 56)
+        assert peak < 4 * 2**20
 
     def test_uncoverable_element_cuts_the_search(self):
         # Member 0 holds elements 0..k and no other member holds k.  The
