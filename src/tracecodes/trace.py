@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 import random
 import time
 from collections import Counter
@@ -112,6 +111,8 @@ def forge_pirate(code: Code, coalition: Coalition, strategy: PirateStrategy) -> 
 
 def _derive_seed(seed: int, index: int) -> int:
     """Counter-split a master seed; stable across platforms and runs."""
+    import hashlib  # loads OpenSSL; only a simulation pays for it
+
     digest = hashlib.sha256(f"{seed}:{index}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
 

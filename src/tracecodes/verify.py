@@ -332,8 +332,8 @@ def check_ta(code: Code, t: int) -> Verdict:
     Coalitions of size 1..t, by size then lexicographically, are scanned on
     one-hot sets: a coalition's descendants are the words whose sets lie in
     the union of its members' sets, walked depth-first one q-bit block at a
-    time, smallest symbol first (``core.untraced_descendant``), on columns
-    built once from ``code.words``, one per symbol a codeword holds.  The
+    time, smallest symbol first (``core.untraced_descendant``), on the
+    code's word columns (``Code.cols``), one per symbol a codeword holds.  The
     coalition is the insider mask and every other codeword an outsider; the
     witness names the first outsider nearest the first word found.
     ``words_examined`` counts the full words reached.  Coalitions covering
@@ -342,13 +342,9 @@ def check_ta(code: Code, t: int) -> Verdict:
     of its union's block popcounts) exceeds ``core.DEFAULT_DESCENDANT_CAP``.
     """
     _require_strength(t)
-    n, N, q, sets = code.size, code.length, code.q, code.sets
+    n, N, q, sets, cols = code.size, code.length, code.q, code.sets, code.cols
     mask = (1 << q) - 1
     cap = core.DEFAULT_DESCENDANT_CAP
-    cols: dict[int, int] = {}
-    for j, word in enumerate(code.words):
-        for base, s in zip(range(0, N * q, q), word):
-            cols[base + s] = cols.get(base + s, 0) | 1 << j
     everyone = (1 << n) - 1
     subsets = 0
     leaves_total = 0

@@ -4,9 +4,10 @@ Everything here works on plain tuples/frozensets by value, never on the
 package's Code/SetFamily types or index conventions, and never shares code
 with the package.  The point is independence: when a fast checker and its
 oracle agree on an exhaustive family of inputs, both are probably right.
-One exception pins a walk order rather than a verdict: ``untraced_walk``
+Two exceptions pin an order rather than a verdict: ``untraced_walk``
 takes one-hot sets (bit i*q + s for symbol s at coordinate i) and reads
-every agreement as the popcount of an AND.
+every agreement as the popcount of an AND, and ``parent_sets_flat`` lists
+parent sets by index in the package's order.
 """
 
 from __future__ import annotations
@@ -70,6 +71,29 @@ def cff_holds(sets, t: int) -> bool:
 
 def parent_coalitions(x, words, t):
     return [D for D in coalitions_by_value(words, t) if x in desc_set(D)]
+
+
+def parent_sets_flat(x, words, q: int, t: int):
+    """Index tuples of the coalitions of at most t words that have x as a descendant.
+
+    Every coalition is tested, by size then lexicographically, on one-hot
+    sets: x's agreements with the members must cover x's set.  The flat
+    scan of parent-set tracing, kept for its order.
+    """
+    def onehot(w):
+        return sum(1 << (i * q + s) for i, s in enumerate(w))
+
+    need = onehot(x)
+    agree = [need & onehot(w) for w in words]
+    found = []
+    for size in range(1, min(t, len(words)) + 1):
+        for coalition in combinations(range(len(words)), size):
+            covered = 0
+            for idx in coalition:
+                covered |= agree[idx]
+            if covered == need:
+                found.append(coalition)
+    return tuple(found)
 
 
 def ipp_holds(words, q: int, t: int) -> bool:

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -62,6 +64,40 @@ class TestCodeConstruction:
         assert repr(code) == "Code(words=((0, 1), (1, 0)), q=2)"
         assert code != Code(((1, 0), (0, 1)), 2)
         assert code != Code(((0, 1), (1, 0)), 3)
+
+    def test_cols_are_the_word_columns(self):
+        for code in random_code_stream(seed=36, count=100, max_q=4):
+            N, q = code.length, code.q
+            want = {
+                i * q + s: sum(1 << j for j, w in enumerate(code.words) if w[i] == s)
+                for i in range(N)
+                for s in range(q)
+            }
+            assert code.cols == {pos: m for pos, m in want.items() if m}
+
+    def test_cols_leave_equality_hash_and_repr_alone(self):
+        code = Code(((0, 1), (1, 0)), 2)
+        fresh = Code(((0, 1), (1, 0)), 2)
+        assert code.cols == {0: 1, 1: 2, 2: 2, 3: 1}
+        assert code == fresh and hash(code) == hash(fresh)
+        assert repr(code) == repr(fresh) == "Code(words=((0, 1), (1, 0)), q=2)"
+        assert "cols" not in {f.name for f in dataclasses.fields(Code)}
+
+    def test_cols_stay_sparse_on_a_wide_alphabet(self):
+        # One column per one-hot bit would be 40 * 2**16 entries here.
+        rng = random.Random(65536)
+        code = Code(tuple(tuple(rng.randrange(2**16) for _ in range(40)) for _ in range(8)), 2**16)
+        tracemalloc.start()
+        try:
+            cols = code.cols
+            family = core.parent_sets(code.words[3], code, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(cols) == 320
+        pairs = [(j, 3) for j in range(3)] + [(3, j) for j in range(4, 8)]
+        assert family.coalitions == ((3,), *pairs)
+        assert peak < 4 * 2**20
 
     def test_word_set_checks_length_and_alphabet(self):
         code = Code(((0, 1), (1, 0)), 2)
@@ -226,6 +262,34 @@ class TestParentSets:
             for idx in combinations(range(code.size), size):
                 expected = x in oracles.desc_set(code.coalition_words(idx))
                 assert (idx in family.coalitions) == expected
+
+    def test_matches_flat_scan_in_order(self):
+        # Four kinds of pirate word per code: a codeword, a descendant of a
+        # random coalition of up to t+1 words, a uniform word, and a word
+        # taking at one coordinate a symbol no codeword holds there.
+        rng = random.Random(20)
+        instances = 0
+        for _ in range(600):
+            q, N = rng.randint(2, 5), rng.randint(1, 6)
+            words = list(random_code(rng, N, q, rng.randint(1, min(12, q**N))).words)
+            rng.shuffle(words)
+            code = Code(tuple(words), q)
+            t = rng.randint(1, 4)
+            members = rng.sample(words, rng.randint(1, min(t + 1, len(words))))
+            pirates = [
+                rng.choice(words),
+                tuple(rng.choice(column) for column in core.desc_profile(members)),
+                tuple(rng.randrange(q) for _ in range(N)),
+            ]
+            gaps = [(i, s) for i in range(N) for s in range(q) if all(w[i] != s for w in words)]
+            if gaps:
+                i, s = rng.choice(gaps)
+                pirates.append((*pirates[2][:i], s, *pirates[2][i + 1 :]))
+            for x in pirates:
+                family = core.parent_sets(x, code, t)
+                assert family.coalitions == oracles.parent_sets_flat(x, words, q, t), (words, q, x, t)
+                instances += 1
+        assert instances >= 2000
 
 
 

@@ -85,6 +85,22 @@ def test_a_subcommand_loads_only_what_it_runs(tmp_path, name):
     assert set(loaded) == BASE | {f"tracecodes.{m}" for m in added}
 
 
+@pytest.mark.parametrize(
+    "run",
+    [
+        "import tracecodes.trace\n",
+        "from tracecodes import cli\n"
+        "cli.main(['trace', '--scheme', 'ipp', '--t', '2', '--pirate', '100', 'id3.code'])\n",
+    ],
+    ids=["import", "subcommand"],
+)
+def test_tracing_leaves_hashlib_unloaded(tmp_path, run):
+    # hashlib loads OpenSSL; only a simulation's seed splitting needs it.
+    (tmp_path / "id3.code").write_text("3 3 2\n1 0 0\n0 1 0\n0 0 1\n")
+    probe = "import json, sys\nprint(json.dumps(sorted({'hashlib', '_hashlib'} & set(sys.modules))))"
+    assert fresh(run + probe, cwd=tmp_path) == []
+
+
 def test_public_api_resolves_lazily():
     doc = fresh(
         textwrap.dedent(

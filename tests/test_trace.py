@@ -109,6 +109,19 @@ class TestTraceIpp:
                 assert acc.family_size == len(parents)
 
 
+class TestOneEncoding:
+    def test_a_query_encodes_the_pirate_word_once(self, monkeypatch):
+        # trace_ta reads the word's one-hot set; parent_sets reads its symbols.
+        code = Code(tuple((i, (2 * i) % 5, (3 * i) % 5) for i in range(5)), 5)
+        calls = []
+        onehot = core.onehot
+        monkeypatch.setattr(core, "onehot", lambda w, q: calls.append(w) or onehot(w, q))
+        x = (1, 2, 3)
+        assert trace.trace_ta(code, x).accused == (1,)
+        assert trace.trace_ipp(code, x, 2).accused == (1,)
+        assert calls == [x]
+
+
 class TestWordBoundary:
     def test_symbol_outside_the_alphabet_is_rejected(self):
         code = Code.from_strings(["00", "11"], 2)
