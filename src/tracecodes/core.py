@@ -116,10 +116,6 @@ class Code:
             raise ValueError("digit-string construction only supports q <= 10")
         return cls(tuple(tuple(int(ch) for ch in row) for row in rows), q)
 
-    def matrix_rows(self) -> tuple[tuple[int, ...], ...]:
-        """The N x n representation matrix: row i lists coordinate i of every word."""
-        return tuple(tuple(w[i] for w in self.words) for i in range(self.length))
-
     def coalition_words(self, indices: Iterable[int]) -> tuple[Word, ...]:
         return tuple(self.words[i] for i in indices)
 
@@ -283,38 +279,31 @@ def min_distance(code: Code) -> int | float:
 
 
 def untraced_descendant(
-    cols: Mapping[int, int], ins: int, outs: int, union: int, N: int, q: int
-) -> tuple[int | None, int]:
+    cols: Mapping[int, int], ins: int, outs: int, kids: Sequence[Sequence[int]], q: int
+) -> tuple[Word | None, int]:
     """The first descendant to which no insider is nearer than every outsider.
 
     Words are bits of a mask: ``cols`` maps a one-hot bit position to the
-    mask of the words holding it (at least every bit of ``union``; a sparse
-    dict needs only the bits some word holds), ``ins`` and ``outs`` are the
-    masks of a coalition's members and of the words outside it, and
-    ``union`` is the OR of the members' one-hot sets.  The descendants are
-    walked depth-first as one-hot prefixes, smallest symbol first: the
-    children of a prefix are the set bits of the union's next q-bit block,
-    pushed highest first.  A prefix has agreement levels, level k the mask
-    of the words agreeing with it on more than k coordinates; appending a
-    bit with column c makes level k the old level k OR the old level k-1
-    AND c.  The insiders' best agreement a_in is the number of levels
-    meeting ``ins``, and some outsider agrees on at least a coordinates when
-    level a-1 meets ``outs``.  So a branch is cut as soon as every
-    completion keeps some insider strictly nearer than every outsider
-    (a_out + rest < a_in, one AND with ``outs``), and a full word fails
-    when an outsider is as near (another).  A node costs O(depth) ANDs of
-    word masks, whatever the number of words.  Returns (that descendant's
-    set, or None when there is none, and the full words reached).
+    mask of the words holding it (at least every bit in ``kids``; a sparse
+    dict needs only the bits some word holds), and ``ins`` and ``outs`` are
+    the masks of a coalition's members and of the words outside it that
+    are tested.  ``kids[i]`` lists the bit positions i*q + s of the symbols
+    s the members hold at coordinate i, highest first, so N is its length.
+    The descendants are walked depth-first as one-hot prefixes, smallest
+    symbol first: the children of a prefix are the next depth's positions.
+    A prefix has agreement levels, level k the mask of the words agreeing
+    with it on more than k coordinates; appending a bit with column c makes
+    level k the old level k OR the old level k-1 AND c.  The insiders' best
+    agreement a_in is the number of levels meeting ``ins``, and some
+    outsider agrees on at least a coordinates when level a-1 meets
+    ``outs``.  So a branch is cut as soon as every completion keeps some
+    insider strictly nearer than every outsider (a_out + rest < a_in, one
+    AND with ``outs``), and a full word fails when an outsider is as near
+    (another).  A node costs O(depth) ANDs of word masks, whatever the
+    number of words.  Returns (that descendant as a word, or None when
+    there is none, and the full words reached).
     """
-    mask = (1 << q) - 1
-    kids = []  # each depth's bit positions, highest first
-    for i in range(N):
-        block, here = union >> (i * q) & mask, []
-        while block:
-            s = block.bit_length() - 1
-            here.append(i * q + s)
-            block ^= 1 << s
-        kids.append(here)
+    N = len(kids)
     path = [0] * N
     # Each depth's parent prefix, as the DFS has it: its a_in and its levels
     # kept as [every word, level 0, .., level depth-1, no word], so level k
@@ -323,7 +312,7 @@ def untraced_descendant(
     ain = [0] * N
     lv = [[-1, 0]] * N
     leaves = 0
-    stack = kids[0][:]
+    stack = list(kids[0])
     while stack:
         pos = stack.pop()
         depth = pos // q
@@ -337,7 +326,7 @@ def untraced_descendant(
         if not rest:
             leaves += 1
             if (levels[a_in] | levels[a_in - 1] & c) & outs:
-                return sum(1 << p for p in path), leaves
+                return tuple(p - i * q for i, p in enumerate(path)), leaves
             continue
         # Only rest < a_in can cut: a_out + rest < a_in.
         k = a_in - rest

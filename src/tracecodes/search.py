@@ -64,6 +64,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, islice, repeat
 from operator import and_, or_
 from typing import Callable, Iterable
@@ -281,6 +282,27 @@ class _IdentifiablePrefix(_CoalitionPrefix):
         return any(not (v - low) & ~v & high for v in agree)
 
 
+@lru_cache(maxsize=1024)
+def _block_positions(union: int, N: int, q: int) -> tuple[tuple[int, ...], ...]:
+    """The set bit positions of each q-bit block of ``union``, highest first.
+
+    For a union of one-hot sets these are the children at each depth of
+    ``core.untraced_descendant``.  A search asks for the same few unions at
+    every candidate (each old coalition's, and each joined with the
+    candidate), so the answers, immutable, are cached.
+    """
+    mask = (1 << q) - 1
+    kids = []
+    for i in range(N):
+        block, here = union >> (i * q) & mask, []
+        while block:
+            s = block.bit_length() - 1
+            here.append(i * q + s)
+            block ^= 1 << s
+        kids.append(tuple(here))
+    return tuple(kids)
+
+
 class _TraceablePrefix(_CoalitionPrefix):
     """A t-traceable code: a new word can only fail as an outsider or an insider.
 
@@ -310,17 +332,17 @@ class _TraceablePrefix(_CoalitionPrefix):
 
     def breaks(self, new: int, since: int = 0, until: None = None) -> bool:
         N, q, t, sets, cols = self.N, self.q, self.t, self.sets, self.cols
-        walk = core.untraced_descendant
+        walk, kids = core.untraced_descendant, _block_positions
         bit = 1 << len(sets)
         old = bit - 1
         self._toggle(new, bit)
         try:
             for m, u in self.groups:
                 size = m.bit_count()
-                if size >= 2 and walk(cols, m, bit, u, N, q)[0] is not None:
+                if size >= 2 and walk(cols, m, bit, kids(u, N, q), q)[0] is not None:
                     return True
                 if 0 < size < min(t, len(sets)):
-                    if walk(cols, m | bit, old ^ m, u | new, N, q)[0] is not None:
+                    if walk(cols, m | bit, old ^ m, kids(u | new, N, q), q)[0] is not None:
                         return True
             return False
         finally:

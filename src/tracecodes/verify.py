@@ -1,6 +1,8 @@
 """Exact property checkers returning verdicts with re-checkable witnesses.
 
-Every checker works on one-hot word sets (``core.onehot``, ``Code.sets``).
+Every checker reads a word as its one-hot set (``core.onehot``), bit i*q + s
+for symbol s at coordinate i: as an int (``Code.sets``), as the list of its
+bit positions, or through the word columns (``Code.cols``).
 Frameproofness reads equivalently as desc(D) n C = D for every coalition D
 of at most t codewords, or as no codeword lying in the descendant set of t
 others.  The check scans the second reading, which is cover-freeness: a
@@ -13,13 +15,20 @@ first cover.
 
 Traceability walks each coalition's descendants depth-first as one-hot
 prefixes (``core.untraced_descendant``), taking coordinate i's symbols from
-q-bit block i of the union of the members' sets.  The codewords are bits of
-a mask, and each one-hot bit has a column, the mask of the codewords
-holding it.  A prefix keeps its agreement levels, level k the codewords
-agreeing with it on more than k coordinates, and a new coordinate updates
-them from its column; so a branch is cut, by one AND with the outsiders, as
-soon as every completion keeps some insider strictly nearer than every
-outsider.
+the members' words.  The codewords are bits of a mask, and each one-hot bit
+has a column, the mask of the codewords holding it.  A prefix keeps its
+agreement levels, level k the codewords agreeing with it on more than k
+coordinates, and a new coordinate updates them from its column; so a branch
+is cut, by one AND with the outsiders, as soon as every completion keeps
+some insider strictly nearer than every outsider.  Only outsiders that could
+tie are walked against.  By pigeonhole some member of a coalition of s
+words agrees with each of its descendants on at least ceil(N/s)
+coordinates, and an outsider agrees with one on at most the coordinates
+where it holds one of the members' symbols, so an outsider holding fewer
+than ceil(N/s) is never as near; when every outsider is such, the walk is
+skipped (the pigeonhole step of the distance condition of Staddon, Stinson
+and Wei, *Combinatorial properties of frameproof and traceability codes*,
+IEEE Trans. IT 47 (2001)).
 
 Parent identifiability needs a word-free reformulation to stay exact
 without enumerating the whole ambient space: a code fails the t-check
@@ -60,7 +69,7 @@ import math
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
-from operator import and_, or_
+from operator import and_, eq, or_
 from typing import Sequence
 
 from . import core
@@ -101,7 +110,9 @@ class Counters:
       and including the first where all three symbols differ (N when none
       does) to ``words_examined``.
     * TA: ``subsets_examined`` counts coalitions, and ``words_examined`` the
-      leaves (full descendant words) reached.
+      leaves (full descendant words) the walks reach.  A coalition with no
+      outsider that could tie is not walked (``check_ta``), so a code that
+      holds by that pigeonhole bound alone reads 0.
     """
 
     subsets_examined: int = 0
@@ -326,53 +337,98 @@ def check_ipp(code: Code, t: int) -> Verdict:
     return Verdict("IPP", t, True, None, Counters(families, intersections))
 
 
+def _in_at_least(masks: Sequence[int], k: int) -> int:
+    """The bits set in at least ``k`` of ``masks``, for k >= 1.
+
+    Each bit's count is kept in binary across ``digits`` (digit d holds the
+    bits whose count has bit d set), and each mask is added with its
+    carries, so m masks cost O(m log m) ANDs whatever k is.  The counts
+    are then compared with k from the top digit down: ``tied`` holds the
+    bits whose digits so far equal k's, ``above`` those already past it.
+    """
+    digits: list[int] = []
+    for c in masks:
+        for d, digit in enumerate(digits):
+            digits[d] = digit ^ c
+            c &= digit
+            if not c:
+                break
+        else:
+            digits.append(c)
+    above, tied = 0, -1
+    for d in reversed(range(max(len(digits), k.bit_length()))):
+        digit = digits[d] if d < len(digits) else 0
+        if k >> d & 1:
+            tied &= digit
+        else:
+            above |= tied & digit
+            tied &= ~digit
+    return above | tied
+
+
 def check_ta(code: Code, t: int) -> Verdict:
     """Is the nearest codeword to any coalition's forgery always an insider?
 
-    Coalitions of size 1..t, by size then lexicographically, are scanned on
-    one-hot sets: a coalition's descendants are the words whose sets lie in
-    the union of its members' sets, walked depth-first one q-bit block at a
-    time, smallest symbol first (``core.untraced_descendant``), on the
-    code's word columns (``Code.cols``), one per symbol a codeword holds.  The
-    coalition is the insider mask and every other codeword an outsider; the
-    witness names the first outsider nearest the first word found.
-    ``words_examined`` counts the full words reached.  Coalitions covering
-    the whole code are vacuous (nobody to misaccuse) and skipped.  Raises
-    DescendantSetTooLarge when some coalition's descendant set (the product
-    of its union's block popcounts) exceeds ``core.DEFAULT_DESCENDANT_CAP``.
+    Coalitions of size 1..t, by size then lexicographically, are scanned.
+    At coordinate i a coalition's descendants take the symbols s its
+    members hold there, read from ``code.words`` as one-hot bit positions
+    i*q + s, so no N*q-bit set is formed.  The coalition is the insider
+    mask, and the outsiders tested are those that could tie: by pigeonhole
+    some insider agrees with each descendant on at least ceil(N/s) of its N
+    coordinates, while an outsider agrees on at most as many as those where
+    it holds a member's symbol, so one holding fewer is never as near (the
+    step behind the distance condition of Staddon, Stinson and Wei, IEEE
+    Trans. IT 47 (2001)).  A coordinate's holders are the OR of the
+    members' word columns there (``Code.cols``), and ``_in_at_least``
+    counts them.  When no outsider is left the coalition holds; otherwise
+    its descendants are walked depth-first, smallest symbol first
+    (``core.untraced_descendant``).  Dropping outsiders that cannot tie
+    changes neither the first failing descendant nor the witness, whose
+    outsider is the first of all outsiders nearest it.  ``words_examined``
+    counts the full words the walks reach.  Coalitions covering the whole
+    code are vacuous (nobody to misaccuse) and skipped.  Raises
+    DescendantSetTooLarge, before any outsider is filtered, when some
+    coalition's span (the product of its symbol counts) exceeds
+    ``core.DEFAULT_DESCENDANT_CAP``; s words span at most s**N, so the
+    product is taken only past that.
     """
     _require_strength(t)
-    n, N, q, sets, cols = code.size, code.length, code.q, code.sets, code.cols
-    mask = (1 << q) - 1
+    n, N, q, words, cols = code.size, code.length, code.q, code.words, code.cols
     cap = core.DEFAULT_DESCENDANT_CAP
-    everyone = (1 << n) - 1
+    positions = [tuple(map(int.__add__, range(0, N * q, q), w)) for w in words]
+    held = [list(map(cols.__getitem__, p)) for p in positions]  # each word's columns
     subsets = 0
     leaves_total = 0
     for size in range(1, min(t, n - 1) + 1):
+        need = -(-N // size)  # some insider agrees with every descendant this often
+        bounded = size**N <= cap  # no coalition of this size spans more
         for coalition in combinations(range(n), size):
             subsets += 1
-            union = members = 0
-            for i in coalition:
-                union |= sets[i]
-                members |= 1 << i
-            span = math.prod((union >> (i * q) & mask).bit_count() for i in range(N))
-            if span > cap:
-                raise core.DescendantSetTooLarge(
-                    f"instance too large for exact TA check: coalition {coalition} "
-                    f"spans {span} words (cap {cap})"
-                )
-            x, leaves = core.untraced_descendant(cols, members, everyone ^ members, union, N, q)
+            rows = [positions[i] for i in coalition]
+            if not bounded:
+                span = math.prod(len(set(c)) for c in zip(*rows))
+                if span > cap:
+                    raise core.DescendantSetTooLarge(
+                        f"instance too large for exact TA check: coalition {coalition} "
+                        f"spans {span} words (cap {cap})"
+                    )
+            holders = held[coalition[0]]
+            for i in coalition[1:]:
+                holders = list(map(or_, holders, held[i]))
+            members = sum(1 << i for i in coalition)
+            outs = _in_at_least(holders, need) & ~members
+            if not outs:
+                continue
+            kids = [sorted(set(c), reverse=True) for c in zip(*rows)]
+            x, leaves = core.untraced_descendant(cols, members, outs, kids, q)
             leaves_total += leaves
             if x is not None:
-                ins = [sets[i] for i in coalition]
-                outsiders = [i for i in range(n) if i not in coalition]
-                outs = [sets[o] for o in outsiders]
-                a_in = max((x & s).bit_count() for s in ins)
-                agree = [(x & o).bit_count() for o in outs]
+                a_in = max(sum(map(eq, x, words[i])) for i in coalition)
+                outsiders = [o for o in range(n) if o not in coalition]
+                agree = [sum(map(eq, x, words[o])) for o in outsiders]
                 a_out = max(agree)
                 outsider = outsiders[agree.index(a_out)]
-                pirate = _smallest_symbols(x, q, N)  # a one-hot word's only symbols
-                witness = TaViolation(coalition, pirate, outsider, N - a_in, N - a_out)
+                witness = TaViolation(coalition, x, outsider, N - a_in, N - a_out)
                 return Verdict("TA", t, False, witness, Counters(subsets, leaves_total))
     return Verdict("TA", t, True, None, Counters(subsets, leaves_total))
 

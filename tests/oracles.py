@@ -128,6 +128,37 @@ def ta_holds(words, t: int) -> bool:
     return True
 
 
+def ta_first_violation(words, t: int):
+    """The first forgery an outsider matches at least as well as every insider.
+
+    Coalitions are tuples of word indices, sizes 1..t, by size then
+    lexicographically, skipping those with no outsider; each one's
+    descendants are taken in lexicographic order.  A descendant fails when
+    some outsider is no farther from it than the nearest insider, and the
+    witness names the first outsider at the smallest distance.  Returns
+    ``(True, None, scanned)`` when none fails, otherwise ``(False,
+    (coalition, word, outsider, insider distance, outsider distance),
+    scanned)``, where ``scanned`` counts the coalitions up to and including
+    the failing one: the scan order, witness and coalition counter of the
+    traceability checker.
+    """
+    words = list(words)
+    scanned = 0
+    for size in range(1, t + 1):
+        for coalition in combinations(range(len(words)), size):
+            outsiders = [o for o in range(len(words)) if o not in coalition]
+            if not outsiders:
+                continue
+            scanned += 1
+            for x in sorted(desc_set(words[i] for i in coalition)):
+                d_in = min(hamming(x, words[i]) for i in coalition)
+                d_out = [hamming(x, words[o]) for o in outsiders]
+                if min(d_out) <= d_in:
+                    outsider = outsiders[d_out.index(min(d_out))]
+                    return False, (coalition, x, outsider, d_in, min(d_out)), scanned
+    return True, None, scanned
+
+
 def max_code_size(N: int, q: int, holds) -> int:
     """Largest code satisfying ``holds`` by plain unnormalized DFS.
 

@@ -200,8 +200,8 @@ def test_verify_large_ta_verdicts(seed, big_witness, compose_witness):
         ),
     }
     expected = {
-        "ta": (True, None, verify.Counters(780, 10114)),
-        "big": (False, ((0, 1, 2), *big_witness), verify.Counters(562, 7371)),
+        "ta": (True, None, verify.Counters(780, 0)),
+        "big": (False, ((0, 1, 2), *big_witness), verify.Counters(562, 1)),
         "compose": (False, ((0, 1), *compose_witness), verify.Counters(16, 2)),
     }
     for key, (code, t) in codes.items():

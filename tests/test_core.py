@@ -35,7 +35,6 @@ class TestCodeConstruction:
         code = Code(((0, 1, 2), (1, 1, 1)), 3)
         assert code.length == 3
         assert code.size == 2
-        assert code.matrix_rows() == ((0, 1), (1, 1), (2, 1))
 
     def test_from_strings(self):
         assert Code.from_strings(["01", "10"], 2).words == ((0, 1), (1, 0))
@@ -396,7 +395,9 @@ class TestUntracedDescendant:
         for i in members:
             union |= sets[i]
         ins, outs = sum(1 << i for i in members), sum(1 << o for o in outsiders)
-        fast = core.untraced_descendant(cols, ins, outs, union, N, q)
+        kids = [sorted({i * q + words[j][i] for j in members}, reverse=True) for i in range(N)]
+        x, leaves = core.untraced_descendant(cols, ins, outs, kids, q)
+        fast = (None if x is None else core.onehot(x, q), leaves)
         slow = oracles.untraced_walk(
             [sets[i] for i in members], [sets[o] for o in outsiders], union, N, q
         )

@@ -583,7 +583,7 @@ class TestTraceability:
             )
 
         assert verify.check_ta(affine(13), 2) == verify.Verdict(
-            "TA", 2, True, None, verify.Counters(780, 10114)
+            "TA", 2, True, None, verify.Counters(780, 0)
         )
         code = affine(11)
         verdict = verify.check_ta(code, 3)
@@ -592,7 +592,7 @@ class TestTraceability:
             3,
             False,
             verify.TaViolation((0, 1, 2), (0, 0, 0, 1, 2), 20, 2, 2),
-            verify.Counters(562, 7373),
+            verify.Counters(562, 3),
         )
         reverify(verdict, code=code)
 
@@ -609,6 +609,98 @@ class TestTraceability:
             tracemalloc.stop()
         assert verdict.holds
         assert peak < 4 * 2**20
+
+    def test_wide_alphabet_reads_symbols(self):
+        # Symbols come from the words, so no N*q-bit set (1.6 MB each here)
+        # is formed: the union, the span and the walk's children all used to
+        # shift one per coordinate (2.6-2.9 s for this check).  At t=1 no
+        # outsider can tie a lone insider, so nothing is walked.
+        rng = random.Random(200)
+        code = Code(tuple(tuple(rng.randrange(2**16) for _ in range(200)) for _ in range(20)), 2**16)
+        tracemalloc.start()
+        try:
+            verdict = verify.check_ta(code, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verdict == verify.Verdict("TA", 1, True, None, verify.Counters(20, 0))
+        assert peak < 1.5 * 2**20
+
+    @staticmethod
+    def assert_first_violation(code, t):
+        holds, witness, scanned = oracles.ta_first_violation(code.words, t)
+        verdict = verify.check_ta(code, t)
+        w = verdict.witness
+        got = None if w is None else (
+            w.coalition, w.pirate, w.outsider, w.insider_distance, w.outsider_distance
+        )
+        assert (verdict.holds, got, verdict.counters.subsets_examined) == (
+            holds, witness, scanned
+        ), (code, t)
+        return holds
+
+    def test_first_violation_matches_oracle_exhaustively(self):
+        # Every code with q=2, N <= 3 and with q=3, N=2.
+        held = failed = 0
+        for N, q in ((1, 2), (2, 2), (3, 2), (2, 3)):
+            universe = list(product(range(q), repeat=N))
+            for n in range(1, len(universe) + 1):
+                for words in combinations(universe, n):
+                    for t in (1, 2, 3):
+                        if self.assert_first_violation(Code(words, q), t):
+                            held += 1
+                        else:
+                            failed += 1
+        assert held > 900 and failed > 1300
+
+    def test_first_violation_matches_oracle_on_random_codes(self):
+        rng = random.Random(2101)
+        held = 0
+        for _ in range(2000):
+            q, N = rng.randint(2, 4), rng.randint(1, 5)
+            code = random_code(rng, N, q, rng.randint(1, min(9, q**N)))
+            held += self.assert_first_violation(code, rng.randint(1, 3))
+        assert 1000 < held < 1400
+
+    def test_in_at_least_counts_every_threshold(self):
+        rng = random.Random(2102)
+        for _ in range(300):
+            masks = [rng.getrandbits(12) for _ in range(rng.randint(1, 20))]
+            for k in range(1, len(masks) + 2):
+                want = sum(
+                    1 << b for b in range(12) if sum(m >> b & 1 for m in masks) >= k
+                )
+                assert verify._in_at_least(masks, k) == want, (masks, k)
+
+    def test_reed_solomon_121_words(self):
+        # {a + b*x mod 11 : x < N}: minimum distance N-1, so the distance
+        # condition (d > 3N/4 at t=2) holds from N=5 on.  No outsider of any
+        # coalition shares half the coordinates, so no descendant is walked.
+        for N in (6, 11):
+            words = tuple(
+                tuple((a + b * x) % 11 for x in range(N)) for a in range(11) for b in range(11)
+            )
+            code = Code(words, 11)
+            assert verify.ta_distance_sufficient(code, 2)
+            assert verify.check_ta(code, 2) == verify.Verdict(
+                "TA", 2, True, None, verify.Counters(7381, 0)
+            )
+
+    def test_reed_solomon_tie_fails(self):
+        # {a + b*x mod 5 : x < 4}: at t=2 the outsider shares exactly N/2 = 2
+        # coordinates with the coalition's symbols and ties the insiders.
+        words = tuple(tuple((a + b * x) % 5 for x in range(4)) for a in range(5) for b in range(5))
+        code = Code(words, 5)
+        assert not verify.ta_distance_sufficient(code, 2)
+        verdict = verify.check_ta(code, 2)
+        assert verdict == verify.Verdict(
+            "TA",
+            2,
+            False,
+            verify.TaViolation((0, 5), (0, 0, 1, 1), 2, 2, 2),
+            verify.Counters(30, 18),
+        )
+        assert cli.recheck_witness(cli.witness_to_json(verdict.witness, code), code, 2) == []
 
     def test_matches_oracle_on_stream(self):
         for code in random_code_stream(seed=205, count=150, max_N=4, max_n=5):
