@@ -21,7 +21,7 @@ symbols, one column per coordinate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, islice, repeat
 from operator import and_, or_
@@ -79,12 +79,11 @@ class Code:
     Word order is significant (file order / construction order); every
     tie-break in the package resolves to the lowest index.  ``sets`` holds
     the words' one-hot sets (``word_set``) and ``cols`` the word columns,
-    both outside equality, hash and repr.
+    both built on first use and outside equality, hash and repr.
     """
 
     words: tuple[Word, ...]
     q: int
-    sets: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         words = tuple(tuple(int(s) for s in w) for w in self.words)
@@ -97,7 +96,8 @@ class Code:
             raise ValueError("a code needs at least one word")
         if not words[0]:
             raise ValueError("words must have length >= 1")
-        object.__setattr__(self, "sets", tuple(map(self.word_set, words)))
+        for w in words:
+            self.check_word(w)
         if len(set(words)) != len(words):
             raise ValueError("duplicate words are not allowed")
 
@@ -118,6 +118,13 @@ class Code:
 
     def coalition_words(self, indices: Iterable[int]) -> tuple[Word, ...]:
         return tuple(self.words[i] for i in indices)
+
+    @cached_property
+    def sets(self) -> tuple[int, ...]:
+        """The words' one-hot sets, N*q bits each.  Built on first use; as
+        it is no dataclass field, it stays outside equality, hash and repr."""
+        q = self.q
+        return tuple(onehot(w, q) for w in self.words)
 
     @cached_property
     def cols(self) -> dict[int, int]:

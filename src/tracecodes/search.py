@@ -26,24 +26,28 @@ the same tree in the same order as a loop that tests each candidate only
 when it reaches it, and cuts only subtrees that cannot beat the best or
 reach the goal: it finds the same maximum, decisions and witnesses.
 
-The search holds its prefix in a state with one interface: ``breaks``
-says whether a candidate's one-hot set (``core.onehot``, encoded straight
-from the candidate's base-q digits) breaks the property with the prefix,
-``push`` adds a set and ``pop`` takes the last one off.  The prefix is
-known to hold, so a candidate is tested only for what it can break.
-Frameproof codes and cover-free families share one such state, because a
-code is t-frameproof exactly when the family of its one-hot word sets is
-t-cover-free.  For the current prefix only, it keeps the unions of at most
-t members and each member minus the unions of at most t-1 others.  So a
-candidate costs one AND per stored set, and a push or pop only appends to
-or truncates those lists.  The sets each push appended stay together, so
-a candidate already known to keep the first members is tested only on the
-sets the later members brought: the pushes before the last one are one
-test, kept at the parent's depth for its other children too, and the last
-push another.  Identifiable and traceable codes keep every coalition of at
-most t prefix words as a member mask and a union, and test a candidate
-against the whole prefix.  A new word breaks a t-IPP code only through a
-failing family with a coalition holding it, walked from those as
+The search holds its prefix in a state with one interface on candidate
+indices: ``breaks`` says whether a candidate breaks the property with the
+prefix, ``push`` adds a candidate and ``pop`` takes the last one off, and
+``grow`` widens the window of candidates the scans have reached.  The
+state owns the encoding of a candidate into its set: a word's one-hot set
+(``core.onehot``, encoded straight from the base-q digits) or a family
+member's mask.  The prefix is known to hold, so a candidate is tested only
+for what it can break.  Frameproof codes and cover-free families share one
+such state, because a code is t-frameproof exactly when the family of its
+one-hot word sets is t-cover-free.  For the current prefix only, it keeps
+the unions of at most t members and each member minus the unions of at
+most t-1 others.  A union kills the candidates whose sets lie inside it,
+and a residue those whose sets hold it, so each push ORs the kills of the
+sets it brings, once, into a stack of bitsets over the window: entry k
+holds the candidates broken by the first k members.  A test reads one bit,
+and a pop drops one entry.  The loop still tests a candidate known to keep
+the first members only on the later ones: the pushes before the last one
+are one test, kept at the parent's depth for its other children too, and
+the last push another.  Identifiable and traceable codes keep every
+coalition of at most t prefix words as a member mask and a union, and test
+a candidate against the whole prefix.  A new word breaks a t-IPP code only
+through a failing family with a coalition holding it, walked from those as
 ``check_ipp`` walks (``core.failing_family``); at t=2 the codeword triples
 holding it replace the families of three (the criterion of Hollmann, van
 Lint, Linnartz and Tolhuizen, JCTA 82 (1998)).  A new word breaks a
@@ -64,10 +68,10 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations, islice, repeat
+from functools import lru_cache, reduce
+from itertools import combinations, islice, pairwise, repeat
 from operator import and_, or_
-from typing import Callable, Iterable
+from typing import Iterable, Iterator
 
 from . import core
 from .core import Code, SetFamily, Word
@@ -159,54 +163,72 @@ def _encode_word(value: int, N: int, q: int) -> int:
     return word
 
 
-class _CoverFreePrefix:
-    """A t-cover-free family grown and shrunk one member at a time.
+def _elements(s: int) -> Iterator[int]:
+    """The set bit positions of ``s``, lowest first."""
+    while s:
+        low = s & -s
+        yield low.bit_length() - 1
+        s ^= low
 
+
+class _CoverFreePrefix:
+    """A t-cover-free family grown and shrunk one member at a time, with the candidates it kills.
+
+    Candidates are the search's indices: words in base q, each standing for
+    its one-hot set, or (``family``) masks over N elements, each its own set.
     ``unions[j]`` (j = 0..t) lists the union of every group of at most j
     members, ``unions[j][0]`` being the empty union 0; ``residues[j]``
     (j = 0..t-1) lists every member minus the union of every group of at
     most j other members, so ``residues[0]`` is the members themselves.
-    Given the family is t-cover-free, adding ``new`` keeps it so unless
-    ``new`` lies inside some union in ``unions[t]`` (the empty member lies
-    inside 0), or some residue in ``residues[t-1]`` lies inside ``new``: an
-    old member covered by ``new`` joined by at most t-1 others.  That is one
-    AND per stored set.  The lists only grow with the family, so a push
-    appends to each and a pop truncates each to its length before the push.
-    A push appends exactly the sets whose latest member it is, so the sets
-    of a run of members lie between two marks, and ``breaks`` tests any run.
+    Given the family is t-cover-free, adding a set keeps it so unless the
+    set lies inside some union in ``unions[t]`` (the empty member lies
+    inside 0), or some residue in ``residues[t-1]`` lies inside it: an old
+    member covered by the new one joined by at most t-1 others.  So a union
+    U kills down(U), the candidates whose sets lie inside U, and a residue r
+    kills up(r), those whose sets hold r.  The lists only grow with the
+    family, so a push appends to each the sets whose latest member it is,
+    and a pop truncates each to its length before the push.
+
+    Each push ORs the kills of its new top-layer sets once into a stack of
+    bitsets over candidates (candidate c as bit c): ``_killed[k]`` holds the
+    candidates broken by the first k members, ``_killed[0]`` those broken by
+    the empty union.  A set's members depend only on the members up to its
+    latest one, so ``breaks`` reads one bit, whatever run of members it is
+    asked about.  The bitsets cover the candidates below ``width``, and
+    ``grow`` extends every entry over the new ones only.  up(r) is the AND
+    of the columns of r's elements (the candidates whose sets hold the
+    element, periodic in the index); down(U) is, for a word, the AND over
+    coordinates of the OR of U's columns there, and for a mask, the
+    candidates in none of the columns outside U.  Both are memoised by set
+    until the next ``grow``.
     """
 
     partial = True  # ``breaks`` can stop short of the last member
 
-    def __init__(self, t: int) -> None:
+    def __init__(self, t: int, N: int, q: int, family: bool = False) -> None:
+        self.N, self.q, self.family = N, q, family
         self.unions: list[list[int]] = [[0] for _ in range(t + 1)]
         self.residues: list[list[int]] = [[] for _ in range(t)]
         self._layers = self.unions + self.residues
         self._marks: list[list[int]] = []
+        self._killed = [0]
+        self.width = 0
+        self.grow(1)
 
-    def breaks(self, new: int, since: int = 0, until: int | None = None) -> bool:
-        """Whether adding ``new`` breaks the family, given it keeps the first ``since`` members.
+    def breaks(self, c: int, since: int = 0, until: int | None = None) -> int:
+        """Whether adding candidate ``c`` breaks the first ``until`` members (all when None).
 
-        Only the unions and residues whose latest member is one of members
-        since..until-1 are tested, every member from ``since`` on when
-        ``until`` is None.  ``since`` is 0 or below the member count.
+        ``since`` says ``c`` keeps the first ``since`` members; the kill
+        stack needs no such hint.  ``c`` lies below ``width``.
         """
-        t, marks = len(self.residues), self._marks
-        unions, residues = self.unions[-1], self.residues[-1]
-        if since:
-            u1, r1 = (None, None) if until is None else (marks[until][t], marks[until][-1])
-            unions, residues = unions[marks[since][t] : u1], residues[marks[since][-1] : r1]
-        elif until is not None:
-            # From the first member on, stopping early costs less than a copy.
-            unions, residues = islice(unions, marks[until][t]), islice(residues, marks[until][-1])
-        if new in map(and_, repeat(new), unions):
-            return True
-        return not all(map(and_, repeat(~new), residues))
+        return self._killed[-1 if until is None else until] >> c & 1
 
-    def push(self, new: int) -> None:
-        """Add ``new`` without testing it (after ``breaks``, or a root)."""
+    def push(self, c: int) -> None:
+        """Add candidate ``c`` without testing it (after ``breaks``, or a root)."""
+        new = c if self.family else _encode_word(c, self.N, self.q)
         unions, residues = self.unions, self.residues
-        self._marks.append([len(layer) for layer in self._layers])
+        marks = [len(layer) for layer in self._layers]
+        self._marks.append(marks)
         # High j first, residues before unions: each layer grows from the
         # old contents of the layers below it.
         for j in range(len(residues) - 1, 0, -1):
@@ -215,11 +237,94 @@ class _CoverFreePrefix:
         residues[0].append(new)
         for j in range(len(unions) - 1, 0, -1):
             unions[j] += map(or_, repeat(new), unions[j - 1])
+        t = len(residues)
+        kill = self._kill(islice(unions[t], marks[t], None), islice(residues[-1], marks[-1], None))
+        self._killed.append(self._killed[-1] | kill)
 
     def pop(self) -> None:
         """Take off the member added last."""
         for layer, size in zip(self._layers, self._marks.pop()):
             del layer[size:]
+        self._killed.pop()
+
+    def grow(self, width: int) -> None:
+        """Widen the kill stack to candidates 0..width-1."""
+        t, lo = len(self.residues), self.width
+        unions, residues = self.unions[t], self.residues[t - 1]
+        # Level k's sets lie between its mark and the next: the empty union, then each member's.
+        bounds = [(0, 0), *((m[t], m[-1]) for m in self._marks), (len(unions), len(residues))]
+        self._window(lo, width)
+        killed, acc = self._killed, 0
+        for k, ((u0, r0), (u1, r1)) in enumerate(pairwise(bounds)):
+            acc |= self._kill(unions[u0:u1], residues[r0:r1])
+            killed[k] |= acc << lo
+        self.width = width
+        self._window(0, width)
+
+    def _window(self, lo: int, hi: int) -> None:
+        """Aim the columns and memos at candidates lo..hi-1, candidate c as bit c - lo."""
+        self._lo, self._hi, self._all = lo, hi, (1 << (hi - lo)) - 1
+        self._cols: dict[int, int] = {}
+        self._downs: dict[int, int] = {}
+        self._ups: dict[int, int] = {}
+
+    def _kill(self, unions: Iterable[int], residues: Iterable[int]) -> int:
+        """The window's candidates inside one of ``unions`` or holding one of ``residues``."""
+        kill, downs, ups = 0, self._downs, self._ups
+        for u in unions:
+            k = downs.get(u)
+            if k is None:
+                k = downs[u] = self._down(u)
+            kill |= k
+        for r in residues:
+            k = ups.get(r)
+            if k is None:
+                k = ups[r] = self._up(r)
+            kill |= k
+        return kill
+
+    def _up(self, r: int) -> int:
+        """The window's candidates whose sets hold ``r``."""
+        return reduce(and_, map(self._column, _elements(r)), self._all)
+
+    def _down(self, u: int) -> int:
+        """The window's candidates whose sets lie inside ``u``."""
+        column = self._column
+        if self.family:
+            outside = (column(e) for e in range(self.N) if not u >> e & 1)
+            return self._all & ~reduce(or_, outside, 0)
+        # A word holds one element per coordinate: one of u's there.
+        q, ors = self.q, [0] * self.N
+        for e in _elements(u):
+            ors[e // q] |= column(e)
+        return reduce(and_, ors)
+
+    def _column(self, e: int) -> int:
+        """The window's candidates whose sets hold element ``e``, memoised.
+
+        The element is base-q digit d = s of the index (digit N-1-i = s for
+        one-hot bit i*q + s, digit e = 1 for a mask): runs of q**d candidates
+        every q**(d+1), built by doubling.
+        """
+        col = self._cols.get(e)
+        if col is not None:
+            return col
+        if self.family:
+            q, d, s = 2, e, 1
+        else:
+            q = self.q
+            i, s = divmod(e, q)
+            d = self.N - 1 - i
+        hi, run = self._hi, q**d
+        first, col = s * run, 0
+        if first < hi:
+            col, span = ((1 << min(run, hi - first)) - 1) << first, run * q
+            while span < hi:
+                col |= col << span
+                span *= 2
+            col = col >> self._lo & self._all
+        self._cols[e] = col
+        return col
 
 
 class _CoalitionPrefix:
@@ -232,7 +337,8 @@ class _CoalitionPrefix:
     so a push appends those and a pop truncates to the length before the
     push: coalitions never outgrow the code, whatever t is.  ``breaks``
     looks for a failure that the new word brings into the code, which is
-    held to have the property.
+    held to have the property.  Words come as candidate indices, each
+    encoded once when ``grow`` brings it into the window.
     """
 
     partial = False  # ``breaks`` tests against every word
@@ -242,14 +348,20 @@ class _CoalitionPrefix:
         self.sets: list[int] = []
         self.groups: list[tuple[int, int]] = [(0, 0)]
         self._marks: list[int] = []
+        self._encoded = [_encode_word(0, N, q)]  # each window candidate's one-hot set
 
-    def breaks(self, new: int, since: int = 0, until: None = None) -> bool:
-        """Whether adding ``new`` breaks the code; every word is tested, whatever ``since`` says."""
+    def grow(self, width: int) -> None:
+        """Widen the window to candidates 0..width-1."""
+        N, q = self.N, self.q
+        self._encoded += [_encode_word(c, N, q) for c in range(len(self._encoded), width)]
+
+    def breaks(self, c: int, since: int = 0, until: None = None) -> bool:
+        """Whether adding candidate ``c`` breaks the code, tested against every word."""
         raise NotImplementedError
 
-    def push(self, new: int) -> None:
-        """Add ``new`` without testing it (after ``breaks``, or a root)."""
-        bit, t = 1 << len(self.sets), self.t
+    def push(self, c: int) -> None:
+        """Add candidate ``c`` without testing it (after ``breaks``, or a root)."""
+        new, bit, t = self._encoded[c], 1 << len(self.sets), self.t
         self._marks.append(len(self.groups))
         self.groups += [(m | bit, u | new) for m, u in self.groups if m.bit_count() < t]
         self.sets.append(new)
@@ -269,8 +381,8 @@ class _IdentifiablePrefix(_CoalitionPrefix):
     and the codeword triples holding x replace the families of three.
     """
 
-    def breaks(self, new: int, since: int = 0, until: None = None) -> bool:
-        t, bit = self.t, 1 << len(self.sets)
+    def breaks(self, c: int, since: int = 0, until: None = None) -> bool:
+        new, t, bit = self._encoded[c], self.t, 1 << len(self.sets)
         joined = [(m | bit, u | new) for m, u in self.groups if m.bit_count() < t]
         entries = joined + self.groups[1:]
         if t != 2:
@@ -330,8 +442,9 @@ class _TraceablePrefix(_CoalitionPrefix):
             cols[pos] = cols.get(pos, 0) ^ bit
             s ^= low
 
-    def breaks(self, new: int, since: int = 0, until: None = None) -> bool:
+    def breaks(self, c: int, since: int = 0, until: None = None) -> bool:
         N, q, t, sets, cols = self.N, self.q, self.t, self.sets, self.cols
+        new = self._encoded[c]
         walk, kids = core.untraced_descendant, _block_positions
         bit = 1 << len(sets)
         old = bit - 1
@@ -348,9 +461,9 @@ class _TraceablePrefix(_CoalitionPrefix):
         finally:
             self._toggle(new, bit)
 
-    def push(self, new: int) -> None:
-        self._toggle(new, 1 << len(self.sets))
-        super().push(new)
+    def push(self, c: int) -> None:
+        self._toggle(self._encoded[c], 1 << len(self.sets))
+        super().push(c)
 
     def pop(self) -> None:
         self._toggle(self.sets[-1], 1 << (len(self.sets) - 1))
@@ -387,16 +500,13 @@ def max_code_search(problem: SearchProblem, budget: int | None = None) -> Search
     strength = min(t, total - 1)
     prefix: _CoverFreePrefix | _CoalitionPrefix
     if prop in ("FP", "CFF"):
-        prefix = _CoverFreePrefix(strength)
+        prefix = _CoverFreePrefix(strength, N, q, family=prop == "CFF")
     elif prop == "IPP":
         prefix = _IdentifiablePrefix(strength, N, q)
     else:
         prefix = _TraceablePrefix(strength, N, q)
-    if prop == "CFF":
-        encode, root = (lambda mask: mask), []
-    else:
-        encode, root = (lambda c: _encode_word(c, N, q)), [0]
-    best, decided, nodes, complete = _forward_check(problem, budget, total, encode, prefix, root)
+    root = [] if prop == "CFF" else [0]
+    best, decided, nodes, complete = _forward_check(problem, budget, total, prefix, root)
     if problem.mode == "decide" and decided is not True:
         witness = None
     elif prop == "CFF":
@@ -419,21 +529,20 @@ def _forward_check(
     problem: SearchProblem,
     budget: int | None,
     total: int,
-    encode: Callable[[int], int],
     prefix: _CoverFreePrefix | _CoalitionPrefix,
     root: list[int],
 ) -> tuple[list[int], bool | None, int, bool]:
     """Extend ``root`` by candidates 1..total-1 in ascending order, depth first, forward checked.
 
-    ``chosen`` is the whole frontier: ``prefix`` holds its candidates'
-    sets (``encode`` turns a candidate into its set), and a node's
-    candidates are those above its last one.  ``level[c]`` is how many of
-    the chosen candidates c is known to keep the property with: c is live
-    at the current node when that is ``len(chosen)``, dead when it is
-    ``dead`` (c broke some prefix of the current one), and not yet tested
-    against the later pushes otherwise.  A level set to d or to ``dead``
-    while the prefix has d members goes on ``trail[d]`` with its old value,
-    and popping depth d restores that.
+    ``chosen`` is the whole frontier: ``prefix`` holds its candidates,
+    encoding each into its set, and a node's candidates are those above
+    its last one; the scans widen the prefix's candidate window as they
+    go.  ``level[c]`` is how many of the chosen candidates c is known to
+    keep the property with: c is live at the current node when that is
+    ``len(chosen)``, dead when it is ``dead`` (c broke some prefix of the
+    current one), and not yet tested against the later pushes otherwise.
+    A level set to d or to ``dead`` while the prefix has d members goes on
+    ``trail[d]`` with its old value, and popping depth d restores that.
 
     A node scans its candidates in order, bringing each untested one up to
     date, until enough are live to beat the best size (maximize) or reach
@@ -454,13 +563,13 @@ def _forward_check(
     limit = math.inf if budget is None else budget
     breaks, push, pop, partial = prefix.breaks, prefix.push, prefix.pop, prefix.partial
     dead = total + 1  # deeper than any prefix
-    # Grown only as far as the scans reach, with each candidate's set;
+    # Grown only as far as the scans reach, as is the prefix's window;
     # candidate 0, the root or the empty member, is never scanned.
-    level, sets = [dead], [encode(0)]
+    level = [dead]
     grown = 1
     chosen = list(root)
     for c in root:
-        push(encode(c))
+        push(c)
     trail: list[list[tuple[int, int]]] = [[] for _ in range(len(chosen) + 1)]
     best = list(chosen)
     nodes = 0
@@ -475,7 +584,7 @@ def _forward_check(
             if cand == grown:
                 grown = min(total, 2 * cand + 64)
                 level += repeat(0, grown - cand)
-                sets += map(encode, range(cand, grown))
+                prefix.grow(grown)
             known = level[cand]
             if known > depth:
                 cand += 1
@@ -487,7 +596,7 @@ def _forward_check(
                     if nodes > limit:
                         return best, None, nodes, False
                     trail[depth - 1].append((cand, known))
-                    if breaks(sets[cand], known, depth - 1):
+                    if breaks(cand, known, depth - 1):
                         level[cand] = dead
                         cand += 1
                         continue
@@ -496,7 +605,7 @@ def _forward_check(
                 if nodes > limit:
                     return best, None, nodes, False
                 trail[depth].append((cand, known))
-                if breaks(sets[cand], known):
+                if breaks(cand, known):
                     level[cand] = dead
                     cand += 1
                     continue
@@ -519,7 +628,7 @@ def _forward_check(
             pop()
             cand = chosen.pop() + 1
             continue
-        push(sets[first])
+        push(first)
         chosen.append(first)
         trail.append([])
         cand = first + 1

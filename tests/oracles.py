@@ -201,8 +201,8 @@ def exists_code_of_size(N: int, q: int, size: int, holds) -> bool:
     return grow([], 0)
 
 
-def forward_checked_pushes(universe, holds, root, goal=None) -> list:
-    """Every prefix that plain forward checking pushes, in order.
+def forward_checked_pushes(universe, holds, root, goal=None, limit=None) -> list:
+    """Every prefix that plain forward checking pushes, in order (the first ``limit`` only).
 
     Each depth filters the whole list of later candidates down to those
     that extend its prefix to a code that ``holds``.  A depth pushes its
@@ -226,6 +226,8 @@ def forward_checked_pushes(universe, holds, root, goal=None) -> list:
                 return False
             extended = prefix + [candidate]
             pushes.append(extended)
+            if len(pushes) == limit:
+                return True
             if grow(extended, [c for c in live[i + 1 :] if holds(extended + [c])]):
                 return True
         return False

@@ -224,14 +224,28 @@ class TestForwardCheckedTree:
     """
 
     @staticmethod
-    def pushes(monkeypatch, problem):
-        """Every prefix ``max_code_search`` pushes, as its list of sets."""
-        stack, seen = [], []
+    def space(prop, N, q, t):
+        """Every candidate in index order, the property on a list of them, and their sets."""
+        if prop == "CFF":
+            def holds(masks):
+                return oracles.cff_holds([_elements(m) for m in masks], t)
+
+            return list(range(1 << N)), holds, lambda mask: mask
+        holds = TestOracleAgreement.HOLDS[prop](q, t)
+        return oracles.all_words(N, q), holds, lambda word: core.onehot(word, q)
+
+    @staticmethod
+    def pushes(monkeypatch, problem, set_of, budget=None):
+        """Every prefix ``max_code_search`` pushes, as its list of sets (``set_of`` a
+        candidate index), and the candidate window of the cover-free prefix at each
+        push (None for the others)."""
+        stack, seen, widths = [], [], []
         for cls in (search._CoverFreePrefix, search._CoalitionPrefix):
-            def push(self, new, push=cls.push):
-                stack.append(new)
+            def push(self, c, push=cls.push):
+                stack.append(set_of(c))
                 seen.append(list(stack))
-                push(self, new)
+                widths.append(getattr(self, "width", None))
+                push(self, c)
 
             def pop(self, pop=cls.pop):
                 stack.pop()
@@ -239,8 +253,20 @@ class TestForwardCheckedTree:
 
             monkeypatch.setattr(cls, "push", push)
             monkeypatch.setattr(cls, "pop", pop)
-        max_code_search(problem)
-        return seen
+        max_code_search(problem, budget)
+        return seen, widths
+
+    def check_pushes(self, monkeypatch, problem, budget=None):
+        """The pushes against the reference's, the first ones only under a budget."""
+        prop, N, q, t, goal = problem.property, problem.N, problem.q, problem.t, problem.goal
+        candidates, holds, as_set = self.space(prop, N, q, t)
+        # Codes start from their first word; the reference starts from it too.
+        root = [] if prop == "CFF" else candidates[:1]
+        got, widths = self.pushes(monkeypatch, problem, lambda c: as_set(candidates[c]), budget)
+        limit = None if budget is None else len(got) - len(root)
+        want = oracles.forward_checked_pushes(candidates[1:], holds, root, goal, limit)
+        assert got[len(root):] == [[as_set(c) for c in prefix] for prefix in want], goal
+        return widths
 
     @pytest.mark.parametrize(
         "prop,N,q,t",
@@ -257,28 +283,28 @@ class TestForwardCheckedTree:
         ids=["fp-4-2", "fp-4-3", "fp-q4-2", "cff-4-1", "cff-4-2", "ipp-q4-2", "ta-q4-2", "ta-q3-3"],
     )
     def test_same_pushes_as_eager_forward_checking(self, monkeypatch, prop, N, q, t):
-        if prop == "CFF":
-            universe, root = list(range(1, 1 << N)), []
-
-            def holds(masks):
-                return oracles.cff_holds([_elements(m) for m in masks], t)
-
-            def as_set(mask):
-                return mask
-        else:
-            words = oracles.all_words(N, q)
-            universe, root = words[1:], words[:1]
-            holds = TestOracleAgreement.HOLDS[prop](q, t)
-
-            def as_set(word):
-                return core.onehot(word, q)
         optimum = max_code_search(SearchProblem(prop, N=N, t=t, q=q)).optimum
         for goal in [None, *range(max(1, optimum - 1), optimum + 3)]:
             mode = "maximize" if goal is None else "decide"
-            got = self.pushes(monkeypatch, SearchProblem(prop, N=N, t=t, q=q, mode=mode, goal=goal))
-            want = oracles.forward_checked_pushes(universe, holds, root, goal)
-            # The search pushes its root first; the reference starts from it.
-            assert got[len(root):] == [[as_set(c) for c in prefix] for prefix in want], goal
+            problem = SearchProblem(prop, N=N, t=t, q=q, mode=mode, goal=goal)
+            self.check_pushes(monkeypatch, problem)
+
+    # 128 candidates, past the first window of 66.  The whole FP and CFF
+    # trees at t=2 take 17,632,742 and 1,740,724 tests, so a budget cuts the
+    # maximize runs, and decide goals met early add more; CFF meets its t=2
+    # goals inside the first window, so its decide runs are at t=1.
+    @pytest.mark.parametrize(
+        "prop,t,budget,goals",
+        [("FP", 2, 600, (5, 6, 7, 8)), ("CFF", 2, 1000, ()), ("CFF", 1, 600, (10, 11, 12))],
+        ids=["fp-7-2", "cff-7-2", "cff-7-1"],
+    )
+    def test_same_pushes_across_window_growth(self, monkeypatch, prop, t, budget, goals):
+        runs = [(SearchProblem(prop, N=7, t=t), budget)]
+        runs += [(SearchProblem(prop, N=7, t=t, mode="decide", goal=g), None) for g in goals]
+        for problem, cap in runs:
+            widths = self.check_pushes(monkeypatch, problem, cap)
+            # Members pushed before the window grew, and more after it.
+            assert widths[0] < widths[-1] == 128, problem
 
 
 # The benchmark's cover-free search jobs, plus the deepest tree it never
@@ -349,34 +375,41 @@ def _union(group):
 
 
 class TestCoverFreePrefix:
-    """The incremental prefix state against its definition and the oracles."""
+    """The incremental prefix state against its definition and the oracles.
+
+    The prefix takes candidate indices: masks that are their own sets for
+    families, base-q words standing for their one-hot sets for codes.
+    """
 
     @staticmethod
     def layers(prefix):
         return [list(layer) for layer in prefix.unions + prefix.residues]
 
-    def grow(self, members, t):
-        """Push ``members`` one at a time; none may break the family."""
-        prefix = search._CoverFreePrefix(t)
-        for m in members:
-            assert not prefix.breaks(m)
-            prefix.push(m)
+    @staticmethod
+    def check_layers(prefix, sets):
+        """The lists against their definition on the members' ``sets``."""
         # unions[j]: one union per group of at most j members; residues[j]:
         # one member-minus-union per member and group of at most j others.
         for j, layer in enumerate(prefix.unions):
-            assert sorted(layer) == sorted(_union(g) for g in _groups(members, j))
+            assert sorted(layer) == sorted(_union(g) for g in _groups(sets, j))
         for j, layer in enumerate(prefix.residues):
             want = [
                 m & ~_union(g)
-                for i, m in enumerate(members)
-                for g in _groups(members[:i] + members[i + 1 :], j)
+                for i, m in enumerate(sets)
+                for g in _groups(sets[:i] + sets[i + 1 :], j)
             ]
             assert sorted(layer) == sorted(want)
+
+    def grow(self, prefix, members, sets):
+        """Push ``members``, standing for ``sets``, one at a time; none may break the family."""
+        for c in members:
+            assert not prefix.breaks(c)
+            prefix.push(c)
+        self.check_layers(prefix, sets)
         return prefix
 
-    def check_extensions(self, members, candidates, t, holds):
-        """``breaks`` on every run of members against ``holds``, the oracle on a member list."""
-        prefix = self.grow(members, t)
+    def check_extensions(self, prefix, members, candidates, holds):
+        """``breaks`` on every run of members against ``holds``, the oracle on a candidate list."""
         before = self.layers(prefix)
         n = len(members)
         for new in candidates:
@@ -390,13 +423,52 @@ class TestCoverFreePrefix:
                 else:
                     high = mid - 1
             kept = low
-            assert prefix.breaks(new) == (kept < n), (members, new, t)
+            assert prefix.breaks(new) == (kept < n), (members, new)
             # Given it keeps the first ``since`` members, members since..until-1 decide.
             for since in range(min(max(kept, 0), n - 1) + 1):
-                assert prefix.breaks(new, since) == (kept < n), (members, new, t, since)
+                assert prefix.breaks(new, since) == (kept < n), (members, new, since)
                 for until in range(since, n):
                     assert prefix.breaks(new, since, until) == (kept < until)
             assert self.layers(prefix) == before
+
+    def check_code_extensions(self, prefix, universe, words, t):
+        """``check_extensions`` for a ternary code: every other word against the FP oracle."""
+        self.check_extensions(
+            prefix,
+            words,
+            [c for c in range(len(universe)) if c not in words],
+            lambda group: oracles.frameproof_holds([universe[c] for c in group], t),
+        )
+
+    @staticmethod
+    def random_family(rng, ground, t):
+        order = list(range(1, 1 << ground))
+        rng.shuffle(order)
+        size = rng.randint(0, 3 * ground)
+        members: list[int] = []
+        for m in order:
+            if len(members) == size:
+                break
+            if oracles.cff_holds([_elements(x) for x in members + [m]], t):
+                members.append(m)
+        return members
+
+    @staticmethod
+    def family_holds(t):
+        return lambda group: oracles.cff_holds([_elements(x) for x in group], t)
+
+    @staticmethod
+    def random_code(rng, universe, N, t):
+        order = list(range(len(universe)))
+        rng.shuffle(order)
+        size = rng.randint(1, 3 * N + 1)
+        words: list[int] = []
+        for w in order:
+            if len(words) == size:
+                break
+            if oracles.frameproof_holds([universe[c] for c in words + [w]], t):
+                words.append(w)
+        return words
 
     @pytest.mark.parametrize("t", [1, 2, 3, 4])
     def test_families_match_cff_oracle(self, t):
@@ -404,48 +476,61 @@ class TestCoverFreePrefix:
         for ground in range(1, 7):
             space = range(1 << ground)  # the empty candidate 0 included
             for _ in range(6):
-                order = list(range(1, 1 << ground))
-                rng.shuffle(order)
-                size = rng.randint(0, 3 * ground)
-                members: list[int] = []
-                for m in order:
-                    if len(members) == size:
-                        break
-                    if oracles.cff_holds([_elements(x) for x in members + [m]], t):
-                        members.append(m)
-                self.check_extensions(
-                    members,
-                    space,
-                    t,
-                    lambda group: oracles.cff_holds([_elements(x) for x in group], t),
-                )
+                members = self.random_family(rng, ground, t)
+                prefix = search._CoverFreePrefix(t, ground, 2, family=True)
+                prefix.grow(1 << ground)
+                self.grow(prefix, members, members)
+                self.check_extensions(prefix, members, space, self.family_holds(t))
 
     @pytest.mark.parametrize("t", [1, 2, 3])
     def test_ternary_codes_match_frameproof_oracle(self, t):
         rng = random.Random(700 + t)
         for N in (1, 2, 3):
-            universe = oracles.all_words(N, 3)
+            universe = oracles.all_words(N, 3)  # candidate c is universe[c]
             for _ in range(5):
-                order = list(universe)
-                rng.shuffle(order)
-                size = rng.randint(1, 3 * N + 1)
-                words: list[tuple[int, ...]] = []
-                for w in order:
-                    if len(words) == size:
-                        break
-                    if oracles.frameproof_holds(words + [w], t):
-                        words.append(w)
-                word_of = {core.onehot(w, 3): w for w in universe}
-                self.check_extensions(
-                    [core.onehot(w, 3) for w in words],
-                    [core.onehot(w, 3) for w in universe if w not in words],
-                    t,
-                    lambda group: oracles.frameproof_holds([word_of[x] for x in group], t),
-                )
+                words = self.random_code(rng, universe, N, t)
+                prefix = search._CoverFreePrefix(t, N, 3)
+                prefix.grow(3**N)
+                self.grow(prefix, words, [core.onehot(universe[c], 3) for c in words])
+                self.check_code_extensions(prefix, universe, words, t)
+
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    def test_window_grows_over_pushed_members(self, t):
+        # Members pushed while the window covers only the first candidates,
+        # some of them beyond it: each growth extends every member's kills.
+        rng = random.Random(800 + t)
+        for _ in range(4):
+            ground = rng.randint(3, 6)
+            total = 1 << ground
+            members = self.random_family(rng, ground, t)
+            prefix = search._CoverFreePrefix(t, ground, 2, family=True)
+            assert prefix.width == 1
+            half = len(members) // 2
+            for c in members[:half]:
+                prefix.push(c)
+            for pushed, width in ((half, rng.randint(2, total - 1)), (len(members), total)):
+                for c in members[half:pushed]:
+                    prefix.push(c)
+                prefix.grow(width)
+                assert prefix.width == width
+                self.check_layers(prefix, members[:pushed])
+                self.check_extensions(prefix, members[:pushed], range(width), self.family_holds(t))
+        for N in (2, 3):
+            universe = oracles.all_words(N, 3)
+            words = self.random_code(rng, universe, N, t)
+            prefix = search._CoverFreePrefix(t, N, 3)
+            for c in words:
+                prefix.push(c)
+            prefix.grow(3**N)
+            self.check_layers(prefix, [core.onehot(universe[c], 3) for c in words])
+            self.check_code_extensions(prefix, universe, words, t)
 
 
 class _CoalitionPrefixCase:
-    """A coalition prefix state against its definition and an oracle on words."""
+    """A coalition prefix state against its definition and an oracle on words.
+
+    The prefix takes candidate indices: word c is ``all_words(N, q)[c]``.
+    """
 
     PREFIX = None  # the state class under test
 
@@ -460,9 +545,11 @@ class _CoalitionPrefixCase:
     def grow(self, words, N, q, t):
         """Push ``words`` one at a time; none may break the property."""
         prefix = self.PREFIX(t, N, q)
+        prefix.grow(q**N)
+        index = {w: c for c, w in enumerate(oracles.all_words(N, q))}
         for w in words:
-            assert not prefix.breaks(core.onehot(w, q))
-            prefix.push(core.onehot(w, q))
+            assert not prefix.breaks(index[w])
+            prefix.push(index[w])
         sets = [core.onehot(w, q) for w in words]
         # One group per set of at most t words, the empty one included.
         want = [
@@ -478,7 +565,7 @@ class _CoalitionPrefixCase:
     def test_extensions_match_oracle(self, q, t):
         rng = random.Random(100 * q + t)
         for N in (1, 2, 3):
-            universe = oracles.all_words(N, q)
+            universe = oracles.all_words(N, q)  # word c is candidate c
             for _ in range(10):
                 order = list(universe)
                 rng.shuffle(order)
@@ -490,11 +577,11 @@ class _CoalitionPrefixCase:
                     if self.holds(words + [w], q, t):
                         words.append(w)
                 prefix = self.grow(words, N, q, t)
-                for w in universe:
+                for c, w in enumerate(universe):
                     if w in words:
                         continue
                     before = self.state(prefix)
-                    broken = prefix.breaks(core.onehot(w, q))
+                    broken = prefix.breaks(c)
                     assert broken != self.holds(words + [w], q, t), (words, w, t)
                     assert self.state(prefix) == before
 
@@ -522,9 +609,9 @@ class TestTraceablePrefix(_CoalitionPrefixCase):
 
     def test_columns_follow_pushes_and_pops(self):
         prefix = self.PREFIX(2, 2, 3)
-        words = [(0, 0), (0, 1), (2, 1)]
-        for w in words:
-            prefix.push(core.onehot(w, 3))
+        prefix.grow(9)
+        for c in (0, 1, 7):  # the words (0, 0), (0, 1), (2, 1)
+            prefix.push(c)
         prefix.pop()
         assert {pos: m for pos, m in prefix.cols.items() if m} == {0: 0b11, 3: 0b1, 4: 0b10}
 
@@ -585,6 +672,26 @@ class TestBudgets:
         roomy = max_code_search(SearchProblem("FP", N=3, t=2, q=2), budget=10**6)
         assert roomy.complete
         assert (free.optimum, free.nodes) == (roomy.optimum, roomy.nodes)
+
+
+class TestWideWindows:
+    """Budgeted runs over wide candidate spaces, frozen: the scans grow the window far."""
+
+    def test_shallow_binary_codes(self):
+        res = max_code_search(SearchProblem("FP", N=16, t=2), budget=20000)
+        assert (res.optimum, res.nodes, res.complete) == (2, 20001, False)
+        assert verify.check_frameproof(res.witness, 2).holds
+
+    def test_shallow_families(self):
+        res = max_code_search(SearchProblem("CFF", N=16, t=2), budget=20000)
+        assert (res.optimum, res.nodes, res.complete) == (15, 20001, False)
+        assert verify.check_cff(res.witness, 2).holds
+
+    def test_every_word_under_a_budget(self):
+        # Every binary word is 1-frameproof; checking the 4096 words would take seconds.
+        res = max_code_search(SearchProblem("FP", N=12, t=1), budget=20000)
+        assert (res.optimum, res.nodes, res.complete) == (4096, 8189, True)
+        assert res.witness.words == tuple(oracles.all_words(12, 2))
 
 
 @contextmanager

@@ -113,6 +113,7 @@ class TestOneEncoding:
     def test_a_query_encodes_the_pirate_word_once(self, monkeypatch):
         # trace_ta reads the word's one-hot set; parent_sets reads its symbols.
         code = Code(tuple((i, (2 * i) % 5, (3 * i) % 5) for i in range(5)), 5)
+        code.sets  # the code's own sets are built on first use, once per code
         calls = []
         onehot = core.onehot
         monkeypatch.setattr(core, "onehot", lambda w, q: calls.append(w) or onehot(w, q))
