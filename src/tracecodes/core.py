@@ -46,6 +46,7 @@ __all__ = [
     "iter_coalitions",
     "min_distance",
     "onehot",
+    "pair_tied",
     "parent_sets",
     "require_symbols",
     "untraced_descendant",
@@ -344,6 +345,23 @@ def untraced_descendant(
         ain[depth] = a_in
         stack += kids[depth]
     return None, leaves
+
+
+def pair_tied(ya: int, yb: int, yab: int, ab: int, N: int) -> bool:
+    """Whether outsider y is as near as both members to some descendant of {a, b}.
+
+    The arguments are agreement counts, popcounts of one-hot ANDs:
+    |y∧a|, |y∧b|, |y∧a∧b| and |a∧b|, at length N.  A descendant x copies
+    a∧b and picks a's or b's symbol elsewhere.  Off a∧b, y holds a's symbol
+    on α = |y∧a| − |y∧a∧b| coordinates, b's on β, neither on
+    γ = N − |a∧b| − α − β, and on a∧b it misses r = |a∧b| − |y∧a∧b|.  The
+    best x picks y's symbol on α and β and splits γ, so a tie exists exactly
+    when α ≥ r, β ≥ r and α + β ≥ 2r + γ (Staddon, Stinson and Wei's
+    outsider test for a pair): |y∧a| ≥ |a∧b|, |y∧b| ≥ |a∧b| and
+    2(|y∧a| + |y∧b|) ≥ N + |a∧b| + 2|y∧a∧b|.  ``untraced_descendant``
+    finds such an x exactly when this holds for some outsider.
+    """
+    return ya >= ab and yb >= ab and 2 * (ya + yb) >= N + ab + 2 * yab
 
 
 def failing_family(

@@ -34,27 +34,19 @@ state owns the encoding of a candidate into its set: a word's one-hot set
 (``core.onehot``, encoded straight from the base-q digits) or a family
 member's mask.  The prefix is known to hold, so a candidate is tested only
 for what it can break.  Frameproof codes and cover-free families share one
-such state, because a code is t-frameproof exactly when the family of its
-one-hot word sets is t-cover-free.  For the current prefix only, it keeps
-the unions of at most t members and each member minus the unions of at
-most t-1 others.  A union kills the candidates whose sets lie inside it,
-and a residue those whose sets hold it, so each push ORs the kills of the
-sets it brings, once, into a stack of bitsets over the window: entry k
-holds the candidates broken by the first k members.  A test reads one bit,
-and a pop drops one entry.  The loop still tests a candidate known to keep
-the first members only on the later ones: the pushes before the last one
-are one test, kept at the parent's depth for its other children too, and
-the last push another.  Identifiable and traceable codes keep every
-coalition of at most t prefix words as a member mask and a union, and test
-a candidate against the whole prefix.  A new word breaks a t-IPP code only
-through a failing family with a coalition holding it, walked from those as
-``check_ipp`` walks (``core.failing_family``); at t=2 the codeword triples
-holding it replace the families of three (the criterion of Hollmann, van
-Lint, Linnartz and Tolhuizen, JCTA 82 (1998)).  A new word breaks a
-t-traceable code only as the outsider of an old coalition or as an insider
-(the outsider test of Staddon, Stinson and Wei, IEEE Trans. IT 47 (2001)),
-each walked by ``core.untraced_descendant`` on columns over the prefix and
-the candidate, kept up to date by each push and pop.
+state, because a code is t-frameproof exactly when the family of its
+one-hot word sets is t-cover-free: each push records the candidates it
+kills in a bitset, so a test reads one bit.  Identifiable and traceable
+codes keep every coalition of at most t prefix words.  At t=2 a new word
+is judged with two old words at a time: a code is 2-IPP exactly when every
+three words have a coordinate with three distinct symbols and every two
+disjoint pairs one where they share no symbol (Hollmann, van Lint,
+Linnartz and Tolhuizen, JCTA 82 (1998)), and whether an outsider ties a
+descendant of a pair follows from agreement counts (``core.pair_tied``,
+after the outsider test of Staddon, Stinson and Wei, IEEE Trans. IT 47
+(2001)).  Larger coalitions are walked: families by
+``core.failing_family`` for t-IPP at t >= 3, and traceable coalitions of
+three or more words by ``core.untraced_descendant``.
 
 Node counts are deterministic: one node per candidate test, no
 parallelism, no randomness.  A live candidate c makes the prefix plus c a
@@ -114,6 +106,13 @@ class SearchProblem:
             raise ValueError(f"need t >= 1, got {self.t}")
         if self.q < 2:
             raise ValueError(f"need q >= 2, got {self.q}")
+        # Both limits are checked before any search runs.  q >= 2, so a
+        # length past the cap's bit length is over the cap without q**N.
+        cap = DEFAULT_ENUMERATION_CAP
+        if self.N >= cap.bit_length() or self.q**self.N > cap:
+            raise ValueError(f"candidate space {self.q}**{self.N} exceeds enumeration cap {cap}")
+        if self.q > core.MAX_ALPHABET:
+            raise ValueError(f"need q <= {core.MAX_ALPHABET} to hold the witness, got {self.q}")
         if self.property == "CFF" and self.q != 2:
             raise ValueError("family searches are binary by nature; leave q=2")
         if self.mode not in ("maximize", "decide"):
@@ -147,11 +146,7 @@ class SearchResult:
 
 
 def _decode_word(value: int, N: int, q: int) -> Word:
-    digits = []
-    for _ in range(N):
-        digits.append(value % q)
-        value //= q
-    return tuple(reversed(digits))
+    return tuple(value // q**i % q for i in range(N - 1, -1, -1))
 
 
 def _encode_word(value: int, N: int, q: int) -> int:
@@ -377,21 +372,29 @@ class _IdentifiablePrefix(_CoalitionPrefix):
 
     Every failing family (see ``verify``) of the extended code has a
     coalition holding the new word x, so ``core.failing_family`` walks from
-    those, then the old ones, up to t+1 coalitions; at t=2 up to pairs,
-    and the codeword triples holding x replace the families of three.
+    those, then the old ones, up to t+1 coalitions.  At t=2 (see the module
+    docstring) x breaks the code when it and two old words have no
+    coordinate with three distinct symbols, or {x, a} meets {b, d} on every
+    coordinate for old words a, b, d.
     """
 
     def breaks(self, c: int, since: int = 0, until: None = None) -> bool:
-        new, t, bit = self._encoded[c], self.t, 1 << len(self.sets)
-        joined = [(m | bit, u | new) for m, u in self.groups if m.bit_count() < t]
-        entries = joined + self.groups[1:]
+        new, t, sets = self._encoded[c], self.t, self.sets
         if t != 2:
+            bit = 1 << len(sets)
+            joined = [(m | bit, u | new) for m, u in self.groups if m.bit_count() < t]
+            entries = joined + self.groups[1:]
             return core.failing_family(entries, len(joined), t + 1, self.N, self.q)[0] is not None
-        if core.failing_family(entries, len(joined), 2, self.N, self.q)[0] is not None:
-            return True
         low, high = core.block_masks(self.N, self.q)
-        agree = (new & (a | b) | a & b for a, b in combinations(self.sets, 2))
-        return any(not (v - low) & ~v & high for v in agree)
+        for a, b in combinations(sets, 2):
+            v = new & (a | b) | a & b
+            if not (v - low) & ~v & high:
+                return True
+        for a, b, d in combinations(sets, 3):
+            for v in ((new | a) & (b | d), (new | b) & (a | d), (new | d) & (a | b)):
+                if not (v - low) & ~v & high:
+                    return True
+        return False
 
 
 @lru_cache(maxsize=1024)
@@ -400,51 +403,47 @@ def _block_positions(union: int, N: int, q: int) -> tuple[tuple[int, ...], ...]:
 
     For a union of one-hot sets these are the children at each depth of
     ``core.untraced_descendant``.  A search asks for the same few unions at
-    every candidate (each old coalition's, and each joined with the
-    candidate), so the answers, immutable, are cached.
+    every candidate, so the answers, immutable, are cached.
     """
-    mask = (1 << q) - 1
-    kids = []
-    for i in range(N):
-        block, here = union >> (i * q) & mask, []
-        while block:
-            s = block.bit_length() - 1
-            here.append(i * q + s)
-            block ^= 1 << s
-        kids.append(tuple(here))
-    return tuple(kids)
+    blocks = (sorted(_elements(union >> i * q & (1 << q) - 1), reverse=True) for i in range(N))
+    return tuple(tuple(i * q + s for s in block) for i, block in enumerate(blocks))
 
 
 class _TraceablePrefix(_CoalitionPrefix):
     """A t-traceable code: a new word can only fail as an outsider or an insider.
 
     A coalition of one word has only that word as a descendant, so it never
-    fails and is skipped.  An old coalition of 2..t words (the whole code
-    included) already beats every old outsider, so only the new word is
-    tested as its outsider; a coalition of 2..t words holding the new word
-    is tested against every other word, and needs one.  Both run the walk
+    fails.  An old coalition of 2..t words already beats every old
+    outsider, so only the new word x is tested as its outsider; a coalition
+    of 2..t words holding x is tested against every other word.  For t >= 2,
+    each old pair {a, b} and x are tested with each of the three words as
+    the outsider, by agreement counts (``core.pair_tied``); ``pairs`` keeps
+    (a, b, a∧b, |a∧b|) for every two words.  Larger coalitions run the walk
     of ``core.untraced_descendant`` on ``cols``, which maps each one-hot bit
-    that a word holds to the mask of the words holding it, word j as bit j.
-    A push adds its word's bit, a pop takes it off, and ``breaks`` adds the
-    new word as bit ``len(sets)`` for the length of the test.
+    to the mask of the words holding it, word j as bit j, with x as bit
+    ``len(sets)`` for the length of the test.
     """
 
     def __init__(self, t: int, N: int, q: int) -> None:
         super().__init__(t, N, q)
         self.cols: dict[int, int] = {}
+        self.pairs: list[tuple[int, int, int, int]] = []
 
     def _toggle(self, s: int, bit: int) -> None:
         """Flip ``bit`` in the columns of the one-hot bits of ``s``."""
         cols = self.cols
-        while s:
-            low = s & -s
-            pos = low.bit_length() - 1
+        for pos in _elements(s):
             cols[pos] = cols.get(pos, 0) ^ bit
-            s ^= low
 
     def breaks(self, c: int, since: int = 0, until: None = None) -> bool:
         N, q, t, sets, cols = self.N, self.q, self.t, self.sets, self.cols
-        new = self._encoded[c]
+        new, tied = self._encoded[c], core.pair_tied
+        for a, b, ab, n in self.pairs:
+            ax, bx, e = (new & a).bit_count(), (new & b).bit_count(), (new & ab).bit_count()
+            if tied(ax, bx, e, n, N) or tied(n, bx, e, ax, N) or tied(n, ax, e, bx, N):
+                return True
+        if t < 3:
+            return False
         walk, kids = core.untraced_descendant, _block_positions
         bit = 1 << len(sets)
         old = bit - 1
@@ -452,9 +451,9 @@ class _TraceablePrefix(_CoalitionPrefix):
         try:
             for m, u in self.groups:
                 size = m.bit_count()
-                if size >= 2 and walk(cols, m, bit, kids(u, N, q), q)[0] is not None:
+                if size >= 3 and walk(cols, m, bit, kids(u, N, q), q)[0] is not None:
                     return True
-                if 0 < size < min(t, len(sets)):
+                if 1 < size < min(t, len(sets)):
                     if walk(cols, m | bit, old ^ m, kids(u | new, N, q), q)[0] is not None:
                         return True
             return False
@@ -462,12 +461,16 @@ class _TraceablePrefix(_CoalitionPrefix):
             self._toggle(new, bit)
 
     def push(self, c: int) -> None:
-        self._toggle(self._encoded[c], 1 << len(self.sets))
+        new = self._encoded[c]
+        if self.t >= 2:
+            self.pairs += [(a, new, a & new, (a & new).bit_count()) for a in self.sets]
+        self._toggle(new, 1 << len(self.sets))
         super().push(c)
 
     def pop(self) -> None:
         self._toggle(self.sets[-1], 1 << (len(self.sets) - 1))
         super().pop()
+        del self.pairs[len(self.sets) * (len(self.sets) - 1) // 2 :]
 
 
 def max_code_search(problem: SearchProblem, budget: int | None = None) -> SearchResult:
@@ -479,18 +482,14 @@ def max_code_search(problem: SearchProblem, budget: int | None = None) -> Search
     its prefix; after a budget stop or a decide "no" it is only a lower
     bound.  ``complete`` certifies the tree was exhausted, which for
     maximize mode is the proof of optimality.  Decide mode reports
-    ``decided=None`` when the budget ran out before either answer.  Raises
-    ValueError when the candidate space q**N exceeds
-    ``DEFAULT_ENUMERATION_CAP``.
+    ``decided=None`` when the budget ran out before either answer.
+    ``SearchProblem`` has refused a candidate space q**N beyond
+    ``DEFAULT_ENUMERATION_CAP`` and a q beyond ``core.MAX_ALPHABET``.
     """
     if budget is not None and budget < 0:
         raise ValueError(f"need a node budget >= 0, got {budget}")
     start = time.perf_counter()
     N, q, t, prop = problem.N, problem.q, problem.t, problem.property
-    cap = DEFAULT_ENUMERATION_CAP
-    # q >= 2, so a length past the cap's bit length is over the cap without q**N.
-    if N >= cap.bit_length() or q**N > cap:
-        raise ValueError(f"candidate space {q}**{N} exceeds enumeration cap {cap}")
     total = q**N
     # Codes start from the all-zero word, which relabelling symbols per
     # coordinate puts in any code.  Families have no root: candidate 0, the

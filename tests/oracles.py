@@ -100,8 +100,10 @@ def ipp_holds(words, q: int, t: int) -> bool:
     """Every word of the ambient space with parents has a common parent."""
     words = list(words)
     N = len(words[0])
+    # Each coalition's descendants, listed once for the whole space.
+    coalitions = [(D, desc_set(D)) for D in coalitions_by_value(words, t)]
     for x in all_words(N, q):
-        parents = parent_coalitions(x, words, t)
+        parents = [D for D, dset in coalitions if x in dset]
         if not parents:
             continue
         common = set(parents[0])

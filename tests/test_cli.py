@@ -513,6 +513,19 @@ class TestSearchCommand:
         assert main(["search", "--property", *argv]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_alphabet_beyond_a_code_is_refused_before_searching(self, capsys, monkeypatch):
+        from tracecodes import search
+
+        def searched(*args):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr(search, "_forward_check", searched)
+        argv = ["search", "--property", "fp", "--N", "1", "--t", "3", "--q", "100000"]
+        assert main([*argv, "--budget", "300"]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: need q <= 65536 to hold the witness, got 100000\n"
+
     def test_goal_and_decide_exceeds_exclude_each_other(self, capsys):
         argv = ["search", "--property", "fp", "--N", "4", "--t", "2", "--goal", "3"]
         assert main([*argv, "--decide-exceeds-N"]) == EXIT_USAGE

@@ -444,3 +444,34 @@ class TestUntracedDescendant:
             assert fast == slow, (words, members, q)
             found += fast[0] is not None
         assert 0 < found < 40
+
+
+class TestPairTied:
+    """The pair rule against every descendant of the pair, by brute force."""
+
+    def test_matches_every_descendant(self):
+        # Every triple of distinct words at q <= 4, N <= 3: pair {a, b}, outsider y.
+        outcomes = set()
+        for q in (2, 3, 4):
+            for N in (1, 2, 3):
+                universe = oracles.all_words(N, q)
+                sets = {w: core.onehot(w, q) for w in universe}
+                for a, b in combinations(universe, 2):
+                    A, B = sets[a], sets[b]
+                    # Each descendant with the agreement of its nearer member.
+                    near = [
+                        (x, N - min(oracles.hamming(x, a), oracles.hamming(x, b)))
+                        for x in oracles.desc_set([a, b])
+                    ]
+                    for y in universe:
+                        if y == a or y == b:
+                            continue
+                        Y = sets[y]
+                        want = any(N - oracles.hamming(x, y) >= best for x, best in near)
+                        got = core.pair_tied(
+                            (Y & A).bit_count(), (Y & B).bit_count(),
+                            (Y & A & B).bit_count(), (A & B).bit_count(), N,
+                        )
+                        assert got == want, (a, b, y, q)
+                        outcomes.add(got)
+        assert outcomes == {True, False}

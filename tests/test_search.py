@@ -37,6 +37,15 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             max_code_search(SearchProblem("FP", N=30, t=2, q=2))
 
+    def test_alphabet_beyond_the_witness_is_refused_before_searching(self):
+        # q**N is within the enumeration cap, but no Code could hold the witness.
+        refusal = f"^need q <= {core.MAX_ALPHABET} to hold the witness, got 100000$"
+        with pytest.raises(ValueError, match=refusal):
+            SearchProblem("FP", N=1, t=3, q=100000)
+        widest = SearchProblem("FP", N=1, t=3, q=core.MAX_ALPHABET)
+        res = max_code_search(widest, budget=5)
+        assert (res.nodes, res.complete, res.witness.q) == (6, False, core.MAX_ALPHABET)
+
     def test_enumeration_cap_without_the_candidate_space(self):
         # q**N would have six million digits; the refusal must not build it.
         start = time.perf_counter()
@@ -358,6 +367,39 @@ class TestOffPairNodeCounts:
         assert res.witness.size == res.optimum
 
 
+# Identifiable and traceable searches at t=2 over a wider alphabet than the
+# benchmark's, frozen from the failing-family and descendant walks they
+# replaced: (property, N, q) -> (optimum, nodes, witness).
+WIDE_PAIR_JOBS = {
+    ("IPP", 3, 4): (5, 161222, ((0, 0, 0), (0, 1, 1), (0, 2, 2), (1, 0, 3), (2, 3, 0))),
+    ("TA", 3, 4): (4, 21948, ((0, 0, 0), (0, 0, 1), (0, 0, 2), (0, 0, 3))),
+}
+
+
+class TestPairCriteria:
+    """At t=2 identifiable and traceable searches run on two-word tests alone."""
+
+    @pytest.mark.parametrize(
+        "job", WIDE_PAIR_JOBS, ids=["{}-N{}-q{}".format(*job) for job in WIDE_PAIR_JOBS]
+    )
+    def test_wide_alphabet_counts(self, job):
+        prop, N, q = job
+        res = max_code_search(SearchProblem(prop, N=N, t=2, q=q))
+        assert (res.optimum, res.nodes, res.witness.words, res.complete) == (
+            *WIDE_PAIR_JOBS[job], True,
+        )
+
+    def test_no_walk_at_t2(self, monkeypatch):
+        def walk(*args):
+            raise AssertionError("a t=2 search walked")
+
+        monkeypatch.setattr(core, "failing_family", walk)
+        monkeypatch.setattr(core, "untraced_descendant", walk)
+        for prop, optimum, nodes in (("IPP", 4, 1418), ("TA", 3, 491)):
+            res = max_code_search(SearchProblem(prop, N=3, t=2, q=3))
+            assert (res.optimum, res.nodes, res.complete) == (optimum, nodes, True)
+
+
 def _elements(mask):
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
@@ -560,8 +602,9 @@ class _CoalitionPrefixCase:
         return prefix
 
     # A huge t must keep no group beyond the words there are.
+    # At q=4 the pairs of disjoint symbols that the t=2 tests judge are common.
     @pytest.mark.parametrize("t", [1, 2, 3, 10**5])
-    @pytest.mark.parametrize("q", [2, 3])
+    @pytest.mark.parametrize("q", [2, 3, 4])
     def test_extensions_match_oracle(self, q, t):
         rng = random.Random(100 * q + t)
         for N in (1, 2, 3):
@@ -603,9 +646,9 @@ class TestTraceablePrefix(_CoalitionPrefixCase):
 
     @staticmethod
     def state(prefix):
-        # ``breaks`` must also leave each one-hot bit's column of words as it was.
+        # ``breaks`` must also leave the columns of words and the pairs as they were.
         cols = {pos: m for pos, m in prefix.cols.items() if m}
-        return (*_CoalitionPrefixCase.state(prefix), cols)
+        return (*_CoalitionPrefixCase.state(prefix), cols, list(prefix.pairs))
 
     def test_columns_follow_pushes_and_pops(self):
         prefix = self.PREFIX(2, 2, 3)
@@ -614,6 +657,8 @@ class TestTraceablePrefix(_CoalitionPrefixCase):
             prefix.push(c)
         prefix.pop()
         assert {pos: m for pos, m in prefix.cols.items() if m} == {0: 0b11, 3: 0b1, 4: 0b10}
+        # The one pair left: (0, 0) and (0, 1), which agree on their first coordinate.
+        assert prefix.pairs == [(0b001001, 0b010001, 0b000001, 1)]
 
 
 class TestBudgets:
