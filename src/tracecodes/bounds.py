@@ -9,8 +9,10 @@ quadratic threshold test for binary frameproof codes never touches floats:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, isqrt
+from typing import NamedTuple
+
+from .core import record
 
 __all__ = [
     "BinaryFpStatus",
@@ -26,8 +28,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BoundEntry:
+@record
+class BoundEntry(NamedTuple):
     """One upper bound on a code size, exact or symbolic.
 
     Exactly one of ``value`` (a computed integer) or the pair
@@ -96,8 +98,8 @@ def min_exceed_length_quadratic(t: int) -> int:
     return m
 
 
-@dataclass(frozen=True)
-class BinaryFpStatus:
+@record
+class BinaryFpStatus(NamedTuple):
     """Is every binary t-frameproof code of length N capped at N words?
 
     Also carries three lower bounds on the smallest length where the cap
@@ -230,8 +232,8 @@ def singleton_bound(N: int, q: int, d: int) -> int:
     return q ** (N - d + 1)
 
 
-@dataclass(frozen=True)
-class BoundReport:
+@record
+class BoundReport(NamedTuple):
     """Every bound applicable at (N, q, t); entries appear only when their
     preconditions hold."""
 

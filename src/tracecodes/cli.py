@@ -46,7 +46,6 @@ alone, and each ``_cmd_*`` imports the rest of the package that it needs.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -218,8 +217,9 @@ def _jsonable(value: Any) -> Any:
     """The JSON form of a report value.
 
     A code is ``{N, n, q, words}`` and a set family ``{ground_size, n,
-    members}`` with members as element lists; any other dataclass is the
-    dict of its fields in declaration order; infinity is ``"inf"``.
+    members}`` with members as element lists; any other record is the
+    dict of its fields in declaration order, never a list, though most
+    records are tuples; infinity is ``"inf"``.
     """
     if isinstance(value, Code):
         words = [list(w) for w in value.words]
@@ -230,8 +230,8 @@ def _jsonable(value: Any) -> Any:
             "n": value.size,
             "members": [list(value.member_elements(i)) for i in range(value.size)],
         }
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {f.name: _jsonable(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if hasattr(value, "_asdict"):
+        return {k: _jsonable(v) for k, v in value._asdict().items()}
     if isinstance(value, float) and math.isinf(value):
         return "inf"
     if isinstance(value, (list, tuple)):
@@ -242,6 +242,7 @@ def _jsonable(value: Any) -> Any:
 
 
 def _fmt(value: Any) -> str:
+    """A report value as text; a record reads as its repr, fields by name."""
     if value is None:
         return "-"
     if value is True:
@@ -250,7 +251,7 @@ def _fmt(value: Any) -> str:
         return "no"
     if isinstance(value, float) and math.isinf(value):
         return "inf"
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, (list, tuple)) and not hasattr(value, "_asdict"):
         return "[" + ", ".join(_fmt(v) for v in value) + "]"
     return str(value)
 

@@ -16,16 +16,22 @@ and its transpose, the word columns ``Code.cols``: bit i*q + s maps to the
 mask of the words holding s at coordinate i.  The traceability walk and
 parent-set tracing read the columns, so a pirate word is read as its
 symbols, one column per coordinate.
+
+Results across the package are records: immutable values with named
+fields, equal and hashed by value, and equal only to a record of their own
+class.  Pure values are ``typing.NamedTuple`` classes marked ``@record``;
+those that validate or cache their fields (``Code``, ``SetFamily``, ...)
+derive from ``Record``.  Both read as ``_fields`` and ``_asdict()`` and
+copy with changes by ``_replace``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, islice, repeat
 from operator import and_, or_
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 __all__ = [
     "Code",
@@ -35,6 +41,7 @@ __all__ = [
     "INFINITE_DISTANCE",
     "MAX_ALPHABET",
     "ParentSetFamily",
+    "Record",
     "STRATEGY_KINDS",
     "SetFamily",
     "Word",
@@ -48,6 +55,7 @@ __all__ = [
     "onehot",
     "pair_tied",
     "parent_sets",
+    "record",
     "require_symbols",
     "untraced_descendant",
 ]
@@ -73,8 +81,72 @@ class DescendantSetTooLarge(RuntimeError):
     """An exact descendant enumeration would exceed the configured cap."""
 
 
-@dataclass(frozen=True)
-class Code:
+def _same_record(self: tuple, other: object) -> Any:
+    if type(other) is type(self):
+        return tuple.__eq__(self, other)
+    # A bare tuple or a record of another class, even with equal fields.
+    return False if isinstance(other, tuple) else NotImplemented
+
+
+def _other_record(self: tuple, other: object) -> Any:
+    same = _same_record(self, other)
+    return same if same is NotImplemented else not same
+
+
+_T = TypeVar("_T", bound=type)
+
+
+def record(cls: _T) -> _T:
+    """Make a ``typing.NamedTuple`` class a record: equal only to a record of
+    its own class.  Hash and repr stay the tuple's: by value, and
+    ``Name(field=value, ...)``."""
+    cls.__eq__, cls.__ne__ = _same_record, _other_record
+    return cls
+
+
+class Record:
+    """Base of the records that validate or cache their fields.
+
+    A subclass names its fields in ``_fields`` and sets them once, in
+    ``__init__``, through ``__dict__``; attributes are read-only after
+    that.  The fields alone make the repr, ``Name(field=value, ...)``, and
+    equality and hash, by value and with a record of the same class only,
+    so a value cached in ``__dict__`` (``functools.cached_property``)
+    stays outside all three.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _astuple(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def _asdict(self) -> dict[str, Any]:
+        return dict(zip(self._fields, self._astuple()))
+
+    def _replace(self, **changes: Any) -> Any:
+        """A copy with ``changes`` to some fields, validated anew."""
+        return type(self)(**{**self._asdict(), **changes})
+
+    def __repr__(self) -> str:
+        pairs = ", ".join(f"{k}={v!r}" for k, v in zip(self._fields, self._astuple()))
+        return f"{type(self).__name__}({pairs})"
+
+    def __eq__(self, other: Any) -> Any:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Code(Record):
     """An (N, n, q) code: ``n`` distinct length-``N`` words over {0..q-1}.
 
     Word order is significant (file order / construction order); every
@@ -83,16 +155,17 @@ class Code:
     both built on first use and outside equality, hash and repr.
     """
 
+    _fields = ("words", "q")
     words: tuple[Word, ...]
     q: int
 
-    def __post_init__(self) -> None:
-        words = tuple(tuple(int(s) for s in w) for w in self.words)
-        object.__setattr__(self, "words", words)
-        if not isinstance(self.q, int) or self.q < 2:
-            raise ValueError(f"alphabet size must be an integer >= 2, got {self.q}")
-        if self.q > MAX_ALPHABET:
-            raise ValueError(f"alphabet size {self.q} exceeds supported maximum {MAX_ALPHABET}")
+    def __init__(self, words: Iterable[Iterable[int]], q: int) -> None:
+        words = tuple(tuple(int(s) for s in w) for w in words)
+        self.__dict__.update(words=words, q=q)
+        if not isinstance(q, int) or q < 2:
+            raise ValueError(f"alphabet size must be an integer >= 2, got {q}")
+        if q > MAX_ALPHABET:
+            raise ValueError(f"alphabet size {q} exceeds supported maximum {MAX_ALPHABET}")
         if not words:
             raise ValueError("a code needs at least one word")
         if not words[0]:
@@ -123,7 +196,7 @@ class Code:
     @cached_property
     def sets(self) -> tuple[int, ...]:
         """The words' one-hot sets, N*q bits each.  Built on first use; as
-        it is no dataclass field, it stays outside equality, hash and repr."""
+        it is no record field, it stays outside equality, hash and repr."""
         q = self.q
         return tuple(onehot(w, q) for w in self.words)
 
@@ -132,7 +205,7 @@ class Code:
         """Word columns: one-hot bit position i*q + s maps to the mask of the
         words holding s at coordinate i (bit j for word j).  Only positions
         some word holds are keys, so a wide alphabet costs N*n entries at
-        most.  Built on first use; as it is no dataclass field, it stays
+        most.  Built on first use; as it is no record field, it stays
         outside equality, hash and repr."""
         cols: dict[int, int] = {}
         q = self.q
@@ -153,17 +226,20 @@ class Code:
         return onehot(x, self.q)
 
 
-@dataclass(frozen=True)
-class ParentSetFamily:
+class ParentSetFamily(Record):
     """All coalitions of size <= t that could have produced a word.
 
     Coalitions are index tuples into the owning code, ordered by size and
-    then lexicographically.
+    then lexicographically.  Its length and iteration are the coalitions'.
     """
 
+    _fields = ("word", "t", "coalitions")
     word: Word
     t: int
     coalitions: tuple[Coalition, ...]
+
+    def __init__(self, word: Word, t: int, coalitions: tuple[Coalition, ...]) -> None:
+        self.__dict__.update(word=word, t=t, coalitions=coalitions)
 
     def __len__(self) -> int:
         return len(self.coalitions)
@@ -183,25 +259,25 @@ class ParentSetFamily:
         return tuple(sorted(common))
 
 
-@dataclass(frozen=True)
-class SetFamily:
+class SetFamily(Record):
     """An ordered family of distinct subsets of {0..ground_size-1}.
 
     Members are stored as bitmasks (bit e set = element e present), which
     makes union/containment checks single integer operations.
     """
 
+    _fields = ("ground_size", "members")
     ground_size: int
     members: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        members = tuple(int(m) for m in self.members)
-        object.__setattr__(self, "members", members)
-        if self.ground_size < 1:
+    def __init__(self, ground_size: int, members: Iterable[int]) -> None:
+        members = tuple(int(m) for m in members)
+        self.__dict__.update(ground_size=ground_size, members=members)
+        if ground_size < 1:
             raise ValueError("ground set must be non-empty")
         if not members:
             raise ValueError("a family needs at least one member")
-        limit = 1 << self.ground_size
+        limit = 1 << ground_size
         for m in members:
             if not 0 <= m < limit:
                 raise ValueError("member outside the ground set")

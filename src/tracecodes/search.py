@@ -59,14 +59,13 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import combinations, islice, pairwise, repeat
 from operator import and_, or_
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from . import core
-from .core import Code, SetFamily, Word
+from .core import Code, Record, SetFamily, Word, record
 
 __all__ = [
     "LengthProbe",
@@ -88,44 +87,53 @@ PROPERTIES = ("FP", "IPP", "TA", "CFF")
 DEFAULT_ENUMERATION_CAP = 2**22
 
 
-@dataclass(frozen=True)
-class SearchProblem:
+class SearchProblem(Record):
+    _fields = ("property", "N", "t", "q", "mode", "goal")
     property: str
     N: int
     t: int
-    q: int = 2
-    mode: str = "maximize"  # or "decide"
-    goal: int | None = None
+    q: int
+    mode: str  # "maximize" or "decide"
+    goal: int | None
 
-    def __post_init__(self) -> None:
-        if self.property not in PROPERTIES:
-            raise ValueError(f"unknown property {self.property!r}")
-        if self.N < 1:
-            raise ValueError(f"need N >= 1, got {self.N}")
-        if self.t < 1:
-            raise ValueError(f"need t >= 1, got {self.t}")
-        if self.q < 2:
-            raise ValueError(f"need q >= 2, got {self.q}")
+    def __init__(
+        self,
+        property: str,
+        N: int,
+        t: int,
+        q: int = 2,
+        mode: str = "maximize",
+        goal: int | None = None,
+    ) -> None:
+        self.__dict__.update(property=property, N=N, t=t, q=q, mode=mode, goal=goal)
+        if property not in PROPERTIES:
+            raise ValueError(f"unknown property {property!r}")
+        if N < 1:
+            raise ValueError(f"need N >= 1, got {N}")
+        if t < 1:
+            raise ValueError(f"need t >= 1, got {t}")
+        if q < 2:
+            raise ValueError(f"need q >= 2, got {q}")
         # Both limits are checked before any search runs.  q >= 2, so a
         # length past the cap's bit length is over the cap without q**N.
         cap = DEFAULT_ENUMERATION_CAP
-        if self.N >= cap.bit_length() or self.q**self.N > cap:
-            raise ValueError(f"candidate space {self.q}**{self.N} exceeds enumeration cap {cap}")
-        if self.q > core.MAX_ALPHABET:
-            raise ValueError(f"need q <= {core.MAX_ALPHABET} to hold the witness, got {self.q}")
-        if self.property == "CFF" and self.q != 2:
+        if N >= cap.bit_length() or q**N > cap:
+            raise ValueError(f"candidate space {q}**{N} exceeds enumeration cap {cap}")
+        if q > core.MAX_ALPHABET:
+            raise ValueError(f"need q <= {core.MAX_ALPHABET} to hold the witness, got {q}")
+        if property == "CFF" and q != 2:
             raise ValueError("family searches are binary by nature; leave q=2")
-        if self.mode not in ("maximize", "decide"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == "decide":
-            if self.goal is None or self.goal < 1:
+        if mode not in ("maximize", "decide"):
+            raise ValueError(f"unknown mode {mode!r}")
+        if mode == "decide":
+            if goal is None or goal < 1:
                 raise ValueError("decide mode needs a positive goal")
-        elif self.goal is not None:
+        elif goal is not None:
             raise ValueError("goal only makes sense in decide mode")
 
 
-@dataclass(frozen=True)
-class SearchResult:
+@record
+class SearchResult(NamedTuple):
     """What ``max_code_search`` found.
 
     ``nodes`` counts candidate tests.  ``optimum`` is the size of the
@@ -330,16 +338,17 @@ class _CoalitionPrefix:
     group first.  The groups of the code plus one more word are the old
     ones and the new word joined to every old group of at most t-1 words,
     so a push appends those and a pop truncates to the length before the
-    push: coalitions never outgrow the code, whatever t is.  ``breaks``
-    looks for a failure that the new word brings into the code, which is
-    held to have the property.  Words come as candidate indices, each
-    encoded once when ``grow`` brings it into the window.
+    push: coalitions never outgrow the code, whatever t is.  A state whose
+    ``breaks`` reads no group (``grouped`` false) keeps the empty one
+    alone.  ``breaks`` looks for a failure that the new word brings into
+    the code, which is held to have the property.  Words come as candidate
+    indices, each encoded once when ``grow`` brings it into the window.
     """
 
     partial = False  # ``breaks`` tests against every word
 
-    def __init__(self, t: int, N: int, q: int) -> None:
-        self.t, self.N, self.q = t, N, q
+    def __init__(self, t: int, N: int, q: int, grouped: bool) -> None:
+        self.t, self.N, self.q, self.grouped = t, N, q, grouped
         self.sets: list[int] = []
         self.groups: list[tuple[int, int]] = [(0, 0)]
         self._marks: list[int] = []
@@ -356,14 +365,17 @@ class _CoalitionPrefix:
 
     def push(self, c: int) -> None:
         """Add candidate ``c`` without testing it (after ``breaks``, or a root)."""
-        new, bit, t = self._encoded[c], 1 << len(self.sets), self.t
-        self._marks.append(len(self.groups))
-        self.groups += [(m | bit, u | new) for m, u in self.groups if m.bit_count() < t]
+        new = self._encoded[c]
+        if self.grouped:
+            bit, t = 1 << len(self.sets), self.t
+            self._marks.append(len(self.groups))
+            self.groups += [(m | bit, u | new) for m, u in self.groups if m.bit_count() < t]
         self.sets.append(new)
 
     def pop(self) -> None:
         """Take off the word added last."""
-        del self.groups[self._marks.pop():]
+        if self.grouped:
+            del self.groups[self._marks.pop():]
         self.sets.pop()
 
 
@@ -375,8 +387,11 @@ class _IdentifiablePrefix(_CoalitionPrefix):
     those, then the old ones, up to t+1 coalitions.  At t=2 (see the module
     docstring) x breaks the code when it and two old words have no
     coordinate with three distinct symbols, or {x, a} meets {b, d} on every
-    coordinate for old words a, b, d.
+    coordinate for old words a, b, d, so no group is kept.
     """
+
+    def __init__(self, t: int, N: int, q: int) -> None:
+        super().__init__(t, N, q, grouped=t != 2)
 
     def breaks(self, c: int, since: int = 0, until: None = None) -> bool:
         new, t, sets = self._encoded[c], self.t, self.sets
@@ -421,11 +436,12 @@ class _TraceablePrefix(_CoalitionPrefix):
     (a, b, a∧b, |a∧b|) for every two words.  Larger coalitions run the walk
     of ``core.untraced_descendant`` on ``cols``, which maps each one-hot bit
     to the mask of the words holding it, word j as bit j, with x as bit
-    ``len(sets)`` for the length of the test.
+    ``len(sets)`` for the length of the test.  At t <= 2 no walk runs, so
+    neither groups nor columns are kept.
     """
 
     def __init__(self, t: int, N: int, q: int) -> None:
-        super().__init__(t, N, q)
+        super().__init__(t, N, q, grouped=t >= 3)
         self.cols: dict[int, int] = {}
         self.pairs: list[tuple[int, int, int, int]] = []
 
@@ -464,11 +480,13 @@ class _TraceablePrefix(_CoalitionPrefix):
         new = self._encoded[c]
         if self.t >= 2:
             self.pairs += [(a, new, a & new, (a & new).bit_count()) for a in self.sets]
-        self._toggle(new, 1 << len(self.sets))
+        if self.grouped:
+            self._toggle(new, 1 << len(self.sets))
         super().push(c)
 
     def pop(self) -> None:
-        self._toggle(self.sets[-1], 1 << (len(self.sets) - 1))
+        if self.grouped:
+            self._toggle(self.sets[-1], 1 << (len(self.sets) - 1))
         super().pop()
         del self.pairs[len(self.sets) * (len(self.sets) - 1) // 2 :]
 
@@ -633,8 +651,8 @@ def _forward_check(
         cand = first + 1
 
 
-@dataclass(frozen=True)
-class RegionEntry:
+@record
+class RegionEntry(NamedTuple):
     N: int
     in_window: bool  # within the guaranteed band t+1 <= N <= 3t (t >= 3)
     confirmed: bool | None
@@ -642,8 +660,8 @@ class RegionEntry:
     witness: Code | None
 
 
-@dataclass(frozen=True)
-class RegionReport:
+@record
+class RegionReport(NamedTuple):
     t: int
     entries: tuple[RegionEntry, ...]
 
@@ -679,15 +697,15 @@ def verify_upper_bound_region(
     return RegionReport(t=t, entries=tuple(entries))
 
 
-@dataclass(frozen=True)
-class LengthProbe:
+@record
+class LengthProbe(NamedTuple):
     N: int
     decided: bool | None
     nodes: int
 
 
-@dataclass(frozen=True)
-class MinLengthResult:
+@record
+class MinLengthResult(NamedTuple):
     property: str
     t: int
     value: int | None
@@ -737,8 +755,8 @@ def min_length_search(
     )
 
 
-@dataclass(frozen=True)
-class SandwichReport:
+@record
+class SandwichReport(NamedTuple):
     t: int
     code: MinLengthResult
     family_lower: MinLengthResult

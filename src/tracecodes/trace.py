@@ -5,11 +5,10 @@ from __future__ import annotations
 import random
 import time
 from collections import Counter
-from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import core
-from .core import STRATEGY_KINDS, Coalition, Code, Word
+from .core import STRATEGY_KINDS, Coalition, Code, Record, Word, record
 
 __all__ = [
     "Accusation",
@@ -28,8 +27,7 @@ __all__ = [
 DEFAULT_SEED = 0xC0DE
 
 
-@dataclass(frozen=True)
-class PirateStrategy:
+class PirateStrategy(Record):
     """How a coalition assembles its forgery, coordinate by coordinate.
 
     ``first`` copies the lowest-index member, ``interleave`` cycles through
@@ -38,16 +36,18 @@ class PirateStrategy:
     uniformly from the symbols available at each coordinate.
     """
 
+    _fields = ("kind", "seed")
     kind: str
-    seed: int | None = None
+    seed: int | None
 
-    def __post_init__(self) -> None:
-        if self.kind not in STRATEGY_KINDS:
-            raise ValueError(f"unknown strategy {self.kind!r}")
+    def __init__(self, kind: str, seed: int | None = None) -> None:
+        self.__dict__.update(kind=kind, seed=seed)
+        if kind not in STRATEGY_KINDS:
+            raise ValueError(f"unknown strategy {kind!r}")
 
 
-@dataclass(frozen=True)
-class Accusation:
+@record
+class Accusation(NamedTuple):
     """Outcome of one tracing run; ``accused`` holds code indices.
 
     For the parent-set method ``status`` separates "no coalition of size
@@ -117,15 +117,15 @@ def _derive_seed(seed: int, index: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-@dataclass(frozen=True)
-class MethodStats:
+@record
+class MethodStats(NamedTuple):
     subset_rate: float  # accused non-empty and within the coalition
     overlap_rate: float  # accused meets the coalition
     mean_accused: float
 
 
-@dataclass(frozen=True)
-class TracingReport:
+@record
+class TracingReport(NamedTuple):
     trials: int
     t: int
     strategy: PirateStrategy
@@ -163,7 +163,7 @@ def simulate_tracing(
         coalition = tuple(sorted(rng.sample(range(n), size)))
         strat = strategy
         if strategy.kind == "random":
-            strat = replace(strategy, seed=rng.getrandbits(63))
+            strat = strategy._replace(seed=rng.getrandbits(63))
         pirate = forge_pirate(code, coalition, strat)
         inside = set(coalition)
         for accusation in (trace_ta(code, pirate), trace_ipp(code, pirate, t)):

@@ -11,13 +11,12 @@ that are re-checked against first principles before they are returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import core
-from .core import Code, SetFamily, Word
+from .core import Code, Record, SetFamily, Word, record
 
 __all__ = [
     "IppViolationCertificate",
@@ -63,8 +62,8 @@ def cff_to_fpc(family: SetFamily) -> Code:
     return Code(words, 2)
 
 
-@dataclass(frozen=True)
-class Restriction:
+@record
+class Restriction(NamedTuple):
     """Outcome of restricting a family away from one member.
 
     Empty or repeated members are kept visible here rather than silently
@@ -148,19 +147,19 @@ def block_compose(code: Code, a: int) -> Code:
     return Code(tuple(words), q_new)
 
 
-@dataclass(frozen=True)
-class PatternPartition:
+class PatternPartition(Record):
     """Consecutive parts V_1..V_{v-1} of the coordinate set, first r larger."""
 
+    _fields = ("parts", "v", "r")
     parts: tuple[tuple[int, ...], ...]
     v: int
     r: int
 
-    def __post_init__(self) -> None:
-        parts = tuple(tuple(p) for p in self.parts)
-        object.__setattr__(self, "parts", parts)
-        if len(parts) != self.v - 1:
-            raise ValueError(f"expected v-1={self.v - 1} parts, got {len(parts)}")
+    def __init__(self, parts: Iterable[Iterable[int]], v: int, r: int) -> None:
+        parts = tuple(tuple(p) for p in parts)
+        self.__dict__.update(parts=parts, v=v, r=r)
+        if len(parts) != v - 1:
+            raise ValueError(f"expected v-1={v - 1} parts, got {len(parts)}")
         flat = [i for part in parts for i in part]
         if not flat or sorted(flat) != list(range(len(flat))):
             raise ValueError("parts must partition 0..N-1")
@@ -206,15 +205,15 @@ def pattern_frequency(code: Code, x: Sequence[int], positions: Iterable[int]) ->
     return sum(1 for w in code.words if _pattern(w, positions) == target)
 
 
-@dataclass(frozen=True)
-class PruneStep:
+@record
+class PruneStep(NamedTuple):
     removed: int
     part: int
     pattern: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class PruneResult:
+@record
+class PruneResult(NamedTuple):
     """Surviving indices (ascending) plus the ordered deletion log."""
 
     survivors: tuple[int, ...]
@@ -273,8 +272,8 @@ def prune_special_codewords(code: Code, partition: PatternPartition) -> PruneRes
     return PruneResult(tuple(alive), tuple(steps))
 
 
-@dataclass(frozen=True)
-class IppViolationCertificate:
+@record
+class IppViolationCertificate(NamedTuple):
     """Explicit evidence that a code is not t-parent-identifiable.
 
     ``chain`` lists the backbone codewords x_1..x_k (indices), ``milestones``
@@ -404,8 +403,8 @@ def build_ipp_violation(
     return cert
 
 
-@dataclass(frozen=True)
-class PairDiagnostics:
+@record
+class PairDiagnostics(NamedTuple):
     """A minimum-distance pair that survived a strip.
 
     Such a pair can only exist when the input was not 3-traceable.
@@ -414,8 +413,8 @@ class PairDiagnostics:
     pair: tuple[int, int]
 
 
-@dataclass(frozen=True)
-class StripTrace:
+@record
+class StripTrace(NamedTuple):
     """What a distance strip did and why."""
 
     case: str  # "A" (d > N-t), "B" (d <= 2t), "C" (otherwise)

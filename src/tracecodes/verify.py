@@ -66,14 +66,13 @@ it meets, so verdicts and witnesses are deterministic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
 from operator import and_, eq, or_
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import core
-from .core import Coalition, Code, SetFamily, Word
+from .core import Coalition, Code, SetFamily, Word, record
 
 __all__ = [
     "Counters",
@@ -91,8 +90,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Counters:
+@record
+class Counters(NamedTuple):
     """How far a check went in its scan order (deterministic for a given input).
 
     Each checker counts in its own scan order, up to and including the
@@ -119,32 +118,32 @@ class Counters:
     words_examined: int = 0
 
 
-@dataclass(frozen=True)
-class FramedWord:
+@record
+class FramedWord(NamedTuple):
     """Codeword ``framed`` lies in the descendant set of a coalition excluding it."""
 
     framed: int
     coalition: Coalition
 
 
-@dataclass(frozen=True)
-class CoverViolation:
+@record
+class CoverViolation(NamedTuple):
     """Member ``covered`` is contained in the union of the ``covering`` members."""
 
     covered: int
     covering: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class IppViolation:
+@record
+class IppViolation(NamedTuple):
     """Coalitions of size <= t that all explain ``word`` yet share no member."""
 
     word: Word
     coalitions: tuple[Coalition, ...]
 
 
-@dataclass(frozen=True)
-class TaViolation:
+@record
+class TaViolation(NamedTuple):
     """A pirate word an outsider matches at least as well as every insider."""
 
     coalition: Coalition
@@ -157,8 +156,8 @@ class TaViolation:
 Witness = FramedWord | CoverViolation | IppViolation | TaViolation
 
 
-@dataclass(frozen=True)
-class Verdict:
+@record
+class Verdict(NamedTuple):
     property: str  # "FP" | "CFF" | "IPP" | "TA"
     t: int
     holds: bool

@@ -1005,7 +1005,7 @@ class TestInstalledScript:
 
 # Every subcommand and transform op, each report frozen (exit code, text
 # and machine document) in cli_golden.json, written before the reports were
-# built from the result dataclasses.  Documents are compared as parsed
+# built from the result records.  Documents are compared as parsed
 # values: tracecodes/1 does not fix key order.  Paths are relative to a
 # directory holding GOLDEN_FILES.
 GOLDEN_FILES = {

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import random
 import tracemalloc
@@ -80,7 +79,7 @@ class TestCodeConstruction:
         assert code.cols == {0: 1, 1: 2, 2: 2, 3: 1}
         assert code == fresh and hash(code) == hash(fresh)
         assert repr(code) == repr(fresh) == "Code(words=((0, 1), (1, 0)), q=2)"
-        assert "cols" not in {f.name for f in dataclasses.fields(Code)}
+        assert "cols" not in Code._fields
 
     def test_cols_stay_sparse_on_a_wide_alphabet(self):
         # One column per one-hot bit would be 40 * 2**16 entries here.

@@ -74,15 +74,31 @@ COMMANDS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(COMMANDS))
-def test_a_subcommand_loads_only_what_it_runs(tmp_path, name):
-    argv, added = COMMANDS[name]
+def after_command(tmp_path: Path, name: str, probe: str) -> dict:
+    """Run the ``COMMANDS`` entry ``name`` in a fresh interpreter, then ``probe``."""
+    argv = COMMANDS[name][0]
     (tmp_path / "id3.code").write_text("3 3 2\n1 0 0\n0 1 0\n0 0 1\n")
     (tmp_path / "id3.family").write_text("3 3\n100\n010\n001\n")
     (tmp_path / "w.json").write_text('{"kind": "framed-word", "framed": 0, "coalition": [1, 2]}')
     run = f"from tracecodes import cli\ncli.main({argv!r})\n" if argv else "import tracecodes.cli\n"
-    loaded = fresh(run + LOADED, cwd=tmp_path)
-    assert set(loaded) == BASE | {f"tracecodes.{m}" for m in added}
+    return fresh(run + probe, cwd=tmp_path)
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_a_subcommand_loads_only_what_it_runs(tmp_path, name):
+    loaded = after_command(tmp_path, name, LOADED)
+    assert set(loaded) == BASE | {f"tracecodes.{m}" for m in COMMANDS[name][1]}
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_a_subcommand_leaves_dataclasses_unloaded(tmp_path, name):
+    # Records are NamedTuples and plain classes; ``dataclasses`` would load
+    # ``inspect`` (and with it ``ast``, ``dis`` and ``tokenize``) at every start.
+    probe = (
+        "import json, sys\n"
+        "print(json.dumps(sorted({'dataclasses', 'inspect'} & set(sys.modules))))"
+    )
+    assert after_command(tmp_path, name, probe) == []
 
 
 @pytest.mark.parametrize(

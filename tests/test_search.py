@@ -581,6 +581,11 @@ class _CoalitionPrefixCase:
         raise NotImplementedError
 
     @staticmethod
+    def reads_groups(t):
+        """Whether ``breaks`` reads the coalition groups at this t."""
+        raise NotImplementedError
+
+    @staticmethod
     def state(prefix):
         return list(prefix.sets), list(prefix.groups), list(prefix._marks)
 
@@ -593,12 +598,13 @@ class _CoalitionPrefixCase:
             assert not prefix.breaks(index[w])
             prefix.push(index[w])
         sets = [core.onehot(w, q) for w in words]
-        # One group per set of at most t words, the empty one included.
+        # One group per set of at most t words, the empty one included;
+        # where no test reads them, the empty group alone.
         want = [
             (sum(1 << i for i in g), _union(sets[i] for i in g))
             for g in _groups(range(len(words)), min(t, len(words)))
         ]
-        assert sorted(prefix.groups) == sorted(want)
+        assert sorted(prefix.groups) == (sorted(want) if self.reads_groups(t) else [(0, 0)])
         return prefix
 
     # A huge t must keep no group beyond the words there are.
@@ -636,6 +642,10 @@ class TestIdentifiablePrefix(_CoalitionPrefixCase):
     def holds(words, q, t):
         return oracles.ipp_holds(words, q, t)
 
+    @staticmethod
+    def reads_groups(t):
+        return t != 2  # t=2 judges triples and pairs of pairs of words
+
 
 class TestTraceablePrefix(_CoalitionPrefixCase):
     PREFIX = search._TraceablePrefix
@@ -645,20 +655,26 @@ class TestTraceablePrefix(_CoalitionPrefixCase):
         return oracles.ta_holds(words, t)
 
     @staticmethod
+    def reads_groups(t):
+        return t >= 3  # smaller coalitions are judged by agreement counts
+
+    @staticmethod
     def state(prefix):
         # ``breaks`` must also leave the columns of words and the pairs as they were.
         cols = {pos: m for pos, m in prefix.cols.items() if m}
         return (*_CoalitionPrefixCase.state(prefix), cols, list(prefix.pairs))
 
     def test_columns_follow_pushes_and_pops(self):
-        prefix = self.PREFIX(2, 2, 3)
-        prefix.grow(9)
-        for c in (0, 1, 7):  # the words (0, 0), (0, 1), (2, 1)
-            prefix.push(c)
-        prefix.pop()
-        assert {pos: m for pos, m in prefix.cols.items() if m} == {0: 0b11, 3: 0b1, 4: 0b10}
-        # The one pair left: (0, 0) and (0, 1), which agree on their first coordinate.
-        assert prefix.pairs == [(0b001001, 0b010001, 0b000001, 1)]
+        # Only the walks of coalitions of three or more words read the columns.
+        for t, want in ((3, {0: 0b11, 3: 0b1, 4: 0b10}), (2, {})):
+            prefix = self.PREFIX(t, 2, 3)
+            prefix.grow(9)
+            for c in (0, 1, 7):  # the words (0, 0), (0, 1), (2, 1)
+                prefix.push(c)
+            prefix.pop()
+            assert {pos: m for pos, m in prefix.cols.items() if m} == want
+            # The one pair left: (0, 0) and (0, 1), which agree on their first coordinate.
+            assert prefix.pairs == [(0b001001, 0b010001, 0b000001, 1)]
 
 
 class TestBudgets:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import random
 from itertools import product
@@ -395,7 +394,7 @@ class TestViolationCertificate:
     def test_each_problem_line(self, damage, problem):
         cert = tr.build_ipp_violation(FULL3, SINGLETON3, 2)
         assert cert.replacements == ((1,), (3,))
-        broken = dataclasses.replace(cert, **damage)
+        broken = cert._replace(**damage)
         assert tr.certificate_problems(broken, FULL3, 2) == [problem]
 
     def test_problem_listing_catches_damage(self):
