@@ -45,18 +45,18 @@ family passes the test when every q-bit coordinate block of the AND is
 non-empty.  ``core.failing_family`` walks them by size up to min(t, n)+1,
 past pairs adding only coalitions that shrink the shared members: a failing
 family with one that shrinks nothing fails one size smaller without it, so
-the first witness is the flat scan's.  At t=2 the families of three are not walked:
-once no family of two fails, every two coalitions of a failing family of
-three share a member (else those two would fail), so none is a singleton
-and the family is {a,b}, {a,c}, {b,c} for three codewords.  Its profile
-intersection is their pairwise agreements ``(a & b) | (a & c) | (b & c)``,
-so the code is 2-IPP exactly when every codeword triple has a coordinate
-where all three symbols differ, an empty block of that value (the
-criterion of Hollmann, van Lint, Linnartz and Tolhuizen, *On codes with the
-identifiable parent property*, JCTA 82 (1998)).  Pairs are ordered
-lexicographically, so the families {a,b}, {a,c}, {b,c} sort as their
-triples do, and the lexicographically first failing triple gives the first
-failing family of three and its word.
+the first witness is the flat scan's.  At t=2 nothing is walked.  Once
+no family of two fails, every two coalitions of a failing family of three
+share a member (else those two would fail), so it is {a,b}, {a,c}, {b,c}
+for three codewords, and the code is 2-IPP exactly when every codeword
+triple has a coordinate where all three symbols differ and every two
+disjoint coalitions one where they share no symbol (the criterion of
+Hollmann, van Lint, Linnartz and Tolhuizen, *On codes with the
+identifiable parent property*, JCTA 82 (1998)).  Both are ANDs of word
+columns, as in ``core.parent_sets``, so no one-hot set is formed.  Pairs
+are ordered lexicographically, so the families {a,b}, {a,c}, {b,c} sort as
+their triples do, and the first failing triple gives the first failing
+family of three and its word.
 
 Every checker scans candidates in a fixed order (coalitions by size then
 lexicographically, words lexicographically) and reports the first violation
@@ -67,8 +67,8 @@ from __future__ import annotations
 
 import math
 from functools import reduce
-from itertools import combinations
-from operator import and_, eq, or_
+from itertools import chain, combinations
+from operator import eq, or_
 from typing import NamedTuple, Sequence
 
 from . import core
@@ -101,13 +101,11 @@ class Counters(NamedTuple):
       (codeword or member, group of at most t others) pairs, or their number
       when the property holds, not how many were tested; FP's
       ``words_examined`` repeats it and CFF's is always 0.
-    * IPP: ``subsets_examined`` counts families of coalitions formed and
-      ``words_examined`` the q-bit blocks of their profile intersections
-      looked at: every pair, and at sizes k >= 3 what ``core.failing_family``
-      counts.  At t=2 the codeword triples take the place of the families
-      of three: each adds 1 to ``subsets_examined`` and its blocks up to
-      and including the first where all three symbols differ (N when none
-      does) to ``words_examined``.
+    * IPP: ``subsets_examined`` counts the families of coalitions formed
+      (at t=2 the first failing family's position, families of two then
+      codeword triples) and ``words_examined`` the q-bit blocks of their
+      profile intersections looked at (at t=2 the column ANDs taken);
+      ``check_ipp`` gives both orders.
     * TA: ``subsets_examined`` counts coalitions, and ``words_examined`` the
       leaves (full descendant words) the walks reach.  A coalition with no
       outsider that could tie is not walked (``check_ta``), so a code that
@@ -265,34 +263,63 @@ def check_cff(family: SetFamily, t: int) -> Verdict:
     return Verdict("CFF", t, hit is None, witness, Counters(subsets, 0))
 
 
-def _first_confusable_triple(
-    sets: Sequence[int], q: int, N: int
-) -> tuple[int, int, tuple[int, int, int] | None]:
-    """The first triple of one-hot sets with no coordinate where all three differ.
+def _first_failing_pair(code: Code) -> tuple[tuple[Coalition, ...] | None, int, int]:
+    """The 2-IPP scan's first failing family, from word columns alone.
 
-    Triples are taken lexicographically up to and including the first that
-    has none.  Returns (triples tested, blocks looked at, that triple's
-    indices or None), each triple adding its q-bit blocks up to and
-    including the first all-distinct one, or N when there is none.  A block
-    of the agreements ``(a & b) | (a & c) | (b & c)`` is empty exactly where
-    the three symbols differ.  The sets are distinct, so each names its index.
+    A coalition X and a later disjoint pair {c, d} fail when at every
+    coordinate c or d holds a symbol of X: for each c the valid d are one
+    AND of the columns of X's symbols (``Code.cols``, ORed for a pair) over
+    the coordinates where c holds none, stopped at 0, and the lowest set
+    bit is the first family.  A triple a < b < c fails when c holds a's or
+    b's symbol wherever those differ: the same AND over the words after b.
+    Returns (that family or None, its position in the scan, closed form,
+    and the column ANDs taken).
     """
-    low, high = core.block_masks(N, q)
-    tried = blocks = 0
-    for a, b, c in combinations(sets, 3):
-        tried += 1
-        agree = (a & b) | (a & c) | (b & c)
-        distinct = (agree - low) & ~agree & high
-        if not distinct:
-            return tried, blocks + N, tuple(map(sets.index, (a, b, c)))
-        blocks += (distinct & -distinct).bit_length() // q
-    return tried, blocks, None
+    n, q, words, cols = code.size, code.q, code.words, code.cols
+    held = [[cols[i * q + s] for i, s in enumerate(w)] for w in words]  # each word's columns
+    above = [(1 << n) - (2 << c) for c in range(n)]  # the words after c
+    E = n + math.comb(n, 2)
+    ands = 0
+    # X against every later disjoint pair; a codeword a is the coalition (a, a).
+    coalitions = chain(zip(range(n), range(n)), combinations(range(n), 2))
+    for x, (a, b) in enumerate(coalitions):
+        meet = list(map(or_, held[a], held[b]))
+        members = 1 << a | 1 << b
+        for c in range(a + 1 if a < b else 0, n - 1):
+            bit, m = 1 << c, above[c] & ~members
+            if bit & members or not m:
+                continue
+            for col in meet:
+                if not col & bit:
+                    ands += 1
+                    m &= col
+                    if not m:
+                        break
+            else:
+                d = (m & -m).bit_length() - 1
+                y = n + c * (2 * n - c - 1) // 2 + d - c - 1  # {c, d}'s coalition index
+                family = ((a,) if a == b else (a, b), (c, d))
+                return family, x * (2 * E - x - 1) // 2 + y - x, ands
+    for a, b in combinations(range(n - 1), 2):  # the triples a < b < c
+        bit, m = 1 << b, above[b]
+        for ca, cb in zip(held[a], held[b]):
+            if not ca & bit:
+                ands += 1
+                m &= ca | cb
+                if not m:
+                    break
+        else:
+            c = (m & -m).bit_length() - 1
+            rank = math.comb(n, 3) - math.comb(n - a, 3) + math.comb(n - a - 1, 2)
+            rank += c - b - math.comb(n - b, 2)
+            return ((a, b), (a, c), (b, c)), math.comb(E, 2) + rank, ands
+    return None, math.comb(E, 2) + math.comb(n, 3), ands
 
 
-def _smallest_symbols(inter: int, q: int, N: int) -> Word:
-    """The word taking the smallest symbol of every q-bit block of ``inter``."""
-    blocks = [inter >> (i * q) & ((1 << q) - 1) for i in range(N)]
-    return tuple((b & -b).bit_length() - 1 for b in blocks)
+def _shared_word(code: Code, family: Sequence[Coalition]) -> Word:
+    """The word taking at each coordinate the smallest symbol every coalition holds."""
+    rows = [list(zip(*code.coalition_words(c))) for c in family]  # each coalition's symbols
+    return tuple(min(set(first).intersection(*rest)) for first, *rest in zip(*rows))
 
 
 def check_ipp(code: Code, t: int) -> Verdict:
@@ -300,40 +327,42 @@ def check_ipp(code: Code, t: int) -> Verdict:
 
     The code fails exactly when some family of 2..t+1 coalitions (size <= t
     each, ordered by size then lexicographically) with no shared member has
-    descendant profiles that still intersect on every coordinate.  A
-    coalition is one n-bit member mask and one profile, the OR of its
-    members' one-hot sets, so a family's shared members and its profile
-    intersection are each an AND.  ``core.failing_family`` walks the
-    families of each size k = 2..min(t, n)+1, past pairs only through
-    coalitions that shrink the shared members, and meets the flat scan's
-    witness, whose word takes each intersection's smallest symbols.
+    descendant profiles that still intersect on every coordinate.  The
+    witness is the first such family, and its word takes the smallest
+    shared symbol at each coordinate.
 
-    At t=2, once no family of two fails, a failing family of three can only
-    be {a,b}, {a,c}, {b,c} for some codeword triple, and its profile
-    intersection is the triple's pairwise agreements (the module docstring
-    gives the reduction; Hollmann et al. 1998 state it as a criterion).  So
-    the triples are tested in its place (``_first_confusable_triple``), and
-    the first one with no all-distinct coordinate gives the same witness the
-    walk over families of three would.
+    At t=2 the codeword triples stand for the families of three (the module
+    docstring gives the reduction), and each family of two and each triple
+    is decided by ANDs of word columns (``_first_failing_pair``), so nothing
+    is walked and no one-hot set is formed.  ``subsets_examined`` is the
+    first failing family's position, among the families of two and then
+    the triples, or C(E,2) + C(n,3) for E = n + C(n,2) coalitions when the
+    code holds; ``words_examined`` counts the column ANDs taken.
+
+    At other t a coalition is a member mask and the OR of its members'
+    one-hot sets, and ``core.failing_family`` walks the families of each
+    size k = 2..min(t, n)+1, past pairs only through coalitions that shrink
+    the shared members.  ``subsets_examined`` counts the families formed
+    and ``words_examined`` the q-bit blocks of their profile intersections
+    looked at.
     """
     _require_strength(t)
-    n, N, q, sets = code.size, code.length, code.q, code.sets
-    coalitions = [c for size in range(1, min(t, n) + 1) for c in combinations(range(n), size)]
-    entries = [(sum(1 << i for i in c), reduce(or_, [sets[i] for i in c])) for c in coalitions]
-    families = intersections = 0
-    for k in range(2, min(t, n) + 2):
-        if t == 2 and k == 3:
-            tried, blocks, abc = _first_confusable_triple(sets, q, N)
-            found = None if abc is None else tuple(map(coalitions.index, combinations(abc, 2)))
-        else:
-            found, tried, blocks = core.failing_family(entries, len(entries), k, N, q)
-        families += tried
-        intersections += blocks
-        if found is not None:
-            word = _smallest_symbols(reduce(and_, [entries[j][1] for j in found]), q, N)
-            witness = IppViolation(word, tuple(coalitions[j] for j in found))
-            return Verdict("IPP", t, False, witness, Counters(families, intersections))
-    return Verdict("IPP", t, True, None, Counters(families, intersections))
+    if t == 2:
+        found, families, work = _first_failing_pair(code)
+    else:
+        n, N, q, sets = code.size, code.length, code.q, code.sets
+        coalitions = [c for size in range(1, min(t, n) + 1) for c in combinations(range(n), size)]
+        entries = [(sum(1 << i for i in c), reduce(or_, [sets[i] for i in c])) for c in coalitions]
+        found, families, work = None, 0, 0
+        for k in range(2, min(t, n) + 2):
+            hit, tried, blocks = core.failing_family(entries, len(entries), k, N, q)
+            families += tried
+            work += blocks
+            if hit is not None:
+                found = tuple(coalitions[j] for j in hit)
+                break
+    witness = None if found is None else IppViolation(_shared_word(code, found), found)
+    return Verdict("IPP", t, found is None, witness, Counters(families, work))
 
 
 def _in_at_least(masks: Sequence[int], k: int) -> int:

@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from tracecodes import Code, SetFamily
+from tracecodes import Code, SetFamily, core
 
 
 def random_code(rng: random.Random, N: int, q: int, n: int) -> Code:
@@ -60,3 +60,13 @@ def sample_verified(rng: random.Random, count: int, make, check):
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0xA5A5)
+
+
+@pytest.fixture
+def no_walk(monkeypatch):
+    """Make ``core.failing_family`` raise: a 2-IPP check must walk no family."""
+
+    def walk(*args):
+        raise AssertionError("a family walk at t=2")
+
+    monkeypatch.setattr(core, "failing_family", walk)

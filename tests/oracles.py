@@ -310,6 +310,25 @@ def ipp_first_family(words, t: int):
     return True, None
 
 
+def two_ipp_scan_position(n: int, family) -> int:
+    """Where the 2-IPP scan of an n-word code stops at ``family``.
+
+    Coalitions of one and two words, by size then lexicographically, form
+    the families of two in lexicographic order; codeword triples follow,
+    each standing for its family {a,b}, {a,c}, {b,c}.  Returns the
+    family's 1-based position in that order, counted by enumeration, or
+    the number of all of them when ``family`` is None (the code holds).
+    """
+    coalitions = [c for size in (1, 2) for c in combinations(range(n), size)]
+    pairs = list(combinations(coalitions, 2))
+    triples = list(combinations(range(n), 3))
+    if family is None:
+        return len(pairs) + len(triples)
+    if len(family) == 2:
+        return pairs.index(tuple(family)) + 1
+    return len(pairs) + triples.index(tuple(sorted(set().union(*family)))) + 1
+
+
 def untraced_walk(ins, outs, union: int, N: int, q: int):
     """The first descendant to which no insider is nearer than every outsider.
 

@@ -422,6 +422,11 @@ class TestCoverScan:
         assert verdict.counters == verify.Counters(tried, 0)
 
 
+AFFINE7 = Code(
+    tuple(tuple((a + b * i) % 7 for i in range(6)) for b in range(2) for a in range(7)), 7
+)
+
+
 class TestIdentifiableParents:
     def test_two_words_hold(self):
         assert verify.check_ipp(Code.from_strings(["00", "11"], 2), 2).holds
@@ -439,36 +444,36 @@ class TestIdentifiableParents:
         for t in (1, 3):
             assert verify.check_ipp(lonely, t).holds
 
-    def test_frozen_verdicts_on_affine_code(self):
-        # {(a + b*i) mod 7 : i < 6}, b < 2 outer, a < 7 inner: n=14, N=6, q=7.
-        words = tuple(
-            tuple((a + b * i) % 7 for i in range(6)) for b in range(2) for a in range(7)
+    def test_frozen_verdicts_on_affine_code(self, no_walk):
+        # AFFINE7 is {(a + b*i) mod 7 : i < 6}, b < 2 outer, a < 7 inner:
+        # n=14, N=6, q=7.  Its E = 14 + 91 coalitions give C(E,2) + C(14,3)
+        # = 5824 families and triples; the second counter is column ANDs.
+        assert verify.check_ipp(AFFINE7, 2) == verify.Verdict(
+            "IPP", 2, True, None, verify.Counters(5824, 1468)
         )
-        code = Code(words, 7)
-        assert verify.check_ipp(code, 2) == verify.Verdict(
-            "IPP", 2, True, None, verify.Counters(5824, 5978)
+        image = Code(
+            tuple(tuple(onehot(w, 7) >> j & 1 for j in range(42)) for w in AFFINE7.words), 2
         )
-        assert verify.check_ipp(code, 3) == verify.Verdict(
-            "IPP",
-            3,
-            False,
-            verify.IppViolation((0, 1, 0, 1, 0, 1), ((0, 1), (7, 10, 12))),
-            verify.Counters(6891, 6938),
-        )
-        image = Code(tuple(tuple(onehot(w, 7) >> j & 1 for j in range(42)) for w in words), 2)
         verdict = verify.check_ipp(image, 2)
         assert verdict == verify.Verdict(
             "IPP",
             2,
             False,
             verify.IppViolation((0,) * 42, ((0, 1), (2, 3))),
-            verify.Counters(1390, 5855),
+            verify.Counters(1390, 433),
         )
         reverify(verdict, code=image)
 
     def test_frozen_counters_past_two(self):
         # Families of three and more coalitions are walked (core.failing_family)
         # only through coalitions that shrink the shared members.
+        assert verify.check_ipp(AFFINE7, 3) == verify.Verdict(
+            "IPP",
+            3,
+            False,
+            verify.IppViolation((0, 1, 0, 1, 0, 1), ((0, 1), (7, 10, 12))),
+            verify.Counters(6891, 6938),
+        )
         constant = Code(tuple((s,) * 7 for s in range(7)), 7)
         assert verify.check_ipp(constant, 3) == verify.Verdict(
             "IPP", 3, True, None, verify.Counters(55957, 57532)
@@ -484,18 +489,19 @@ class TestIdentifiableParents:
         )
         reverify(verdict, code=code)
 
-    def test_two_ipp_matches_flat_family_scan(self):
+    def test_two_ipp_matches_flat_family_scan(self, no_walk):
         # At t=2 a code passing every family of two coalitions is decided by
         # the codeword triples; the first failing triple names the first
         # failing family of three, so the flat scan's witness must not move.
         triple = Code.from_strings(["000", "011", "101"], 3)
-        # C(6, 2) = 15 families of two, then the one triple, which adds N.
+        # C(6, 2) = 15 families of two, then the one triple.  Four column
+        # ANDs rule out the families of two, and two find the triple.
         assert verify.check_ipp(triple, 2) == verify.Verdict(
             "IPP",
             2,
             False,
             verify.IppViolation((0, 0, 1), ((0, 1), (0, 2), (1, 2))),
-            verify.Counters(16, 13),
+            verify.Counters(16, 6),
         )
         codes = [triple, *random_code_stream(seed=211, count=3000, max_N=4, max_q=5, max_n=8)]
         sizes = []
@@ -510,6 +516,29 @@ class TestIdentifiableParents:
                 assert holds == oracles.ipp_holds(code.words, code.q, 2), code
         assert sizes.count(3) >= 20 and sizes.count(2) >= 500
         assert len(sizes) < len(codes) - 500
+
+    def test_two_ipp_matches_oracle_exhaustively(self, no_walk):
+        # Every binary code with N <= 3 and every ternary code with N = 2, in
+        # both word orders: the witness is the flat scan's, and the position
+        # reported is that family's, or the whole scan's when the code holds.
+        shapes = {2: 0, 3: 0, None: 0}
+        for N, q in ((1, 2), (2, 2), (3, 2), (2, 3)):
+            universe = list(product(range(q), repeat=N))
+            for n in range(1, len(universe) + 1):
+                for words in combinations(universe, n):
+                    for order in (words, words[::-1]):
+                        verdict = verify.check_ipp(Code(order, q), 2)
+                        holds, first = oracles.ipp_first_family(order, 2)
+                        family = None if holds else first[1]
+                        assert verdict.holds == holds, order
+                        if not holds:
+                            assert (verdict.witness.word, verdict.witness.coalitions) == first
+                        position = oracles.two_ipp_scan_position(n, family)
+                        assert verdict.counters.subsets_examined == position, order
+                        shapes[family and len(family)] += 1
+        assert shapes[3] >= 10 and shapes[2] >= 1000 and shapes[None] >= 50, shapes
+
+    def test_walk_matches_flat_family_scan_past_two(self):
         # Past t=2 the families of three and more are walked, not replaced.
         for t, seed, max_n in ((3, 212, 7), (4, 213, 6)):
             sizes = []
@@ -523,13 +552,46 @@ class TestIdentifiableParents:
             assert sum(k >= 3 for k in sizes) >= 15 and sizes.count(2) >= 500, t
             assert len(sizes) < 2000 - 500, t
 
-    def test_reed_solomon_five_holds(self):
+    def test_reed_solomon_five_holds(self, no_walk):
         # {a + b*x mod 5 : x < 5}, words sorted: n=25, N=5, q=5.  Every
         # family of two coalitions is scanned, then the C(25, 3) triples.
         words = sorted(tuple((a + b * x) % 5 for x in range(5)) for a in range(5) for b in range(5))
         assert verify.check_ipp(Code(tuple(words), 5), 2) == verify.Verdict(
-            "IPP", 2, True, None, verify.Counters(54950, 84525)
+            "IPP", 2, True, None, verify.Counters(54950, 9831)
         )
+
+    def test_reed_solomon_121_words(self, no_walk):
+        # {a + b*x mod 11 : x < N}, n=121: a 2-IPP code, so the scan runs to
+        # its end, C(E,2) + C(n,3) for its E = n + C(n,2) coalitions.
+        for N in (6, 11):
+            words = tuple(
+                tuple((a + b * x) % 11 for x in range(N)) for a in range(11) for b in range(11)
+            )
+            verdict = verify.check_ipp(Code(words, 11), 2)
+            E = 121 + math.comb(121, 2)
+            assert verdict.holds
+            assert verdict.counters.subsets_examined == math.comb(E, 2) + math.comb(121, 3)
+
+    def test_wide_alphabet_reads_columns(self, no_walk):
+        # Only word columns are read, so no N*q-bit set (1.6 MB each here)
+        # is formed: the family walk over one-hot unions took 154 s and
+        # peaked at 364 MB under tracemalloc on this code.
+        rng = random.Random(200)
+        words = tuple(tuple(rng.randrange(2**16) for _ in range(200)) for _ in range(20))
+        start = time.perf_counter()
+        verdict = verify.check_ipp(Code(words, 2**16), 2)
+        assert time.perf_counter() - start < 1.0
+        # C(210, 2) + C(20, 3) families and triples; every first AND is 0.
+        assert verdict == verify.Verdict("IPP", 2, True, None, verify.Counters(23085, 2622))
+        code = Code(words, 2**16)
+        tracemalloc.start()
+        try:
+            assert verify.check_ipp(code, 2) == verdict
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+        assert "sets" not in code.__dict__
 
     def test_matches_exhaustive_oracle_sample(self):
         # Full exhaustion over every small binary code lives in the
