@@ -11,7 +11,7 @@ what a command runs.
 
 from importlib import import_module
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 #: The submodule that defines each public name.
 _SUBMODULE = {

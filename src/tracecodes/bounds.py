@@ -12,7 +12,7 @@ from __future__ import annotations
 from math import comb, isqrt
 from typing import NamedTuple
 
-from .core import record
+from .core import any_int_length, record
 
 __all__ = [
     "BinaryFpStatus",
@@ -197,17 +197,15 @@ def ta_bound(N: int, q: int, t: int) -> tuple[BoundEntry, ...]:
                 BoundEntry(source="ta2-length4", value=4 * q, note="exact cap at length 4")
             )
         exponent = -(-N // 4)
-        estimate = N * comb(N, exponent)
+        with any_int_length():  # the estimate has about N/1.8 digits
+            estimate = str(N * comb(N, exponent))
         entries.append(
             BoundEntry(
                 source="ta2-quarter",
                 coefficient=None,
                 exponent=exponent,
                 usable=False,
-                note=(
-                    "shape c*q**ceil(N/4); constant unknown, "
-                    f"lower estimate on it: {estimate}"
-                ),
+                note=f"shape c*q**ceil(N/4); constant unknown, lower estimate on it: {estimate}",
             )
         )
         return tuple(entries)

@@ -50,9 +50,9 @@ import json
 import math
 import os
 import sys
-from contextlib import contextmanager, suppress
+from contextlib import suppress
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Sequence
 
 from . import __version__, core
 from .core import Code, SetFamily
@@ -273,21 +273,6 @@ def _table_lines(headers: list[str], rows: list[list[Any]]) -> list[str]:
     ]
 
 
-@contextmanager
-def _any_int_length() -> Iterator[None]:
-    """Lift Python's int-to-str digit limit for the duration of the block."""
-    get_limit = getattr(sys, "get_int_max_str_digits", None)
-    if get_limit is None:  # Pythons without the limit
-        yield
-        return
-    limit = get_limit()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(limit)
-
-
 def _emit(
     args: argparse.Namespace,
     report: dict,
@@ -298,7 +283,7 @@ def _emit(
     ``text_lines`` may be a function building the lines, so that its
     integers are formatted with the digit limit lifted too.
     """
-    with _any_int_length():
+    with core.any_int_length():
         if args.format == "machine":
             print(json.dumps(_jsonable(report), indent=2, sort_keys=False))
         else:
@@ -1039,7 +1024,9 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="decide: does some code beat N words?",
     )
-    p.add_argument("--budget", type=int, help="node budget; exhaustion exits 4")
+    p.add_argument(
+        "--budget", type=int, help="cap on candidate tests (nodes); exhaustion exits 4"
+    )
     p.add_argument("--min-length", action="store_true", help="scan lengths for the first excess")
     p.add_argument("--start-length", type=int, help="first length of --min-length (default 1)")
     p.add_argument("--max-length", type=int, help="last length of --min-length (default 16)")

@@ -28,6 +28,8 @@ copy with changes by ``_replace``.
 from __future__ import annotations
 
 import math
+import sys
+from contextlib import contextmanager
 from functools import cached_property, lru_cache
 from itertools import combinations, islice, repeat
 from operator import and_, or_
@@ -45,6 +47,7 @@ __all__ = [
     "STRATEGY_KINDS",
     "SetFamily",
     "Word",
+    "any_int_length",
     "block_masks",
     "desc_profile",
     "failing_family",
@@ -79,6 +82,24 @@ STRATEGY_KINDS = ("first", "interleave", "majority", "minority", "random")
 
 class DescendantSetTooLarge(RuntimeError):
     """An exact descendant enumeration would exceed the configured cap."""
+
+
+@contextmanager
+def any_int_length() -> Iterator[None]:
+    """Lift Python's int-to-str digit limit for the duration of the block.
+
+    Bounds are exact integers of any length; a report writes them in full.
+    """
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:  # Pythons without the limit
+        yield
+        return
+    limit = get_limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _same_record(self: tuple, other: object) -> Any:

@@ -14,55 +14,59 @@ no such relabelling (covering is not invariant under it), so family
 searches enumerate candidate members in plain ascending mask order with no
 normalisation.
 
-The loop is forward checked (Haralick and Elliott, AI 14 (1980); the
-candidate sets of Carraghan and Pardalos, Oper. Res. Lett. 9 (1990)),
-lazily.  Each candidate keeps the prefix length it was last found to keep
-the property with, or a dead mark, and a per-depth trail undoes both when
-that depth is popped.  A node's room is its size plus its live candidates
-left, and it tests candidates ahead only until enough are live to beat the
-best size (maximize) or to reach the goal (decide), or too few can be.
-Then it pushes the first live one; with too few, it is popped.  So it walks
-the same tree in the same order as a loop that tests each candidate only
-when it reaches it, and cuts only subtrees that cannot beat the best or
-reach the goal: it finds the same maximum, decisions and witnesses.
+The loop is plain forward checking (Haralick and Elliott, AI 14 (1980),
+over the candidate sets of Carraghan and Pardalos, Oper. Res. Lett. 9
+(1990)).  A node's live candidates are those above its last one that keep
+the property with its prefix.  The root tests every candidate, and each
+push tests every live candidate above the pushed one, so a child's live
+candidates are its parent's above it that keep the longer prefix.  A
+node's room is its size plus its live candidates left: it pushes its live
+candidates in ascending order while the room can beat the best size
+(maximize) or reach the goal (decide), and is then popped.  So it cuts only
+subtrees that cannot beat the best or reach the goal: it finds the same
+maximum, decisions and witnesses as a walk with no cut.
 
 The search holds its prefix in a state with one interface on candidate
-indices: ``breaks`` says whether a candidate breaks the property with the
-prefix, ``push`` adds a candidate and ``pop`` takes the last one off, and
-``grow`` widens the window of candidates the scans have reached.  The
-state owns the encoding of a candidate into its set: a word's one-hot set
-(``core.onehot``, encoded straight from the base-q digits) or a family
-member's mask.  The prefix is known to hold, so a candidate is tested only
-for what it can break.  Frameproof codes and cover-free families share one
-state, because a code is t-frameproof exactly when the family of its
-one-hot word sets is t-cover-free: each push records the candidates it
-kills in a bitset, so a test reads one bit.  Identifiable and traceable
-codes keep every coalition of at most t prefix words.  At t=2 a new word
-is judged with two old words at a time: a code is 2-IPP exactly when every
-three words have a coordinate with three distinct symbols and every two
-disjoint pairs one where they share no symbol (Hollmann, van Lint,
-Linnartz and Tolhuizen, JCTA 82 (1998)), and whether an outsider ties a
-descendant of a pair follows from agreement counts (``core.pair_tied``,
-after the outsider test of Staddon, Stinson and Wei, IEEE Trans. IT 47
-(2001)).  Larger coalitions are walked: families by
-``core.failing_family`` for t-IPP at t >= 3, and traceable coalitions of
-three or more words by ``core.untraced_descendant``.
+indices: ``push`` adds a candidate and tests the live candidates above it,
+``pop`` takes the last one off, ``ahead`` counts the live candidates from
+an index on and names the first, and ``breaks`` says whether a candidate
+breaks the prefix.  The state owns the encoding of a candidate into its
+set, done on first use: a word's one-hot set (``core.onehot``, encoded
+straight from the base-q digits) or a family member's mask.  The prefix is
+known to hold, so a candidate is tested only for what it can break.
+Frameproof codes and cover-free families share one state, because a code
+is t-frameproof exactly when the family of its one-hot word sets is
+t-cover-free: each push ANDs out of a bitset over every candidate those
+that its new sets kill, so a push's tests are one AND.  Identifiable and
+traceable codes keep every coalition of at most t prefix words, and a list
+of live candidates per depth.  At t=2 a new word is judged with two old
+words at a time: a code is 2-IPP exactly when every three words have a
+coordinate with three distinct symbols and every two disjoint pairs one
+where they share no symbol (Hollmann, van Lint, Linnartz and Tolhuizen,
+JCTA 82 (1998)), and whether an outsider ties a descendant of a pair
+follows from agreement counts (``core.pair_tied``, after the outsider test
+of Staddon, Stinson and Wei, IEEE Trans. IT 47 (2001)).  Larger coalitions
+are walked: families by ``core.failing_family`` for t-IPP at t >= 3, and
+traceable coalitions of three or more words by ``core.untraced_descendant``.
 
-Node counts are deterministic: one node per candidate test, no
-parallelism, no randomness.  A live candidate c makes the prefix plus c a
-code that holds, so it counts as reached: the ``optimum`` of a decide
-"no" is the largest code the tests certified on the way, a lower bound
-like the optimum of a budget stop.
+Node counts are deterministic: ``nodes`` counts the tests plain forward
+checking makes, one per candidate at the root and one per live candidate
+above each push (a cover-free push makes its tests in one AND, but each
+counts), with no parallelism and no randomness.  A live candidate c makes
+the prefix plus c a code that holds, so it counts as reached: the
+``optimum`` of a decide "no" is the largest code the tests certified on
+the way, a lower bound like the optimum of a budget stop.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from bisect import bisect_left, bisect_right
 from functools import lru_cache, reduce
-from itertools import combinations, islice, pairwise, repeat
+from itertools import combinations, islice, repeat
 from operator import and_, or_
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import core
 from .core import Code, Record, SetFamily, Word, record
@@ -136,7 +140,9 @@ class SearchProblem(Record):
 class SearchResult(NamedTuple):
     """What ``max_code_search`` found.
 
-    ``nodes`` counts candidate tests.  ``optimum`` is the size of the
+    ``nodes`` counts the tests of plain forward checking: every candidate
+    at the root, and every live candidate above each push; a budget stop
+    reports the budget plus one.  ``optimum`` is the size of the
     largest code reached: a complete maximize run proves it optimal, and
     after a budget stop or a decide "no" it is a lower bound.  ``witness``
     is that code in maximize mode and for a decide "yes", else None.
@@ -174,8 +180,14 @@ def _elements(s: int) -> Iterator[int]:
         s ^= low
 
 
+#: The kill memos of a cover-free search start over past this many bits of
+#: values, or past this many sets over every candidate when that is more.
+_MEMO_BITS = 1 << 23
+_MEMO_SETS = 1 << 10
+
+
 class _CoverFreePrefix:
-    """A t-cover-free family grown and shrunk one member at a time, with the candidates it kills.
+    """A t-cover-free family grown and shrunk one member at a time, with its live candidates.
 
     Candidates are the search's indices: words in base q, each standing for
     its one-hot set, or (``family``) masks over N elements, each its own set.
@@ -192,21 +204,18 @@ class _CoverFreePrefix:
     family, so a push appends to each the sets whose latest member it is,
     and a pop truncates each to its length before the push.
 
-    Each push ORs the kills of its new top-layer sets once into a stack of
-    bitsets over candidates (candidate c as bit c): ``_killed[k]`` holds the
-    candidates broken by the first k members, ``_killed[0]`` those broken by
-    the empty union.  A set's members depend only on the members up to its
-    latest one, so ``breaks`` reads one bit, whatever run of members it is
-    asked about.  The bitsets cover the candidates below ``width``, and
-    ``grow`` extends every entry over the new ones only.  up(r) is the AND
-    of the columns of r's elements (the candidates whose sets hold the
-    element, periodic in the index); down(U) is, for a word, the AND over
-    coordinates of the OR of U's columns there, and for a mask, the
-    candidates in none of the columns outside U.  Both are memoised by set
-    until the next ``grow``.
+    ``_live`` is a stack of bitsets over every candidate (candidate c as
+    bit c): ``_live[k]`` holds the candidates that the first k members kill
+    none of, ``_live[0]`` those the empty union spares.  Each push ANDs out
+    the kills of its new top-layer sets once, and the stack is all the
+    state reads liveness from.  up(r) is the AND of the columns of r's
+    elements (the candidates whose sets hold the element, periodic in the
+    index); down(U) is, for a word, the AND over coordinates of the OR of
+    U's columns there, and for a mask, the candidates in none of the
+    columns outside U.  Both are memoised by set, and the memos start over
+    when their values pass ``_MEMO_BITS`` bits or ``_MEMO_SETS`` sets' worth,
+    whichever is more: a deep chain meets a new set at every push.
     """
-
-    partial = True  # ``breaks`` can stop short of the last member
 
     def __init__(self, t: int, N: int, q: int, family: bool = False) -> None:
         self.N, self.q, self.family = N, q, family
@@ -214,20 +223,25 @@ class _CoverFreePrefix:
         self.residues: list[list[int]] = [[] for _ in range(t)]
         self._layers = self.unions + self.residues
         self._marks: list[list[int]] = []
-        self._killed = [0]
-        self.width = 0
-        self.grow(1)
+        self._total = q**N
+        self._all = (1 << self._total) - 1
+        self._cols: dict[int, int] = {}
+        self._downs: dict[int, int] = {}
+        self._ups: dict[int, int] = {}
+        self._memo_bits, self._memo_cap = 0, max(_MEMO_BITS, _MEMO_SETS * self._total)
+        self._live = [self._all & ~self._kill([0], ())]
 
-    def breaks(self, c: int, since: int = 0, until: int | None = None) -> int:
-        """Whether adding candidate ``c`` breaks the first ``until`` members (all when None).
+    def breaks(self, c: int) -> bool:
+        """Whether adding candidate ``c`` breaks the family."""
+        return not self._live[-1] >> c & 1
 
-        ``since`` says ``c`` keeps the first ``since`` members; the kill
-        stack needs no such hint.  ``c`` lies below ``width``.
-        """
-        return self._killed[-1 if until is None else until] >> c & 1
+    def ahead(self, c: int) -> tuple[int, int]:
+        """How many live candidates lie at or above ``c``, and the least of them (-1 if none)."""
+        rest = self._live[-1] >> c
+        return rest.bit_count(), c + (rest & -rest).bit_length() - 1 if rest else -1
 
     def push(self, c: int) -> None:
-        """Add candidate ``c`` without testing it (after ``breaks``, or a root)."""
+        """Add candidate ``c``, and drop every candidate it kills from the live set."""
         new = c if self.family else _encode_word(c, self.N, self.q)
         unions, residues = self.unions, self.residues
         marks = [len(layer) for layer in self._layers]
@@ -242,56 +256,45 @@ class _CoverFreePrefix:
             unions[j] += map(or_, repeat(new), unions[j - 1])
         t = len(residues)
         kill = self._kill(islice(unions[t], marks[t], None), islice(residues[-1], marks[-1], None))
-        self._killed.append(self._killed[-1] | kill)
+        self._live.append(self._live[-1] & ~kill)
 
     def pop(self) -> None:
         """Take off the member added last."""
         for layer, size in zip(self._layers, self._marks.pop()):
             del layer[size:]
-        self._killed.pop()
-
-    def grow(self, width: int) -> None:
-        """Widen the kill stack to candidates 0..width-1."""
-        t, lo = len(self.residues), self.width
-        unions, residues = self.unions[t], self.residues[t - 1]
-        # Level k's sets lie between its mark and the next: the empty union, then each member's.
-        bounds = [(0, 0), *((m[t], m[-1]) for m in self._marks), (len(unions), len(residues))]
-        self._window(lo, width)
-        killed, acc = self._killed, 0
-        for k, ((u0, r0), (u1, r1)) in enumerate(pairwise(bounds)):
-            acc |= self._kill(unions[u0:u1], residues[r0:r1])
-            killed[k] |= acc << lo
-        self.width = width
-        self._window(0, width)
-
-    def _window(self, lo: int, hi: int) -> None:
-        """Aim the columns and memos at candidates lo..hi-1, candidate c as bit c - lo."""
-        self._lo, self._hi, self._all = lo, hi, (1 << (hi - lo)) - 1
-        self._cols: dict[int, int] = {}
-        self._downs: dict[int, int] = {}
-        self._ups: dict[int, int] = {}
+        self._live.pop()
 
     def _kill(self, unions: Iterable[int], residues: Iterable[int]) -> int:
-        """The window's candidates inside one of ``unions`` or holding one of ``residues``."""
+        """The candidates inside one of ``unions`` or holding one of ``residues``."""
         kill, downs, ups = 0, self._downs, self._ups
         for u in unions:
             k = downs.get(u)
             if k is None:
-                k = downs[u] = self._down(u)
+                k = self._remember(downs, u, self._down(u))
             kill |= k
         for r in residues:
             k = ups.get(r)
             if k is None:
-                k = ups[r] = self._up(r)
+                k = self._remember(ups, r, self._up(r))
             kill |= k
         return kill
 
+    def _remember(self, memo: dict[int, int], s: int, kill: int) -> int:
+        """Memoise ``kill`` for set ``s``; both memos start over past their cap."""
+        self._memo_bits += kill.bit_length()
+        if self._memo_bits > self._memo_cap:
+            self._downs.clear()
+            self._ups.clear()
+            self._memo_bits = kill.bit_length()
+        memo[s] = kill
+        return kill
+
     def _up(self, r: int) -> int:
-        """The window's candidates whose sets hold ``r``."""
+        """The candidates whose sets hold ``r``."""
         return reduce(and_, map(self._column, _elements(r)), self._all)
 
     def _down(self, u: int) -> int:
-        """The window's candidates whose sets lie inside ``u``."""
+        """The candidates whose sets lie inside ``u``."""
         column = self._column
         if self.family:
             outside = (column(e) for e in range(self.N) if not u >> e & 1)
@@ -303,7 +306,7 @@ class _CoverFreePrefix:
         return reduce(and_, ors)
 
     def _column(self, e: int) -> int:
-        """The window's candidates whose sets hold element ``e``, memoised.
+        """The candidates whose sets hold element ``e``, memoised.
 
         The element is base-q digit d = s of the index (digit N-1-i = s for
         one-hot bit i*q + s, digit e = 1 for a mask): runs of q**d candidates
@@ -318,16 +321,25 @@ class _CoverFreePrefix:
             q = self.q
             i, s = divmod(e, q)
             d = self.N - 1 - i
-        hi, run = self._hi, q**d
-        first, col = s * run, 0
-        if first < hi:
-            col, span = ((1 << min(run, hi - first)) - 1) << first, run * q
-            while span < hi:
-                col |= col << span
-                span *= 2
-            col = col >> self._lo & self._all
+        total, run = self._total, q**d
+        col, span = ((1 << run) - 1) << s * run, run * q
+        while span < total:
+            col |= col << span
+            span *= 2
+        col &= self._all
         self._cols[e] = col
         return col
+
+
+class _Sets(dict):
+    """Candidate index -> its one-hot word set, each encoded on first use."""
+
+    def __init__(self, N: int, q: int) -> None:
+        self.N, self.q = N, q
+
+    def __missing__(self, c: int) -> int:
+        s = self[c] = _encode_word(c, self.N, self.q)
+        return s
 
 
 class _CoalitionPrefix:
@@ -341,39 +353,53 @@ class _CoalitionPrefix:
     push: coalitions never outgrow the code, whatever t is.  A state whose
     ``breaks`` reads no group (``grouped`` false) keeps the empty one
     alone.  ``breaks`` looks for a failure that the new word brings into
-    the code, which is held to have the property.  Words come as candidate
-    indices, each encoded once when ``grow`` brings it into the window.
+    the code, which is held to have the property.  ``_live`` keeps, per
+    depth, the live candidates in ascending order: the empty code's are
+    every candidate (a range), and a push lists those of its parent above
+    the new word that ``breaks`` keeps.
     """
-
-    partial = False  # ``breaks`` tests against every word
 
     def __init__(self, t: int, N: int, q: int, grouped: bool) -> None:
         self.t, self.N, self.q, self.grouped = t, N, q, grouped
         self.sets: list[int] = []
         self.groups: list[tuple[int, int]] = [(0, 0)]
         self._marks: list[int] = []
-        self._encoded = [_encode_word(0, N, q)]  # each window candidate's one-hot set
+        self._encoded = _Sets(N, q)
+        self._live: list[Sequence[int]] = [range(q**N)]
 
-    def grow(self, width: int) -> None:
-        """Widen the window to candidates 0..width-1."""
-        N, q = self.N, self.q
-        self._encoded += [_encode_word(c, N, q) for c in range(len(self._encoded), width)]
-
-    def breaks(self, c: int, since: int = 0, until: None = None) -> bool:
+    def breaks(self, c: int) -> bool:
         """Whether adding candidate ``c`` breaks the code, tested against every word."""
         raise NotImplementedError
 
+    def ahead(self, c: int) -> tuple[int, int]:
+        """How many live candidates lie at or above ``c``, and the least of them (-1 if none)."""
+        live = self._live[-1]
+        i = bisect_left(live, c)
+        return len(live) - i, live[i] if i < len(live) else -1
+
     def push(self, c: int) -> None:
-        """Add candidate ``c`` without testing it (after ``breaks``, or a root)."""
-        new = self._encoded[c]
+        """Add candidate ``c``, and test every live candidate above it."""
+        live = self._live[-1]
+        above = live[bisect_right(live, c) :]
+        self._add(self._encoded[c])
+        breaks = self.breaks
+        self._live.append([d for d in above if not breaks(d)])
+
+    def pop(self) -> None:
+        """Take off the word added last."""
+        self._live.pop()
+        self._remove()
+
+    def _add(self, new: int) -> None:
+        """Add the one-hot set ``new`` to the code."""
         if self.grouped:
             bit, t = 1 << len(self.sets), self.t
             self._marks.append(len(self.groups))
             self.groups += [(m | bit, u | new) for m, u in self.groups if m.bit_count() < t]
         self.sets.append(new)
 
-    def pop(self) -> None:
-        """Take off the word added last."""
+    def _remove(self) -> None:
+        """Take the last set off the code."""
         if self.grouped:
             del self.groups[self._marks.pop():]
         self.sets.pop()
@@ -393,7 +419,7 @@ class _IdentifiablePrefix(_CoalitionPrefix):
     def __init__(self, t: int, N: int, q: int) -> None:
         super().__init__(t, N, q, grouped=t != 2)
 
-    def breaks(self, c: int, since: int = 0, until: None = None) -> bool:
+    def breaks(self, c: int) -> bool:
         new, t, sets = self._encoded[c], self.t, self.sets
         if t != 2:
             bit = 1 << len(sets)
@@ -451,7 +477,7 @@ class _TraceablePrefix(_CoalitionPrefix):
         for pos in _elements(s):
             cols[pos] = cols.get(pos, 0) ^ bit
 
-    def breaks(self, c: int, since: int = 0, until: None = None) -> bool:
+    def breaks(self, c: int) -> bool:
         N, q, t, sets, cols = self.N, self.q, self.t, self.sets, self.cols
         new, tied = self._encoded[c], core.pair_tied
         for a, b, ab, n in self.pairs:
@@ -476,54 +502,44 @@ class _TraceablePrefix(_CoalitionPrefix):
         finally:
             self._toggle(new, bit)
 
-    def push(self, c: int) -> None:
-        new = self._encoded[c]
+    def _add(self, new: int) -> None:
         if self.t >= 2:
             self.pairs += [(a, new, a & new, (a & new).bit_count()) for a in self.sets]
         if self.grouped:
             self._toggle(new, 1 << len(self.sets))
-        super().push(c)
+        super()._add(new)
 
-    def pop(self) -> None:
+    def _remove(self) -> None:
         if self.grouped:
             self._toggle(self.sets[-1], 1 << (len(self.sets) - 1))
-        super().pop()
+        super()._remove()
         del self.pairs[len(self.sets) * (len(self.sets) - 1) // 2 :]
 
 
 def max_code_search(problem: SearchProblem, budget: int | None = None) -> SearchResult:
     """Run the search to completion, a decision, or budget exhaustion.
 
-    ``nodes`` counts candidate tests, and a budget caps them: the test
-    that would exceed it is counted and not run.  ``optimum`` is the
-    largest code reached, a tested live candidate counting as reached with
-    its prefix; after a budget stop or a decide "no" it is only a lower
-    bound.  ``complete`` certifies the tree was exhausted, which for
-    maximize mode is the proof of optimality.  Decide mode reports
-    ``decided=None`` when the budget ran out before either answer.
-    ``SearchProblem`` has refused a candidate space q**N beyond
-    ``DEFAULT_ENUMERATION_CAP`` and a q beyond ``core.MAX_ALPHABET``.
+    ``nodes`` counts the tests of plain forward checking: every candidate
+    at the root, and every live candidate above each push.  A budget caps
+    them: the push whose tests would exceed it is not made, and the stop
+    reports ``budget + 1``.  ``optimum`` is the largest code reached, a
+    live candidate counting as reached with its prefix; after a budget
+    stop or a decide "no" it is only a lower bound.  ``complete`` certifies
+    the tree was exhausted, which for maximize mode is the proof of
+    optimality.  Decide mode reports ``decided=None`` when the budget ran
+    out before either answer.  ``SearchProblem`` has refused a candidate
+    space q**N beyond ``DEFAULT_ENUMERATION_CAP`` and a q beyond
+    ``core.MAX_ALPHABET``.
     """
     if budget is not None and budget < 0:
         raise ValueError(f"need a node budget >= 0, got {budget}")
     start = time.perf_counter()
-    N, q, t, prop = problem.N, problem.q, problem.t, problem.property
-    total = q**N
+    N, q, prop = problem.N, problem.q, problem.property
     # Codes start from the all-zero word, which relabelling symbols per
     # coordinate puts in any code.  Families have no root: candidate 0, the
     # empty member, is covered by the empty union.
-    # A word has at most total-1 others, so any larger t decides every
-    # property alike; the cover-free state would otherwise keep 2t lists.
-    strength = min(t, total - 1)
-    prefix: _CoverFreePrefix | _CoalitionPrefix
-    if prop in ("FP", "CFF"):
-        prefix = _CoverFreePrefix(strength, N, q, family=prop == "CFF")
-    elif prop == "IPP":
-        prefix = _IdentifiablePrefix(strength, N, q)
-    else:
-        prefix = _TraceablePrefix(strength, N, q)
     root = [] if prop == "CFF" else [0]
-    best, decided, nodes, complete = _forward_check(problem, budget, total, prefix, root)
+    best, decided, nodes, complete = _forward_check(problem, budget, root)
     if problem.mode == "decide" and decided is not True:
         witness = None
     elif prop == "CFF":
@@ -542,35 +558,37 @@ def max_code_search(problem: SearchProblem, budget: int | None = None) -> Search
     )
 
 
+def _prefix_state(problem: SearchProblem) -> _CoverFreePrefix | _CoalitionPrefix:
+    """The empty prefix state of the problem's property."""
+    N, q, prop = problem.N, problem.q, problem.property
+    # A word has at most q**N - 1 others, so any larger t decides every
+    # property alike; the cover-free state would otherwise keep 2t lists.
+    t = min(problem.t, q**N - 1)
+    if prop in ("FP", "CFF"):
+        return _CoverFreePrefix(t, N, q, family=prop == "CFF")
+    if prop == "IPP":
+        return _IdentifiablePrefix(t, N, q)
+    return _TraceablePrefix(t, N, q)
+
+
 def _forward_check(
-    problem: SearchProblem,
-    budget: int | None,
-    total: int,
-    prefix: _CoverFreePrefix | _CoalitionPrefix,
-    root: list[int],
+    problem: SearchProblem, budget: int | None, root: list[int]
 ) -> tuple[list[int], bool | None, int, bool]:
-    """Extend ``root`` by candidates 1..total-1 in ascending order, depth first, forward checked.
+    """Extend ``root`` by candidates 1..q**N-1 in ascending order, depth first, forward checked.
 
-    ``chosen`` is the whole frontier: ``prefix`` holds its candidates,
-    encoding each into its set, and a node's candidates are those above
-    its last one; the scans widen the prefix's candidate window as they
-    go.  ``level[c]`` is how many of the chosen candidates c is known to
-    keep the property with: c is live at the current node when that is
-    ``len(chosen)``, dead when it is ``dead`` (c broke some prefix of the
-    current one), and not yet tested against the later pushes otherwise.
-    A level set to d or to ``dead`` while the prefix has d members goes on
-    ``trail[d]`` with its old value, and popping depth d restores that.
-
-    A node scans its candidates in order, bringing each untested one up to
-    date, until enough are live to beat the best size (maximize) or reach
-    the goal (decide), or too few are left for that: the room is
-    ``len(chosen)`` plus the live candidates left.  Then it pushes the
-    first live one, which needs no further test, or is popped.  A test
-    covers only the pushes since the candidate's level.  When
-    ``prefix.partial``, the pushes before the last are one test at the
-    parent's depth, which its other children reuse, and the last push is
-    another.  Each test is a node.  A live candidate c makes
-    ``chosen + [c]`` a code that holds, so it counts as reached.  Returns
+    ``chosen`` is the whole frontier, and the prefix state holds its
+    candidates and each depth's live ones.  At each step a node reads
+    ``ahead(cand)``: how many live candidates are left from the next one
+    on, and the first of them.  The first time a node is met, that
+    candidate reaches a code one longer, which becomes the best if no code
+    of that size was reached before.  Then, if the node's size plus the
+    live candidates left can beat the best size as it was before that step
+    (maximize) or reach the goal (decide), the node pushes the first of
+    them, and the push tests every live candidate above it; otherwise the
+    node is popped.  Every test counts as a node, the root's tests of
+    candidates 1..q**N-1 first.  The budget is checked before a push's
+    tests are made, and the prefix state is built only once the root's
+    tests fit in it, so a stop encodes and builds nothing more.  Returns
     the best candidate list, the decision (None unless deciding and
     answered), the node count and whether the tree was exhausted or the
     goal met.
@@ -578,76 +596,36 @@ def _forward_check(
     deciding = problem.mode == "decide"
     goal = problem.goal or 0
     limit = math.inf if budget is None else budget
-    breaks, push, pop, partial = prefix.breaks, prefix.push, prefix.pop, prefix.partial
-    dead = total + 1  # deeper than any prefix
-    # Grown only as far as the scans reach, as is the prefix's window;
-    # candidate 0, the root or the empty member, is never scanned.
-    level = [dead]
-    grown = 1
     chosen = list(root)
-    for c in root:
-        push(c)
-    trail: list[list[tuple[int, int]]] = [[] for _ in range(len(chosen) + 1)]
     best = list(chosen)
-    nodes = 0
     if deciding and len(best) >= goal:
-        return best, True, nodes, True
+        return best, True, 0, True
+    nodes = problem.q**problem.N - 1
+    if nodes > limit:
+        return best, None, budget + 1, False
+    prefix = _prefix_state(problem)
+    for c in root:
+        prefix.push(c)
     cand = 1
     while True:
         depth = len(chosen)
         need = goal - depth if deciding else len(best) - depth + 1
-        first, live = -1, 0
-        while total - cand >= need - live:
-            if cand == grown:
-                grown = min(total, 2 * cand + 64)
-                level += repeat(0, grown - cand)
-                prefix.grow(grown)
-            known = level[cand]
-            if known > depth:
-                cand += 1
-                continue
-            if known < depth:
-                if partial and known < depth - 1:
-                    # The pushes before the last, once for all the parent's children.
-                    nodes += 1
-                    if nodes > limit:
-                        return best, None, nodes, False
-                    trail[depth - 1].append((cand, known))
-                    if breaks(cand, known, depth - 1):
-                        level[cand] = dead
-                        cand += 1
-                        continue
-                    known = depth - 1
-                nodes += 1
-                if nodes > limit:
-                    return best, None, nodes, False
-                trail[depth].append((cand, known))
-                if breaks(cand, known):
-                    level[cand] = dead
-                    cand += 1
-                    continue
-                level[cand] = depth
-            if first < 0:
-                first = cand
-                if depth == len(best):
-                    best = chosen + [cand]
-                    if deciding and len(best) >= goal:
-                        return best, True, nodes, True
-            live += 1
-            if live == need:
-                break
-            cand += 1
-        else:  # too few live candidates left
+        live, first = prefix.ahead(cand)
+        if live and depth == len(best):
+            best = chosen + [first]
+            if deciding and len(best) >= goal:
+                return best, True, nodes, True
+        if live < need:
             if depth == len(root):
                 return best, (False if deciding else None), nodes, True
-            for c, known in trail.pop():
-                level[c] = known
-            pop()
+            prefix.pop()
             cand = chosen.pop() + 1
             continue
-        push(first)
+        nodes += live - 1  # the push's tests: the live candidates above ``first``
+        if nodes > limit:
+            return best, None, budget + 1, False
+        prefix.push(first)
         chosen.append(first)
-        trail.append([])
         cand = first + 1
 
 

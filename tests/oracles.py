@@ -203,19 +203,31 @@ def exists_code_of_size(N: int, q: int, size: int, holds) -> bool:
     return grow([], 0)
 
 
-def forward_checked_pushes(universe, holds, root, goal=None, limit=None) -> list:
-    """Every prefix that plain forward checking pushes, in order (the first ``limit`` only).
+def forward_checked_pushes(universe, holds, root, goal=None, limit=None) -> tuple[list, int]:
+    """Every prefix that plain forward checking pushes, in order, and its count of ``holds`` calls.
 
-    Each depth filters the whole list of later candidates down to those
-    that extend its prefix to a code that ``holds``.  A depth pushes its
-    live candidates in order while, counting from the next one, enough are
-    left to beat the best size reached (``goal`` None) or to reach the
-    goal; the next live candidate counts as reached with its prefix before
-    the count is compared.  The search starts from ``root`` and stops at
-    the goal.  Use only at tiny parameters.
+    The root filters the whole ``universe`` down to the candidates that
+    extend it to a code that ``holds``, and each push filters the live
+    candidates after the pushed one the same way, one ``holds`` call per
+    candidate.  A depth pushes its live candidates in order while,
+    counting from the next one, enough are left to beat the best size
+    reached (``goal`` None) or to reach the goal; the next live candidate
+    counts as reached with its prefix before the count is compared.  The
+    search starts from ``root`` and stops at the goal, or (``limit``) in
+    place of the push after the first ``limit``.  Use only at tiny
+    parameters.
     """
     pushes = []
     best = len(root)
+    tests = 0
+
+    def keeps(prefix: list, candidate) -> bool:
+        nonlocal tests
+        tests += 1
+        return holds(prefix + [candidate])
+
+    def live_after(prefix: list, candidates) -> list:
+        return [c for c in candidates if keeps(prefix, c)]
 
     def grow(prefix: list, live: list) -> bool:
         nonlocal best
@@ -226,17 +238,17 @@ def forward_checked_pushes(universe, holds, root, goal=None, limit=None) -> list
                 return True
             if len(live) - i < need:
                 return False
-            extended = prefix + [candidate]
-            pushes.append(extended)
             if len(pushes) == limit:
                 return True
-            if grow(extended, [c for c in live[i + 1 :] if holds(extended + [c])]):
+            extended = prefix + [candidate]
+            pushes.append(extended)
+            if grow(extended, live_after(extended, live[i + 1 :])):
                 return True
         return False
 
     if goal is None or best < goal:
-        grow(list(root), [c for c in universe if holds(list(root) + [c])])
-    return pushes
+        grow(list(root), live_after(list(root), universe))
+    return pushes, tests
 
 
 def max_family_size(N: int, t: int) -> int:

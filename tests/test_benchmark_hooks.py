@@ -62,35 +62,39 @@ SWEEP_JOBS = SWEEP.JOBS + SWEEP.SMOKE_JOBS
 
 # Each search-sweep job's test count and witness (words as digit strings,
 # families as member masks).  Every complete witness is the one the loop
-# before forward checking returned.  Of the budget stops, only the FP q=3
-# N=4 one moved: it reaches 10 words where that loop reached 8 (0000 0001
-# 0012 0022 0102 0202 1002 2002).
+# before forward checking returned.  A budget buys a different search under
+# each count, so the budget stops reach other codes: the q=3 IPP and TA
+# jobs at N=4 reach 4 and 9 words where that loop reached 3, and at N=3
+# reach 2 where it reached 3; the FP one reaches the same 10 words.
 SWEEP_FROZEN = {
     ("FP", 6, 3, 2, None, None): (
-        20763, ("000000", "000011", "000101", "001001", "010001", "100001"),
+        19685, ("000000", "000011", "000101", "001001", "010001", "100001"),
     ),
-    ("FP", 6, 3, 2, 7, None): (20721, None),
-    ("CFF", 6, 2, 2, None, None): (58874, (1, 2, 4, 8, 16, 32)),
-    ("CFF", 5, 2, 2, None, None): (2956, (1, 2, 4, 8, 16)),
+    ("FP", 6, 3, 2, 7, None): (19685, None),
+    ("CFF", 6, 2, 2, None, None): (53428, (1, 2, 4, 8, 16, 32)),
+    ("CFF", 5, 2, 2, None, None): (2912, (1, 2, 4, 8, 16)),
     ("FP", 3, 2, 3, None, None): (
-        1919, ("000", "011", "022", "101", "112", "120", "202", "210", "221"),
+        2261, ("000", "011", "022", "101", "112", "120", "202", "210", "221"),
     ),
-    ("IPP", 3, 2, 3, None, None): (1418, ("000", "011", "102", "220")),
-    ("TA", 3, 2, 3, None, None): (491, ("000", "001", "002")),
+    ("IPP", 3, 2, 3, None, None): (1213, ("000", "011", "102", "220")),
+    ("TA", 3, 2, 3, None, None): (420, ("000", "001", "002")),
     ("FP", 4, 2, 3, None, 5000): (
         5001,
         ("0000", "0001", "0112", "0222", "1012", "1122", "1202", "2022", "2102", "2212"),
     ),
-    ("IPP", 4, 2, 3, None, 2000): (2001, ("0000", "0001", "0002")),
-    ("TA", 4, 2, 3, None, 2000): (2001, ("0000", "0001", "0002")),
-    ("FP", 4, 2, 2, None, None): (154, ("0000", "0011", "0101", "1001", "1110")),
-    ("FP", 4, 2, 2, 6, None): (142, None),
-    ("CFF", 4, 2, 2, None, None): (215, (1, 2, 4, 8)),
-    ("FP", 2, 2, 3, None, None): (42, ("00", "01", "12", "22")),
-    ("IPP", 2, 2, 3, None, None): (55, ("00", "01", "02")),
-    ("TA", 2, 2, 3, None, None): (37, ("00", "01", "02")),
-    ("IPP", 3, 2, 3, None, 50): (51, ("000", "001", "002")),
-    ("TA", 3, 2, 3, None, 50): (51, ("000", "001", "002")),
+    ("IPP", 4, 2, 3, None, 2000): (2001, ("0000", "0011", "0102", "0220")),
+    ("TA", 4, 2, 3, None, 2000): (
+        2001,
+        ("0000", "0111", "0222", "1012", "1120", "1201", "2021", "2102", "2210"),
+    ),
+    ("FP", 4, 2, 2, None, None): (155, ("0000", "0011", "0101", "1001", "1110")),
+    ("FP", 4, 2, 2, 6, None): (154, None),
+    ("CFF", 4, 2, 2, None, None): (236, (1, 2, 4, 8)),
+    ("FP", 2, 2, 3, None, None): (45, ("00", "01", "12", "22")),
+    ("IPP", 2, 2, 3, None, None): (51, ("00", "01", "02")),
+    ("TA", 2, 2, 3, None, None): (35, ("00", "01", "02")),
+    ("IPP", 3, 2, 3, None, 50): (51, ("000", "001")),
+    ("TA", 3, 2, 3, None, 50): (51, ("000", "001")),
 }
 
 

@@ -8,6 +8,7 @@ import random
 import re
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -315,13 +316,20 @@ class TestBoundsCommand:
         assert all(e["value"] is not None for e in doc["bounds"])
 
     def test_bounds_of_any_size(self, capsys):
-        # Both integers are longer than Python's default 4300-digit limit on
+        # Each integer is longer than Python's default 4300-digit limit on
         # int-to-str conversion, which the report must not be held to.
         get_limit = getattr(sys, "get_int_max_str_digits", None)
         limit = get_limit() if get_limit else None
         cases = [
             (("--N", "20000", "--q", "2", "--t", "1"), "fp-split", "value", 2**20000),
             (("--N", "9000", "--q", "2", "--t", "3"), "ta3-ninth", "coefficient", 9000 * 2**27000),
+            # The estimate is written into the entry's note.
+            (
+                ("--N", "20000", "--q", "2", "--t", "2"),
+                "ta2-quarter",
+                "note",
+                20000 * comb(20000, 5000),
+            ),
         ]
         for argv, source, field, want in cases:
             code, text = run(capsys, "bounds", *argv)
@@ -334,7 +342,10 @@ class TestBoundsCommand:
             sys.set_int_max_str_digits(0)
             try:
                 entry = next(e for e in json.loads(machine)["bounds"] if e["source"] == source)
-                assert entry[field] == want
+                if field == "note":
+                    assert entry[field].endswith(f"lower estimate on it: {want}")
+                else:
+                    assert entry[field] == want
                 assert str(want) in text
             finally:
                 sys.set_int_max_str_digits(limit)
@@ -558,24 +569,24 @@ class TestSearchCommand:
         assert second["nodes"] == first["nodes"]
 
     def test_entry_of_the_version_before_is_not_served(self, capsys, tmp_path, monkeypatch):
-        # Version 0.1.0 searched without forward checking, so its counts differ:
-        # 20 nodes here, where this version takes 24 tests.
+        # Version 0.2.0 searched by lazy forward checking, so its counts differ:
+        # 24 tests here, where this version's plain forward checking takes 26.
         monkeypatch.setenv("TRACECODES_CACHE", str(tmp_path))
         args = ("search", "--property", "fp", "--N", "3", "--q", "2", "--t", "2")
         with monkeypatch.context() as before:
-            before.setattr(cli, "__version__", "0.1.0")
+            before.setattr(cli, "__version__", "0.2.0")
             assert run(capsys, *args)[0] == EXIT_OK
             (entry,) = tmp_path.iterdir()
             doc = json.loads(entry.read_text())
-            entry.write_text(json.dumps({**doc, "nodes": 20}))
+            entry.write_text(json.dumps({**doc, "nodes": 24}))
             # Well-formed: that version serves it.
             fields = text_fields(run(capsys, *args)[1])
-            assert (fields["cached"], fields["nodes"]) == ("yes", "20")
-        assert cli.__version__ == "0.2.0"
+            assert (fields["cached"], fields["nodes"]) == ("yes", "24")
+        assert cli.__version__ == "0.3.0"
         code, out = run(capsys, *args)
         assert code == EXIT_OK
         fields = text_fields(out)
-        assert (fields["cached"], fields["nodes"]) == ("no", "24")
+        assert (fields["cached"], fields["nodes"]) == ("no", "26")
         assert len(list(tmp_path.iterdir())) == 2
 
     def test_unwritable_cache_entry_warns(self, capsys, tmp_path, monkeypatch):

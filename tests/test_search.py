@@ -77,7 +77,7 @@ class TestMaximumSizes:
         assert res.optimum == 4
         assert res.witness.words == ((0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0))
         assert verify.check_frameproof(res.witness, 2).holds
-        assert res.nodes == 24
+        assert res.nodes == 26
 
     def test_matches_unnormalized_oracle(self):
         # The production search fixes the all-zero first word by relabeling;
@@ -91,13 +91,13 @@ class TestMaximumSizes:
         res = max_code_search(SearchProblem("FP", N=4, t=3, q=2))
         assert res.optimum == 4
         assert res.complete
-        assert res.nodes == 160
+        assert res.nodes == 163
         assert verify.check_frameproof(res.witness, 3).holds
 
         res = max_code_search(SearchProblem("FP", N=5, t=3, q=2))
         assert res.optimum == 5
         assert res.complete
-        assert res.nodes == 1447
+        assert res.nodes == 1479
 
     def test_identifiable_and_traceable_maxima(self):
         ipp = max_code_search(SearchProblem("IPP", N=3, t=2, q=2))
@@ -123,7 +123,7 @@ class TestMaximumSizes:
     def test_sperner_family(self):
         res = max_code_search(SearchProblem("CFF", N=4, t=1))
         assert res.optimum == math.comb(4, 2)
-        assert res.nodes == 191
+        assert res.nodes == 219
         fam = res.witness
         assert fam.size == 6
         assert all(fam.member_size(i) == 2 for i in range(6))
@@ -143,11 +143,11 @@ TERNARY_CASES = [
 ]
 # Node counts shared with the benchmark's search jobs.
 TERNARY_NODES = {
-    ("FP", 3, 2): 1919,
-    ("FP", 2, 2): 42,
-    ("IPP", 2, 2): 55,
-    ("TA", 2, 2): 37,
-    ("TA", 3, 2): 491,
+    ("FP", 3, 2): 2261,
+    ("FP", 2, 2): 45,
+    ("IPP", 2, 2): 51,
+    ("TA", 2, 2): 35,
+    ("TA", 3, 2): 420,
 }
 
 
@@ -224,7 +224,7 @@ class TestOracleAgreement:
 
 
 class TestForwardCheckedTree:
-    """The lazy loop pushes exactly the prefixes of eager forward checking.
+    """The loop pushes exactly the prefixes of plain forward checking, and counts its tests.
 
     Equal answers do not show this: a loop that wrongly counts a live
     candidate as dead may cut only subtrees that hold no better code, and
@@ -245,15 +245,13 @@ class TestForwardCheckedTree:
 
     @staticmethod
     def pushes(monkeypatch, problem, set_of, budget=None):
-        """Every prefix ``max_code_search`` pushes, as its list of sets (``set_of`` a
-        candidate index), and the candidate window of the cover-free prefix at each
-        push (None for the others)."""
-        stack, seen, widths = [], [], []
+        """The result of ``max_code_search`` and every prefix it pushes, as its
+        list of sets (``set_of`` a candidate index)."""
+        stack, seen = [], []
         for cls in (search._CoverFreePrefix, search._CoalitionPrefix):
             def push(self, c, push=cls.push):
                 stack.append(set_of(c))
                 seen.append(list(stack))
-                widths.append(getattr(self, "width", None))
                 push(self, c)
 
             def pop(self, pop=cls.pop):
@@ -262,20 +260,36 @@ class TestForwardCheckedTree:
 
             monkeypatch.setattr(cls, "push", push)
             monkeypatch.setattr(cls, "pop", pop)
-        max_code_search(problem, budget)
-        return seen, widths
+        return max_code_search(problem, budget), seen
 
     def check_pushes(self, monkeypatch, problem, budget=None):
-        """The pushes against the reference's, the first ones only under a budget."""
+        """The pushes and the test count against the reference's.
+
+        Under a budget the pushes are the reference's first ones, and a
+        stop comes at the first push whose tests would pass the budget.
+        """
         prop, N, q, t, goal = problem.property, problem.N, problem.q, problem.t, problem.goal
         candidates, holds, as_set = self.space(prop, N, q, t)
         # Codes start from their first word; the reference starts from it too.
         root = [] if prop == "CFF" else candidates[:1]
-        got, widths = self.pushes(monkeypatch, problem, lambda c: as_set(candidates[c]), budget)
-        limit = None if budget is None else len(got) - len(root)
-        want = oracles.forward_checked_pushes(candidates[1:], holds, root, goal, limit)
+        res, got = self.pushes(monkeypatch, problem, lambda c: as_set(candidates[c]), budget)
+        if budget is not None and budget < len(candidates) - 1:
+            # The root's tests of every other candidate pass the budget: no push at all.
+            assert (got, res.nodes, res.complete) == ([], budget + 1, False)
+            return res
+        made = None if budget is None else len(got) - len(root)
+
+        def reference(limit):
+            return oracles.forward_checked_pushes(candidates[1:], holds, root, goal, limit)
+
+        want, tests = reference(made)
         assert got[len(root):] == [[as_set(c) for c in prefix] for prefix in want], goal
-        return widths
+        if res.complete:
+            assert res.nodes == tests, goal
+        else:
+            assert res.nodes == budget + 1
+            assert tests <= budget < reference(made + 1)[1], (budget, goal)
+        return res
 
     @pytest.mark.parametrize(
         "prop,N,q,t",
@@ -296,36 +310,54 @@ class TestForwardCheckedTree:
         for goal in [None, *range(max(1, optimum - 1), optimum + 3)]:
             mode = "maximize" if goal is None else "decide"
             problem = SearchProblem(prop, N=N, t=t, q=q, mode=mode, goal=goal)
-            self.check_pushes(monkeypatch, problem)
+            assert self.check_pushes(monkeypatch, problem).complete
 
-    # 128 candidates, past the first window of 66.  The whole FP and CFF
-    # trees at t=2 take 17,632,742 and 1,740,724 tests, so a budget cuts the
-    # maximize runs, and decide goals met early add more; CFF meets its t=2
-    # goals inside the first window, so its decide runs are at t=1.
+    @pytest.mark.parametrize(
+        "problem",
+        [
+            SearchProblem("FP", N=4, t=2),
+            SearchProblem("FP", N=4, t=2, mode="decide", goal=6),
+            SearchProblem("CFF", N=4, t=2),
+            SearchProblem("IPP", N=2, t=2, q=3),
+            SearchProblem("TA", N=2, t=2, q=4, mode="decide", goal=5),
+        ],
+        ids=["fp", "fp-decide", "cff", "ipp", "ta-decide"],
+    )
+    def test_budget_ladder_stops_where_the_tests_pass_it(self, monkeypatch, problem):
+        free = self.check_pushes(monkeypatch, problem)
+        step = max(1, free.nodes // 30)
+        for budget in [*range(0, free.nodes, step), free.nodes - 1, free.nodes]:
+            res = self.check_pushes(monkeypatch, problem, budget)
+            assert res.complete == (budget >= free.nodes), budget
+
+    # 128 candidates.  The whole FP and CFF trees at t=2 take 14,606,262
+    # and 1,478,750 tests, so a budget cuts the maximize runs, after 100
+    # to 240 pushes at these budgets, and decide goals met early add more;
+    # CFF meets its t=2 goals early, so its decide runs are at t=1.
     @pytest.mark.parametrize(
         "prop,t,budget,goals",
-        [("FP", 2, 600, (5, 6, 7, 8)), ("CFF", 2, 1000, ()), ("CFF", 1, 600, (10, 11, 12))],
+        [("FP", 2, 1500, (5, 6, 7, 8)), ("CFF", 2, 2000, ()), ("CFF", 1, 1500, (10, 11, 12))],
         ids=["fp-7-2", "cff-7-2", "cff-7-1"],
     )
-    def test_same_pushes_across_window_growth(self, monkeypatch, prop, t, budget, goals):
+    def test_same_pushes_over_128_candidates(self, monkeypatch, prop, t, budget, goals):
         runs = [(SearchProblem(prop, N=7, t=t), budget)]
         runs += [(SearchProblem(prop, N=7, t=t, mode="decide", goal=g), None) for g in goals]
         for problem, cap in runs:
-            widths = self.check_pushes(monkeypatch, problem, cap)
-            # Members pushed before the window grew, and more after it.
-            assert widths[0] < widths[-1] == 128, problem
+            res = self.check_pushes(monkeypatch, problem, cap)
+            assert res.complete == (cap is None), problem
 
 
 # The benchmark's cover-free search jobs, plus the deepest tree it never
-# reaches: 999 accepted words.  Every word is live, and a decide run tests
-# ahead the goal-depth live words its room needs at each depth, so that
-# one takes 999 * 1000 / 2 tests.
+# reaches: 999 accepted words.  Every word is live, so the root tests the
+# 1,023 words after it and the push of word k the 1,023 - k after that,
+# until the 999th word has one live word ahead: 1,023 + (1,022 + ... + 25)
+# tests.
 COVER_FREE_JOBS = [
-    (SearchProblem("FP", N=6, t=3), 6, None, 20763),
-    (SearchProblem("FP", N=6, t=3, mode="decide", goal=7), 6, False, 20721),
-    (SearchProblem("CFF", N=5, t=2), 5, None, 2956),
-    (SearchProblem("CFF", N=6, t=2), 6, None, 58874),
-    (SearchProblem("FP", N=10, t=1, mode="decide", goal=1000), 1000, True, 499500),
+    (SearchProblem("FP", N=6, t=3), 6, None, 19685),
+    (SearchProblem("FP", N=6, t=3, mode="decide", goal=7), 6, False, 19685),
+    (SearchProblem("CFF", N=5, t=2), 5, None, 2912),
+    (SearchProblem("CFF", N=6, t=2), 6, None, 53428),
+    (SearchProblem("FP", N=10, t=1, mode="decide", goal=1000), 1000, True, 523476),
 ]
 
 
@@ -347,12 +379,12 @@ class TestCoverFreeNodeCounts:
 # Identifiable and traceable searches off t=2, where no benchmark job
 # reaches: (property, N, t, q) -> (optimum, nodes).
 OFF_PAIR_JOBS = {
-    ("IPP", 3, 3, 3): (3, 1575),
-    ("TA", 3, 3, 3): (3, 491),
+    ("IPP", 3, 3, 3): (3, 1234),
+    ("TA", 3, 3, 3): (3, 420),
     ("TA", 4, 3, 2): (2, 120),
-    ("IPP", 2, 3, 4): (4, 548),
-    ("IPP", 3, 1, 3): (27, 26),
-    ("TA", 3, 1, 3): (27, 26),
+    ("IPP", 2, 3, 4): (4, 485),
+    ("IPP", 3, 1, 3): (27, 351),
+    ("TA", 3, 1, 3): (27, 351),
 }
 
 
@@ -371,8 +403,8 @@ class TestOffPairNodeCounts:
 # benchmark's, frozen from the failing-family and descendant walks they
 # replaced: (property, N, q) -> (optimum, nodes, witness).
 WIDE_PAIR_JOBS = {
-    ("IPP", 3, 4): (5, 161222, ((0, 0, 0), (0, 1, 1), (0, 2, 2), (1, 0, 3), (2, 3, 0))),
-    ("TA", 3, 4): (4, 21948, ((0, 0, 0), (0, 0, 1), (0, 0, 2), (0, 0, 3))),
+    ("IPP", 3, 4): (5, 105084, ((0, 0, 0), (0, 1, 1), (0, 2, 2), (1, 0, 3), (2, 3, 0))),
+    ("TA", 3, 4): (4, 11572, ((0, 0, 0), (0, 0, 1), (0, 0, 2), (0, 0, 3))),
 }
 
 
@@ -395,7 +427,7 @@ class TestPairCriteria:
 
         monkeypatch.setattr(core, "failing_family", walk)
         monkeypatch.setattr(core, "untraced_descendant", walk)
-        for prop, optimum, nodes in (("IPP", 4, 1418), ("TA", 3, 491)):
+        for prop, optimum, nodes in (("IPP", 4, 1213), ("TA", 3, 420)):
             res = max_code_search(SearchProblem(prop, N=3, t=2, q=3))
             assert (res.optimum, res.nodes, res.complete) == (optimum, nodes, True)
 
@@ -451,27 +483,19 @@ class TestCoverFreePrefix:
         return prefix
 
     def check_extensions(self, prefix, members, candidates, holds):
-        """``breaks`` on every run of members against ``holds``, the oracle on a candidate list."""
+        """``breaks`` and ``ahead`` on every candidate against ``holds``, the oracle on a list.
+
+        ``candidates`` are every candidate, the members possibly left out
+        (each kills itself): ``ahead`` counts over them from any index on.
+        """
         before = self.layers(prefix)
-        n = len(members)
+        kept = [new for new in candidates if holds(members + [new])]
         for new in candidates:
-            # Heredity: ``new`` keeps the first k members exactly for k <= kept
-            # (kept = -1 when it fails alone), so a bisection finds kept.
-            low, high = -1, n
-            while low < high:
-                mid = (low + high + 1) // 2
-                if holds(members[:mid] + [new]):
-                    low = mid
-                else:
-                    high = mid - 1
-            kept = low
-            assert prefix.breaks(new) == (kept < n), (members, new)
-            # Given it keeps the first ``since`` members, members since..until-1 decide.
-            for since in range(min(max(kept, 0), n - 1) + 1):
-                assert prefix.breaks(new, since) == (kept < n), (members, new, since)
-                for until in range(since, n):
-                    assert prefix.breaks(new, since, until) == (kept < until)
-            assert self.layers(prefix) == before
+            assert prefix.breaks(new) == (new not in kept), (members, new)
+        for c in candidates:
+            rest = [new for new in kept if new >= c]
+            assert prefix.ahead(c) == (len(rest), rest[0] if rest else -1), (members, c)
+        assert self.layers(prefix) == before
 
     def check_code_extensions(self, prefix, universe, words, t):
         """``check_extensions`` for a ternary code: every other word against the FP oracle."""
@@ -516,12 +540,11 @@ class TestCoverFreePrefix:
     def test_families_match_cff_oracle(self, t):
         rng = random.Random(600 + t)
         for ground in range(1, 7):
-            space = range(1 << ground)  # the empty candidate 0 included
             for _ in range(6):
                 members = self.random_family(rng, ground, t)
                 prefix = search._CoverFreePrefix(t, ground, 2, family=True)
-                prefix.grow(1 << ground)
                 self.grow(prefix, members, members)
+                space = range(1 << ground)  # the empty candidate 0 included
                 self.check_extensions(prefix, members, space, self.family_holds(t))
 
     @pytest.mark.parametrize("t", [1, 2, 3])
@@ -532,40 +555,42 @@ class TestCoverFreePrefix:
             for _ in range(5):
                 words = self.random_code(rng, universe, N, t)
                 prefix = search._CoverFreePrefix(t, N, 3)
-                prefix.grow(3**N)
                 self.grow(prefix, words, [core.onehot(universe[c], 3) for c in words])
                 self.check_code_extensions(prefix, universe, words, t)
 
     @pytest.mark.parametrize("t", [1, 2, 3])
-    def test_window_grows_over_pushed_members(self, t):
-        # Members pushed while the window covers only the first candidates,
-        # some of them beyond it: each growth extends every member's kills.
+    def test_pops_restore_the_live_set(self, t):
+        # Popping back to half the members leaves the lists and the live set
+        # of that half; pushing the rest again rebuilds those of the whole.
         rng = random.Random(800 + t)
+        runs = []
         for _ in range(4):
             ground = rng.randint(3, 6)
-            total = 1 << ground
             members = self.random_family(rng, ground, t)
             prefix = search._CoverFreePrefix(t, ground, 2, family=True)
-            assert prefix.width == 1
-            half = len(members) // 2
-            for c in members[:half]:
-                prefix.push(c)
-            for pushed, width in ((half, rng.randint(2, total - 1)), (len(members), total)):
-                for c in members[half:pushed]:
-                    prefix.push(c)
-                prefix.grow(width)
-                assert prefix.width == width
-                self.check_layers(prefix, members[:pushed])
-                self.check_extensions(prefix, members[:pushed], range(width), self.family_holds(t))
+            runs.append((prefix, members, members, 1 << ground, self.family_holds(t)))
         for N in (2, 3):
             universe = oracles.all_words(N, 3)
             words = self.random_code(rng, universe, N, t)
-            prefix = search._CoverFreePrefix(t, N, 3)
-            for c in words:
+            runs.append((
+                search._CoverFreePrefix(t, N, 3),
+                words,
+                [core.onehot(universe[c], 3) for c in words],
+                3**N,
+                lambda group, u=universe: oracles.frameproof_holds([u[c] for c in group], t),
+            ))
+        for prefix, members, sets, total, holds in runs:
+            half = len(members) // 2
+            for c in members:
                 prefix.push(c)
-            prefix.grow(3**N)
-            self.check_layers(prefix, [core.onehot(universe[c], 3) for c in words])
-            self.check_code_extensions(prefix, universe, words, t)
+            for _ in members[half:]:
+                prefix.pop()
+            for pushed in (half, len(members)):
+                self.check_layers(prefix, sets[:pushed])
+                others = [c for c in range(total) if c not in members[:pushed]]
+                self.check_extensions(prefix, members[:pushed], others, holds)
+                for c in members[pushed:]:
+                    prefix.push(c)
 
 
 class _CoalitionPrefixCase:
@@ -592,7 +617,6 @@ class _CoalitionPrefixCase:
     def grow(self, words, N, q, t):
         """Push ``words`` one at a time; none may break the property."""
         prefix = self.PREFIX(t, N, q)
-        prefix.grow(q**N)
         index = {w: c for c, w in enumerate(oracles.all_words(N, q))}
         for w in words:
             assert not prefix.breaks(index[w])
@@ -626,6 +650,7 @@ class _CoalitionPrefixCase:
                     if self.holds(words + [w], q, t):
                         words.append(w)
                 prefix = self.grow(words, N, q, t)
+                kept = []
                 for c, w in enumerate(universe):
                     if w in words:
                         continue
@@ -633,6 +658,14 @@ class _CoalitionPrefixCase:
                     broken = prefix.breaks(c)
                     assert broken != self.holds(words + [w], q, t), (words, w, t)
                     assert self.state(prefix) == before
+                    if not broken and w > max(words):
+                        kept.append(c)
+                # Each push keeps the live words after it, so those after every
+                # word that keep the code are live, from any index past them on.
+                last = universe.index(max(words))
+                for c in range(last + 1, len(universe)):
+                    rest = [k for k in kept if k >= c]
+                    assert prefix.ahead(c) == (len(rest), rest[0] if rest else -1)
 
 
 class TestIdentifiablePrefix(_CoalitionPrefixCase):
@@ -668,7 +701,6 @@ class TestTraceablePrefix(_CoalitionPrefixCase):
         # Only the walks of coalitions of three or more words read the columns.
         for t, want in ((3, {0: 0b11, 3: 0b1, 4: 0b10}), (2, {})):
             prefix = self.PREFIX(t, 2, 3)
-            prefix.grow(9)
             for c in (0, 1, 7):  # the words (0, 0), (0, 1), (2, 1)
                 prefix.push(c)
             prefix.pop()
@@ -694,6 +726,22 @@ class TestBudgets:
         assert not res.complete
         assert res.witness is None
 
+    @pytest.mark.parametrize(
+        "prop,N,q", [("FP", 22, 2), ("IPP", 22, 2), ("TA", 2, 2048)], ids=["fp", "ipp", "ta"]
+    )
+    def test_zero_budget_builds_nothing_over_the_space(self, prop, N, q):
+        # The root's 4,194,303 tests pass the budget before any candidate is encoded.
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            res = max_code_search(SearchProblem(prop, N=N, t=2, q=q), budget=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (res.optimum, res.nodes, res.complete) == (1, 1, False)
+        assert time.perf_counter() - start < 1.0
+        assert peak < 1 << 20
+
     def test_negative_budget_is_rejected(self):
         with pytest.raises(ValueError):
             max_code_search(SearchProblem("FP", N=3, t=2, q=2), budget=-1)
@@ -703,16 +751,16 @@ class TestBudgets:
     @pytest.mark.parametrize(
         "problem,nodes",
         [
-            (SearchProblem("FP", N=3, t=2, q=3), 1919),
-            (SearchProblem("CFF", N=5, t=2), 2956),
-            (SearchProblem("IPP", N=3, t=2, q=3), 1418),
-            (SearchProblem("TA", N=3, t=2, q=3), 491),
-            (SearchProblem("FP", N=4, t=2, mode="decide", goal=6), 142),
+            (SearchProblem("FP", N=3, t=2, q=3), 2261),
+            (SearchProblem("CFF", N=5, t=2), 2912),
+            (SearchProblem("IPP", N=3, t=2, q=3), 1213),
+            (SearchProblem("TA", N=3, t=2, q=3), 420),
+            (SearchProblem("FP", N=4, t=2, mode="decide", goal=6), 154),
         ],
         ids=["FP", "CFF", "IPP", "TA", "FP-decide"],
     )
     def test_ladder_of_budgets(self, problem, nodes):
-        # A budget counts candidate tests: the test past it is counted, not run.
+        # A budget counts candidate tests: a push whose tests pass it is not made.
         free = max_code_search(problem)
         assert (free.nodes, free.complete) == (nodes, True)
         optima = []
@@ -736,23 +784,42 @@ class TestBudgets:
 
 
 class TestWideWindows:
-    """Budgeted runs over wide candidate spaces, frozen: the scans grow the window far."""
+    """Budgeted runs over wide candidate spaces, frozen: each push tests every live candidate."""
 
     def test_shallow_binary_codes(self):
-        res = max_code_search(SearchProblem("FP", N=16, t=2), budget=20000)
-        assert (res.optimum, res.nodes, res.complete) == (2, 20001, False)
+        # The root's 65,535 tests reach two words; the first push's would pass the budget.
+        res = max_code_search(SearchProblem("FP", N=16, t=2), budget=65535)
+        assert (res.optimum, res.nodes, res.complete) == (2, 65536, False)
         assert verify.check_frameproof(res.witness, 2).holds
 
     def test_shallow_families(self):
-        res = max_code_search(SearchProblem("CFF", N=16, t=2), budget=20000)
-        assert (res.optimum, res.nodes, res.complete) == (15, 20001, False)
+        # The least budget that reaches 15 members: the singletons, each
+        # push halving the live members.
+        res = max_code_search(SearchProblem("CFF", N=16, t=2), budget=196571)
+        assert (res.optimum, res.nodes, res.complete) == (15, 196572, False)
+        assert res.witness.members == tuple(1 << e for e in range(15))
         assert verify.check_cff(res.witness, 2).holds
+        stopped = max_code_search(SearchProblem("CFF", N=16, t=2), budget=196570)
+        assert stopped.optimum == 14
 
     def test_every_word_under_a_budget(self):
-        # Every binary word is 1-frameproof; checking the 4096 words would take seconds.
-        res = max_code_search(SearchProblem("FP", N=12, t=1), budget=20000)
-        assert (res.optimum, res.nodes, res.complete) == (4096, 8189, True)
+        # Every binary word is 1-frameproof, and the push of word k tests the
+        # 4,095 - k after it: 4,096 * 4,095 / 2 tests in all.
+        res = max_code_search(SearchProblem("FP", N=12, t=1), budget=8386560)
+        assert (res.optimum, res.nodes, res.complete) == (4096, 8386560, True)
         assert res.witness.words == tuple(oracles.all_words(12, 2))
+
+    def test_every_word_in_bounded_memory(self):
+        # One live bitset per depth, and kill memos that start over: no more
+        # than the 5.2 MB that the loop with levels and a trail took.
+        tracemalloc.start()
+        try:
+            res = max_code_search(SearchProblem("FP", N=12, t=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (res.optimum, res.complete) == (4096, True)
+        assert peak <= 5.2 * 2**20
 
 
 @contextmanager
@@ -772,20 +839,20 @@ class TestDeepTrees:
     def test_maximize_every_binary_word(self):
         with shallow_stack():
             res = max_code_search(SearchProblem("FP", N=7, t=1))
-        assert (res.optimum, res.nodes, res.complete) == (128, 253, True)
+        assert (res.optimum, res.nodes, res.complete) == (128, 128 * 127 // 2, True)
 
     def test_decide_every_binary_word(self):
-        # The room test brings the 128-depth live words ahead up to date at each depth.
+        # The goal is met as the 127th word finds the last one live: the same tests.
         with shallow_stack():
             res = max_code_search(SearchProblem("FP", N=7, t=1, mode="decide", goal=128))
         assert (res.decided, res.nodes) == (True, 128 * 127 // 2)
         assert res.witness.size == 128
 
-    def test_at_most_two_tests_per_accepted_word(self):
-        # Maximizing needs one live word ahead, so each word is tested once
-        # on the pushes before its parent's (past the first) and once on the last.
+    def test_each_push_tests_the_words_after_it(self):
+        # Every word is live: the root tests the 1,023 after it, and the push
+        # of word k the 1,023 - k after that.
         res = max_code_search(SearchProblem("FP", N=10, t=1))
-        assert (res.optimum, res.nodes, res.complete) == (1024, 2 * 1023 - 1, True)
+        assert (res.optimum, res.nodes, res.complete) == (1024, 1024 * 1023 // 2, True)
         assert res.witness.words == tuple(oracles.all_words(10, 2))
 
 
@@ -819,8 +886,8 @@ class TestUpperBoundRegion:
         assert report.all_confirmed
         by_N = {e.N: e for e in report.entries}
         assert by_N[4].in_window and by_N[5].in_window
-        assert by_N[4].nodes == 153
-        assert by_N[5].nodes == 1430
+        assert by_N[4].nodes == 163
+        assert by_N[5].nodes == 1479
         assert by_N[4].witness is None
 
     def test_pair_coalitions_break_at_length_three(self):
@@ -838,8 +905,8 @@ class TestUpperBoundRegion:
     def test_budget_exhaustion_is_per_length(self):
         report = search.verify_upper_bound_region(3, [4, 5], budget=200)
         by_N = {e.N: e for e in report.entries}
-        assert by_N[4].confirmed is True  # finishes in 153 tests
-        assert by_N[5].confirmed is None  # needs 1430
+        assert by_N[4].confirmed is True  # finishes in 163 tests
+        assert by_N[5].confirmed is None  # needs 1479
 
 
 class TestMinimumLengths:
@@ -848,10 +915,10 @@ class TestMinimumLengths:
         assert res.value == 4
         assert res.complete
         assert [(p.N, p.decided, p.nodes) for p in res.probes] == [
-            (1, False, 0),
-            (2, False, 2),
-            (3, False, 20),
-            (4, True, 97),
+            (1, False, 1),
+            (2, False, 5),
+            (3, False, 29),
+            (4, True, 117),
         ]
         fam = res.witness
         assert fam.size == 5
@@ -947,7 +1014,7 @@ class TestSandwich:
         assert report.t == 3
         assert report.family_lower.value == 4  # pairs-of-others answer
         assert report.code.value is None
-        assert report.code.lower_bound == 6  # N=5 is refuted in 1430 tests
+        assert report.code.lower_bound == 6  # N=5 is refuted in 1479 tests
         assert report.family_upper.value is None
         assert report.consistent is None
 
