@@ -261,7 +261,7 @@ def _kv_lines(pairs: list[tuple[str, Any]]) -> list[str]:
     return [f"{k:<{width}}  {_fmt(v)}" for k, v in pairs]
 
 
-def _table_lines(headers: list[str], rows: list[list[Any]]) -> list[str]:
+def _table_lines(headers: list[str], rows: Sequence[Sequence[Any]]) -> list[str]:
     cells = [[_fmt(c) for c in row] for row in rows]
     widths = [len(h) for h in headers]
     for row in cells:
@@ -273,21 +273,13 @@ def _table_lines(headers: list[str], rows: list[list[Any]]) -> list[str]:
     ]
 
 
-def _emit(
-    args: argparse.Namespace,
-    report: dict,
-    text_lines: list[str] | Callable[[], list[str]],
-) -> None:
-    """Print the report; exact integers of any length render in full.
-
-    ``text_lines`` may be a function building the lines, so that its
-    integers are formatted with the digit limit lifted too.
-    """
+def _emit(args: argparse.Namespace, report: dict, text_lines: list[str]) -> None:
+    """Print the report; exact integers of any length render in full."""
     with core.any_int_length():
         if args.format == "machine":
             print(json.dumps(_jsonable(report), indent=2, sort_keys=False))
         else:
-            print("\n".join(text_lines() if callable(text_lines) else text_lines))
+            print("\n".join(text_lines))
 
 
 def witness_to_json(witness: verify.Witness, subject: Code | SetFamily) -> dict:
@@ -415,11 +407,9 @@ def recheck_witness(data: dict, subject: Code | SetFamily, t: int) -> list[str]:
         for which, c in enumerate(coalitions):
             if c and not core.is_descendant(word, subject.coalition_words(c)):
                 problems.append(f"coalition {which} cannot produce the word")
-        common = set(coalitions[0])
-        for c in coalitions[1:]:
-            common &= set(c)
+        common = core.shared_members(coalitions)
         if common:
-            problems.append(f"coalitions share members {sorted(common)}")
+            problems.append(f"coalitions share members {list(common)}")
         return problems
     if kind == "ta-violation":
         coalition = _distinct_indices(data.get("coalition"), subject.size, "coalition", problems)
@@ -484,7 +474,7 @@ def _checker(prop: str) -> Callable[[Any, int], verify.Verdict]:
 
 
 #: A subcommand's exit code, report fields and text lines (see ``_emit``).
-_Outcome = tuple[int, dict, list[str] | Callable[[], list[str]]]
+_Outcome = tuple[int, dict, list[str]]
 
 
 def _cmd_verify(args: argparse.Namespace) -> _Outcome:
@@ -548,33 +538,22 @@ def _cmd_bounds(args: argparse.Namespace) -> _Outcome:
         del fields["t"], fields["N"]  # the report's own
         report["binary_fp_status"] = fields
 
-    def text_lines() -> list[str]:
-        lines = [f"bounds at N={args.N} q={args.q} t={args.t}", ""]
-        lines.extend(
-            _table_lines(
-                ["source", "value", "coefficient", "exponent", "usable", "note"],
-                [
-                    [e.source, e.value, e.coefficient, e.exponent, e.usable, e.note]
-                    for e in report_obj.entries
-                ],
-            )
-        )
+    lines = [f"bounds at N={args.N} q={args.q} t={args.t}", ""]
+    with core.any_int_length():  # exact integers are written out in full
+        # One column per entry field, in declaration order.
+        lines += _table_lines(list(bounds_mod.BoundEntry._fields), report_obj.entries)
         if status is not None:
             lines.append("")
-            lines.extend(
-                _kv_lines(
-                    [
-                        ("size cap guaranteed", status.guaranteed),
-                        ("reason", status.reason),
-                        ("cap can break from length (classical)", status.binomial_lower),
-                        ("cap can break from length (quadratic)", status.quadratic_lower),
-                        ("cap can break from length (conjectured)", status.conjectured),
-                    ]
-                )
+            lines += _kv_lines(
+                [
+                    ("size cap guaranteed", status.guaranteed),
+                    ("reason", status.reason),
+                    ("cap can break from length (classical)", status.binomial_lower),
+                    ("cap can break from length (quadratic)", status.quadratic_lower),
+                    ("cap can break from length (conjectured)", status.conjectured),
+                ]
             )
-        return lines
-
-    return EXIT_OK, report, text_lines
+    return EXIT_OK, report, lines
 
 
 _PLAIN_OPS = {"double", "tocode", "prune", "violate", "strip"}
@@ -632,15 +611,9 @@ def _cmd_transform(args: argparse.Namespace) -> _Outcome:
     elif op == "restrict":
         restriction = transform.cff_restrict(load_family(args.file), value)
         report["restriction"] = {
-            "ground_size": restriction.ground_size,
-            "removed_member": restriction.removed_member,
+            **_jsonable(restriction),
             "clean": restriction.clean,
-            "empty_indices": restriction.empty_indices,
-            "duplicate_indices": restriction.duplicate_indices,
-            "members": [
-                [e for e in range(restriction.ground_size) if m >> e & 1]
-                for m in restriction.members
-            ],
+            "members": [list(core.elements(m)) for m in restriction.members],
         }
         lines = [
             f"# removed member {restriction.removed_member}; "
@@ -766,10 +739,16 @@ def _cached_payload(
 ) -> dict | None:
     """The cached search payload, or None when it must be computed again.
 
-    An entry is rejected when it is unreadable or has a missing, extra or
-    mistyped field.  A witness must pass the property's checker and have
-    exactly ``optimum`` members; an entry without one (a decide "no", a
-    budget stop) is only type-checked, as rechecking it means searching.
+    An entry is rejected when it is unreadable, has a missing, extra or
+    mistyped field, or reads as an outcome ``max_code_search`` never
+    returns: a run is incomplete only when it stopped under a budget, one
+    node past it; a decide run's answer is ``optimum >= goal`` once
+    complete, and None before; a maximize run decides nothing; a witness
+    comes with a decide "yes" and with a maximize run that reached a code,
+    and with nothing else.  A witness must pass the property's checker and
+    have exactly ``optimum`` members; an entry without one (a decide "no",
+    a budget stop) is held to the rules above alone, as rechecking it
+    means searching.
     """
     try:
         payload = json.loads(cache_file.read_text())
@@ -777,22 +756,31 @@ def _cached_payload(
         return None
     if not isinstance(payload, dict) or set(payload) != set(_PAYLOAD_KEYS):
         return None
+    optimum, decided, complete = payload["optimum"], payload["decided"], payload["complete"]
     if (
-        not _is_index(payload["optimum"], math.inf)
+        not _is_index(optimum, math.inf)
         or not _is_index(payload["nodes"], math.inf)
         or type(payload["elapsed"]) not in (int, float)
-        or not (payload["decided"] is None or isinstance(payload["decided"], bool))
-        or not isinstance(payload["complete"], bool)
+        or not (decided is None or isinstance(decided, bool))
+        or not isinstance(complete, bool)
         or type(payload["budget"]) is not type(budget)
         or payload["budget"] != budget
     ):
         return None
+    limit = math.inf if budget is None else budget
+    if problem.mode == "decide":
+        answer, shown = (optimum >= problem.goal if complete else None), decided is True
+    else:
+        answer, shown = None, optimum > 0
     witness = payload["witness"]
+    if (
+        not (payload["nodes"] <= limit if complete else payload["nodes"] == limit + 1)
+        or decided is not answer
+        or (witness is not None) != shown
+    ):
+        return None
     if witness is None:
-        no_witness_due = payload["optimum"] == 0 or (
-            problem.mode == "decide" and payload["decided"] is not True
-        )
-        return payload if no_witness_due else None
+        return payload
     try:
         subject = _witness_subject(witness, problem)
     except (KeyError, TypeError, ValueError):
@@ -938,8 +926,7 @@ def _cmd_simulate(args: argparse.Namespace) -> _Outcome:
 
 
 def _cmd_recheck(args: argparse.Namespace) -> _Outcome:
-    if args.t < 1:
-        raise ValueError(f"coalition bound must be >= 1, got {args.t}")
+    core.require_strength(args.t)
     try:
         data = json.loads(_load(args.witness))
     except json.JSONDecodeError as exc:

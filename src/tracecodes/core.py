@@ -50,6 +50,7 @@ __all__ = [
     "any_int_length",
     "block_masks",
     "desc_profile",
+    "elements",
     "failing_family",
     "hamming_distance",
     "is_descendant",
@@ -59,7 +60,9 @@ __all__ = [
     "pair_tied",
     "parent_sets",
     "record",
+    "require_strength",
     "require_symbols",
+    "shared_members",
     "untraced_descendant",
 ]
 
@@ -270,14 +273,7 @@ class ParentSetFamily(Record):
 
     def common_members(self) -> tuple[int, ...]:
         """Indices present in every parent set (empty when none or no parents)."""
-        if not self.coalitions:
-            return ()
-        common = set(self.coalitions[0])
-        for coalition in self.coalitions[1:]:
-            common &= set(coalition)
-            if not common:
-                break
-        return tuple(sorted(common))
+        return shared_members(self.coalitions)
 
 
 class SetFamily(Record):
@@ -320,15 +316,16 @@ class SetFamily(Record):
         return cls(ground_size, tuple(masks))
 
     def member_elements(self, i: int) -> tuple[int, ...]:
-        m, elements = self.members[i], []
-        while m:
-            low = m & -m
-            elements.append(low.bit_length() - 1)
-            m ^= low
-        return tuple(elements)
+        return tuple(elements(self.members[i]))
 
     def member_size(self, i: int) -> int:
         return self.members[i].bit_count()
+
+
+def require_strength(t: int) -> None:
+    """Raise ValueError unless the coalition bound ``t`` is at least 1."""
+    if t < 1:
+        raise ValueError(f"coalition bound must be >= 1, got {t}")
 
 
 def require_symbols(x: Iterable[int], q: int) -> None:
@@ -336,6 +333,22 @@ def require_symbols(x: Iterable[int], q: int) -> None:
     for s in x:
         if not 0 <= s < q:
             raise ValueError(f"symbol {s} out of range for q={q}")
+
+
+def elements(mask: int) -> Iterator[int]:
+    """The set bit positions of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def shared_members(coalitions: Sequence[Iterable[int]]) -> tuple[int, ...]:
+    """The indices every coalition holds, ascending; () when there is no coalition."""
+    if not coalitions:
+        return ()
+    first, *rest = coalitions
+    return tuple(sorted(set(first).intersection(*rest)))
 
 
 def hamming_distance(x: Sequence[int], y: Sequence[int]) -> int:
@@ -547,8 +560,7 @@ def parent_sets(x: Sequence[int], code: Code, t: int) -> ParentSetFamily:
     comes out by size and then lexicographically.  At t=2 that is n+1 heads
     of at most N ANDs each, in place of C(n,1) + C(n,2) unions.
     """
-    if t < 1:
-        raise ValueError(f"coalition bound must be >= 1, got {t}")
+    require_strength(t)
     x = tuple(x)
     code.check_word(x)
     n, q, cols = code.size, code.q, code.cols

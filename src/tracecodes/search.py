@@ -66,10 +66,10 @@ from bisect import bisect_left, bisect_right
 from functools import lru_cache, reduce
 from itertools import combinations, islice, repeat
 from operator import and_, or_
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import core
-from .core import Code, Record, SetFamily, Word, record
+from .core import Code, Record, SetFamily, Word, elements, record
 
 __all__ = [
     "LengthProbe",
@@ -170,14 +170,6 @@ def _encode_word(value: int, N: int, q: int) -> int:
         word |= 1 << (shift + value % q)
         value //= q
     return word
-
-
-def _elements(s: int) -> Iterator[int]:
-    """The set bit positions of ``s``, lowest first."""
-    while s:
-        low = s & -s
-        yield low.bit_length() - 1
-        s ^= low
 
 
 #: The kill memos of a cover-free search start over past this many bits of
@@ -291,7 +283,7 @@ class _CoverFreePrefix:
 
     def _up(self, r: int) -> int:
         """The candidates whose sets hold ``r``."""
-        return reduce(and_, map(self._column, _elements(r)), self._all)
+        return reduce(and_, map(self._column, elements(r)), self._all)
 
     def _down(self, u: int) -> int:
         """The candidates whose sets lie inside ``u``."""
@@ -301,7 +293,7 @@ class _CoverFreePrefix:
             return self._all & ~reduce(or_, outside, 0)
         # A word holds one element per coordinate: one of u's there.
         q, ors = self.q, [0] * self.N
-        for e in _elements(u):
+        for e in elements(u):
             ors[e // q] |= column(e)
         return reduce(and_, ors)
 
@@ -331,17 +323,6 @@ class _CoverFreePrefix:
         return col
 
 
-class _Sets(dict):
-    """Candidate index -> its one-hot word set, each encoded on first use."""
-
-    def __init__(self, N: int, q: int) -> None:
-        self.N, self.q = N, q
-
-    def __missing__(self, c: int) -> int:
-        s = self[c] = _encode_word(c, self.N, self.q)
-        return s
-
-
 class _CoalitionPrefix:
     """A code grown and shrunk one word at a time, with its coalitions of at most t words.
 
@@ -364,7 +345,8 @@ class _CoalitionPrefix:
         self.sets: list[int] = []
         self.groups: list[tuple[int, int]] = [(0, 0)]
         self._marks: list[int] = []
-        self._encoded = _Sets(N, q)
+        # Candidate index -> its one-hot word set, each encoded on first use.
+        self._encoded = lru_cache(maxsize=None)(lambda c: _encode_word(c, N, q))
         self._live: list[Sequence[int]] = [range(q**N)]
 
     def breaks(self, c: int) -> bool:
@@ -381,7 +363,7 @@ class _CoalitionPrefix:
         """Add candidate ``c``, and test every live candidate above it."""
         live = self._live[-1]
         above = live[bisect_right(live, c) :]
-        self._add(self._encoded[c])
+        self._add(self._encoded(c))
         breaks = self.breaks
         self._live.append([d for d in above if not breaks(d)])
 
@@ -420,7 +402,7 @@ class _IdentifiablePrefix(_CoalitionPrefix):
         super().__init__(t, N, q, grouped=t != 2)
 
     def breaks(self, c: int) -> bool:
-        new, t, sets = self._encoded[c], self.t, self.sets
+        new, t, sets = self._encoded(c), self.t, self.sets
         if t != 2:
             bit = 1 << len(sets)
             joined = [(m | bit, u | new) for m, u in self.groups if m.bit_count() < t]
@@ -446,7 +428,7 @@ def _block_positions(union: int, N: int, q: int) -> tuple[tuple[int, ...], ...]:
     ``core.untraced_descendant``.  A search asks for the same few unions at
     every candidate, so the answers, immutable, are cached.
     """
-    blocks = (sorted(_elements(union >> i * q & (1 << q) - 1), reverse=True) for i in range(N))
+    blocks = (sorted(elements(union >> i * q & (1 << q) - 1), reverse=True) for i in range(N))
     return tuple(tuple(i * q + s for s in block) for i, block in enumerate(blocks))
 
 
@@ -474,12 +456,12 @@ class _TraceablePrefix(_CoalitionPrefix):
     def _toggle(self, s: int, bit: int) -> None:
         """Flip ``bit`` in the columns of the one-hot bits of ``s``."""
         cols = self.cols
-        for pos in _elements(s):
+        for pos in elements(s):
             cols[pos] = cols.get(pos, 0) ^ bit
 
     def breaks(self, c: int) -> bool:
         N, q, t, sets, cols = self.N, self.q, self.t, self.sets, self.cols
-        new, tied = self._encoded[c], core.pair_tied
+        new, tied = self._encoded(c), core.pair_tied
         for a, b, ab, n in self.pairs:
             ax, bx, e = (new & a).bit_count(), (new & b).bit_count(), (new & ab).bit_count()
             if tied(ax, bx, e, n, N) or tied(n, bx, e, ax, N) or tied(n, ax, e, bx, N):

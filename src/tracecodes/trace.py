@@ -151,8 +151,7 @@ def simulate_tracing(
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    if t < 1:
-        raise ValueError(f"coalition bound must be >= 1, got {t}")
+    core.require_strength(t)
     seed = DEFAULT_SEED if seed is None else seed
     n = code.size
     stats = {"TA": [0, 0, 0], "IPP": [0, 0, 0]}  # subset hits, overlap hits, accused total

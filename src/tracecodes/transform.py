@@ -312,12 +312,9 @@ def certificate_problems(
     for i, (member, repl) in enumerate(zip(cert.chain, cert.replacements)):
         if member in repl:
             problems.append(f"replacement family {i} contains the member it replaces")
-    if cert.coalitions:
-        common = set(cert.coalitions[0])
-        for coalition in cert.coalitions[1:]:
-            common &= set(coalition)
-        if common:
-            problems.append(f"coalitions share members {sorted(common)}")
+    common = core.shared_members(cert.coalitions)
+    if common:
+        problems.append(f"coalitions share members {list(common)}")
     return problems
 
 

@@ -163,11 +163,6 @@ class Verdict(NamedTuple):
     counters: Counters
 
 
-def _require_strength(t: int) -> None:
-    if t < 1:
-        raise ValueError(f"coalition bound must be >= 1, got {t}")
-
-
 def _first_cover(
     elements: Sequence[Sequence[int]], t: int
 ) -> tuple[tuple[int, Coalition] | None, int]:
@@ -241,7 +236,7 @@ def check_frameproof(code: Code, t: int) -> Verdict:
     counters are its position there (the number of coalitions when the
     code holds), not how many coalitions were tested.
     """
-    _require_strength(t)
+    core.require_strength(t)
     hit, subsets = _first_cover([[i * code.q + s for i, s in enumerate(w)] for w in code.words], t)
     witness = None if hit is None else FramedWord(*hit)
     return Verdict("FP", t, hit is None, witness, Counters(subsets, subsets))
@@ -257,7 +252,7 @@ def check_cff(family: SetFamily, t: int) -> Verdict:
     ``subsets_examined`` is the witness's position in that order (all the
     groups when the family holds); ``words_examined`` is 0.
     """
-    _require_strength(t)
+    core.require_strength(t)
     hit, subsets = _first_cover(list(map(family.member_elements, range(family.size))), t)
     witness = None if hit is None else CoverViolation(*hit)
     return Verdict("CFF", t, hit is None, witness, Counters(subsets, 0))
@@ -346,7 +341,7 @@ def check_ipp(code: Code, t: int) -> Verdict:
     and ``words_examined`` the q-bit blocks of their profile intersections
     looked at.
     """
-    _require_strength(t)
+    core.require_strength(t)
     if t == 2:
         found, families, work = _first_failing_pair(code)
     else:
@@ -415,12 +410,11 @@ def check_ta(code: Code, t: int) -> Verdict:
     outsider is the first of all outsiders nearest it.  ``words_examined``
     counts the full words the walks reach.  Coalitions covering the whole
     code are vacuous (nobody to misaccuse) and skipped.  Raises
-    DescendantSetTooLarge, before any outsider is filtered, when some
-    coalition's span (the product of its symbol counts) exceeds
-    ``core.DEFAULT_DESCENDANT_CAP``; s words span at most s**N, so the
-    product is taken only past that.
+    DescendantSetTooLarge when a coalition that is walked spans (the
+    product of its symbol counts) more than ``core.DEFAULT_DESCENDANT_CAP``
+    words; one left with no outsider is decided whatever its span.
     """
-    _require_strength(t)
+    core.require_strength(t)
     n, N, q, words, cols = code.size, code.length, code.q, code.words, code.cols
     cap = core.DEFAULT_DESCENDANT_CAP
     positions = [tuple(map(int.__add__, range(0, N * q, q), w)) for w in words]
@@ -429,17 +423,8 @@ def check_ta(code: Code, t: int) -> Verdict:
     leaves_total = 0
     for size in range(1, min(t, n - 1) + 1):
         need = -(-N // size)  # some insider agrees with every descendant this often
-        bounded = size**N <= cap  # no coalition of this size spans more
         for coalition in combinations(range(n), size):
             subsets += 1
-            rows = [positions[i] for i in coalition]
-            if not bounded:
-                span = math.prod(len(set(c)) for c in zip(*rows))
-                if span > cap:
-                    raise core.DescendantSetTooLarge(
-                        f"instance too large for exact TA check: coalition {coalition} "
-                        f"spans {span} words (cap {cap})"
-                    )
             holders = held[coalition[0]]
             for i in coalition[1:]:
                 holders = list(map(or_, holders, held[i]))
@@ -447,7 +432,14 @@ def check_ta(code: Code, t: int) -> Verdict:
             outs = _in_at_least(holders, need) & ~members
             if not outs:
                 continue
+            rows = [positions[i] for i in coalition]
             kids = [sorted(set(c), reverse=True) for c in zip(*rows)]
+            span = math.prod(map(len, kids))
+            if span > cap:
+                raise core.DescendantSetTooLarge(
+                    f"instance too large for exact TA check: coalition {coalition} "
+                    f"spans {span} words (cap {cap})"
+                )
             x, leaves = core.untraced_descendant(cols, members, outs, kids, q)
             leaves_total += leaves
             if x is not None:
@@ -463,7 +455,7 @@ def check_ta(code: Code, t: int) -> Verdict:
 
 def ta_distance_sufficient(code: Code, t: int) -> bool:
     """Exact integer test of the sufficient condition d > N(1 - 1/t**2)."""
-    _require_strength(t)
+    core.require_strength(t)
     if code.size < 2:
         raise ValueError("need at least two codewords to speak of a minimum distance")
     d = int(core.min_distance(code))

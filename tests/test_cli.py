@@ -217,6 +217,16 @@ class TestVerifyCommand:
         assert captured.err.startswith("error: instance too large ")
         assert "Traceback" not in captured.err
 
+    def test_wide_span_without_outsiders_holds(self, files, capsys):
+        # Constant words of length 33 span 2^33 descendants in pairs, past the
+        # cap, yet no outsider could tie, so the code holds without a walk.
+        text = "33 5 5\n" + "".join(" ".join([str(j)] * 33) + "\n" for j in range(5))
+        argv = ["verify", "--property", "ta", "--t", "2", files("constant.code", text)]
+        code, doc = run_json(capsys, *argv)
+        assert code == EXIT_OK
+        assert doc["holds"] is True
+        assert doc["counters"] == {"subsets_examined": 15, "words_examined": 0}
+
     def test_malformed_file(self, files, capsys):
         bad = files("broken.code", "2 2 2\n0 1\n")
         assert run(capsys, "verify", "--property", "fp", "--t", "2", bad)[0] == EXIT_BAD_FILE
@@ -612,24 +622,47 @@ class TestSearchCommand:
         assert code == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: TRACECODES_CACHE=")
 
-    @pytest.mark.parametrize("tamper", ["optimum-99", "truncated"])
-    def test_bad_cache_entry_is_recomputed(self, capsys, tmp_path, monkeypatch, tamper):
+    @pytest.mark.parametrize(
+        "extra, tamper",
+        [
+            pytest.param((), {"optimum": 99}, id="optimum-99"),
+            pytest.param((), "truncated", id="truncated"),
+            # Entries that contradict themselves: max_code_search writes none.
+            pytest.param((), {"decided": True}, id="maximize-decided"),
+            pytest.param((), {"decided": False}, id="maximize-decided-no"),
+            pytest.param((), {"complete": False}, id="stop-without-budget"),
+            pytest.param((), {"witness": None}, id="maximize-no-witness"),
+            pytest.param(("--goal", "4"), {"decided": False}, id="no-beside-witness"),
+            pytest.param(("--goal", "4"), {"decided": None}, id="undecided-without-budget"),
+            pytest.param(
+                ("--goal", "4"), {"decided": None, "witness": None}, id="undecided-bare"
+            ),
+            pytest.param(("--goal", "4"), {"witness": None}, id="yes-without-witness"),
+            pytest.param(("--goal", "5"), {"decided": True}, id="yes-below-goal"),
+            pytest.param(("--goal", "5"), {"decided": None}, id="complete-undecided"),
+            pytest.param(
+                ("--goal", "4", "--budget", "1000"), {"nodes": 1001}, id="complete-past-budget"
+            ),
+            pytest.param(("--goal", "4", "--budget", "2"), {"nodes": 2}, id="stop-inside-budget"),
+            pytest.param(("--goal", "4", "--budget", "2"), {"complete": True}, id="stop-complete"),
+            pytest.param(("--goal", "4", "--budget", "2"), {"decided": False}, id="stop-decided"),
+        ],
+    )
+    def test_bad_cache_entry_is_recomputed(self, capsys, tmp_path, monkeypatch, extra, tamper):
         monkeypatch.setenv("TRACECODES_CACHE", str(tmp_path))
-        args = ("search", "--property", "fp", "--N", "3", "--q", "2", "--t", "2")
-        assert run(capsys, *args)[0] == EXIT_OK
+        args = ("search", "--property", "fp", "--N", "3", "--q", "2", "--t", "2", *extra)
+        status, out = run(capsys, *args)
+        want = {**text_fields(out), "cached": "no"}
         (entry,) = tmp_path.iterdir()
-        if tamper == "optimum-99":
-            doc = json.loads(entry.read_text())
-            doc["optimum"] = 99
-            entry.write_text(json.dumps(doc))
-        else:
+        if tamper == "truncated":
             entry.write_text("{")
+        else:
+            entry.write_text(json.dumps({**json.loads(entry.read_text()), **tamper}))
         code, out = run(capsys, *args)
-        assert code == EXIT_OK
-        assert text_fields(out)["optimum"] == "4"
-        assert text_fields(out)["cached"] == "no"
+        assert code == status
+        assert text_fields(out) == want
         # The entry was rewritten and is served again.
-        assert text_fields(run(capsys, *args)[1])["cached"] == "yes"
+        assert text_fields(run(capsys, *args)[1]) == {**want, "cached": "yes"}
 
     def test_cached_budget_exit_is_preserved(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("TRACECODES_CACHE", str(tmp_path))
@@ -915,6 +948,26 @@ class TestRecheckCommand:
         path.write_text(json.dumps({"kind": "framed-word", "framed": 2, "coalition": [0, 1]}))
         argv = ["recheck", "--property", "fp", "--t", t, "--witness", str(path), bad]
         assert main(argv) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: coalition bound must be >= 1, got {t}\n"
+
+    @pytest.mark.parametrize("t", ["0", "-3"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--property", "fp"],
+            ["verify", "--property", "ipp"],
+            ["verify", "--property", "ta"],
+            ["verify", "--property", "cff"],
+            ["trace", "--scheme", "ipp", "--pirate", "11"],
+        ],
+        ids=["verify-fp", "verify-ipp", "verify-ta", "verify-cff", "trace-ipp"],
+    )
+    def test_other_commands_refuse_a_bound_below_one(self, files, capsys, argv, t):
+        # The same rule and message as recheck's, above.
+        subject = files("subject", TRIANGLE_FAMILY if "cff" in argv else SQUARE)
+        assert main([*argv, "--t", t, subject]) == EXIT_USAGE
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"error: coalition bound must be >= 1, got {t}\n"

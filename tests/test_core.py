@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import random_code, random_code_stream
-from tracecodes import core
-from tracecodes.core import Code
+from tracecodes import core, trace, verify
+from tracecodes.core import Code, SetFamily
 
 
 def words_strategy(max_N=5, max_q=4, max_n=6):
@@ -474,3 +474,46 @@ class TestPairTied:
                         assert got == want, (a, b, y, q)
                         outcomes.add(got)
         assert outcomes == {True, False}
+
+
+class TestSharedRules:
+    def test_elements_are_the_set_bits_lowest_first(self):
+        assert list(core.elements(0)) == []
+        assert list(core.elements(0b101100)) == [2, 3, 5]
+        big = 1 << 200 | 1 << 3
+        assert list(core.elements(big)) == [3, 200]
+        family = SetFamily(6, (0b101100, 1))
+        assert family.member_elements(0) == (2, 3, 5)
+        assert family.member_elements(1) == (0,)
+
+    def test_shared_members(self):
+        assert core.shared_members(()) == ()
+        assert core.shared_members([(3, 1, 2)]) == (1, 2, 3)
+        assert core.shared_members([(0, 2, 5), [5, 2], (2, 5, 7)]) == (2, 5)
+        assert core.shared_members([(0, 1), (2,)]) == ()
+
+
+SQUARE = Code.from_strings(["10", "01", "11"], 2)
+
+#: Every library call that takes a coalition bound t, at that t.
+BOUNDED_CALLS = {
+    "check_frameproof": lambda t: verify.check_frameproof(SQUARE, t),
+    "check_cff": lambda t: verify.check_cff(SetFamily(2, (1, 2, 3)), t),
+    "check_ipp": lambda t: verify.check_ipp(SQUARE, t),
+    "check_ta": lambda t: verify.check_ta(SQUARE, t),
+    "ta_distance_sufficient": lambda t: verify.ta_distance_sufficient(SQUARE, t),
+    "parent_sets": lambda t: core.parent_sets((1, 1), SQUARE, t),
+    "trace_ipp": lambda t: trace.trace_ipp(SQUARE, (1, 1), t),
+    "simulate_tracing": lambda t: trace.simulate_tracing(
+        SQUARE, t, 3, trace.PirateStrategy("first")
+    ),
+}
+
+
+@pytest.mark.parametrize("t", [0, -2])
+@pytest.mark.parametrize("call", sorted(BOUNDED_CALLS))
+def test_coalition_bound_below_one_is_refused(call, t):
+    with pytest.raises(ValueError) as err:
+        BOUNDED_CALLS[call](t)
+    assert str(err.value) == f"coalition bound must be >= 1, got {t}"
+    BOUNDED_CALLS[call](1)  # the smallest bound is taken

@@ -636,6 +636,22 @@ class TestTraceability:
             verify.check_ta(wide, 2)
         assert "too large" in str(err.value)
 
+    def test_cap_spares_coalitions_with_no_outsider_left(self):
+        # Two constant words span 2^33 descendants, past the cap, but no
+        # outsider holds either's symbol anywhere, so nothing is walked.
+        constant = Code(tuple((j,) * 33 for j in range(5)), 5)
+        assert verify.check_ta(constant, 2) == verify.Verdict(
+            "TA", 2, True, None, verify.Counters(15, 0)
+        )
+        # {(a + b*i) mod 37 : i < 37}: 111 words whose pairs span up to 2^37.
+        p = 37
+        affine = Code(
+            tuple(tuple((a + b * i) % p for i in range(p)) for b in range(3) for a in range(p)), p
+        )
+        assert verify.check_ta(affine, 2) == verify.Verdict(
+            "TA", 2, True, None, verify.Counters(111 + math.comb(111, 2), 0)
+        )
+
     def test_frozen_verdicts_on_affine_codes(self):
         # {(a + b*i) mod p : i < 5}, b < 3 outer, a < p inner.
         def affine(p):
