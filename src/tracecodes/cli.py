@@ -256,6 +256,11 @@ def _fmt(value: Any) -> str:
     return str(value)
 
 
+def _fields(report: dict, *keys: str) -> list[tuple[str, Any]]:
+    """Report fields as text labels: the keys named, or every key, with spaces for underscores."""
+    return [(key.replace("_", " "), report[key]) for key in keys or report]
+
+
 def _kv_lines(pairs: list[tuple[str, Any]]) -> list[str]:
     width = max(len(k) for k, _ in pairs)
     return [f"{k:<{width}}  {_fmt(v)}" for k, v in pairs]
@@ -308,13 +313,11 @@ def _witness_text(data: dict) -> str:
             f"word {data['word']} explained by disjoint coalitions "
             + ", ".join(str(c) for c in data["coalitions"])
         )
-    if kind == "ta-violation":
-        return (
-            f"coalition {data['coalition']} forges {data['pirate']}: outsider "
-            f"{data['outsider']} at distance {data['outsider_distance']} matches "
-            f"the best insider distance {data['insider_distance']}"
-        )
-    return str(data)
+    return (  # "ta-violation", the last of the kinds in _PROPERTIES
+        f"coalition {data['coalition']} forges {data['pirate']}: outsider "
+        f"{data['outsider']} at distance {data['outsider_distance']} matches "
+        f"the best insider distance {data['insider_distance']}"
+    )
 
 
 def _is_index(value: Any, n: int | float) -> bool:
@@ -485,13 +488,7 @@ def _cmd_verify(args: argparse.Namespace) -> _Outcome:
     )
     # The verdict's fields, its witness tagged with a kind.
     report = {**_jsonable(verdict), "witness": witness}
-    pairs = [
-        ("property", verdict.property),
-        ("t", verdict.t),
-        ("holds", verdict.holds),
-        ("subsets examined", verdict.counters.subsets_examined),
-        ("words examined", verdict.counters.words_examined),
-    ]
+    pairs = _fields(report, "property", "t", "holds") + _fields(report["counters"])
     if witness is not None:
         pairs.append(("witness", _witness_text(witness)))
     return EXIT_OK if verdict.holds else EXIT_VIOLATION, report, _kv_lines(pairs)
@@ -513,14 +510,8 @@ def _cmd_trace(args: argparse.Namespace) -> _Outcome:
     fields = _jsonable(accusation)
     del fields["method"]  # named by the scheme
     report = {"scheme": args.scheme, "pirate": word, **fields}
-    pairs = [
-        ("scheme", args.scheme),
-        ("pirate", list(word)),
-        ("accused", list(accusation.accused)),
-        ("status", accusation.status),
-    ]
-    if accusation.min_distance is not None:
-        pairs.append(("min distance", accusation.min_distance))
+    shown = _fields(report, "scheme", "pirate", "accused", "status", "min_distance")
+    pairs = [(label, value) for label, value in shown if value is not None]
     if accusation.family_size is not None:
         pairs.append(("parent sets", accusation.family_size))
     return EXIT_OK if accusation.status == "ok" else EXIT_VIOLATION, report, _kv_lines(pairs)
@@ -556,27 +547,36 @@ def _cmd_bounds(args: argparse.Namespace) -> _Outcome:
     return EXIT_OK, report, lines
 
 
-_PLAIN_OPS = {"double", "tocode", "prune", "violate", "strip"}
-_VALUED_OPS = {"restrict", "pad", "compose"}
+#: Each transform op: (takes ``=VALUE``, takes ``--t``).
+_OPS = {
+    "double": (False, False),
+    "tocode": (False, False),
+    "restrict": (True, False),
+    "pad": (True, False),
+    "compose": (True, False),
+    "prune": (False, True),
+    "violate": (False, True),
+    "strip": (False, True),
+}
 
 
 def _parse_op(raw: str) -> tuple[str, int | None]:
     name, _, arg = raw.partition("=")
-    if name in _PLAIN_OPS:
+    if name not in _OPS:
+        raise ValueError(f"unknown op {raw!r}")
+    if not _OPS[name][0]:
         if arg:
             raise ValueError(f"op {name} takes no =VALUE")
         return name, None
-    if name in _VALUED_OPS:
-        if not arg:
-            raise ValueError(f"op {name} needs =VALUE")
-        try:
-            value = int(arg)
-        except ValueError:
-            raise ValueError(f"op {name} needs an integer value, got {arg!r}") from None
-        if value > sys.maxsize:
-            raise ValueError(f"op {name} value {value} exceeds the largest index {sys.maxsize}")
-        return name, value
-    raise ValueError(f"unknown op {raw!r}")
+    if not arg:
+        raise ValueError(f"op {name} needs =VALUE")
+    try:
+        value = int(arg)
+    except ValueError:
+        raise ValueError(f"op {name} needs an integer value, got {arg!r}") from None
+    if value > sys.maxsize:
+        raise ValueError(f"op {name} value {value} exceeds the largest index {sys.maxsize}")
+    return name, value
 
 
 def _cmd_transform(args: argparse.Namespace) -> _Outcome:
@@ -584,11 +584,8 @@ def _cmd_transform(args: argparse.Namespace) -> _Outcome:
 
     op, value = _parse_op(args.op)
     t = args.t
-    if op in ("prune", "violate", "strip"):
-        if t is None:
-            raise ValueError(f"op {op} requires --t")
-    elif t is not None:
-        raise ValueError(f"op {op} takes no --t")
+    if _OPS[op][1] != (t is not None):
+        raise ValueError(f"op {op} requires --t" if t is None else f"op {op} takes no --t")
     report: dict = {"op": args.op}
     lines: list[str]
 
@@ -598,16 +595,21 @@ def _cmd_transform(args: argparse.Namespace) -> _Outcome:
         result = transform.prune_special_codewords(code, partition)
         subcode = result.subcode(code)
 
-    if op == "double":
-        family = transform.fpc_to_cff(load_code(args.file))
-        report["family"] = family
-        lines = [f"# doubled code -> family over {family.ground_size} rows"]
-        lines.append(render_family_text(family).rstrip("\n"))
-    elif op == "tocode":
-        code = transform.cff_to_fpc(load_family(args.file))
-        report["code"] = code
-        lines = ["# family members as incidence words"]
-        lines.append(render_code_text(code).rstrip("\n"))
+    if op in ("double", "tocode", "pad", "compose"):
+        # One rewrite into a code or a family, printed in its file format.
+        subject = (load_family if op == "tocode" else load_code)(args.file)
+        if op == "double":
+            out = transform.fpc_to_cff(subject)
+            lines = [f"# doubled code -> family over {out.ground_size} rows"]
+        elif op == "tocode":
+            out = transform.cff_to_fpc(subject)
+            lines = ["# family members as incidence words"]
+        else:
+            out = (transform.pad_code if op == "pad" else transform.block_compose)(subject, value)
+            lines = []
+        family = isinstance(out, SetFamily)
+        report["family" if family else "code"] = out
+        lines.append((render_family_text if family else render_code_text)(out).rstrip("\n"))
     elif op == "restrict":
         restriction = transform.cff_restrict(load_family(args.file), value)
         report["restriction"] = {
@@ -626,14 +628,6 @@ def _cmd_transform(args: argparse.Namespace) -> _Outcome:
                 f"# not a valid family: empty members at {list(restriction.empty_indices)}, "
                 f"duplicates at {list(restriction.duplicate_indices)}"
             )
-    elif op == "pad":
-        code = transform.pad_code(load_code(args.file), value)
-        report["code"] = code
-        lines = [render_code_text(code).rstrip("\n")]
-    elif op == "compose":
-        code = transform.block_compose(load_code(args.file), value)
-        report["code"] = code
-        lines = [render_code_text(code).rstrip("\n")]
     elif op == "prune":
         report["prune"] = {**_jsonable(result), "code": subcode}
         lines = [f"# pruned {len(result.steps)} codeword(s); survivors {list(result.survivors)}"]
@@ -666,7 +660,7 @@ def _cmd_transform(args: argparse.Namespace) -> _Outcome:
                 ]
             )
         )
-    elif op == "strip":
+    else:  # strip
         code = load_code(args.file)
         removed, survivor_code, strace = transform.distance_strip(code, t)
         report["strip"] = {**_jsonable(strace), "code": survivor_code}
@@ -678,8 +672,6 @@ def _cmd_transform(args: argparse.Namespace) -> _Outcome:
             lines.append(render_code_text(survivor_code).rstrip("\n"))
         else:
             lines.append("# every codeword was removed")
-    else:  # pragma: no cover - _parse_op filters
-        raise ValueError(f"unknown op {op!r}")
 
     return EXIT_OK, report, lines
 
@@ -809,6 +801,9 @@ def _cmd_search(args: argparse.Namespace) -> _Outcome:
 
     prop = args.property.upper()
     report: dict = {"property": prop, "t": args.t}
+    # The length bounds given; min_length_search holds the defaults.
+    lengths = {"start_length": args.start_length, "max_length": args.max_length}
+    lengths = {k: v for k, v in lengths.items() if v is not None}
 
     if args.min_length:
         if args.q != 2 or args.N is not None or args.goal is not None or args.decide_exceeds_N:
@@ -816,9 +811,7 @@ def _cmd_search(args: argparse.Namespace) -> _Outcome:
                 "--min-length scans binary lengths: it takes no --N, --goal,"
                 " --decide-exceeds-N or --q other than 2"
             )
-        start = 1 if args.start_length is None else args.start_length
-        stop = 16 if args.max_length is None else args.max_length
-        res = search_mod.min_length_search(args.t, prop, args.budget, start, stop)
+        res = search_mod.min_length_search(args.t, prop, args.budget, **lengths)
         truncated = bool(res.probes) and res.probes[-1].decided is None
         report["min_length"] = {
             "value": res.value,
@@ -828,16 +821,14 @@ def _cmd_search(args: argparse.Namespace) -> _Outcome:
             "witness": _witness_json(res.witness),
         }
         pairs = [
-            ("property", prop),
-            ("t", args.t),
+            *_fields(report, "property", "t"),
             ("min length", res.value),
-            ("lower bound", res.lower_bound),
-            ("complete", res.complete),
+            *_fields(report["min_length"], "lower_bound", "complete"),
             ("lengths probed", [p.N for p in res.probes]),
         ]
         return EXIT_BUDGET if truncated else EXIT_OK, report, _kv_lines(pairs)
 
-    if args.start_length is not None or args.max_length is not None:
+    if lengths:
         raise ValueError("--start-length and --max-length bound a --min-length scan")
     if args.N is None:
         raise ValueError("--N is required unless --min-length is given")
@@ -870,24 +861,10 @@ def _cmd_search(args: argparse.Namespace) -> _Outcome:
             **payload,
         }
     )
-    pairs = [
-        ("property", prop),
-        ("N", args.N),
-        ("q", args.q),
-        ("t", args.t),
-        ("mode", mode),
-    ]
+    pairs = _fields(report, "property", "N", "q", "t", "mode")
     if goal is not None:
-        pairs.append(("goal", goal))
-    pairs.extend(
-        [
-            ("optimum", payload["optimum"]),
-            ("decided", payload["decided"]),
-            ("complete", payload["complete"]),
-            ("nodes", payload["nodes"]),
-            ("cached", payload["cached"]),
-        ]
-    )
+        pairs += _fields(report, "goal")
+    pairs += _fields(report, "optimum", "decided", "complete", "nodes", "cached")
     if payload["witness"]:
         pairs.append(("witness size", payload["witness"]["n"]))
     return EXIT_BUDGET if exit_needs_budget else EXIT_OK, report, _kv_lines(pairs)
@@ -904,24 +881,11 @@ def _cmd_simulate(args: argparse.Namespace) -> _Outcome:
         **_jsonable(rep),
         "strategy": rep.strategy.kind,  # by name; the report's seed is the one used
     }
-    lines = _kv_lines(
-        [
-            ("trials", rep.trials),
-            ("t", rep.t),
-            ("strategy", rep.strategy.kind),
-            ("seed", rep.seed),
-        ]
-    )
+    lines = _kv_lines(_fields(report, "trials", "t", "strategy", "seed"))
     lines.append("")
-    lines.extend(
-        _table_lines(
-            ["method", "subset rate", "overlap rate", "mean accused"],
-            [
-                ["TA", rep.ta.subset_rate, rep.ta.overlap_rate, rep.ta.mean_accused],
-                ["IPP", rep.ipp.subset_rate, rep.ipp.overlap_rate, rep.ipp.mean_accused],
-            ],
-        )
-    )
+    headers = ["method", *(label for label, _ in _fields(report["ta"]))]
+    rows = [[method.upper(), *report[method].values()] for method in ("ta", "ipp")]
+    lines += _table_lines(headers, rows)
     return EXIT_OK, report, lines
 
 
@@ -947,9 +911,7 @@ def _cmd_recheck(args: argparse.Namespace) -> _Outcome:
     else:
         problems = recheck_witness(data, subject, args.t)
     report = {"property": prop, "t": args.t, "confirmed": not problems, "problems": problems}
-    pairs: list[tuple[str, Any]] = [("property", prop), ("t", args.t), ("confirmed", not problems)]
-    for p in problems:
-        pairs.append(("problem", p))
+    pairs = _fields(report, "property", "t", "confirmed") + [("problem", p) for p in problems]
     return EXIT_OK if not problems else EXIT_VIOLATION, report, _kv_lines(pairs)
 
 

@@ -335,17 +335,24 @@ def check_ipp(code: Code, t: int) -> Verdict:
     code holds; ``words_examined`` counts the column ANDs taken.
 
     At other t a coalition is a member mask and the OR of its members'
-    one-hot sets, and ``core.failing_family`` walks the families of each
+    one-hot sets, taken with each coordinate's symbols numbered by first
+    appearance (so a block is as wide as the most symbols a coordinate
+    holds, not q), and ``core.failing_family`` walks the families of each
     size k = 2..min(t, n)+1, past pairs only through coalitions that shrink
     the shared members.  ``subsets_examined`` counts the families formed
-    and ``words_examined`` the q-bit blocks of their profile intersections
+    and ``words_examined`` the blocks of their profile intersections
     looked at.
     """
     core.require_strength(t)
     if t == 2:
         found, families, work = _first_failing_pair(code)
     else:
-        n, N, q, sets = code.size, code.length, code.q, code.sets
+        # IPP is blind to symbol names: number each coordinate's symbols by
+        # first appearance, so a block is at most n bits wide, not q.
+        n, N, labels = code.size, code.length, [{} for _ in range(code.length)]
+        words = [[lab.setdefault(s, len(lab)) for lab, s in zip(labels, w)] for w in code.words]
+        q = max(map(len, labels))
+        sets = [core.onehot(w, q) for w in words]
         coalitions = [c for size in range(1, min(t, n) + 1) for c in combinations(range(n), size)]
         entries = [(sum(1 << i for i in c), reduce(or_, [sets[i] for i in c])) for c in coalitions]
         found, families, work = None, 0, 0

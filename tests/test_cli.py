@@ -296,6 +296,17 @@ class TestTraceCommand:
     def test_bad_pirate_word(self, files, capsys):
         reps = files("reps.code", REPS4)
         assert run(capsys, "trace", "--scheme", "ta", "--pirate", "001", reps)[0] == EXIT_USAGE
+        pair = files("pair.code", "2 2 2\n0 0\n1 1\n")
+        assert main(["trace", "--scheme", "ta", "--pirate", "0x", pair]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", "error: cannot parse word '0x'\n")
+        # Past q=10 a digit run is ambiguous, so only the comma form is read.
+        wide = files("wide.code", "2 2 12\n0 11\n1 10\n")
+        assert main(["trace", "--scheme", "ta", "--pirate", "011", wide]) == EXIT_USAGE
+        assert capsys.readouterr() == (
+            "", "error: alphabet 12 needs the comma-separated word form\n"
+        )
+        code, doc = run_json(capsys, "trace", "--scheme", "ta", "--pirate", "0,11", wide)
+        assert (code, doc["accused"]) == (EXIT_OK, [0])
 
 
 class TestBoundsCommand:
@@ -437,6 +448,7 @@ class TestTransformCommand:
     def test_op_validation(self, files, capsys):
         code_file = files("pair.code", "2 2 2\n0 0\n1 1\n")
         assert run(capsys, "transform", "--op", "pad", code_file)[0] == EXIT_USAGE
+        assert run(capsys, "transform", "--op", "pad=x", code_file)[0] == EXIT_USAGE
         assert run(capsys, "transform", "--op", "double=3", code_file)[0] == EXIT_USAGE
         assert run(capsys, "transform", "--op", "prune", code_file)[0] == EXIT_USAGE
         assert run(capsys, "transform", "--op", "shrink", code_file)[0] == EXIT_USAGE
@@ -451,6 +463,21 @@ class TestTransformCommand:
             argv = ["transform", "--op", op, "--t", "7", subject]
             assert run(capsys, *argv)[0] == EXIT_USAGE, op
 
+
+    def test_strip_that_removes_every_codeword(self, files, capsys):
+        # d = 4 (case C): no pattern can show more than three times, far
+        # below the threshold of 1,792, so all three words go.
+        rows = ("000000000", "111100000", "000011110")
+        code_file = files("strip.code", "9 3 2\n" + "".join(" ".join(w) + "\n" for w in rows))
+        code, out = run(capsys, "transform", "--op", "strip", "--t", "1", code_file)
+        assert code == EXIT_OK
+        assert out.splitlines() == [
+            "# case C: distance 4 -> inf",
+            "# removed rows [0, 1, 2]",
+            "# every codeword was removed",
+        ]
+        _, doc = run_json(capsys, "transform", "--op", "strip", "--t", "1", code_file)
+        assert (doc["strip"]["survivors"], doc["strip"]["code"]) == ([], None)
 
     @pytest.mark.parametrize("op", ["pad", "compose", "restrict"])
     def test_value_beyond_the_index_range_names_the_op(self, files, capsys, op):
@@ -517,6 +544,7 @@ class TestSearchCommand:
             ("fp", "--N", "3", "--t", "2", "--start-length", "4", "--max-length", "5"),
             ("fp", "--N", "3", "--t", "2", "--start-length", "2"),
             ("cff", "--N", "3", "--t", "1", "--max-length", "16"),
+            ("fp", "--t", "2"),
         ],
         ids=[
             "negative-budget",
@@ -528,6 +556,7 @@ class TestSearchCommand:
             "range-without-min-length",
             "range-without-min-length-start",
             "range-without-min-length-max",
+            "no-N",
         ],
     )
     def test_bad_search_ranges(self, capsys, argv):
@@ -646,6 +675,30 @@ class TestSearchCommand:
             pytest.param(("--goal", "4", "--budget", "2"), {"nodes": 2}, id="stop-inside-budget"),
             pytest.param(("--goal", "4", "--budget", "2"), {"complete": True}, id="stop-complete"),
             pytest.param(("--goal", "4", "--budget", "2"), {"decided": False}, id="stop-decided"),
+            # Entries of the wrong shape, or whose witness is not the problem's.
+            pytest.param(
+                (), lambda e: {k: v for k, v in e.items() if k != "elapsed"}, id="missing-key"
+            ),
+            pytest.param((), {"frontier": None}, id="extra-key"),
+            pytest.param((), {"nodes": "5"}, id="nodes-as-string"),
+            pytest.param(
+                (),
+                lambda e: {**e, "witness": {**e["witness"], "type": "family"}},
+                id="witness-type",
+            ),
+            pytest.param(
+                (), lambda e: {**e, "witness": {**e["witness"], "q": 3}}, id="witness-alphabet"
+            ),
+            pytest.param(
+                ("--property", "cff", "--t", "1"),
+                lambda e: {**e, "witness": {**e["witness"], "ground_size": 4}},
+                id="witness-ground-set",
+            ),
+            pytest.param(
+                ("--property", "cff", "--t", "1"),
+                lambda e: {**e, "witness": {**e["witness"], "members": [[0, 1], [0, 2], [1, 3]]}},
+                id="witness-element-range",
+            ),
         ],
     )
     def test_bad_cache_entry_is_recomputed(self, capsys, tmp_path, monkeypatch, extra, tamper):
@@ -656,6 +709,8 @@ class TestSearchCommand:
         (entry,) = tmp_path.iterdir()
         if tamper == "truncated":
             entry.write_text("{")
+        elif callable(tamper):
+            entry.write_text(json.dumps(tamper(json.loads(entry.read_text()))))
         else:
             entry.write_text(json.dumps({**json.loads(entry.read_text()), **tamper}))
         code, out = run(capsys, *args)
@@ -921,6 +976,14 @@ class TestRecheckCommand:
         assert out == ""
         assert err == f"error: unknown witness kind {witness.get('kind')!r}\n"
 
+    def test_witness_document_that_is_not_an_object(self, files, capsys, tmp_path):
+        path = tmp_path / "array.json"
+        path.write_text(json.dumps([{"kind": "framed-word", "framed": 2, "coalition": [0, 1]}]))
+        bad = files("square.code", SQUARE)
+        argv = ["recheck", "--property", "fp", "--t", "2", "--witness", str(path), bad]
+        assert main(argv) == EXIT_BAD_FILE
+        assert capsys.readouterr() == ("", "error: witness document must be a JSON object\n")
+
     def test_search_report_is_not_a_witness(self, files, capsys, tmp_path):
         # Its "witness" is the code found, an object without a kind.
         _, doc = run_json(capsys, "search", "--property", "fp", "--N", "2", "--t", "2")
@@ -1039,7 +1102,8 @@ class TestReadmeTransformOps:
         assert readme_ops == {item.strip() for item in op.help.split("|")}
         valued = {o.split("=")[0] for o in readme_ops if "=" in o}
         plain = {o for o in readme_ops if "=" not in o}
-        assert (plain, valued) == (cli._PLAIN_OPS, cli._VALUED_OPS)
+        assert valued == {name for name, (takes_value, _) in cli._OPS.items() if takes_value}
+        assert plain == set(cli._OPS) - valued
 
         needs_t = set(re.findall(r"`(\w+)`", needs_t_note))
         code_file = files("pair.code", "2 2 2\n0 0\n1 1\n")
@@ -1052,7 +1116,8 @@ class TestReadmeTransformOps:
             if main(["transform", "--op", raw, subject]) == EXIT_USAGE:
                 refused.add(name)
             capsys.readouterr()
-        assert refused == needs_t == {"prune", "violate", "strip"}
+        assert refused == needs_t == {name for name, (_, takes_t) in cli._OPS.items() if takes_t}
+        assert needs_t == {"prune", "violate", "strip"}
 
 
 class TestInstalledScript:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import random_code, random_code_stream
-from tracecodes import core, trace, verify
+from tracecodes import bounds, core, trace, transform, verify
 from tracecodes.core import Code, SetFamily
 
 
@@ -517,3 +517,75 @@ def test_coalition_bound_below_one_is_refused(call, t):
         BOUNDED_CALLS[call](t)
     assert str(err.value) == f"coalition bound must be >= 1, got {t}"
     BOUNDED_CALLS[call](1)  # the smallest bound is taken
+
+#: Library refusals no other test reaches, each with its own message.
+REFUSALS = {
+    "digit-strings-past-ten": (
+        lambda: Code.from_strings(["0a"], 11),
+        "digit-string construction only supports q <= 10",
+    ),
+    "profile-length-mismatch": (
+        lambda: core.desc_profile([(0, 1), (1,)]),
+        "length mismatch inside coalition",
+    ),
+    "descendant-length-mismatch": (
+        lambda: core.is_descendant((0,), [(0, 1)]),
+        "length mismatch: 1 vs 2",
+    ),
+    "bound-entry-unevaluated": (
+        lambda: bounds.BoundEntry("ta3-ninth", coefficient=3, exponent=1).evaluate(),
+        "entry 'ta3-ninth' cannot be evaluated",
+    ),
+    "quadratic-below-three": (
+        lambda: bounds.min_exceed_length_quadratic(2),
+        "need t >= 3, got 2",
+    ),
+    "binary-fp-length-zero": (lambda: bounds.binary_fp_status(0, 3), "need N >= 1, got 0"),
+    "ipp-bound-one": (
+        lambda: bounds.ipp_bound(4, 2, 1),
+        "need N >= 1, q >= 2, t >= 2, got (4, 2, 1)",
+    ),
+    "ta-bound-unary": (lambda: bounds.ta_bound(4, 1, 2), "need N >= 1, q >= 2, got (4, 1)"),
+    "forge-empty": (
+        lambda: trace.forge_pirate(SQUARE, (), trace.PirateStrategy("first")),
+        "empty coalition",
+    ),
+    "forge-out-of-range": (
+        lambda: trace.forge_pirate(SQUARE, (0, 3), trace.PirateStrategy("first")),
+        "coalition indices out of range: (0, 3)",
+    ),
+    "simulate-no-trials": (
+        lambda: trace.simulate_tracing(SQUARE, 2, 0, trace.PirateStrategy("first")),
+        "need at least one trial",
+    ),
+    "compose-width-zero": (
+        lambda: transform.block_compose(SQUARE, 0),
+        "block width must be >= 1",
+    ),
+    "row-partition-one": (
+        lambda: transform.make_row_partition(4, 1),
+        "coalition bound must be >= 2, got 1",
+    ),
+    "strip-zero": (
+        lambda: transform.distance_strip(SQUARE, 0),
+        "strip parameter must be >= 1, got 0",
+    ),
+    "distance-condition-one-word": (
+        lambda: verify.ta_distance_sufficient(Code(((0, 1),), 2), 2),
+        "need at least two codewords to speak of a minimum distance",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSALS))
+def test_library_refusal_names_its_rule(name):
+    call, message = REFUSALS[name]
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
+def test_bound_entry_evaluates_exact_and_symbolic_values():
+    assert bounds.BoundEntry("fp-split", value=21).evaluate() == 21
+    assert bounds.BoundEntry("fp-split", value=21).evaluate(q=5) == 21
+    assert bounds.BoundEntry("ta3-ninth", coefficient=3, exponent=2).evaluate(q=5) == 75

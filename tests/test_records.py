@@ -229,15 +229,19 @@ def test_parent_set_family_reads_as_its_coalitions():
         (lambda: Code(((0, 1),), 1), "alphabet size must be an integer >= 2, got 1"),
         (lambda: Code(((0, 2),), 2), "symbol 2 out of range for q=2"),
         (lambda: Code(((0, 1), (0, 1)), 2), "duplicate words are not allowed"),
+        (lambda: Code(((),), 2), "words must have length >= 1"),
         (lambda: tracecodes.SetFamily(0, (1,)), "ground set must be non-empty"),
         (lambda: tracecodes.SetFamily(2, (4,)), "member outside the ground set"),
         (lambda: search.SearchProblem("XX", 3, 2), "unknown property 'XX'"),
         (lambda: search.SearchProblem("FP", 3, 2, mode="decide"), "decide mode needs a positive goal"),
         (lambda: search.SearchProblem("FP", 3, 2, goal=4), "goal only makes sense in decide mode"),
+        (lambda: search.SearchProblem("FP", 3, 2, q=1), "need q >= 2, got 1"),
+        (lambda: search.SearchProblem("FP", 3, 2, mode="minimize"), "unknown mode 'minimize'"),
         (lambda: trace.PirateStrategy("bogus"), "unknown strategy 'bogus'"),
         (lambda: trace.PirateStrategy("first")._replace(kind="bogus"), "unknown strategy 'bogus'"),
         (lambda: transform.PatternPartition(((0,), (1,)), 4, 0), "expected v-1=3 parts, got 2"),
         (lambda: transform.PatternPartition(((0,), (2,)), 3, 0), "parts must partition 0..N-1"),
+        (lambda: transform.PatternPartition(((0, 1), ()), 3, 0), "empty part"),
     ],
 )
 def test_validating_records_keep_their_messages(make, message):

@@ -708,6 +708,25 @@ class TestTraceablePrefix(_CoalitionPrefixCase):
             # The one pair left: (0, 0) and (0, 1), which agree on their first coordinate.
             assert prefix.pairs == [(0b001001, 0b010001, 0b000001, 1)]
 
+    @pytest.mark.parametrize("reverse", [False, True], ids=["in-order", "reversed"])
+    def test_old_coalition_walk_decides(self, reverse):
+        # The three old words, as one coalition, forge a word the candidate
+        # ties with: only the walk of old coalitions of three or more sees it.
+        words = [(0, 1, 0, 2, 2), (1, 0, 2, 3, 0), (3, 2, 3, 1, 3)]
+        if reverse:
+            words.reverse()
+        candidate = (2, 0, 1, 2, 1)
+        N, q = 5, 4
+        c = oracles.all_words(N, q).index(candidate)
+        assert not oracles.ta_holds(words + [candidate], 3)
+        assert self.grow(words, N, q, 3).breaks(c)
+        assert not self.grow(words, N, q, 2).breaks(c)  # no pair test breaks it
+        verdict = verify.check_ta(core.Code(tuple(words) + (candidate,), q), 3)
+        w = verdict.witness
+        assert (w.coalition, w.outsider, w.insider_distance, w.outsider_distance) == (
+            (0, 1, 2), 3, 3, 3
+        )
+
 
 class TestBudgets:
     def test_truncated_maximize_is_flagged(self):
@@ -1021,3 +1040,36 @@ class TestSandwich:
     def test_requires_three_traitors(self):
         with pytest.raises(ValueError):
             search.min_length_sandwich(2)
+
+    # (code answer, family answer at t-2, family answer at t, consistent);
+    # None is a length no scan reached.
+    VERDICTS = [
+        (9, 4, 8, False),
+        (3, 4, 8, False),
+        (6, 4, 8, True),
+        (4, 4, 8, True),
+        (8, 4, 8, True),
+        (None, 4, 8, None),
+        (6, None, 8, None),
+        (6, 4, None, None),
+        (9, None, 8, False),
+        (3, 4, None, False),
+    ]
+
+    @pytest.mark.parametrize("code,lower,upper,consistent", VERDICTS)
+    def test_consistency_of_the_three_answers(self, monkeypatch, code, lower, upper, consistent):
+        # No test budget finds the binary 3-FP answer (N >= 10), so each
+        # scan's answer is chosen here.
+        answers = {("FP", 3): code, ("CFF", 1): lower, ("CFF", 3): upper}
+
+        def scan(t, prop, budget, start_length, max_length):
+            value = answers[prop, t]
+            bound = start_length if value is None else value
+            return search.MinLengthResult(prop, t, value, bound, (), None, value is not None)
+
+        monkeypatch.setattr(search, "min_length_search", scan)
+        report = search.min_length_sandwich(3)
+        assert (report.code.value, report.family_lower.value, report.family_upper.value) == (
+            code, lower, upper
+        )
+        assert report.consistent is consistent

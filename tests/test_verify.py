@@ -593,6 +593,40 @@ class TestIdentifiableParents:
         assert peak < 2 * 2**20
         assert "sets" not in code.__dict__
 
+    def test_wide_alphabet_past_two_numbers_symbols(self):
+        # Past t=2 each coordinate numbers its symbols by first appearance,
+        # so a one-hot block is n bits wide, not q: with 65,536-bit blocks
+        # this check took about 1 s and peaked at 4.3 MB under tracemalloc.
+        rng = random.Random(65536)
+        columns = [rng.sample(range(2**16), 6) for _ in range(10)]
+        code = Code(tuple(zip(*columns)), 2**16)
+        relabelled = Code(tuple((i,) * 10 for i in range(6)), 6)
+        want = verify.Verdict("IPP", 3, True, None, verify.Counters(13012, 18724))
+        assert verify.check_ipp(relabelled, 3) == want
+        start = time.perf_counter()
+        assert verify.check_ipp(code, 3) == want
+        assert time.perf_counter() - start < 0.1
+        tracemalloc.start()
+        try:
+            assert verify.check_ipp(code, 3) == want
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * 2**20
+        # The witness word keeps the code's own symbols: spread order-keeping
+        # over the wide alphabet, a failing code fails on the spread word.
+        small = ((0, 0, 2, 2), (0, 3, 0, 0), (1, 3, 1, 2), (3, 1, 2, 0))
+        wide = Code(tuple(tuple(s * 16000 + i for i, s in enumerate(w)) for w in small), 2**16)
+        verdict = verify.check_ipp(wide, 3)
+        assert verdict == verify.Verdict(
+            "IPP",
+            3,
+            False,
+            verify.IppViolation((0, 48001, 32002, 32003), ((0, 1), (0, 2), (1, 2, 3))),
+            verify.Counters(146, 85),
+        )
+        reverify(verdict, code=wide)
+
     def test_matches_exhaustive_oracle_sample(self):
         # Full exhaustion over every small binary code lives in the
         # acceptance suite; here a randomized slice keeps feedback fast.
