@@ -28,7 +28,7 @@ _SUBMODULE = {
         ),
         "search": (
             "MinLengthResult", "SearchProblem", "SearchResult", "max_code_search",
-            "min_length_sandwich", "min_length_search", "verify_upper_bound_region",
+            "min_length_search",
         ),
         "trace": (
             "Accusation", "DEFAULT_SEED", "PirateStrategy", "TracingReport", "forge_pirate",

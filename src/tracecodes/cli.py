@@ -623,6 +623,8 @@ def _cmd_transform(args: argparse.Namespace) -> _Outcome:
         ]
         if restriction.clean:
             lines.append(render_family_text(restriction.family()).rstrip("\n"))
+        elif not restriction.members:
+            lines.append("# not a valid family: no member is left")
         else:
             lines.append(
                 f"# not a valid family: empty members at {list(restriction.empty_indices)}, "
@@ -649,17 +651,7 @@ def _cmd_transform(args: argparse.Namespace) -> _Outcome:
             f"# certificate indices refer to the {subcode.size} surviving codeword(s)",
             f"# survivors (original rows): {list(result.survivors)}",
         ]
-        lines.extend(
-            _kv_lines(
-                [
-                    ("chain", list(cert.chain)),
-                    ("milestone parts", list(cert.milestones)),
-                    ("descendant", list(cert.descendant)),
-                    ("replacements", [list(r) for r in cert.replacements]),
-                    ("coalitions", [list(c) for c in cert.coalitions]),
-                ]
-            )
-        )
+        lines.extend(_kv_lines(_fields(cert._asdict())))
     else:  # strip
         code = load_code(args.file)
         removed, survivor_code, strace = transform.distance_strip(code, t)

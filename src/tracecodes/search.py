@@ -74,15 +74,10 @@ from .core import Code, Record, SetFamily, Word, elements, record
 __all__ = [
     "LengthProbe",
     "MinLengthResult",
-    "RegionEntry",
-    "RegionReport",
-    "SandwichReport",
     "SearchProblem",
     "SearchResult",
     "max_code_search",
-    "min_length_sandwich",
     "min_length_search",
-    "verify_upper_bound_region",
 ]
 
 PROPERTIES = ("FP", "IPP", "TA", "CFF")
@@ -612,52 +607,6 @@ def _forward_check(
 
 
 @record
-class RegionEntry(NamedTuple):
-    N: int
-    in_window: bool  # within the guaranteed band t+1 <= N <= 3t (t >= 3)
-    confirmed: bool | None
-    nodes: int
-    witness: Code | None
-
-
-@record
-class RegionReport(NamedTuple):
-    t: int
-    entries: tuple[RegionEntry, ...]
-
-    @property
-    def all_confirmed(self) -> bool:
-        return all(e.confirmed is True for e in self.entries)
-
-
-def verify_upper_bound_region(
-    t: int, lengths: Iterable[int], budget: int | None = None
-) -> RegionReport:
-    """Decide, per length, whether any binary t-frameproof code beats N words.
-
-    ``confirmed=True`` means the cap M <= N holds by exhaustion; a
-    counterexample (confirmed=False) comes with its witness.  Lengths
-    outside the guaranteed band are still decided and flagged as
-    search-only facts.
-    """
-    entries = []
-    for N in lengths:
-        problem = SearchProblem("FP", N=N, t=t, q=2, mode="decide", goal=N + 1)
-        res = max_code_search(problem, budget)
-        confirmed = None if res.decided is None else not res.decided
-        entries.append(
-            RegionEntry(
-                N=N,
-                in_window=t >= 3 and t + 1 <= N <= 3 * t,
-                confirmed=confirmed,
-                nodes=res.nodes,
-                witness=res.witness if res.decided else None,
-            )
-        )
-    return RegionReport(t=t, entries=tuple(entries))
-
-
-@record
 class LengthProbe(NamedTuple):
     N: int
     decided: bool | None
@@ -712,47 +661,4 @@ def min_length_search(
         probes=tuple(probes),
         witness=res.witness,
         complete=res.decided is True,
-    )
-
-
-@record
-class SandwichReport(NamedTuple):
-    t: int
-    code: MinLengthResult
-    family_lower: MinLengthResult
-    family_upper: MinLengthResult
-    consistent: bool | None
-
-
-def min_length_sandwich(
-    t: int,
-    budget: int | None = None,
-    start_length: int = 2,
-    max_length: int = 12,
-) -> SandwichReport:
-    """Bracket the code min-length between the family answers at t-2 and t.
-
-    Only meaningful for t >= 3.  The code scan starts at length 2 by default
-    to step over the degenerate two-word line.  ``consistent`` stays None
-    unless both inequalities could actually be evaluated.
-    """
-    if t < 3:
-        raise ValueError(f"the sandwich needs t >= 3, got {t}")
-    code_res = min_length_search(t, "FP", budget, start_length, max_length)
-    fam_lo = min_length_search(t - 2, "CFF", budget, 1, max_length)
-    fam_hi = min_length_search(t, "CFF", budget, 1, max_length)
-    consistent: bool | None = None
-    if code_res.value is not None:
-        if fam_hi.value is not None and code_res.value > fam_hi.value:
-            consistent = False
-        elif fam_lo.value is not None and code_res.value < fam_lo.value:
-            consistent = False
-        elif fam_hi.value is not None and fam_lo.value is not None:
-            consistent = True
-    return SandwichReport(
-        t=t,
-        code=code_res,
-        family_lower=fam_lo,
-        family_upper=fam_hi,
-        consistent=consistent,
     )

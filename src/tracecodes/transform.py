@@ -67,7 +67,8 @@ class Restriction(NamedTuple):
     """Outcome of restricting a family away from one member.
 
     Empty or repeated members are kept visible here rather than silently
-    dropped; ``family()`` refuses to build a SetFamily while any flag is set.
+    dropped; ``family()`` refuses to build a SetFamily unless ``clean``:
+    some member is left, and none is empty or repeated.
     """
 
     ground_size: int
@@ -78,7 +79,7 @@ class Restriction(NamedTuple):
 
     @property
     def clean(self) -> bool:
-        return not self.empty_indices and not self.duplicate_indices
+        return bool(self.members) and not self.empty_indices and not self.duplicate_indices
 
     def family(self) -> SetFamily:
         if not self.clean:

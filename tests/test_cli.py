@@ -394,6 +394,26 @@ class TestTransformCommand:
         assert doc["restriction"]["ground_size"] == 2
         assert doc["restriction"]["members"] == [[0], [1]]
 
+    @pytest.mark.parametrize("text,ground", [("3 1\n110\n", 1), ("2 1\n11\n", 0)])
+    def test_restrict_leaving_no_member(self, files, capsys, text, ground):
+        fam = files("one.family", text)
+        code, out = run(capsys, "transform", "--op", "restrict=0", fam)
+        assert code == EXIT_OK
+        assert out == (
+            f"# removed member 0; ground set now {ground} elements\n"
+            "# not a valid family: no member is left\n"
+        )
+        code, doc = run_json(capsys, "transform", "--op", "restrict=0", fam)
+        assert code == EXIT_OK
+        assert doc["restriction"] == {
+            "ground_size": ground,
+            "members": [],
+            "removed_member": 0,
+            "empty_indices": [],
+            "duplicate_indices": [],
+            "clean": False,
+        }
+
     def test_pad_and_compose(self, files, capsys):
         code_file = files("pair.code", "2 2 2\n0 0\n1 1\n")
         code, doc = run_json(capsys, "transform", "--op", "pad=2", code_file)

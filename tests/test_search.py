@@ -900,32 +900,39 @@ class TestDecisions:
 
 
 class TestUpperBoundRegion:
+    """The size cap M <= N at each length, decided by the length scan."""
+
     def test_guaranteed_band_for_three_traitors(self):
-        report = search.verify_upper_bound_region(3, [4, 5])
-        assert report.all_confirmed
-        by_N = {e.N: e for e in report.entries}
-        assert by_N[4].in_window and by_N[5].in_window
-        assert by_N[4].nodes == 163
-        assert by_N[5].nodes == 1479
-        assert by_N[4].witness is None
+        res = search.min_length_search(3, "FP", start_length=4, max_length=5)
+        assert [(p.N, p.decided, p.nodes) for p in res.probes] == [
+            (4, False, 163),
+            (5, False, 1479),
+        ]
+        assert res.value is None
+        assert res.lower_bound == 6
+        assert res.witness is None
+        assert bounds.binary_fp_status(4, 3).guaranteed
+        assert bounds.binary_fp_status(5, 3).guaranteed
 
     def test_pair_coalitions_break_at_length_three(self):
         # For two traitors the length-N cap does not hold at N=3: the
-        # even-weight code packs four words.  The run reports the
-        # counterexample instead of a confirmation.
-        report = search.verify_upper_bound_region(2, [3])
-        entry = report.entries[0]
-        assert entry.confirmed is False
-        assert not entry.in_window
-        assert not report.all_confirmed
-        assert entry.witness.size == 4
-        assert verify.check_frameproof(entry.witness, 2).holds
+        # even-weight code packs four words, and the guaranteed window
+        # t+1..3t is stated for t >= 3 only.
+        res = search.min_length_search(2, "FP", start_length=3, max_length=3)
+        assert res.value == 3
+        assert res.witness.size == 4
+        assert verify.check_frameproof(res.witness, 2).holds
+        with pytest.raises(ValueError):
+            bounds.binary_fp_status(3, 2)
 
     def test_budget_exhaustion_is_per_length(self):
-        report = search.verify_upper_bound_region(3, [4, 5], budget=200)
-        by_N = {e.N: e for e in report.entries}
-        assert by_N[4].confirmed is True  # finishes in 163 tests
-        assert by_N[5].confirmed is None  # needs 1479
+        res = search.min_length_search(3, "FP", budget=200, start_length=4, max_length=5)
+        # N=4 finishes in 163 tests; N=5 needs 1479.
+        assert [(p.N, p.decided, p.nodes) for p in res.probes] == [
+            (4, False, 163),
+            (5, None, 201),
+        ]
+        assert res.lower_bound == 5
 
 
 class TestMinimumLengths:
@@ -975,6 +982,21 @@ class TestMinimumLengths:
         assert res.value is None
         assert res.lower_bound == 5
         assert all(p.decided is False for p in res.probes)
+
+    @pytest.mark.parametrize("budget", [None, 50, 500])
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    @pytest.mark.parametrize("prop,start", [("FP", 2), ("CFF", 1)])
+    def test_probes_are_single_decisions(self, prop, start, t, budget):
+        # Each probe is the decision "more than N words at length N?" on its
+        # own, so one scan answers every per-length question.
+        res = search.min_length_search(t, prop, budget, start_length=start, max_length=6)
+        assert [p.N for p in res.probes] == list(range(start, start + len(res.probes)))
+        for probe in res.probes:
+            alone = max_code_search(
+                SearchProblem(prop, N=probe.N, t=t, mode="decide", goal=probe.N + 1), budget
+            )
+            assert (probe.decided, probe.nodes) == (alone.decided, alone.nodes)
+        assert res.witness == alone.witness
 
 
 class TestHugeStrength:
@@ -1028,48 +1050,15 @@ class TestHugeStrength:
 
 
 class TestSandwich:
+    """The scans that bracket the code answer between the family answers at t-2 and t."""
+
     def test_budgeted_run_shapes(self):
-        report = search.min_length_sandwich(3, budget=2000)
-        assert report.t == 3
-        assert report.family_lower.value == 4  # pairs-of-others answer
-        assert report.code.value is None
-        assert report.code.lower_bound == 6  # N=5 is refuted in 1479 tests
-        assert report.family_upper.value is None
-        assert report.consistent is None
-
-    def test_requires_three_traitors(self):
-        with pytest.raises(ValueError):
-            search.min_length_sandwich(2)
-
-    # (code answer, family answer at t-2, family answer at t, consistent);
-    # None is a length no scan reached.
-    VERDICTS = [
-        (9, 4, 8, False),
-        (3, 4, 8, False),
-        (6, 4, 8, True),
-        (4, 4, 8, True),
-        (8, 4, 8, True),
-        (None, 4, 8, None),
-        (6, None, 8, None),
-        (6, 4, None, None),
-        (9, None, 8, False),
-        (3, 4, None, False),
-    ]
-
-    @pytest.mark.parametrize("code,lower,upper,consistent", VERDICTS)
-    def test_consistency_of_the_three_answers(self, monkeypatch, code, lower, upper, consistent):
-        # No test budget finds the binary 3-FP answer (N >= 10), so each
-        # scan's answer is chosen here.
-        answers = {("FP", 3): code, ("CFF", 1): lower, ("CFF", 3): upper}
-
-        def scan(t, prop, budget, start_length, max_length):
-            value = answers[prop, t]
-            bound = start_length if value is None else value
-            return search.MinLengthResult(prop, t, value, bound, (), None, value is not None)
-
-        monkeypatch.setattr(search, "min_length_search", scan)
-        report = search.min_length_sandwich(3)
-        assert (report.code.value, report.family_lower.value, report.family_upper.value) == (
-            code, lower, upper
-        )
-        assert report.consistent is consistent
+        lower = search.min_length_search(1, "CFF", budget=2000)
+        code = search.min_length_search(3, "FP", budget=2000, start_length=2)
+        upper = search.min_length_search(3, "CFF", budget=2000)
+        assert lower.value == 4  # pairs-of-others answer
+        assert code.value is None
+        assert code.lower_bound == 6  # N=5 is refuted in 1479 tests
+        assert [p.nodes for p in code.probes] == [6, 28, 163, 1479, 2001]
+        assert upper.value is None
+        assert upper.lower_bound == 5

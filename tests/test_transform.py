@@ -109,6 +109,17 @@ class TestRestriction:
         with pytest.raises(ValueError):
             res.family()
 
+    @pytest.mark.parametrize("ground,kept", [(3, 1), (2, 0)])
+    def test_no_member_left_is_not_clean(self, ground, kept):
+        # A one-member family restricted away from its member leaves none.
+        res = tr.cff_restrict(tr.SetFamily.from_sets(ground, [[0, 1]]), 0)
+        assert (res.ground_size, res.members, res.empty_indices, res.duplicate_indices) == (
+            kept, (), (), ()
+        )
+        assert not res.clean
+        with pytest.raises(ValueError, match="not a valid family"):
+            res.family()
+
     def test_renumbering_with_empty_and_duplicate_members(self):
         # Removing {0, 1} keeps elements 2, 3, 4, renumbered 0, 1, 2. Members
         # 1 and 4 empty out, and 4 and 8 repeat 1 and 2; survivors are
