@@ -32,10 +32,12 @@ __all__ = [
 class BoundEntry(NamedTuple):
     """One upper bound on a code size, exact or symbolic.
 
-    Exactly one of ``value`` (a computed integer) or the pair
-    ``coefficient``/``exponent`` (meaning coefficient * q**exponent) is
-    populated; entries with ``usable=False`` carry qualitative information
-    only (e.g. a lower estimate on an unknown constant).
+    A usable entry sets exactly one of ``value`` (a computed integer) or
+    the pair ``coefficient``/``exponent`` (meaning coefficient * q**exponent).
+    Entries with ``usable=False`` carry qualitative information only, and
+    may give only a shape: ``ta2-quarter`` sets an exponent with no
+    coefficient, as its constant is unknown (its note holds a lower
+    estimate on it).
     """
 
     source: str
@@ -59,22 +61,17 @@ def fp_bound(N: int, q: int, t: int) -> BoundEntry:
 
     With r = N mod t the bound is
     max(q**ceil(N/t), r*(q**ceil(N/t) - 1) + (t-r)*(q**floor(N/t) - 1));
-    when r = 1 the first term alone is also valid, so the minimum of the two
-    is returned.
+    when r = 1 the first term alone is also valid, and it is never above the
+    maximum, so q**ceil(N/t) is returned.
     """
     if N < 1 or q < 2 or t < 1:
         raise ValueError(f"need N >= 1, q >= 2, t >= 1, got ({N}, {q}, {t})")
     r = N % t
     hi = q ** (-(-N // t))
-    lo = q ** (N // t)
-    general = max(hi, r * (hi - 1) + (t - r) * (lo - 1))
     if r == 1:
-        value = min(general, hi)
-        note = "r=1: capped by the single-part term"
-    else:
-        value = general
-        note = f"r={r}"
-    return BoundEntry(source="fp-split", value=value, note=note)
+        return BoundEntry(source="fp-split", value=hi, note="r=1: capped by the single-part term")
+    value = max(hi, r * (hi - 1) + (t - r) * (q ** (N // t) - 1))
+    return BoundEntry(source="fp-split", value=value, note=f"r={r}")
 
 
 def _below_quadratic_threshold(N: int, t: int) -> bool:

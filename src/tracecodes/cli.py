@@ -173,13 +173,22 @@ def render_family_text(family: SetFamily) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _load(path: str) -> str:
+def _load(path: str | Path) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise FileFormatError(f"cannot read {path}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise FileFormatError(f"{path} is not UTF-8 text: {exc}") from None
+
+
+def _read_json(path: str | Path) -> Any:
+    """The JSON document in ``path``; one Python cannot hold (nested too deep,
+    an integer past the int-to-str digit limit) is malformed like bad JSON."""
+    try:
+        return json.loads(_load(path))
+    except (ValueError, RecursionError) as exc:
+        raise FileFormatError(f"{path} does not read as JSON: {exc}") from None
 
 
 def load_code(path: str) -> Code:
@@ -357,7 +366,7 @@ def recheck_witness(data: dict, subject: Code | SetFamily, t: int) -> list[str]:
     problems: list[str] = []
     kind = data.get("kind")
     on_family = kind == "cover-violation"
-    if kind in _KINDS and on_family != isinstance(subject, SetFamily):
+    if isinstance(kind, str) and kind in _KINDS and on_family != isinstance(subject, SetFamily):
         return [f"{kind} witnesses apply to {'families' if on_family else 'codes'}"]
     if kind == "framed-word":
         framed = data.get("framed")
@@ -735,8 +744,8 @@ def _cached_payload(
     means searching.
     """
     try:
-        payload = json.loads(cache_file.read_text())
-    except (OSError, ValueError):
+        payload = _read_json(cache_file)
+    except FileFormatError:
         return None
     if not isinstance(payload, dict) or set(payload) != set(_PAYLOAD_KEYS):
         return None
@@ -883,16 +892,13 @@ def _cmd_simulate(args: argparse.Namespace) -> _Outcome:
 
 def _cmd_recheck(args: argparse.Namespace) -> _Outcome:
     core.require_strength(args.t)
-    try:
-        data = json.loads(_load(args.witness))
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(f"witness file is not JSON: {exc}") from None
+    data = _read_json(args.witness)
     if isinstance(data, dict) and isinstance(data.get("witness"), dict):
         data = data["witness"]
     if not isinstance(data, dict):
         raise FileFormatError("witness document must be a JSON object")
     kind = data.get("kind")
-    if kind not in _KINDS:
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise FileFormatError(f"unknown witness kind {kind!r}")
     selected = _PROPERTIES[args.property]
     subject = selected.load(args.file)

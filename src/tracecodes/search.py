@@ -38,9 +38,10 @@ Frameproof codes and cover-free families share one state, because a code
 is t-frameproof exactly when the family of its one-hot word sets is
 t-cover-free: each push ANDs out of a bitset over every candidate those
 that its new sets kill, so a push's tests are one AND.  Identifiable and
-traceable codes keep every coalition of at most t prefix words, and a list
-of live candidates per depth.  At t=2 a new word is judged with two old
-words at a time: a code is 2-IPP exactly when every three words have a
+traceable codes share one state, which keeps a list of live candidates per
+depth and, chosen by t alone, a table of every two prefix words from t=2
+and every coalition of at most t from t=3.  At t=2 a new word is judged
+with the pair table: a code is 2-IPP exactly when every three words have a
 coordinate with three distinct symbols and every two disjoint pairs one
 where they share no symbol (Hollmann, van Lint, Linnartz and Tolhuizen,
 JCTA 82 (1998)), and whether an outsider ties a descendant of a pair
@@ -64,7 +65,7 @@ import math
 import time
 from bisect import bisect_left, bisect_right
 from functools import lru_cache, reduce
-from itertools import combinations, islice, repeat
+from itertools import islice, repeat
 from operator import and_, or_
 from typing import Iterable, NamedTuple, Sequence
 
@@ -142,6 +143,7 @@ class SearchResult(NamedTuple):
     after a budget stop or a decide "no" it is a lower bound.  ``witness``
     is that code in maximize mode and for a decide "yes", else None.
     ``decided`` is None in maximize mode and after a budget stop.
+    ``complete`` says the tree was exhausted or the goal met.
     """
 
     problem: SearchProblem
@@ -319,34 +321,33 @@ class _CoverFreePrefix:
 
 
 class _CoalitionPrefix:
-    """A code grown and shrunk one word at a time, with its coalitions of at most t words.
+    """A code grown and shrunk one word at a time, with its pairs and coalitions of words.
 
-    ``sets`` lists the words' one-hot sets, and ``groups`` lists every group
-    of at most t words as (member mask, OR of the members' sets), the empty
-    group first.  The groups of the code plus one more word are the old
-    ones and the new word joined to every old group of at most t-1 words,
-    so a push appends those and a pop truncates to the length before the
-    push: coalitions never outgrow the code, whatever t is.  A state whose
-    ``breaks`` reads no group (``grouped`` false) keeps the empty one
-    alone.  ``breaks`` looks for a failure that the new word brings into
-    the code, which is held to have the property.  ``_live`` keeps, per
-    depth, the live candidates in ascending order: the empty code's are
-    every candidate (a range), and a push lists those of its parent above
-    the new word that ``breaks`` keeps.
+    What it keeps is set by t alone.  ``sets`` lists the words' one-hot
+    sets.  From t=2, ``pairs`` lists (a, b, a | b, a & b, |a & b|) for every
+    two words a before b.  From t=3, ``groups`` lists every group of at most
+    t words as (member mask, OR of the members' sets); the empty group is
+    always first.  The pairs and groups of the code plus one more word are
+    the old ones and the new word joined to every old word and every old
+    group of at most t-1 words, so a push appends those and records the
+    three lengths before it, and a pop truncates the lists to them:
+    coalitions never outgrow the code, whatever t is.  ``breaks`` looks for
+    a failure that the new word brings into the code, which is held to have
+    the property.  ``_live`` keeps, per depth, the live candidates in
+    ascending order: the empty code's are every candidate (a range), and a
+    push lists those of its parent above the new word that ``breaks`` keeps.
     """
 
-    def __init__(self, t: int, N: int, q: int, grouped: bool) -> None:
-        self.t, self.N, self.q, self.grouped = t, N, q, grouped
+    def __init__(self, t: int, N: int, q: int) -> None:
+        self.t, self.N, self.q = t, N, q
         self.sets: list[int] = []
+        self.pairs: list[tuple[int, int, int, int, int]] = []
         self.groups: list[tuple[int, int]] = [(0, 0)]
-        self._marks: list[int] = []
+        self._lists = (self.sets, self.pairs, self.groups)
+        self._marks: list[tuple[int, int, int]] = []
         # Candidate index -> its one-hot word set, each encoded on first use.
         self._encoded = lru_cache(maxsize=None)(lambda c: _encode_word(c, N, q))
         self._live: list[Sequence[int]] = [range(q**N)]
-
-    def breaks(self, c: int) -> bool:
-        """Whether adding candidate ``c`` breaks the code, tested against every word."""
-        raise NotImplementedError
 
     def ahead(self, c: int) -> tuple[int, int]:
         """How many live candidates lie at or above ``c``, and the least of them (-1 if none)."""
@@ -358,28 +359,22 @@ class _CoalitionPrefix:
         """Add candidate ``c``, and test every live candidate above it."""
         live = self._live[-1]
         above = live[bisect_right(live, c) :]
-        self._add(self._encoded(c))
+        new, t, sets = self._encoded(c), self.t, self.sets
+        self._marks.append(tuple(map(len, self._lists)))
+        if t >= 2:
+            self.pairs += [(a, new, a | new, a & new, (a & new).bit_count()) for a in sets]
+        if t >= 3:
+            bit = 1 << len(sets)
+            self.groups += [(m | bit, u | new) for m, u in self.groups if m.bit_count() < t]
+        sets.append(new)
         breaks = self.breaks
         self._live.append([d for d in above if not breaks(d)])
 
     def pop(self) -> None:
         """Take off the word added last."""
         self._live.pop()
-        self._remove()
-
-    def _add(self, new: int) -> None:
-        """Add the one-hot set ``new`` to the code."""
-        if self.grouped:
-            bit, t = 1 << len(self.sets), self.t
-            self._marks.append(len(self.groups))
-            self.groups += [(m | bit, u | new) for m, u in self.groups if m.bit_count() < t]
-        self.sets.append(new)
-
-    def _remove(self) -> None:
-        """Take the last set off the code."""
-        if self.grouped:
-            del self.groups[self._marks.pop():]
-        self.sets.pop()
+        for kept, size in zip(self._lists, self._marks.pop()):
+            del kept[size:]
 
 
 class _IdentifiablePrefix(_CoalitionPrefix):
@@ -387,30 +382,33 @@ class _IdentifiablePrefix(_CoalitionPrefix):
 
     Every failing family (see ``verify``) of the extended code has a
     coalition holding the new word x, so ``core.failing_family`` walks from
-    those, then the old ones, up to t+1 coalitions.  At t=2 (see the module
-    docstring) x breaks the code when it and two old words have no
-    coordinate with three distinct symbols, or {x, a} meets {b, d} on every
-    coordinate for old words a, b, d, so no group is kept.
+    those, then the old ones, up to t+1 coalitions; at t=1 x's lone entry
+    forms no family, as every code is 1-IPP.  At t=2 (see the module
+    docstring) x breaks the code when it and an old pair {a, b} have no
+    coordinate with three distinct symbols, or {x, d} meets {a, b} on every
+    coordinate for an old word d outside the pair.  Only the pair table is
+    read: its pairs with each other word d give all three splits of x and
+    every three old words into two pairs.
     """
 
-    def __init__(self, t: int, N: int, q: int) -> None:
-        super().__init__(t, N, q, grouped=t != 2)
-
     def breaks(self, c: int) -> bool:
+        """Whether adding candidate ``c`` breaks the code, tested against every word."""
         new, t, sets = self._encoded(c), self.t, self.sets
         if t != 2:
             bit = 1 << len(sets)
             joined = [(m | bit, u | new) for m, u in self.groups if m.bit_count() < t]
             entries = joined + self.groups[1:]
             return core.failing_family(entries, len(joined), t + 1, self.N, self.q)[0] is not None
-        low, high = core.block_masks(self.N, self.q)
-        for a, b in combinations(sets, 2):
-            v = new & (a | b) | a & b
+        low, high, pairs = *core.block_masks(self.N, self.q), self.pairs
+        for _, _, either, both, _ in pairs:
+            v = new & either | both
             if not (v - low) & ~v & high:
                 return True
-        for a, b, d in combinations(sets, 3):
-            for v in ((new | a) & (b | d), (new | b) & (a | d), (new | d) & (a | b)):
-                if not (v - low) & ~v & high:
+        for d in sets:
+            xd = new | d
+            for a, b, either, _, _ in pairs:
+                v = xd & either
+                if not (v - low) & ~v & high and d != a and d != b:
                     return True
         return False
 
@@ -435,18 +433,17 @@ class _TraceablePrefix(_CoalitionPrefix):
     outsider, so only the new word x is tested as its outsider; a coalition
     of 2..t words holding x is tested against every other word.  For t >= 2,
     each old pair {a, b} and x are tested with each of the three words as
-    the outsider, by agreement counts (``core.pair_tied``); ``pairs`` keeps
-    (a, b, a∧b, |a∧b|) for every two words.  Larger coalitions run the walk
-    of ``core.untraced_descendant`` on ``cols``, which maps each one-hot bit
+    the outsider, by agreement counts (``core.pair_tied``) read from the
+    pair table.  Larger coalitions run the walk of
+    ``core.untraced_descendant`` on ``cols``, which maps each one-hot bit
     to the mask of the words holding it, word j as bit j, with x as bit
     ``len(sets)`` for the length of the test.  At t <= 2 no walk runs, so
-    neither groups nor columns are kept.
+    no columns are kept.
     """
 
     def __init__(self, t: int, N: int, q: int) -> None:
-        super().__init__(t, N, q, grouped=t >= 3)
+        super().__init__(t, N, q)
         self.cols: dict[int, int] = {}
-        self.pairs: list[tuple[int, int, int, int]] = []
 
     def _toggle(self, s: int, bit: int) -> None:
         """Flip ``bit`` in the columns of the one-hot bits of ``s``."""
@@ -455,9 +452,10 @@ class _TraceablePrefix(_CoalitionPrefix):
             cols[pos] = cols.get(pos, 0) ^ bit
 
     def breaks(self, c: int) -> bool:
+        """Whether adding candidate ``c`` breaks the code, tested against every word."""
         N, q, t, sets, cols = self.N, self.q, self.t, self.sets, self.cols
         new, tied = self._encoded(c), core.pair_tied
-        for a, b, ab, n in self.pairs:
+        for a, b, _, ab, n in self.pairs:
             ax, bx, e = (new & a).bit_count(), (new & b).bit_count(), (new & ab).bit_count()
             if tied(ax, bx, e, n, N) or tied(n, bx, e, ax, N) or tied(n, ax, e, bx, N):
                 return True
@@ -479,108 +477,75 @@ class _TraceablePrefix(_CoalitionPrefix):
         finally:
             self._toggle(new, bit)
 
-    def _add(self, new: int) -> None:
-        if self.t >= 2:
-            self.pairs += [(a, new, a & new, (a & new).bit_count()) for a in self.sets]
-        if self.grouped:
-            self._toggle(new, 1 << len(self.sets))
-        super()._add(new)
+    def push(self, c: int) -> None:
+        if self.t >= 3:
+            self._toggle(self._encoded(c), 1 << len(self.sets))
+        super().push(c)
 
-    def _remove(self) -> None:
-        if self.grouped:
+    def pop(self) -> None:
+        if self.t >= 3:
             self._toggle(self.sets[-1], 1 << (len(self.sets) - 1))
-        super()._remove()
-        del self.pairs[len(self.sets) * (len(self.sets) - 1) // 2 :]
+        super().pop()
 
 
 def max_code_search(problem: SearchProblem, budget: int | None = None) -> SearchResult:
-    """Run the search to completion, a decision, or budget exhaustion.
+    """Run the search to completion, a decision, or budget exhaustion (see ``SearchResult``).
 
-    ``nodes`` counts the tests of plain forward checking: every candidate
-    at the root, and every live candidate above each push.  A budget caps
-    them: the push whose tests would exceed it is not made, and the stop
-    reports ``budget + 1``.  ``optimum`` is the largest code reached, a
-    live candidate counting as reached with its prefix; after a budget
-    stop or a decide "no" it is only a lower bound.  ``complete`` certifies
-    the tree was exhausted, which for maximize mode is the proof of
-    optimality.  Decide mode reports ``decided=None`` when the budget ran
-    out before either answer.  ``SearchProblem`` has refused a candidate
-    space q**N beyond ``DEFAULT_ENUMERATION_CAP`` and a q beyond
-    ``core.MAX_ALPHABET``.
+    Codes are extended from the all-zero word, which relabelling symbols
+    per coordinate puts in any code; families have no root, as candidate 0,
+    the empty member, is covered by the empty union.  ``chosen`` is the
+    whole frontier, and the prefix state holds its candidates and each
+    depth's live ones.  At each step a node reads ``ahead(cand)``: how many
+    live candidates are left from the next one on, and the first of them.
+    The first time a node is met, that candidate reaches a code one longer,
+    which becomes the best if no code of that size was reached before.
+    Then, if the node's size plus the live candidates left can beat the
+    best size as it was before that step (maximize) or reach the goal
+    (decide), the node pushes the first of them, and the push tests every
+    live candidate above it; otherwise the node is popped.  The budget is
+    checked before a push's tests are made, and the prefix state is built
+    only once the root's tests fit in it, so a stop encodes and builds
+    nothing more.  ``SearchProblem`` has refused a candidate space q**N
+    beyond ``DEFAULT_ENUMERATION_CAP`` and a q beyond ``core.MAX_ALPHABET``.
     """
     if budget is not None and budget < 0:
         raise ValueError(f"need a node budget >= 0, got {budget}")
     start = time.perf_counter()
+
+    # A helper, not a closure over the loop's names: those stay fast locals.
+    def result(best: list[int], decided: bool | None, nodes: int, complete: bool) -> SearchResult:
+        N, q = problem.N, problem.q
+        if problem.mode == "decide" and decided is not True:
+            witness = None
+        elif problem.property == "CFF":
+            witness = SetFamily(N, tuple(best)) if best else None
+        else:
+            witness = Code(tuple(_decode_word(c, N, q) for c in best), q)
+        elapsed = time.perf_counter() - start
+        return SearchResult(problem, len(best), decided, witness, nodes, elapsed, complete, budget)
+
     N, q, prop = problem.N, problem.q, problem.property
-    # Codes start from the all-zero word, which relabelling symbols per
-    # coordinate puts in any code.  Families have no root: candidate 0, the
-    # empty member, is covered by the empty union.
-    root = [] if prop == "CFF" else [0]
-    best, decided, nodes, complete = _forward_check(problem, budget, root)
-    if problem.mode == "decide" and decided is not True:
-        witness = None
-    elif prop == "CFF":
-        witness = SetFamily(N, tuple(best)) if best else None
-    else:
-        witness = Code(tuple(_decode_word(c, N, q) for c in best), q)
-    return SearchResult(
-        problem=problem,
-        optimum=len(best),
-        decided=decided,
-        witness=witness,
-        nodes=nodes,
-        elapsed=time.perf_counter() - start,
-        complete=complete,
-        budget=budget,
-    )
-
-
-def _prefix_state(problem: SearchProblem) -> _CoverFreePrefix | _CoalitionPrefix:
-    """The empty prefix state of the problem's property."""
-    N, q, prop = problem.N, problem.q, problem.property
-    # A word has at most q**N - 1 others, so any larger t decides every
-    # property alike; the cover-free state would otherwise keep 2t lists.
-    t = min(problem.t, q**N - 1)
-    if prop in ("FP", "CFF"):
-        return _CoverFreePrefix(t, N, q, family=prop == "CFF")
-    if prop == "IPP":
-        return _IdentifiablePrefix(t, N, q)
-    return _TraceablePrefix(t, N, q)
-
-
-def _forward_check(
-    problem: SearchProblem, budget: int | None, root: list[int]
-) -> tuple[list[int], bool | None, int, bool]:
-    """Extend ``root`` by candidates 1..q**N-1 in ascending order, depth first, forward checked.
-
-    ``chosen`` is the whole frontier, and the prefix state holds its
-    candidates and each depth's live ones.  At each step a node reads
-    ``ahead(cand)``: how many live candidates are left from the next one
-    on, and the first of them.  The first time a node is met, that
-    candidate reaches a code one longer, which becomes the best if no code
-    of that size was reached before.  Then, if the node's size plus the
-    live candidates left can beat the best size as it was before that step
-    (maximize) or reach the goal (decide), the node pushes the first of
-    them, and the push tests every live candidate above it; otherwise the
-    node is popped.  Every test counts as a node, the root's tests of
-    candidates 1..q**N-1 first.  The budget is checked before a push's
-    tests are made, and the prefix state is built only once the root's
-    tests fit in it, so a stop encodes and builds nothing more.  Returns
-    the best candidate list, the decision (None unless deciding and
-    answered), the node count and whether the tree was exhausted or the
-    goal met.
-    """
     deciding = problem.mode == "decide"
     goal = problem.goal or 0
     limit = math.inf if budget is None else budget
+    root = [] if prop == "CFF" else [0]
     chosen = list(root)
     best = list(chosen)
     if deciding and len(best) >= goal:
-        return best, True, 0, True
-    nodes = problem.q**problem.N - 1
+        return result(best, True, 0, True)
+    nodes = q**N - 1
     if nodes > limit:
-        return best, None, budget + 1, False
-    prefix = _prefix_state(problem)
+        return result(best, None, budget + 1, False)
+    # A word has at most q**N - 1 others, so any larger t decides every
+    # property alike; the cover-free state would otherwise keep 2t lists.
+    t = min(problem.t, nodes)
+    prefix: _CoverFreePrefix | _CoalitionPrefix
+    if prop in ("FP", "CFF"):
+        prefix = _CoverFreePrefix(t, N, q, family=prop == "CFF")
+    elif prop == "IPP":
+        prefix = _IdentifiablePrefix(t, N, q)
+    else:
+        prefix = _TraceablePrefix(t, N, q)
     for c in root:
         prefix.push(c)
     cand = 1
@@ -591,16 +556,16 @@ def _forward_check(
         if live and depth == len(best):
             best = chosen + [first]
             if deciding and len(best) >= goal:
-                return best, True, nodes, True
+                return result(best, True, nodes, True)
         if live < need:
             if depth == len(root):
-                return best, (False if deciding else None), nodes, True
+                return result(best, False if deciding else None, nodes, True)
             prefix.pop()
             cand = chosen.pop() + 1
             continue
         nodes += live - 1  # the push's tests: the live candidates above ``first``
         if nodes > limit:
-            return best, None, budget + 1, False
+            return result(best, None, budget + 1, False)
         prefix.push(first)
         chosen.append(first)
         cand = first + 1

@@ -36,7 +36,6 @@ __all__ = [
     "fpc_to_cff",
     "make_row_partition",
     "pad_code",
-    "pattern_frequency",
     "prune_special_codewords",
 ]
 
@@ -197,13 +196,6 @@ def make_row_partition(N: int, t: int) -> PatternPartition:
 
 def _pattern(word: Word, part: Sequence[int]) -> tuple[int, ...]:
     return tuple(word[i] for i in part)
-
-
-def pattern_frequency(code: Code, x: Sequence[int], positions: Iterable[int]) -> int:
-    """How many codewords agree with ``x`` on every listed coordinate."""
-    positions = tuple(positions)
-    target = tuple(x[i] for i in positions)
-    return sum(1 for w in code.words if _pattern(w, positions) == target)
 
 
 @record

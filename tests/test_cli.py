@@ -589,7 +589,7 @@ class TestSearchCommand:
         def searched(*args):
             raise AssertionError("the search ran")
 
-        monkeypatch.setattr(search, "_forward_check", searched)
+        monkeypatch.setattr(search, "SearchResult", searched)
         argv = ["search", "--property", "fp", "--N", "1", "--t", "3", "--q", "100000"]
         assert main([*argv, "--budget", "300"]) == EXIT_USAGE
         out, err = capsys.readouterr()
@@ -676,6 +676,7 @@ class TestSearchCommand:
         [
             pytest.param((), {"optimum": 99}, id="optimum-99"),
             pytest.param((), "truncated", id="truncated"),
+            pytest.param((), "nested", id="nested"),
             # Entries that contradict themselves: max_code_search writes none.
             pytest.param((), {"decided": True}, id="maximize-decided"),
             pytest.param((), {"decided": False}, id="maximize-decided-no"),
@@ -729,6 +730,8 @@ class TestSearchCommand:
         (entry,) = tmp_path.iterdir()
         if tamper == "truncated":
             entry.write_text("{")
+        elif tamper == "nested":
+            entry.write_text("[" * 200_000)
         elif callable(tamper):
             entry.write_text(json.dumps(tamper(json.loads(entry.read_text()))))
         else:
@@ -874,6 +877,7 @@ class TestRecheckCommand:
             "cover-violation witnesses apply to families"
         ]
         assert cli.recheck_witness({"kind": "bogus"}, code, 2) == ["unknown witness kind 'bogus'"]
+        assert cli.recheck_witness({"kind": ["x"]}, code, 2) == ["unknown witness kind ['x']"]
 
     def emit_witness(self, capsys, tmp_path, *argv):
         code, doc = run_json(capsys, *argv)
@@ -983,8 +987,15 @@ class TestRecheckCommand:
 
     @pytest.mark.parametrize(
         "witness",
-        [{"framed": 2, "coalition": [0, 1]}, {"kind": "framed"}, {"kind": None}, {"kind": 3}],
-        ids=["missing", "unknown", "null", "number"],
+        [
+            {"framed": 2, "coalition": [0, 1]},
+            {"kind": "framed"},
+            {"kind": None},
+            {"kind": 3},
+            {"kind": ["framed-word"], "framed": 2, "coalition": [0, 1]},
+            {"kind": {"a": 1}},
+        ],
+        ids=["missing", "unknown", "null", "number", "list", "object"],
     )
     def test_witness_without_a_known_kind_is_a_bad_file(self, files, capsys, tmp_path, witness):
         bad = files("square.code", SQUARE)
@@ -995,6 +1006,24 @@ class TestRecheckCommand:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"error: unknown witness kind {witness.get('kind')!r}\n"
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[" * 200_000,
+            '{"kind": "framed-word", "framed": 1' + "0" * 5000 + ', "coalition": [0]}',
+        ],
+        ids=["nested", "5001-digits"],
+    )
+    def test_witness_python_cannot_hold_is_a_bad_file(self, files, capsys, tmp_path, text):
+        path = tmp_path / "witness.json"
+        path.write_text(text)
+        bad = files("square.code", SQUARE)
+        argv = ["recheck", "--property", "fp", "--t", "2", "--witness", str(path), bad]
+        assert main(argv) == EXIT_BAD_FILE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {path} does not read as JSON: ")
 
     def test_witness_document_that_is_not_an_object(self, files, capsys, tmp_path):
         path = tmp_path / "array.json"

@@ -677,7 +677,7 @@ class TestIdentifiablePrefix(_CoalitionPrefixCase):
 
     @staticmethod
     def reads_groups(t):
-        return t != 2  # t=2 judges triples and pairs of pairs of words
+        return t >= 3  # t=2 reads the pair table; every code is 1-IPP
 
 
 class TestTraceablePrefix(_CoalitionPrefixCase):
@@ -706,7 +706,7 @@ class TestTraceablePrefix(_CoalitionPrefixCase):
             prefix.pop()
             assert {pos: m for pos, m in prefix.cols.items() if m} == want
             # The one pair left: (0, 0) and (0, 1), which agree on their first coordinate.
-            assert prefix.pairs == [(0b001001, 0b010001, 0b000001, 1)]
+            assert prefix.pairs == [(0b001001, 0b010001, 0b011001, 0b000001, 1)]
 
     @pytest.mark.parametrize("reverse", [False, True], ids=["in-order", "reversed"])
     def test_old_coalition_walk_decides(self, reverse):

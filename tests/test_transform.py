@@ -248,19 +248,6 @@ class TestRowPartition:
             tr.PatternPartition(((0,), (2,)), v=3, r=0)  # gap
 
 
-class TestPatternFrequency:
-    def test_examples(self):
-        code = Code.from_strings(["00", "01", "11"], 2)
-        assert tr.pattern_frequency(code, (0, 1), (0,)) == 2
-        assert tr.pattern_frequency(code, (0, 1), ()) == 3
-        assert tr.pattern_frequency(code, (0, 1), (0, 1)) == 1
-
-    def test_counts_itself(self):
-        code = Code.from_strings(["00", "11"], 2)
-        for w in code.words:
-            assert tr.pattern_frequency(code, w, (0,)) >= 1
-
-
 class TestPruning:
     def test_full_square_unchanged(self):
         res = tr.prune_special_codewords(FULL2, SINGLETON2)
