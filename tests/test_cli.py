@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import re
 import subprocess
@@ -14,10 +15,11 @@ from pathlib import Path
 import pytest
 
 from conftest import random_code_stream, random_family
-from tracecodes import cli, core, trace, verify
+from tracecodes import cli, core, recheck, trace, verify
 from tracecodes.cli import (
     EXIT_BAD_FILE,
     EXIT_BUDGET,
+    EXIT_CLOSED_STDOUT,
     EXIT_INTERNAL,
     EXIT_OK,
     EXIT_USAGE,
@@ -30,6 +32,10 @@ from tracecodes.cli import (
     render_code_text,
     render_family_text,
 )
+from tracecodes.commands import bounds as bounds_cmd
+from tracecodes.commands import cache as search_cache
+from tracecodes.commands.common import _PROPERTIES
+from tracecodes.commands.transform import _OPS, _parse_op
 from tracecodes.core import Code
 
 IDENTITY3 = "3 3 2\n1 0 0\n0 1 0\n0 0 1\n"
@@ -92,6 +98,14 @@ class TestFileFormats:
         ("2 2 2\n0 2\n1 0\n", "^symbol 2 out of range for q=2$"),
         ("2 2 2\n0\n1 0\n", "^expected 2 symbols per row, got 1 in '0'$"),
         ("2 2 2\n0 x\n1 0\n", "^non-integer symbol in row '0 x'$"),
+        # Python's int reads all of these; the format takes ASCII digits alone.
+        ("2 2 11\n1_0 0\n\u0663 1\n", "^non-integer symbol in row '1_0 0'$"),
+        ("2 2 11\n1 0\n\u0663 1\n", "^non-integer symbol in row '\u0663 1'$"),
+        ("2 2 11\n+3 0\n1 1\n", r"^non-integer symbol in row '\+3 0'$"),
+        ("2 2 11\n-0 0\n1 1\n", "^non-integer symbol in row '-0 0'$"),
+        ("2 2 1_1\n0 1\n1 0\n", "^non-integer code header '2 2 1_1'$"),
+        ("2 +2 2\n0 1\n1 0\n", r"^non-integer code header '2 \+2 2'$"),
+        ("\u0662 2 2\n0 1\n1 0\n", "^non-integer code header '\u0662 2 2'$"),
     ]
 
     @pytest.mark.parametrize("text,match", BAD_CODE_FILES, ids=[t for t, _ in BAD_CODE_FILES])
@@ -106,6 +120,9 @@ class TestFileFormats:
         ("", "^empty family file$"),
         ("2 2 2\n10\n01\n", "^family header must read 'N n', got '2 2 2'$"),
         ("2 x\n10\n01\n", "^non-integer family header '2 x'$"),
+        ("2 +2\n10\n01\n", r"^non-integer family header '2 \+2'$"),
+        ("2 0_2\n10\n01\n", "^non-integer family header '2 0_2'$"),
+        ("\u0662 2\n10\n01\n", "^non-integer family header '\u0662 2'$"),
         ("2 2\n10\n", "^header promises 2 members, file has 1$"),
         ("2 2\n10\n01\n11\n", "^header promises 2 members, file has 3$"),
     ]
@@ -235,6 +252,17 @@ class TestVerifyCommand:
             == EXIT_BAD_FILE
         )
 
+    @pytest.mark.parametrize(
+        "text", ["2 2 11\n1_0 0\n\u0663 1\n", "2 2 11\n+3 0\n1 1\n"], ids=["1_0", "+3"]
+    )
+    def test_symbols_beyond_ascii_digits_are_malformed(self, capsys, tmp_path, text):
+        path = tmp_path / "odd.code"
+        path.write_text(text, encoding="utf-8")
+        assert main(["verify", "--property", "fp", "--t", "1", str(path)]) == EXIT_BAD_FILE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: non-integer symbol in row ")
+
     def test_non_utf8_code_file(self, capsys, tmp_path):
         bad = tmp_path / "not-utf8.code"
         bad.write_bytes(b"\xff\xfe2 2 2\n0 1\n1 0\n")
@@ -307,6 +335,14 @@ class TestTraceCommand:
         )
         code, doc = run_json(capsys, "trace", "--scheme", "ta", "--pirate", "0,11", wide)
         assert (code, doc["accused"]) == (EXIT_OK, [0])
+
+    @pytest.mark.parametrize("pirate", ["1_0,0", "+1,0", "0,-0", "\u0661,0", "0\u0661"])
+    def test_pirate_symbols_are_ascii_digits(self, files, capsys, pirate):
+        wide = files("wide.code", "2 2 11\n10 0\n1 1\n")
+        pair = files("pair.code", "2 2 2\n0 0\n1 1\n")
+        subject = wide if "," in pirate else pair
+        assert main(["trace", "--scheme", "ta", "--pirate", pirate, subject]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"error: cannot parse word {pirate!r}\n")
 
 
 class TestBoundsCommand:
@@ -633,7 +669,7 @@ class TestSearchCommand:
         monkeypatch.setenv("TRACECODES_CACHE", str(tmp_path))
         args = ("search", "--property", "fp", "--N", "3", "--q", "2", "--t", "2")
         with monkeypatch.context() as before:
-            before.setattr(cli, "__version__", "0.2.0")
+            before.setattr(search_cache, "__version__", "0.2.0")
             assert run(capsys, *args)[0] == EXIT_OK
             (entry,) = tmp_path.iterdir()
             doc = json.loads(entry.read_text())
@@ -641,7 +677,7 @@ class TestSearchCommand:
             # Well-formed: that version serves it.
             fields = text_fields(run(capsys, *args)[1])
             assert (fields["cached"], fields["nodes"]) == ("yes", "24")
-        assert cli.__version__ == "0.3.0"
+        assert search_cache.__version__ == "0.3.0"
         code, out = run(capsys, *args)
         assert code == EXIT_OK
         fields = text_fields(out)
@@ -865,6 +901,10 @@ class TestRecheckCommand:
         code, doc = run_json(capsys, *argv, files("subject", subject))
         assert code == EXIT_VIOLATION
         assert doc["problems"] == [problem]
+
+    def test_kinds_are_the_witnesses_of_the_properties(self):
+        # recheck states the kinds it reads without the --property table: they agree.
+        assert recheck.KINDS == {p.witness for p in _PROPERTIES.values()}
 
     def test_library_guards(self):
         # The CLI matches kinds to properties and refuses unknown kinds first.
@@ -1107,7 +1147,7 @@ class TestInternalErrors:
         def broken(args):
             raise RuntimeError("broken handler")
 
-        monkeypatch.setattr(cli, "_cmd_bounds", broken)
+        monkeypatch.setattr(bounds_cmd, "run", broken)
         assert main(["bounds", "--N", "3", "--q", "2", "--t", "1"]) == EXIT_INTERNAL
         out, err = capsys.readouterr()
         assert out == ""
@@ -1151,8 +1191,8 @@ class TestReadmeTransformOps:
         assert readme_ops == {item.strip() for item in op.help.split("|")}
         valued = {o.split("=")[0] for o in readme_ops if "=" in o}
         plain = {o for o in readme_ops if "=" not in o}
-        assert valued == {name for name, (takes_value, _) in cli._OPS.items() if takes_value}
-        assert plain == set(cli._OPS) - valued
+        assert valued == {name for name, (takes_value, _) in _OPS.items() if takes_value}
+        assert plain == set(_OPS) - valued
 
         needs_t = set(re.findall(r"`(\w+)`", needs_t_note))
         code_file = files("pair.code", "2 2 2\n0 0\n1 1\n")
@@ -1160,12 +1200,12 @@ class TestReadmeTransformOps:
         refused = set()
         for name in plain | valued:
             raw = f"{name}=1" if name in valued else name
-            assert cli._parse_op(raw) == (name, 1 if name in valued else None)
+            assert _parse_op(raw) == (name, 1 if name in valued else None)
             subject = fam_file if name in ("tocode", "restrict") else code_file
             if main(["transform", "--op", raw, subject]) == EXIT_USAGE:
                 refused.add(name)
             capsys.readouterr()
-        assert refused == needs_t == {name for name, (_, takes_t) in cli._OPS.items() if takes_t}
+        assert refused == needs_t == {name for name, (_, takes_t) in _OPS.items() if takes_t}
         assert needs_t == {"prune", "violate", "strip"}
 
 
@@ -1179,6 +1219,30 @@ class TestInstalledScript:
             text=True,
         )
         assert proc.returncode == EXIT_OK
+
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("fmt", ["text", "machine"])
+    def test_closed_stdout_exits_without_a_traceback(self, fmt, buffered):
+        # The reader of stdout is gone before the report is written: a
+        # buffered stdout fails in the flush, an unbuffered one in the print.
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        env = dict(os.environ, PYTHONPATH=path)
+        env.pop("PYTHONUNBUFFERED", None)
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        argv = ["bounds", "--N", "4", "--q", "3", "--t", "2", "--format", fmt]
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "tracecodes.cli", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == EXIT_CLOSED_STDOUT
+        assert proc.stderr == ""
 
 
 # Every subcommand and transform op, each report frozen (exit code, text

@@ -38,14 +38,20 @@ PUBLIC_NAMES = set(
     """.split()
 )
 
-BASE = {"tracecodes", "tracecodes.cli", "tracecodes.core"}
+# What every ``python -m tracecodes.cli`` process loads.  The front end runs as
+# ``__main__``, so ``tracecodes.cli`` is never among them: a module that
+# imported it would compile and run it a second time.
+BASE = {"tracecodes", "tracecodes.commands", "tracecodes.commands.common", "tracecodes.core"}
 
 
-def fresh(script: str, cwd: Path | None = None) -> dict:
-    """Run ``script`` in a new interpreter on these sources; its last line is JSON."""
+def fresh(script: str, cwd: Path | None = None, cache: Path | None = None) -> dict:
+    """Run ``script`` in a new interpreter on these sources, with the search
+    cache at ``cache`` or none; its last line is JSON."""
     path = [str(SRC), *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     env.pop("TRACECODES_CACHE", None)
+    if cache is not None:
+        env["TRACECODES_CACHE"] = str(cache)
     proc = subprocess.run(
         [sys.executable, "-c", script], env=env, cwd=cwd, capture_output=True, text=True
     )
@@ -58,31 +64,63 @@ LOADED = (
     "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'tracecodes')))"
 )
 
-# Each subcommand and the package modules it adds to those of ``import tracecodes.cli``.
+SEARCH = ["search", "--property", "fp", "--N", "3", "--t", "2"]
+
+# Each subcommand and the package modules it adds to ``BASE``; "import" is a
+# bare ``import tracecodes.cli``, and "search-cached" runs with a cache set.
 COMMANDS = {
-    "import": ([], set()),
-    "bounds": (["bounds", "--N", "4", "--q", "3", "--t", "2"], {"bounds"}),
-    "verify-fp": (["verify", "--property", "fp", "--t", "2", "id3.code"], {"verify"}),
-    "verify-cff": (["verify", "--property", "cff", "--t", "2", "id3.family"], {"verify"}),
-    "trace": (["trace", "--scheme", "ta", "--pirate", "100", "id3.code"], {"trace"}),
-    "simulate": (["simulate", "--t", "2", "--trials", "3", "id3.code"], {"trace"}),
-    "transform": (["transform", "--op", "double", "id3.code"], {"transform"}),
-    "search": (["search", "--property", "fp", "--N", "3", "--t", "2"], {"search"}),
+    "import": ([], {"cli"}),
+    "bounds": (["bounds", "--N", "4", "--q", "3", "--t", "2"], {"commands.bounds", "bounds"}),
+    "verify-fp": (
+        ["verify", "--property", "fp", "--t", "2", "id3.code"],
+        {"commands.verify", "verify"},
+    ),
+    "verify-cff": (
+        ["verify", "--property", "cff", "--t", "2", "id3.family"],
+        {"commands.verify", "verify"},
+    ),
+    "trace": (
+        ["trace", "--scheme", "ta", "--pirate", "100", "id3.code"],
+        {"commands.trace", "trace"},
+    ),
+    "simulate": (
+        ["simulate", "--t", "2", "--trials", "3", "id3.code"],
+        {"commands.simulate", "trace"},
+    ),
+    "transform": (
+        ["transform", "--op", "double", "id3.code"],
+        {"commands.transform", "transform"},
+    ),
+    "search": (SEARCH, {"commands.search", "search"}),
+    "search-cached": (SEARCH, {"commands.search", "commands.cache", "search", "recheck"}),
     "recheck": (
         ["recheck", "--property", "fp", "--t", "2", "--witness", "w.json", "id3.code"],
-        set(),
+        {"commands.recheck", "recheck"},
     ),
 }
 
 
 def after_command(tmp_path: Path, name: str, probe: str) -> dict:
-    """Run the ``COMMANDS`` entry ``name`` in a fresh interpreter, then ``probe``."""
+    """Run the ``COMMANDS`` entry ``name`` in a fresh interpreter, as ``python -m
+    tracecodes.cli`` runs it, then ``probe``."""
     argv = COMMANDS[name][0]
     (tmp_path / "id3.code").write_text("3 3 2\n1 0 0\n0 1 0\n0 0 1\n")
     (tmp_path / "id3.family").write_text("3 3\n100\n010\n001\n")
     (tmp_path / "w.json").write_text('{"kind": "framed-word", "framed": 0, "coalition": [1, 2]}')
-    run = f"from tracecodes import cli\ncli.main({argv!r})\n" if argv else "import tracecodes.cli\n"
-    return fresh(run + probe, cwd=tmp_path)
+    run = "import tracecodes.cli\n"
+    if argv:
+        run = textwrap.dedent(
+            f"""
+            import runpy, sys
+            sys.argv = ["tracecodes", *{argv!r}]
+            try:
+                runpy.run_module("tracecodes.cli", run_name="__main__")
+            except SystemExit as exc:
+                assert exc.code in (0, 1), exc.code
+            """
+        )
+    cache = tmp_path / "cache" if name == "search-cached" else None
+    return fresh(run + probe, cwd=tmp_path, cache=cache)
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
@@ -100,6 +138,67 @@ def test_a_subcommand_leaves_dataclasses_unloaded(tmp_path, name):
         "print(json.dumps(sorted({'dataclasses', 'inspect'} & set(sys.modules))))"
     )
     assert after_command(tmp_path, name, probe) == []
+
+
+def test_recheck_loads_only_for_recheck_and_a_cached_search():
+    loads = {name for name, (_, added) in COMMANDS.items() if "recheck" in added}
+    assert loads == {"recheck", "search-cached"}
+
+
+def test_recheck_imports_only_core():
+    loaded = fresh("import tracecodes.recheck\n" + LOADED)
+    assert loaded == ["tracecodes", "tracecodes.core", "tracecodes.recheck"]
+
+
+def test_names_read_through_the_front_end():
+    # The benchmark reads these four from tracecodes.cli; they live elsewhere
+    # now, and importing the front end compiles none of their modules.
+    doc = fresh(
+        textwrap.dedent(
+            """
+            import json, sys
+            import tracecodes.cli as cli
+            before = sorted(m for m in sys.modules if m.startswith("tracecodes"))
+            from tracecodes import recheck
+            from tracecodes.commands import common, verify as verify_cmd
+            from tracecodes.core import Code, SetFamily
+            from tracecodes.verify import FramedWord
+
+            code = Code(((0, 0), (1, 1), (0, 1)), 2)
+            witness = cli.witness_to_json(FramedWord(2, (0, 1)), code)
+            print(json.dumps({
+                "before": before,
+                "homes": [
+                    cli.render_code_text is common.render_code_text,
+                    cli.render_family_text is common.render_family_text,
+                    cli.witness_to_json is verify_cmd.witness_to_json,
+                    cli.recheck_witness is recheck.recheck_witness,
+                ],
+                "code": cli.render_code_text(code),
+                "family": cli.render_family_text(SetFamily.from_sets(3, [[0], [1, 2]])),
+                "witness": witness,
+                "recheck": cli.recheck_witness(witness, code, 2),
+                "refuted": cli.recheck_witness({**witness, "framed": 0}, code, 2),
+            }))
+            """
+        )
+    )
+    assert doc["before"] == sorted(BASE | {"tracecodes.cli"})
+    assert doc["homes"] == [True] * 4
+    assert doc["code"] == "2 3 2\n0 0\n1 1\n0 1\n"
+    assert doc["family"] == "3 2\n100\n011\n"
+    assert doc["witness"] == {
+        "kind": "framed-word", "framed": 2, "coalition": [0, 1], "framed_word": [0, 1]
+    }
+    assert doc["recheck"] == []
+    assert doc["refuted"] == ["framed word sits inside the coalition"]
+
+
+def test_unknown_front_end_attribute_raises():
+    from tracecodes import cli
+
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cli.no_such_name  # noqa: B018
 
 
 @pytest.mark.parametrize(

@@ -12,8 +12,9 @@ import math
 import pytest
 
 import tracecodes
-from tracecodes import cli, search, trace, transform, verify
+from tracecodes import search, trace, transform, verify
 from tracecodes.bounds import BoundEntry
+from tracecodes.commands.common import _fmt, _jsonable
 from tracecodes.core import Code
 
 # One instance of each record class in ``tracecodes.__all__``: its fields in
@@ -185,7 +186,7 @@ class TestRecord:
 
     def test_cli_renders_the_fields(self, name):
         rec = build(name)
-        doc = cli._jsonable(rec)
+        doc = _jsonable(rec)
         assert isinstance(doc, dict)
         if name == "Code":
             assert doc == {"N": 2, "n": 2, "q": 2, "words": [[0, 1], [1, 0]]}
@@ -193,8 +194,8 @@ class TestRecord:
             assert doc == {"ground_size": 3, "n": 2, "members": [[0], [1, 2]]}
         else:
             assert list(doc) == list(EXAMPLES[name][0])
-        assert cli._fmt(rec) == repr(rec)
-        assert cli._fmt([rec]) == f"[{rec!r}]"
+        assert _fmt(rec) == repr(rec)
+        assert _fmt([rec]) == f"[{rec!r}]"
 
 
 def test_framed_word_and_cover_violation_with_equal_fields_differ():
@@ -205,7 +206,7 @@ def test_framed_word_and_cover_violation_with_equal_fields_differ():
 
 
 def test_nested_records_render_as_objects():
-    doc = cli._jsonable(build("Verdict"))
+    doc = _jsonable(build("Verdict"))
     assert doc == {
         "property": "FP",
         "t": 2,
@@ -213,7 +214,7 @@ def test_nested_records_render_as_objects():
         "witness": {"framed": 0, "coalition": [1, 2]},
         "counters": {"subsets_examined": 3, "words_examined": 4},
     }
-    assert cli._jsonable(build("StripTrace"))["d_after"] == "inf"
+    assert _jsonable(build("StripTrace"))["d_after"] == "inf"
 
 
 def test_parent_set_family_reads_as_its_coalitions():
