@@ -51,6 +51,7 @@ from .commands.common import (
     EXIT_VIOLATION,
     SCHEMA,
     FileFormatError,
+    _decimal,
     _jsonable,
     parse_code_text,
     parse_family_text,
@@ -102,6 +103,15 @@ def _emit(args: argparse.Namespace, report: dict, text_lines: list[str]) -> None
     sys.stdout.flush()  # a closed stdout fails here, not at exit
 
 
+def _integer(text: str) -> int:
+    """An optional ``-`` and a run of ASCII digits: the type of every integer
+    option.  ``int`` would also take ``+5``, ``1_0`` and ``٢``."""
+    try:
+        return -_decimal(text[1:]) if text.startswith("-") else _decimal(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -116,19 +126,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common], help="check a property, emit a witness on failure")
     p.add_argument("--property", choices=_PROPERTIES, required=True)
-    p.add_argument("--t", type=int, required=True, help="coalition size bound")
+    p.add_argument("--t", type=_integer, required=True, help="coalition size bound")
     p.add_argument("file")
 
     p = sub.add_parser("trace", parents=[common], help="accuse codewords from a pirate word")
     p.add_argument("--scheme", choices=("ta", "ipp"), required=True)
-    p.add_argument("--t", type=int, help="coalition size bound (parent-set scheme)")
+    p.add_argument("--t", type=_integer, help="coalition size bound (parent-set scheme)")
     p.add_argument("--pirate", required=True, help="word, e.g. 0110 or 0,1,1,0")
     p.add_argument("file")
 
     p = sub.add_parser("bounds", parents=[common], help="closed-form size caps at (N, q, t)")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
+    p.add_argument("--N", type=_integer, required=True)
+    p.add_argument("--q", type=_integer, required=True)
+    p.add_argument("--t", type=_integer, required=True)
     p.add_argument("--evaluate", action="store_true", help="multiply symbolic entries out")
 
     p = sub.add_parser("transform", parents=[common], help="rewrite codes and families")
@@ -137,38 +147,38 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         help="double | tocode | restrict=IDX | pad=R | compose=A | prune | violate | strip",
     )
-    p.add_argument("--t", type=int, help="coalition size bound (prune/violate/strip)")
+    p.add_argument("--t", type=_integer, help="coalition size bound (prune/violate/strip)")
     p.add_argument("file")
 
     p = sub.add_parser("search", parents=[common], help="exhaustive extremal search")
     p.add_argument("--property", choices=_PROPERTIES, required=True)
-    p.add_argument("--N", type=int, help="length (ground size for cff)")
-    p.add_argument("--q", type=int, default=2)
-    p.add_argument("--t", type=int, required=True)
+    p.add_argument("--N", type=_integer, help="length (ground size for cff)")
+    p.add_argument("--q", type=_integer, default=2)
+    p.add_argument("--t", type=_integer, required=True)
     decide = p.add_mutually_exclusive_group()
-    decide.add_argument("--goal", type=int, help="decide: does a code of this size exist?")
+    decide.add_argument("--goal", type=_integer, help="decide: does a code of this size exist?")
     decide.add_argument(
         "--decide-exceeds-N",
         action="store_true",
         help="decide: does some code beat N words?",
     )
     p.add_argument(
-        "--budget", type=int, help="cap on candidate tests (nodes); exhaustion exits 4"
+        "--budget", type=_integer, help="cap on candidate tests (nodes); exhaustion exits 4"
     )
     p.add_argument("--min-length", action="store_true", help="scan lengths for the first excess")
-    p.add_argument("--start-length", type=int, help="first length of --min-length (default 1)")
-    p.add_argument("--max-length", type=int, help="last length of --min-length (default 16)")
+    p.add_argument("--start-length", type=_integer, help="first length of --min-length (default 1)")
+    p.add_argument("--max-length", type=_integer, help="last length of --min-length (default 16)")
 
     p = sub.add_parser("simulate", parents=[common], help="forge pirates, trace them, tally rates")
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--trials", type=int, required=True)
+    p.add_argument("--t", type=_integer, required=True)
+    p.add_argument("--trials", type=_integer, required=True)
     p.add_argument("--strategy", choices=core.STRATEGY_KINDS, default="interleave")
-    p.add_argument("--seed", type=int, help="master seed (fixed default when omitted)")
+    p.add_argument("--seed", type=_integer, help="master seed (fixed default when omitted)")
     p.add_argument("file")
 
     p = sub.add_parser("recheck", parents=[common], help="re-verify an emitted witness")
     p.add_argument("--property", choices=_PROPERTIES, required=True)
-    p.add_argument("--t", type=int, required=True)
+    p.add_argument("--t", type=_integer, required=True)
     p.add_argument("--witness", required=True, help="JSON report or bare witness object")
     p.add_argument("file")
 

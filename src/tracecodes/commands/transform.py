@@ -10,6 +10,7 @@ from ..core import SetFamily
 from .common import (
     EXIT_OK,
     Outcome,
+    _decimal,
     _fields,
     _fmt,
     _jsonable,
@@ -44,7 +45,7 @@ def _parse_op(raw: str) -> tuple[str, int | None]:
     if not arg:
         raise ValueError(f"op {name} needs =VALUE")
     try:
-        value = int(arg)
+        value = _decimal(arg)
     except ValueError:
         raise ValueError(f"op {name} needs an integer value, got {arg!r}") from None
     if value > sys.maxsize:

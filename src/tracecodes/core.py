@@ -9,13 +9,15 @@ tuple of distinct subsets of a ground set.  Everything is immutable and hashable
 Fast paths see a word of any alphabet as its one-hot set (``onehot``), an
 N*q-bit integer with bit i*q + s set when coordinate i holds s.  Then x is a
 descendant of D exactly when onehot(x) lies inside the union of the
-members' sets, so frameproofness is cover-freeness of the one-hot family,
-and two words agree on the popcount of the intersection of their sets.
-A Code owns this encoding, read through ``Code.sets`` and ``Code.word_set``,
-and its transpose, the word columns ``Code.cols``: bit i*q + s maps to the
-mask of the words holding s at coordinate i.  The traceability walk and
-parent-set tracing read the columns, so a pirate word is read as its
-symbols, one column per coordinate.
+members' sets, so frameproofness is cover-freeness of the one-hot family.
+A Code owns one encoding, the transpose of these sets: its word columns
+``Code.cols``, where bit i*q + s maps to the mask of the words holding s
+at coordinate i.  A word is read as its symbols, one column per coordinate
+(``Code.word_cols``), so x agrees with word j on as many coordinates as
+there are columns of x holding bit j; ``bit_counts`` and ``most_held``
+count those agreements bit-sliced.  Tracing, the traceability check and
+walk, parent sets and the minimum distance all read columns, so none of
+them forms an N*q-bit set or grows with q.
 
 Results across the package are records: immutable values with named
 fields, equal and hashed by value, and equal only to a record of their own
@@ -48,6 +50,7 @@ __all__ = [
     "SetFamily",
     "Word",
     "any_int_length",
+    "bit_counts",
     "block_masks",
     "desc_profile",
     "elements",
@@ -56,6 +59,7 @@ __all__ = [
     "is_descendant",
     "iter_coalitions",
     "min_distance",
+    "most_held",
     "onehot",
     "pair_tied",
     "parent_sets",
@@ -174,9 +178,9 @@ class Code(Record):
     """An (N, n, q) code: ``n`` distinct length-``N`` words over {0..q-1}.
 
     Word order is significant (file order / construction order); every
-    tie-break in the package resolves to the lowest index.  ``sets`` holds
-    the words' one-hot sets (``word_set``) and ``cols`` the word columns,
-    both built on first use and outside equality, hash and repr.
+    tie-break in the package resolves to the lowest index.  ``cols`` holds
+    the word columns, built on first use and outside equality, hash and
+    repr, and ``word_cols`` reads any word through them.
     """
 
     _fields = ("words", "q")
@@ -218,13 +222,6 @@ class Code(Record):
         return tuple(self.words[i] for i in indices)
 
     @cached_property
-    def sets(self) -> tuple[int, ...]:
-        """The words' one-hot sets, N*q bits each.  Built on first use; as
-        it is no record field, it stays outside equality, hash and repr."""
-        q = self.q
-        return tuple(onehot(w, q) for w in self.words)
-
-    @cached_property
     def cols(self) -> dict[int, int]:
         """Word columns: one-hot bit position i*q + s maps to the mask of the
         words holding s at coordinate i (bit j for word j).  Only positions
@@ -244,10 +241,13 @@ class Code(Record):
             raise ValueError(f"length mismatch: {len(x)} vs {self.length}")
         require_symbols(x, self.q)
 
-    def word_set(self, x: Sequence[int]) -> int:
-        """``onehot(x, q)`` of a length-N word over {0..q-1}; ValueError otherwise."""
+    def word_cols(self, x: Sequence[int]) -> list[int]:
+        """``cols[i*q + x_i]`` for each coordinate i, 0 where no word holds x_i:
+        the words agreeing with x there.  ValueError unless x is a length-N
+        word over {0..q-1}."""
         self.check_word(x)
-        return onehot(x, self.q)
+        cols, q = self.cols, self.q
+        return [cols.get(pos, 0) for pos in map(int.__add__, range(0, len(x) * q, q), x)]
 
 
 class ParentSetFamily(Record):
@@ -381,19 +381,49 @@ def block_masks(N: int, q: int) -> tuple[int, int]:
     return low, low << (q - 1)
 
 
-def min_distance(code: Code) -> int | float:
-    """Smallest pairwise distance; INFINITE_DISTANCE for codes with < 2 words."""
-    if code.size < 2:
-        return INFINITE_DISTANCE
-    N = code.length
-    best = N + 1
-    for a, b in combinations(code.sets, 2):
-        d = N - (a & b).bit_count()
-        if d < best:
-            best = d
-            if best == 1:
+def bit_counts(masks: Iterable[int]) -> list[int]:
+    """How many of ``masks`` hold each bit, bit-sliced: digit d holds the bits
+    whose count has bit d set.  Each mask is added with its carries, so m
+    masks cost O(m log m) ANDs."""
+    digits: list[int] = []
+    for c in masks:
+        for d, digit in enumerate(digits):
+            digits[d] = digit ^ c
+            c &= digit
+            if not c:
                 break
-    return best
+        else:
+            digits.append(c)
+    return digits
+
+
+def most_held(masks: Iterable[int], among: int) -> tuple[int, int]:
+    """``(k, bits)``: the largest count k in ``masks`` of a bit of ``among``,
+    and the bits of ``among`` that reach it, read off ``bit_counts`` from the
+    top digit down.  k is 0, with all of ``among``, when no mask holds any."""
+    k, bits = 0, among
+    digits = bit_counts(masks)
+    for d in reversed(range(len(digits))):
+        top = bits & digits[d]
+        if top:
+            k, bits = k | 1 << d, top
+    return k, bits
+
+
+def min_distance(code: Code) -> int | float:
+    """Smallest pairwise distance; INFINITE_DISTANCE for codes with < 2 words.
+    N minus the most agreements of a word with a later one (``most_held``)."""
+    n, N = code.size, code.length
+    if n < 2:
+        return INFINITE_DISTANCE
+    best = 0
+    for j in range(n - 1):
+        k = most_held(code.word_cols(code.words[j]), (1 << n) - (2 << j))[0]
+        if k > best:
+            best = k
+            if best == N - 1:  # distinct words agree on at most N-1 coordinates
+                break
+    return N - best
 
 
 def untraced_descendant(
@@ -562,10 +592,9 @@ def parent_sets(x: Sequence[int], code: Code, t: int) -> ParentSetFamily:
     """
     require_strength(t)
     x = tuple(x)
-    code.check_word(x)
-    n, q, cols = code.size, code.q, code.cols
+    holders = code.word_cols(x)
+    n = code.size
     top = min(t, n)
-    holders = [cols.get(pos, 0) for pos in map(int.__add__, range(0, len(x) * q, q), x)]
     found = []
     # A head: its indices, the columns open before its last member j, j
     # itself (n for the empty head: no column holds word n), and the mask

@@ -63,13 +63,10 @@ class Accusation(NamedTuple):
 
 
 def trace_ta(code: Code, x: Sequence[int]) -> Accusation:
-    """Accuse every codeword at minimum distance from the pirate word, each
-    distance N - popcount(``word_set(x) & s``) over the code's ``sets``."""
-    xs, N = code.word_set(x), code.length
-    distances = [N - (xs & s).bit_count() for s in code.sets]
-    best = min(distances)
-    accused = tuple(i for i, d in enumerate(distances) if d == best)
-    return Accusation("TA", accused, "ok", min_distance=best)
+    """Accuse every codeword at minimum distance from the pirate word: those
+    that most of x's columns hold (``Code.word_cols``, ``core.most_held``)."""
+    k, nearest = core.most_held(code.word_cols(x), (1 << code.size) - 1)
+    return Accusation("TA", tuple(core.elements(nearest)), "ok", min_distance=code.length - k)
 
 
 def trace_ipp(code: Code, x: Sequence[int], t: int) -> Accusation:

@@ -11,6 +11,7 @@ that are re-checked against first principles before they are returned.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 from typing import Iterable, NamedTuple, Sequence
@@ -40,16 +41,18 @@ __all__ = [
 ]
 
 
+@lru_cache(maxsize=8)
 def fpc_to_cff(code: Code) -> SetFamily:
     """Double a binary code into a set family: 0 -> rows (1,0), 1 -> rows (0,1).
 
     Each codeword becomes the member containing, for every coordinate i, row
     2i when the symbol is 0 and row 2i+1 when it is 1, so every member has
-    exactly N elements over a 2N ground set: the one-hot sets at q=2.
+    exactly N elements over a 2N ground set: the one-hot sets at q=2
+    (``core.onehot``).  Memoised, as checks often double one code again.
     """
     if code.q != 2:
         raise ValueError("doubling requires a binary code")
-    return SetFamily(2 * code.length, code.sets)
+    return SetFamily(2 * code.length, [core.onehot(w, 2) for w in code.words])
 
 
 def cff_to_fpc(family: SetFamily) -> Code:

@@ -1,8 +1,9 @@
 """Exact property checkers returning verdicts with re-checkable witnesses.
 
 Every checker reads a word as its one-hot set (``core.onehot``), bit i*q + s
-for symbol s at coordinate i: as an int (``Code.sets``), as the list of its
-bit positions, or through the word columns (``Code.cols``).
+for symbol s at coordinate i: as the list of its bit positions, through the
+word columns (``Code.cols``), or, for IPP at t other than 2, as an int over
+each coordinate's symbols renumbered.
 Frameproofness reads equivalently as desc(D) n C = D for every coalition D
 of at most t codewords, or as no codeword lying in the descendant set of t
 others.  The check scans the second reading, which is cover-freeness: a
@@ -370,21 +371,11 @@ def check_ipp(code: Code, t: int) -> Verdict:
 def _in_at_least(masks: Sequence[int], k: int) -> int:
     """The bits set in at least ``k`` of ``masks``, for k >= 1.
 
-    Each bit's count is kept in binary across ``digits`` (digit d holds the
-    bits whose count has bit d set), and each mask is added with its
-    carries, so m masks cost O(m log m) ANDs whatever k is.  The counts
-    are then compared with k from the top digit down: ``tied`` holds the
-    bits whose digits so far equal k's, ``above`` those already past it.
+    The counts come from ``core.bit_counts`` and are compared with k from
+    the top digit down: ``tied`` holds the bits whose digits so far equal
+    k's, ``above`` those already past it.
     """
-    digits: list[int] = []
-    for c in masks:
-        for d, digit in enumerate(digits):
-            digits[d] = digit ^ c
-            c &= digit
-            if not c:
-                break
-        else:
-            digits.append(c)
+    digits = core.bit_counts(masks)
     above, tied = 0, -1
     for d in reversed(range(max(len(digits), k.bit_length()))):
         digit = digits[d] if d < len(digits) else 0

@@ -154,7 +154,7 @@ class TestFileFormats:
             with pytest.raises(ValueError) as parsed:
                 parse_word(raw, 3, 2)
             with pytest.raises(ValueError) as encoded:
-                code.word_set(word)
+                code.word_cols(word)
             message = f"symbol {max(word)} out of range for q=2"
             assert str(parsed.value) == str(encoded.value) == message
 
@@ -406,6 +406,25 @@ class TestBoundsCommand:
                 assert str(want) in text
             finally:
                 sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize(
+    "argv, value",
+    [
+        (("transform", "--op", "pad=1_0", "pair.code"), "1_0"),
+        (("transform", "--op", "compose=\u0663", "pair.code"), "\u0663"),
+        (("bounds", "--N", "1_0", "--q", "2", "--t", "2"), "1_0"),
+        (("bounds", "--N", "10", "--q", "2", "--t", "\u0662"), "\u0662"),
+        (("simulate", "--t", "2", "--trials", "3", "--seed", "+5", "pair.code"), "+5"),
+    ],
+    ids=["pad", "compose", "N", "t", "seed"],
+)
+def test_integer_values_are_ascii_digits(files, capsys, argv, value):
+    # As in the file formats and --pirate: no sign but "-", no "_", no other digits.
+    pair = files("pair.code", "2 2 2\n0 0\n1 1\n")
+    assert main([pair if a == "pair.code" else a for a in argv]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and repr(value) in err
 
 
 class TestTransformCommand:

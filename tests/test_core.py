@@ -51,10 +51,6 @@ class TestCodeConstruction:
         with pytest.raises(ValueError):
             Code(words, q)
 
-    def test_sets_are_the_onehot_words(self):
-        for code in random_code_stream(seed=35, count=100, max_q=4):
-            assert code.sets == tuple(core.onehot(w, code.q) for w in code.words)
-
     def test_sets_leave_equality_hash_and_repr_alone(self):
         code = Code(((0, 1), (1, 0)), 2)
         same = Code([[0, 1], [1, 0]], 2)
@@ -97,15 +93,34 @@ class TestCodeConstruction:
         assert family.coalitions == ((3,), *pairs)
         assert peak < 4 * 2**20
 
-    def test_word_set_checks_length_and_alphabet(self):
+    def test_agreement_counts_stay_small_on_a_wide_alphabet(self):
+        # One N*q-bit set per word would be 20 sets of 1.6 MB here.
+        rng = random.Random(200)
+        words = tuple(tuple(rng.randrange(2**16) for _ in range(200)) for _ in range(20))
+        pirate = tuple(rng.choice(words)[i] for i in range(200))
+        for run in (lambda code: trace.trace_ta(code, pirate), core.min_distance):
+            code = Code(words, 2**16)
+            tracemalloc.start()
+            try:
+                run(code)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20, run
+        assert core.min_distance(code) == min(
+            core.hamming_distance(a, b) for a, b in combinations(words, 2)
+        )
+
+    def test_word_cols_checks_length_and_alphabet(self):
         code = Code(((0, 1), (1, 0)), 2)
-        assert code.word_set((1, 1)) == core.onehot((1, 1), 2)
+        assert code.word_cols((1, 1)) == [0b10, 0b01]
+        assert Code(((0, 1), (1, 1)), 3).word_cols((2, 1)) == [0, 0b11]
         with pytest.raises(ValueError, match=r"^length mismatch: 1 vs 2$"):
-            code.word_set((0,))
+            code.word_cols((0,))
         with pytest.raises(ValueError, match=r"^symbol 2 out of range for q=2$"):
-            code.word_set((0, 2))
+            code.word_cols((0, 2))
         with pytest.raises(ValueError, match=r"^symbol -1 out of range for q=2$"):
-            code.word_set((-1, 0))
+            code.word_cols((-1, 0))
 
     def test_rejects_bad_alphabet(self):
         with pytest.raises(ValueError):

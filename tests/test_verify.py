@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import random_code, random_code_stream, random_family
-from tracecodes import cli, verify
+from tracecodes import cli, core, verify
 from tracecodes.core import Code, DescendantSetTooLarge, hamming_distance, is_descendant, onehot
 from tracecodes.transform import SetFamily, cff_to_fpc, fpc_to_cff
 
@@ -783,6 +783,15 @@ class TestTraceability:
                     1 << b for b in range(12) if sum(m >> b & 1 for m in masks) >= k
                 )
                 assert verify._in_at_least(masks, k) == want, (masks, k)
+            # most_held: the top count over ``among`` and the bits reaching it,
+            # also for bits 12..15 that no mask touches (count 0).
+            for among in (rng.getrandbits(16), rng.getrandbits(4) << 12):
+                counts = {b: sum(m >> b & 1 for m in masks) for b in core.elements(among)}
+                top = max(counts.values(), default=0)
+                bits = sum(1 << b for b, c in counts.items() if c == top)
+                assert core.most_held(masks, among) == (top, bits), (masks, among)
+        assert core.most_held([0b1010, 0b0010], 0b0101) == (0, 0b0101)
+        assert core.most_held([0b1010], 0) == (0, 0)
 
     def test_reed_solomon_121_words(self):
         # {a + b*x mod 11 : x < N}: minimum distance N-1, so the distance
