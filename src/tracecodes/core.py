@@ -34,7 +34,7 @@ import sys
 from contextlib import contextmanager
 from functools import cached_property, lru_cache
 from itertools import combinations, islice, repeat
-from operator import and_, or_
+from operator import add, and_, or_
 from typing import Any, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 __all__ = [
@@ -139,8 +139,9 @@ class Record:
     ``__init__``, through ``__dict__``; attributes are read-only after
     that.  The fields alone make the repr, ``Name(field=value, ...)``, and
     equality and hash, by value and with a record of the same class only,
-    so a value cached in ``__dict__`` (``functools.cached_property``)
-    stays outside all three.
+    so a value cached in ``__dict__`` (``functools.cached_property``, or
+    the hash itself, kept under ``_hash`` on first use) stays outside all
+    three.
     """
 
     _fields: tuple[str, ...] = ()
@@ -165,7 +166,12 @@ class Record:
         return self._astuple() == other._astuple()
 
     def __hash__(self) -> int:
-        return hash(self._astuple())
+        # Fields never change, so the hash is taken once: a memo lookup
+        # (``transform.fpc_to_cff``) would otherwise re-hash every word.
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = hash(self._astuple())
+        return h
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -180,7 +186,8 @@ class Code(Record):
     Word order is significant (file order / construction order); every
     tie-break in the package resolves to the lowest index.  ``cols`` holds
     the word columns, built on first use and outside equality, hash and
-    repr, and ``word_cols`` reads any word through them.
+    repr; ``word_cols`` reads any word through them, and ``own_cols`` the
+    code's own words.
     """
 
     _fields = ("words", "q")
@@ -240,6 +247,14 @@ class Code(Record):
         if len(x) != self.length:
             raise ValueError(f"length mismatch: {len(x)} vs {self.length}")
         require_symbols(x, self.q)
+
+    def own_cols(self) -> list[list[int]]:
+        """Each codeword's columns, ``cols[i*q + w_i]`` for each coordinate i:
+        ``word_cols`` of every word, without its check, as the words were
+        checked when the code was built."""
+        cols, q = self.cols, self.q
+        offsets = range(0, self.length * q, q)
+        return [list(map(cols.__getitem__, map(add, offsets, w))) for w in self.words]
 
     def word_cols(self, x: Sequence[int]) -> list[int]:
         """``cols[i*q + x_i]`` for each coordinate i, 0 where no word holds x_i:
@@ -412,13 +427,14 @@ def most_held(masks: Iterable[int], among: int) -> tuple[int, int]:
 
 def min_distance(code: Code) -> int | float:
     """Smallest pairwise distance; INFINITE_DISTANCE for codes with < 2 words.
-    N minus the most agreements of a word with a later one (``most_held``)."""
+    N minus the most agreements of a word with a later one (``most_held``
+    over ``Code.own_cols``)."""
     n, N = code.size, code.length
     if n < 2:
         return INFINITE_DISTANCE
     best = 0
-    for j in range(n - 1):
-        k = most_held(code.word_cols(code.words[j]), (1 << n) - (2 << j))[0]
+    for j, held in enumerate(code.own_cols()[:-1]):
+        k = most_held(held, (1 << n) - (2 << j))[0]
         if k > best:
             best = k
             if best == N - 1:  # distinct words agree on at most N-1 coordinates

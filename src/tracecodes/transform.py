@@ -11,9 +11,10 @@ that are re-checked against first principles before they are returned.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial, reduce
 from itertools import combinations
 from math import comb
+from operator import and_
 from typing import Iterable, NamedTuple, Sequence
 
 from . import core
@@ -421,19 +422,14 @@ class StripTrace(NamedTuple):
 
 
 def _min_pattern_frequency(code: Code, t: int) -> list[int]:
-    """Per codeword, the smallest t-coordinate pattern frequency."""
-    n = code.size
-    best = [n + 1] * n
-    for positions in combinations(range(code.length), t):
-        counts: dict[tuple[int, ...], int] = {}
-        pats = [_pattern(w, positions) for w in code.words]
-        for pat in pats:
-            counts[pat] = counts.get(pat, 0) + 1
-        for idx, pat in enumerate(pats):
-            c = counts[pat]
-            if c < best[idx]:
-                best[idx] = c
-    return best
+    """Per codeword, the smallest t-coordinate pattern frequency (t <= N).
+
+    The words sharing w's pattern on positions P are the AND of w's word
+    columns over P (``Code.own_cols``), so the frequency is its popcount.
+    Each word's t-subsets of columns are transposed into t sequences and
+    ANDed elementwise."""
+    ands = partial(reduce, partial(map, and_))
+    return [min(map(int.bit_count, ands(zip(*combinations(row, t))))) for row in code.own_cols()]
 
 
 def distance_strip(

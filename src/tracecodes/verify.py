@@ -29,7 +29,9 @@ where it holds one of the members' symbols, so an outsider holding fewer
 than ceil(N/s) is never as near; when every outsider is such, the walk is
 skipped (the pigeonhole step of the distance condition of Staddon, Stinson
 and Wei, *Combinatorial properties of frameproof and traceability codes*,
-IEEE Trans. IT 47 (2001)).
+IEEE Trans. IT 47 (2001)).  An outsider shares at most N - d coordinates
+with each member, so every size s with s*(N - d) < ceil(N/s) is settled
+whole, without forming a coalition.
 
 Parent identifiability needs a word-free reformulation to stay exact
 without enumerating the whole ambient space: a code fails the t-check
@@ -107,7 +109,8 @@ class Counters(NamedTuple):
       codeword triples) and ``words_examined`` the q-bit blocks of their
       profile intersections looked at (at t=2 the column ANDs taken);
       ``check_ipp`` gives both orders.
-    * TA: ``subsets_examined`` counts coalitions, and ``words_examined`` the
+    * TA: ``subsets_examined`` counts coalitions (all C(n, s) of a size
+      settled whole from the minimum distance), and ``words_examined`` the
       leaves (full descendant words) the walks reach.  A coalition with no
       outsider that could tie is not walked (``check_ta``), so a code that
       holds by that pigeonhole bound alone reads 0.
@@ -271,8 +274,8 @@ def _first_failing_pair(code: Code) -> tuple[tuple[Coalition, ...] | None, int, 
     Returns (that family or None, its position in the scan, closed form,
     and the column ANDs taken).
     """
-    n, q, words, cols = code.size, code.q, code.words, code.cols
-    held = [[cols[i * q + s] for i, s in enumerate(w)] for w in words]  # each word's columns
+    n = code.size
+    held = code.own_cols()
     above = [(1 << n) - (2 << c) for c in range(n)]  # the words after c
     E = n + math.comb(n, 2)
     ands = 0
@@ -387,6 +390,28 @@ def _in_at_least(masks: Sequence[int], k: int) -> int:
     return above | tied
 
 
+def _first_open_size(code: Code, top: int) -> int:
+    """The smallest coalition size in 1..top whose screen may keep an outsider,
+    or top + 1 when there is none.
+
+    Two distinct words agree on at most shared = N - d coordinates, so an
+    outsider holds a member's symbol on at most size*shared coordinates of
+    a coalition of ``size`` words; when that falls short of ceil(N/size),
+    ``check_ta``'s screen keeps no outsider for any coalition of that size.
+    size*shared grows with the size and ceil(N/size) does not, so the sizes
+    settled run from 1 up to the first that fails.  Size 1 always is
+    (shared <= N - 1), so d is computed only when size 2 is reached.
+    """
+    if top < 2:
+        return top + 1
+    N = code.length
+    shared = N - int(core.min_distance(code))  # finite: top >= 2 needs three words
+    size = 2
+    while size <= top and size * shared < -(-N // size):
+        size += 1
+    return size
+
+
 def check_ta(code: Code, t: int) -> Verdict:
     """Is the nearest codeword to any coalition's forgery always an insider?
 
@@ -405,21 +430,34 @@ def check_ta(code: Code, t: int) -> Verdict:
     its descendants are walked depth-first, smallest symbol first
     (``core.untraced_descendant``).  Dropping outsiders that cannot tie
     changes neither the first failing descendant nor the witness, whose
-    outsider is the first of all outsiders nearest it.  ``words_examined``
-    counts the full words the walks reach.  Coalitions covering the whole
-    code are vacuous (nobody to misaccuse) and skipped.  Raises
-    DescendantSetTooLarge when a coalition that is walked spans (the
+    outsider is the first of all outsiders nearest it.
+
+    Whole sizes are settled first (``_first_open_size``): an outsider
+    shares at most N - d coordinates with each of the s members, so when
+    s*(N - d) < ceil(N/s) the screen would leave no outsider for any
+    coalition of s words.  Such a size adds its C(n, s) coalitions to
+    ``subsets_examined`` without forming one, exactly what screening each
+    would count, so verdicts, witnesses and counters are those of screening
+    every coalition; a code meeting ``ta_distance_sufficient`` costs one
+    ``core.min_distance``.  From the first size left open every coalition
+    is screened.
+
+    ``words_examined`` counts the full words the walks reach.  Coalitions
+    covering the whole code are vacuous (nobody to misaccuse) and skipped.
+    Raises DescendantSetTooLarge when a coalition that is walked spans (the
     product of its symbol counts) more than ``core.DEFAULT_DESCENDANT_CAP``
     words; one left with no outsider is decided whatever its span.
     """
     core.require_strength(t)
-    n, N, q, words, cols = code.size, code.length, code.q, code.words, code.cols
-    cap = core.DEFAULT_DESCENDANT_CAP
+    n, N, q, words = code.size, code.length, code.q, code.words
+    top = min(t, n - 1)
+    first = _first_open_size(code, top)
+    subsets = sum(math.comb(n, size) for size in range(1, first))
+    cols, cap = code.cols, core.DEFAULT_DESCENDANT_CAP
     positions = [tuple(map(int.__add__, range(0, N * q, q), w)) for w in words]
-    held = [list(map(cols.__getitem__, p)) for p in positions]  # each word's columns
-    subsets = 0
+    held = code.own_cols()
     leaves_total = 0
-    for size in range(1, min(t, n - 1) + 1):
+    for size in range(first, top + 1):
         need = -(-N // size)  # some insider agrees with every descendant this often
         for coalition in combinations(range(n), size):
             subsets += 1

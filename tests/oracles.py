@@ -38,6 +38,18 @@ def min_distance(words) -> float:
     return min(hamming(x, y) for x, y in combinations(words, 2))
 
 
+def min_pattern_frequency(words, t: int) -> list[int]:
+    """Per word, the fewest words showing its pattern on some t positions."""
+    words = list(words)
+    return [
+        min(
+            sum(all(y[i] == w[i] for i in positions) for y in words)
+            for positions in combinations(range(len(w)), t)
+        )
+        for w in words
+    ]
+
+
 def coalitions_by_value(words, t):
     """All sub-multisets of distinct words, sizes 1..t."""
     words = list(words)

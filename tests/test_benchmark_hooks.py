@@ -8,8 +8,9 @@ only for repeating across passes.  The counts there are those of the loop
 before forward checking, so the counts and witnesses of the current loop are
 frozen here instead.  The verify-large frameproof, cover-free,
 parent-identifiability and traceability verdicts, witnesses and counters
-are frozen here too, and one search-sweep pass (small and full), one small
-verify-large pass and one small trace-stream pass run with their checks.
+are frozen here too, with its distance strip, and one search-sweep pass
+(small and full), one small verify-large pass and one small trace-stream
+pass run with their checks.
 Both files are loaded as data here, without installing wrappers.
 """
 
@@ -217,6 +218,22 @@ def test_verify_large_ta_verdicts(seed, big_witness, compose_witness):
         assert (verdict.holds, seen, verdict.counters) == expected[key], key
         if w is not None:
             assert cli.recheck_witness(cli.witness_to_json(w, code), code, t) == []
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_verify_large_strip(seed):
+    # The relabelling a seed applies moves the words but not the trace: at
+    # d = 15 > 2t case C's threshold 2**2 * C(16, 2) = 480 exceeds every
+    # pattern count of 14 words, so all of them are removed, in order.
+    large = WORKLOADS.VerifyLarge(seed, smoke=False)
+    code = large.inputs["strip src"]
+    removed, survivors, trace_ = transform.distance_strip(code, code.length // 9)
+    assert (code.size, code.length, code.q) == (14, 18, 7)
+    assert trace_ == transform.StripTrace(
+        case="C", d_before=15, d_after=float("inf"), delta=1, threshold=480,
+        removed=tuple(range(14)), survivors=(), diagnostics=None,
+    )
+    assert removed == code.words and survivors is None
 
 
 def test_verify_large_smoke_pass_checks():

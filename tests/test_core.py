@@ -122,6 +122,16 @@ class TestCodeConstruction:
         with pytest.raises(ValueError, match=r"^symbol -1 out of range for q=2$"):
             code.word_cols((-1, 0))
 
+    def test_own_cols_are_every_words_columns(self):
+        for code in random_code_stream(seed=106, count=100, max_N=5, max_q=4, max_n=8):
+            assert code.own_cols() == [code.word_cols(w) for w in code.words], code
+
+    def test_min_distance_reads_own_columns_unchecked(self, monkeypatch):
+        # The code's own words were checked when it was built.
+        code = Code.from_strings(["0000", "0111", "1011", "1101"], 2)
+        monkeypatch.setattr(Code, "check_word", lambda self, x: pytest.fail("re-checked"))
+        assert core.min_distance(code) == 2
+
     def test_rejects_bad_alphabet(self):
         with pytest.raises(ValueError):
             Code(((0,),), 1)

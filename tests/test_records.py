@@ -251,8 +251,19 @@ def test_validating_records_keep_their_messages(make, message):
     assert str(info.value) == message
 
 
-def test_cached_values_stay_outside_the_fields():
+def test_cached_values_stay_outside_the_fields(monkeypatch):
     code, twin = Code(((0, 1), (1, 0)), 2), Code(((0, 1), (1, 0)), 2)
     assert code.cols
     assert code == twin and hash(code) == hash(twin) and repr(code) == repr(twin)
     assert code._asdict() == {"words": ((0, 1), (1, 0)), "q": 2}
+    # The hash is taken once and kept beside the fields, not among them.
+    assert code.__dict__["_hash"] == hash((code.words, code.q))
+    assert "_hash" not in twin._replace().__dict__
+    assert code._asdict() == twin._replace()._asdict() and repr(code) == repr(twin._replace())
+    # So a memo hit (``transform.fpc_to_cff``) reads no field to hash its key.
+    reads = []
+    real = Code._astuple
+    monkeypatch.setattr(Code, "_astuple", lambda self: reads.append(1) or real(self))
+    transform.fpc_to_cff.cache_clear()  # an equal key memoised elsewhere would be compared
+    assert transform.fpc_to_cff(code) is transform.fpc_to_cff(code)
+    assert reads == []

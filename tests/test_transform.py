@@ -8,6 +8,7 @@ from itertools import product
 
 import pytest
 
+import oracles
 from conftest import random_code, random_code_stream, random_family, sample_verified
 from tracecodes import transform as tr
 from tracecodes import verify
@@ -442,6 +443,17 @@ class TestDistanceStrip:
         small = Code.from_strings(["000000000", "111111111"], 2)
         with pytest.raises(ValueError):
             tr.distance_strip(small, 1)
+
+    def test_pattern_frequency_matches_oracle(self):
+        # The strip counts a pattern's words as one AND of word columns.
+        rng = random.Random(50)
+        for _ in range(300):
+            q, N = rng.randint(2, 5), rng.randint(1, 7)
+            code = random_code(rng, N, q, rng.randint(1, min(12, q**N)))
+            t = rng.randint(1, N)
+            assert tr._min_pattern_frequency(code, t) == oracles.min_pattern_frequency(
+                code.words, t
+            ), (code, t)
 
     def test_partition_identity_on_arbitrary_inputs(self):
         rng = random.Random(48)

@@ -686,14 +686,28 @@ class TestTraceability:
             "TA", 2, True, None, verify.Counters(111 + math.comb(111, 2), 0)
         )
 
-    def test_frozen_verdicts_on_affine_codes(self):
+    @staticmethod
+    def affine(p):
         # {(a + b*i) mod p : i < 5}, b < 3 outer, a < p inner.
-        def affine(p):
-            return Code(
-                tuple(tuple((a + b * i) % p for i in range(5)) for b in range(3) for a in range(p)),
-                p,
-            )
+        return Code(
+            tuple(tuple((a + b * i) % p for i in range(5)) for b in range(3) for a in range(p)), p
+        )
 
+    @staticmethod
+    def screens(monkeypatch):
+        """The thresholds of every outsider screen ``check_ta`` runs from now on."""
+        seen = []
+        real = verify._in_at_least
+
+        def counted(masks, k):
+            seen.append(k)
+            return real(masks, k)
+
+        monkeypatch.setattr(verify, "_in_at_least", counted)
+        return seen
+
+    def test_frozen_verdicts_on_affine_codes(self):
+        affine = self.affine
         assert verify.check_ta(affine(13), 2) == verify.Verdict(
             "TA", 2, True, None, verify.Counters(780, 0)
         )
@@ -822,6 +836,45 @@ class TestTraceability:
             verify.Counters(30, 18),
         )
         assert cli.recheck_witness(cli.witness_to_json(verdict.witness, code), code, 2) == []
+
+    def test_sizes_settled_by_distance_form_no_coalition(self, monkeypatch):
+        # Two affine words share at most one coordinate, so an outsider holds
+        # a member's symbol on at most 2 of the 5 coordinates of a pair, short
+        # of the ceil(5/2) = 3 a tie needs: both sizes are settled whole.
+        screens = self.screens(monkeypatch)
+        assert verify.check_ta(self.affine(13), 2) == verify.Verdict(
+            "TA", 2, True, None, verify.Counters(780, 0)
+        )
+        assert screens == []
+        # At t=3 sizes 1 and 2 are settled (33 + 528 coalitions) and triples
+        # are screened, the first of them failing.
+        verdict = verify.check_ta(self.affine(11), 3)
+        assert (verdict.holds, verdict.counters) == (False, verify.Counters(562, 3))
+        assert screens == [2]
+
+    def test_distance_condition_costs_no_screen(self, monkeypatch):
+        screens = self.screens(monkeypatch)
+        settled = 0
+        for code in random_code_stream(seed=208, count=1500, max_N=6, max_q=5, max_n=8):
+            n = code.size
+            for t in (1, 2, 3):
+                if n < 2 or not verify.ta_distance_sufficient(code, t):
+                    continue
+                subsets = sum(math.comb(n, s) for s in range(1, min(t, n - 1) + 1))
+                assert verify.check_ta(code, t) == verify.Verdict(
+                    "TA", t, True, None, verify.Counters(subsets, 0)
+                ), (code, t)
+                assert screens == [], (code, t)
+                settled += t > 1 and n > 2
+        assert settled > 150
+
+    def test_tie_on_the_size_bound_is_screened(self, monkeypatch):
+        # The GF(5) Reed-Solomon code below has d = 3: pairs reach
+        # 2*(4 - 3) = ceil(4/2) exactly, so they cannot be settled whole.
+        screens = self.screens(monkeypatch)
+        words = tuple(tuple((a + b * x) % 5 for x in range(4)) for a in range(5) for b in range(5))
+        assert not verify.check_ta(Code(words, 5), 2).holds
+        assert screens == [2] * (30 - 25)
 
     def test_matches_oracle_on_stream(self):
         for code in random_code_stream(seed=205, count=150, max_N=4, max_n=5):
