@@ -238,7 +238,7 @@ class Code(Record):
         cols: dict[int, int] = {}
         q = self.q
         for j, word in enumerate(self.words):
-            for pos in map(int.__add__, range(0, len(word) * q, q), word):
+            for pos in map(add, range(0, len(word) * q, q), word):
                 cols[pos] = cols.get(pos, 0) | 1 << j
         return cols
 
@@ -262,7 +262,7 @@ class Code(Record):
         word over {0..q-1}."""
         self.check_word(x)
         cols, q = self.cols, self.q
-        return [cols.get(pos, 0) for pos in map(int.__add__, range(0, len(x) * q, q), x)]
+        return [cols.get(pos, 0) for pos in map(add, range(0, len(x) * q, q), x)]
 
 
 class ParentSetFamily(Record):

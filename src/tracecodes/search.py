@@ -36,11 +36,12 @@ straight from the base-q digits) or a family member's mask.  The prefix is
 known to hold, so a candidate is tested only for what it can break.
 Frameproof codes and cover-free families share one state, because a code
 is t-frameproof exactly when the family of its one-hot word sets is
-t-cover-free: each push ANDs out of a bitset over every candidate those
-that its new sets kill, so a push's tests are one AND.  Identifiable and
-traceable codes share one state, which keeps a list of live candidates per
-depth and, chosen by t alone, a table of every two prefix words from t=2
-and every coalition of at most t from t=3.  At t=2 a new word is judged
+t-cover-free.  It keeps only its members: each push ANDs out of a bitset
+over every candidate those killed by a group of t members holding the new
+one, one memoised kill per group, so a push's tests are one AND.
+Identifiable and traceable codes share one state, which keeps a list of
+live candidates per depth and, chosen by t alone, a table of every two
+prefix words from t=2 and every coalition of at most t from t=3.  At t=2 a new word is judged
 with the pair table: a code is 2-IPP exactly when every three words have a
 coordinate with three distinct symbols and every two disjoint pairs one
 where they share no symbol (Hollmann, van Lint, Linnartz and Tolhuizen,
@@ -65,9 +66,9 @@ import math
 import time
 from bisect import bisect_left, bisect_right
 from functools import lru_cache, reduce
-from itertools import islice, repeat
-from operator import and_, or_
-from typing import Iterable, NamedTuple, Sequence
+from itertools import combinations, repeat
+from operator import add, and_, or_
+from typing import NamedTuple, Sequence
 
 from . import core
 from .core import Code, Record, SetFamily, Word, elements, record
@@ -169,10 +170,27 @@ def _encode_word(value: int, N: int, q: int) -> int:
     return word
 
 
-#: The kill memos of a cover-free search start over past this many bits of
-#: values, or past this many sets over every candidate when that is more.
-_MEMO_BITS = 1 << 23
-_MEMO_SETS = 1 << 10
+#: Each of the two kill memos of a cover-free search starts over past this
+#: many bits of values, or past this many sets over every candidate when
+#: that is more.
+_MEMO_BITS = 1 << 22
+_MEMO_SETS = 1 << 9
+
+
+class _KillMemo(dict):
+    """Kill bitsets by key, all forgotten at once when their values pass ``cap`` bits."""
+
+    def __init__(self, cap: int) -> None:
+        super().__init__()
+        self.cap, self.bits = cap, 0
+
+    def remember(self, key: object, kill: int) -> int:
+        self.bits += kill.bit_length()
+        if self.bits > self.cap:
+            self.clear()
+            self.bits = kill.bit_length()
+        self[key] = kill
+        return kill
 
 
 class _CoverFreePrefix:
@@ -180,45 +198,42 @@ class _CoverFreePrefix:
 
     Candidates are the search's indices: words in base q, each standing for
     its one-hot set, or (``family``) masks over N elements, each its own set.
-    ``unions[j]`` (j = 0..t) lists the union of every group of at most j
-    members, ``unions[j][0]`` being the empty union 0; ``residues[j]``
-    (j = 0..t-1) lists every member minus the union of every group of at
-    most j other members, so ``residues[0]`` is the members themselves.
-    Given the family is t-cover-free, adding a set keeps it so unless the
-    set lies inside some union in ``unions[t]`` (the empty member lies
-    inside 0), or some residue in ``residues[t-1]`` lies inside it: an old
-    member covered by the new one joined by at most t-1 others.  So a union
-    U kills down(U), the candidates whose sets lie inside U, and a residue r
-    kills up(r), those whose sets hold r.  The lists only grow with the
-    family, so a push appends to each the sets whose latest member it is,
-    and a pop truncates each to its length before the push.
+    ``members`` lists the candidates pushed.  Given the family is
+    t-cover-free, adding a set c keeps it so unless, for some group T of at
+    most t members, c lies inside the union of T, or some x in T lies inside
+    c joined with the rest of T (Erdos, Frankl and Furedi, Israel J. Math.
+    51 (1985)).  So T kills down(U), the candidates whose sets lie inside
+    its union U, and up(r) for each x in T, the candidates whose sets hold
+    x's residue r, x minus the union of T's other members.  A group kills
+    at least as much as any group inside it, so only groups of min(t, size)
+    members count, and a push adds only those that hold the new member: one
+    per group of min(t-1, size) old members.
 
     ``_live`` is a stack of bitsets over every candidate (candidate c as
     bit c): ``_live[k]`` holds the candidates that the first k members kill
     none of, ``_live[0]`` those the empty union spares.  Each push ANDs out
-    the kills of its new top-layer sets once, and the stack is all the
-    state reads liveness from.  up(r) is the AND of the columns of r's
-    elements (the candidates whose sets hold the element, periodic in the
-    index); down(U) is, for a word, the AND over coordinates of the OR of
-    U's columns there, and for a mask, the candidates in none of the
-    columns outside U.  Both are memoised by set, and the memos start over
-    when their values pass ``_MEMO_BITS`` bits or ``_MEMO_SETS`` sets' worth,
-    whichever is more: a deep chain meets a new set at every push.
+    the kills of its new groups, so a pop takes one member and one bitset
+    off.  up(r) is the AND of the columns of r's elements (the candidates
+    whose sets hold the element, periodic in the index); down(U) is, for a
+    word, the AND over coordinates of the OR of U's columns there, and for
+    a mask, the candidates in none of the columns outside U.  A group's kill
+    is memoised by its tuple of candidates, and down(U) and up(r) by set
+    (under U and ~r), each memo starting over when its values pass
+    ``_MEMO_BITS`` bits or ``_MEMO_SETS`` sets' worth, whichever is more: a
+    deep chain meets a new group at every push.
     """
 
     def __init__(self, t: int, N: int, q: int, family: bool = False) -> None:
-        self.N, self.q, self.family = N, q, family
-        self.unions: list[list[int]] = [[0] for _ in range(t + 1)]
-        self.residues: list[list[int]] = [[] for _ in range(t)]
-        self._layers = self.unions + self.residues
-        self._marks: list[list[int]] = []
+        self.t, self.N, self.q, self.family = t, N, q, family
+        self.members: list[int] = []
         self._total = q**N
         self._all = (1 << self._total) - 1
         self._cols: dict[int, int] = {}
-        self._downs: dict[int, int] = {}
-        self._ups: dict[int, int] = {}
-        self._memo_bits, self._memo_cap = 0, max(_MEMO_BITS, _MEMO_SETS * self._total)
-        self._live = [self._all & ~self._kill([0], ())]
+        cap = max(_MEMO_BITS, _MEMO_SETS * self._total)
+        self._group_kills, self._set_kills = _KillMemo(cap), _KillMemo(cap)
+        # Candidate index -> its one-hot word set, each encoded on first use.
+        self._encoded = lru_cache(maxsize=None)(lambda c: _encode_word(c, N, q))
+        self._live = [self._all & ~self._down(0)]
 
     def breaks(self, c: int) -> bool:
         """Whether adding candidate ``c`` breaks the family."""
@@ -231,52 +246,32 @@ class _CoverFreePrefix:
 
     def push(self, c: int) -> None:
         """Add candidate ``c``, and drop every candidate it kills from the live set."""
-        new = c if self.family else _encode_word(c, self.N, self.q)
-        unions, residues = self.unions, self.residues
-        marks = [len(layer) for layer in self._layers]
-        self._marks.append(marks)
-        # High j first, residues before unions: each layer grows from the
-        # old contents of the layers below it.
-        for j in range(len(residues) - 1, 0, -1):
-            residues[j] += map(and_, repeat(~new), residues[j - 1])
-            residues[j] += [new & ~u for u in unions[j]]
-        residues[0].append(new)
-        for j in range(len(unions) - 1, 0, -1):
-            unions[j] += map(or_, repeat(new), unions[j - 1])
-        t = len(residues)
-        kill = self._kill(islice(unions[t], marks[t], None), islice(residues[-1], marks[-1], None))
+        members, memo, kill = self.members, self._group_kills, 0
+        for key in map(add, combinations(members, min(self.t - 1, len(members))), repeat((c,))):
+            k = memo.get(key)
+            kill |= self._group_kill(key) if k is None else k
+        members.append(c)
         self._live.append(self._live[-1] & ~kill)
 
     def pop(self) -> None:
         """Take off the member added last."""
-        for layer, size in zip(self._layers, self._marks.pop()):
-            del layer[size:]
+        self.members.pop()
         self._live.pop()
 
-    def _kill(self, unions: Iterable[int], residues: Iterable[int]) -> int:
-        """The candidates inside one of ``unions`` or holding one of ``residues``."""
-        kill, downs, ups = 0, self._downs, self._ups
-        for u in unions:
-            k = downs.get(u)
-            if k is None:
-                k = self._remember(downs, u, self._down(u))
-            kill |= k
-        for r in residues:
-            k = ups.get(r)
-            if k is None:
-                k = self._remember(ups, r, self._up(r))
-            kill |= k
-        return kill
-
-    def _remember(self, memo: dict[int, int], s: int, kill: int) -> int:
-        """Memoise ``kill`` for set ``s``; both memos start over past their cap."""
-        self._memo_bits += kill.bit_length()
-        if self._memo_bits > self._memo_cap:
-            self._downs.clear()
-            self._ups.clear()
-            self._memo_bits = kill.bit_length()
-        memo[s] = kill
-        return kill
+    def _group_kill(self, key: tuple[int, ...]) -> int:
+        """The candidates that the group of candidates ``key`` kills, memoised."""
+        memo, union, shared = self._set_kills, 0, 0
+        sets = key if self.family else tuple(map(self._encoded, key))
+        for x in sets:  # ``shared``: the elements of two or more members
+            shared |= union & x
+            union |= x
+        k = memo.get(union)
+        kill = memo.remember(union, self._down(union)) if k is None else k
+        for x in sets:
+            r = x & ~shared  # x minus the union of the others
+            k = memo.get(~r)
+            kill |= memo.remember(~r, self._up(r)) if k is None else k
+        return self._group_kills.remember(key, kill)
 
     def _up(self, r: int) -> int:
         """The candidates whose sets hold ``r``."""
@@ -524,7 +519,7 @@ def max_code_search(problem: SearchProblem, budget: int | None = None) -> Search
         elapsed = time.perf_counter() - start
         return SearchResult(problem, len(best), decided, witness, nodes, elapsed, complete, budget)
 
-    N, q, prop = problem.N, problem.q, problem.property
+    N, q, t, prop = problem.N, problem.q, problem.t, problem.property
     deciding = problem.mode == "decide"
     goal = problem.goal or 0
     limit = math.inf if budget is None else budget
@@ -536,9 +531,6 @@ def max_code_search(problem: SearchProblem, budget: int | None = None) -> Search
     nodes = q**N - 1
     if nodes > limit:
         return result(best, None, budget + 1, False)
-    # A word has at most q**N - 1 others, so any larger t decides every
-    # property alike; the cover-free state would otherwise keep 2t lists.
-    t = min(problem.t, nodes)
     prefix: _CoverFreePrefix | _CoalitionPrefix
     if prop in ("FP", "CFF"):
         prefix = _CoverFreePrefix(t, N, q, family=prop == "CFF")

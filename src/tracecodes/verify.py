@@ -71,7 +71,7 @@ from __future__ import annotations
 import math
 from functools import reduce
 from itertools import chain, combinations
-from operator import eq, or_
+from operator import add, eq, or_
 from typing import NamedTuple, Sequence
 
 from . import core
@@ -454,7 +454,7 @@ def check_ta(code: Code, t: int) -> Verdict:
     first = _first_open_size(code, top)
     subsets = sum(math.comb(n, size) for size in range(1, first))
     cols, cap = code.cols, core.DEFAULT_DESCENDANT_CAP
-    positions = [tuple(map(int.__add__, range(0, N * q, q), w)) for w in words]
+    positions = [tuple(map(add, range(0, N * q, q), w)) for w in words]
     held = code.own_cols()
     leaves_total = 0
     for size in range(first, top + 1):

@@ -456,30 +456,51 @@ class TestCoverFreePrefix:
     """
 
     @staticmethod
-    def layers(prefix):
-        return [list(layer) for layer in prefix.unions + prefix.residues]
+    def state(prefix):
+        return list(prefix.members), list(prefix._live)
 
     @staticmethod
-    def check_layers(prefix, sets):
-        """The lists against their definition on the members' ``sets``."""
-        # unions[j]: one union per group of at most j members; residues[j]:
-        # one member-minus-union per member and group of at most j others.
-        for j, layer in enumerate(prefix.unions):
-            assert sorted(layer) == sorted(_union(g) for g in _groups(sets, j))
-        for j, layer in enumerate(prefix.residues):
-            want = [
-                m & ~_union(g)
-                for i, m in enumerate(sets)
-                for g in _groups(sets[:i] + sets[i + 1 :], j)
-            ]
-            assert sorted(layer) == sorted(want)
+    def check_memos(prefix, members, sets, checked):
+        """The members, and every memoised kill against its definition on ``sets``.
+
+        ``sets[c]`` is candidate c's set.  A group of candidates T kills c
+        when c's set lies inside T's union, or some x in T lies inside c's
+        set joined with the rest of T; the set memo holds down(U), the
+        candidates inside U, under U and up(r), those holding r, under ~r.
+        ``checked`` holds the entries already checked, which keep their kills.
+        """
+        assert prefix.members == members
+        everyone = list(enumerate(sets))
+        for group, kill in prefix._group_kills.items():
+            if checked.get(group) == kill:
+                continue
+            held = [sets[c] for c in group]
+            union = _union(held)
+            rests = [_union(held[:i] + held[i + 1 :]) for i in range(len(held))]
+            want = sum(
+                1 << c
+                for c, s in everyone
+                if not s & ~union or any(not x & ~(s | rest) for x, rest in zip(held, rests))
+            )
+            assert kill == want, group
+            checked[group] = kill
+        for key, kill in prefix._set_kills.items():
+            if key >= 0:
+                assert kill == sum(1 << c for c, s in everyone if not s & ~key), key
+            else:
+                assert kill == sum(1 << c for c, s in everyone if not ~key & ~s), ~key
 
     def grow(self, prefix, members, sets):
-        """Push ``members``, standing for ``sets``, one at a time; none may break the family."""
-        for c in members:
+        """Push ``members`` one at a time; none may break the family.
+
+        ``sets`` are every candidate's sets, and the memos are checked
+        against them after each push.
+        """
+        checked = {}
+        for i, c in enumerate(members):
             assert not prefix.breaks(c)
             prefix.push(c)
-        self.check_layers(prefix, sets)
+            self.check_memos(prefix, members[: i + 1], sets, checked)
         return prefix
 
     def check_extensions(self, prefix, members, candidates, holds):
@@ -488,14 +509,14 @@ class TestCoverFreePrefix:
         ``candidates`` are every candidate, the members possibly left out
         (each kills itself): ``ahead`` counts over them from any index on.
         """
-        before = self.layers(prefix)
+        before = self.state(prefix)
         kept = [new for new in candidates if holds(members + [new])]
         for new in candidates:
             assert prefix.breaks(new) == (new not in kept), (members, new)
         for c in candidates:
             rest = [new for new in kept if new >= c]
             assert prefix.ahead(c) == (len(rest), rest[0] if rest else -1), (members, c)
-        assert self.layers(prefix) == before
+        assert self.state(prefix) == before
 
     def check_code_extensions(self, prefix, universe, words, t):
         """``check_extensions`` for a ternary code: every other word against the FP oracle."""
@@ -543,7 +564,7 @@ class TestCoverFreePrefix:
             for _ in range(6):
                 members = self.random_family(rng, ground, t)
                 prefix = search._CoverFreePrefix(t, ground, 2, family=True)
-                self.grow(prefix, members, members)
+                self.grow(prefix, members, range(1 << ground))
                 space = range(1 << ground)  # the empty candidate 0 included
                 self.check_extensions(prefix, members, space, self.family_holds(t))
 
@@ -555,42 +576,81 @@ class TestCoverFreePrefix:
             for _ in range(5):
                 words = self.random_code(rng, universe, N, t)
                 prefix = search._CoverFreePrefix(t, N, 3)
-                self.grow(prefix, words, [core.onehot(universe[c], 3) for c in words])
+                self.grow(prefix, words, [core.onehot(w, 3) for w in universe])
                 self.check_code_extensions(prefix, universe, words, t)
 
     @pytest.mark.parametrize("t", [1, 2, 3])
     def test_pops_restore_the_live_set(self, t):
-        # Popping back to half the members leaves the lists and the live set
-        # of that half; pushing the rest again rebuilds those of the whole.
+        # Popping back to half the members leaves the members and the live
+        # set of that half; pushing the rest again rebuilds those of the
+        # whole.  The memos are checked after every push and pop.
         rng = random.Random(800 + t)
         runs = []
         for _ in range(4):
             ground = rng.randint(3, 6)
             members = self.random_family(rng, ground, t)
             prefix = search._CoverFreePrefix(t, ground, 2, family=True)
-            runs.append((prefix, members, members, 1 << ground, self.family_holds(t)))
+            runs.append((prefix, members, range(1 << ground), self.family_holds(t)))
         for N in (2, 3):
             universe = oracles.all_words(N, 3)
             words = self.random_code(rng, universe, N, t)
             runs.append((
                 search._CoverFreePrefix(t, N, 3),
                 words,
-                [core.onehot(universe[c], 3) for c in words],
-                3**N,
+                [core.onehot(w, 3) for w in universe],
                 lambda group, u=universe: oracles.frameproof_holds([u[c] for c in group], t),
             ))
-        for prefix, members, sets, total, holds in runs:
-            half = len(members) // 2
-            for c in members:
-                prefix.push(c)
-            for _ in members[half:]:
+        for prefix, members, sets, holds in runs:
+            half, checked = len(members) // 2, {}
+            self.grow(prefix, members, sets)
+            for pushed in range(len(members) - 1, half - 1, -1):
                 prefix.pop()
+                self.check_memos(prefix, members[:pushed], sets, checked)
             for pushed in (half, len(members)):
-                self.check_layers(prefix, sets[:pushed])
-                others = [c for c in range(total) if c not in members[:pushed]]
+                others = [c for c in range(len(sets)) if c not in members[:pushed]]
                 self.check_extensions(prefix, members[:pushed], others, holds)
-                for c in members[pushed:]:
-                    prefix.push(c)
+                for i in range(pushed, len(members)):
+                    prefix.push(members[i])
+                    self.check_memos(prefix, members[: i + 1], sets, checked)
+
+
+# Cover-free searches at t = 1..3, the benchmark's budgeted ternary FP job,
+# and a budgeted wide window: CFF over 65,536 candidates, 16 members deep.
+MEMO_JOBS = [
+    (SearchProblem(prop, N=N, t=t, mode=mode, goal=goal), budget)
+    for prop, N, t in [
+        ("FP", 5, 1), ("FP", 5, 2), ("FP", 5, 3), ("CFF", 4, 1), ("CFF", 5, 2), ("CFF", 5, 3),
+    ]
+    for mode, goal, budget in [
+        ("maximize", None, None), ("decide", N + 1, None), ("maximize", None, 300),
+    ]
+] + [
+    (SearchProblem("FP", N=4, t=2, q=3), 5000),
+    (SearchProblem("CFF", N=16, t=2), 200000),
+]
+
+
+class TestKillMemos:
+    """The kill memos only save work: memos that start over at each entry give the same searches."""
+
+    @staticmethod
+    def results():
+        return [max_code_search(p, budget)._replace(elapsed=0) for p, budget in MEMO_JOBS]
+
+    def test_restart_at_every_entry(self, monkeypatch):
+        want = self.results()
+        remember = search._KillMemo.remember
+
+        def remember_alone(memo, key, kill):
+            kill = remember(memo, key, kill)
+            assert list(memo) == [key]
+            return kill
+
+        monkeypatch.setattr(search, "_MEMO_BITS", -1)
+        monkeypatch.setattr(search, "_MEMO_SETS", -1)
+        monkeypatch.setattr(search._KillMemo, "remember", remember_alone)
+        assert self.results() == want
+        assert want[-1].optimum == 16 and not want[-1].complete
 
 
 class _CoalitionPrefixCase:
@@ -1034,7 +1094,7 @@ class TestHugeStrength:
             assert (huge.optimum, huge.decided, huge.nodes, huge.witness, huge.complete) == (
                 capped.optimum, capped.decided, capped.nodes, capped.witness, True,
             )
-            # Nothing is allocated per unit of t: no 2t lists.
+            # Nothing is allocated per unit of t.
             assert peak < 1 << 20
 
     @pytest.mark.parametrize("prop,start", [("CFF", 1), ("FP", 2)])
