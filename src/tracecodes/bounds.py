@@ -12,7 +12,7 @@ from __future__ import annotations
 from math import comb, isqrt
 from typing import NamedTuple
 
-from .core import any_int_length, record
+from .core import any_int_length, record, row_parts
 
 __all__ = [
     "BinaryFpStatus",
@@ -115,10 +115,8 @@ class BinaryFpStatus(NamedTuple):
 
 def binary_fp_status(N: int | None, t: int) -> BinaryFpStatus:
     """Report the size-cap guarantee at length N (skip with None) for q=2."""
-    if t < 3:
-        raise ValueError(f"need t >= 3, got {t}")
+    quadratic = min_exceed_length_quadratic(t)  # raises unless t >= 3
     binomial = comb(t + 1, 2)
-    quadratic = min_exceed_length_quadratic(t)
     guaranteed: bool | None = None
     reason: str | None = None
     if N is not None:
@@ -155,17 +153,14 @@ def binary_fp_status(N: int | None, t: int) -> BinaryFpStatus:
 def ipp_bound(N: int, q: int, t: int) -> tuple[BoundEntry, BoundEntry, BoundEntry]:
     """Parent-identifiable code caps from a v-1 part row partition.
 
-    v = floor((t/2 + 1)**2).  The balanced form weights ceil/floor exponents
-    by r = N mod (v-1); the uniform form uses the ceiling everywhere; the
-    quadratic variant scales by v(v-1)/2 instead of v-1.
+    v = floor((t/2 + 1)**2), parts as ``core.row_parts``.  The balanced form
+    weights ceil/floor exponents by r = N mod (v-1); the uniform form uses
+    the ceiling everywhere; the quadratic variant scales by v(v-1)/2.
     """
     if N < 1 or q < 2 or t < 2:
         raise ValueError(f"need N >= 1, q >= 2, t >= 2, got ({N}, {q}, {t})")
-    v = (t + 2) ** 2 // 4
-    k = v - 1
-    r = N % k
-    hi = -(-N // k)
-    lo = N // k
+    k, r, hi, lo = row_parts(N, t)
+    v = k + 1
     balanced = r * q**hi + (k - r) * q**lo
     uniform = k * q**hi
     quadratic = v * k // 2 * q**hi

@@ -66,6 +66,7 @@ __all__ = [
     "record",
     "require_strength",
     "require_symbols",
+    "row_parts",
     "shared_members",
     "untraced_descendant",
 ]
@@ -364,6 +365,15 @@ def shared_members(coalitions: Sequence[Iterable[int]]) -> tuple[int, ...]:
         return ()
     first, *rest = coalitions
     return tuple(sorted(set(first).intersection(*rest)))
+
+
+def row_parts(N: int, t: int) -> tuple[int, int, int, int]:
+    """``(k, r, hi, lo)``: the IPP row partition of N coordinates for coalitions
+    of at most t >= 2 words has k = v - 1 parts, v = floor((t/2 + 1)**2), and
+    the first r = N mod k of them hold hi = ceil(N/k) coordinates, the rest
+    lo = floor(N/k).  Closed form, so a huge t costs no more than a small one."""
+    k = (t + 2) ** 2 // 4 - 1
+    return k, N % k, -(-N // k), N // k
 
 
 def hamming_distance(x: Sequence[int], y: Sequence[int]) -> int:

@@ -1,11 +1,14 @@
 """Constructive transforms between codes and set families.
 
 Besides the simple rewrites (binary code <-> set family, padding, block
-composition) this module houses the two constructive routines behind the
+composition) this module houses the constructive routines behind the
 package's structural results: pruning codewords that own a private pattern
-on a row partition, and assembling an explicit parent-identifiability
-violation for any code that survives pruning.  Both produce certificates
-that are re-checked against first principles before they are returned.
+on a row partition (``core.row_parts``), assembling an explicit
+parent-identifiability violation for any code that survives pruning, and
+the distance strip.  Patterns are read from word columns (``Code.cols``):
+the words showing w's pattern on some coordinates are the AND of w's
+columns there, and pair agreements come from ``core.most_held``.  A
+violation is replayed by ``recheck.recheck_witness`` before it is returned.
 ``SetFamily`` lives in ``core`` and is re-exported here.
 """
 
@@ -152,18 +155,14 @@ def block_compose(code: Code, a: int) -> Code:
 
 
 class PatternPartition(Record):
-    """Consecutive parts V_1..V_{v-1} of the coordinate set, first r larger."""
+    """Parts V_1..V_{v-1} of the coordinate set 0..N-1, each non-empty."""
 
-    _fields = ("parts", "v", "r")
+    _fields = ("parts",)
     parts: tuple[tuple[int, ...], ...]
-    v: int
-    r: int
 
-    def __init__(self, parts: Iterable[Iterable[int]], v: int, r: int) -> None:
+    def __init__(self, parts: Iterable[Iterable[int]]) -> None:
         parts = tuple(tuple(p) for p in parts)
-        self.__dict__.update(parts=parts, v=v, r=r)
-        if len(parts) != v - 1:
-            raise ValueError(f"expected v-1={v - 1} parts, got {len(parts)}")
+        self.__dict__.update(parts=parts)
         flat = [i for part in parts for i in part]
         if not flat or sorted(flat) != list(range(len(flat))):
             raise ValueError("parts must partition 0..N-1")
@@ -174,32 +173,24 @@ class PatternPartition(Record):
     def length(self) -> int:
         return sum(len(p) for p in self.parts)
 
+    @property
+    def v(self) -> int:
+        return len(self.parts) + 1
+
 
 def make_row_partition(N: int, t: int) -> PatternPartition:
     """Split 0..N-1 into v-1 consecutive parts, v = floor((t/2 + 1)**2).
 
     ``N mod (v-1)`` parts of size ceil(N/(v-1)) come first, the rest take the
-    floor; every part must be non-empty.
+    floor (``core.row_parts``); every part must be non-empty.
     """
     if t < 2:
         raise ValueError(f"coalition bound must be >= 2, got {t}")
-    v = (t + 2) ** 2 // 4
-    k = v - 1
+    k, r, _, lo = core.row_parts(N, t)
     if N < k:
         raise ValueError(f"need N >= {k} coordinates for {k} non-empty parts")
-    r = N % k
-    hi, lo = -(-N // k), N // k
-    parts = []
-    at = 0
-    for p in range(k):
-        size = hi if p < r else lo
-        parts.append(tuple(range(at, at + size)))
-        at += size
-    return PatternPartition(tuple(parts), v, r)
-
-
-def _pattern(word: Word, part: Sequence[int]) -> tuple[int, ...]:
-    return tuple(word[i] for i in part)
+    starts = [p * lo + min(p, r) for p in range(k + 1)]  # the r larger parts first
+    return PatternPartition(map(range, starts, starts[1:]))
 
 
 @record
@@ -229,26 +220,26 @@ def _require_partition_fits(code: Code, partition: PatternPartition) -> None:
         )
 
 
-def _first_sharer(
-    words: Sequence[Word], part: Sequence[int], i: int, pool: Iterable[int]
-) -> int | None:
-    """The first codeword of ``pool`` but ``i`` showing word i's pattern on ``part``, or None."""
-    pat = _pattern(words[i], part)
-    return next((j for j in pool if j != i and _pattern(words[j], part) == pat), None)
+def _sharers(code: Code, parts: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Per codeword i and part p, the mask of the other codewords showing word
+    i's pattern on part p: the AND of word i's columns (``Code.own_cols``)
+    over the part, less word i itself."""
+    return [
+        [reduce(and_, map(row.__getitem__, part)) & ~(1 << i) for part in parts]
+        for i, row in enumerate(code.own_cols())
+    ]
 
 
 def _first_special(
-    words: Sequence[Word], parts: Sequence[Sequence[int]], alive: Sequence[int]
+    code: Code, parts: Sequence[Sequence[int]], sharers: Sequence[Sequence[int]], alive: int
 ) -> PruneStep | None:
-    """The lowest alive codeword with a pattern no other alive codeword shows.
-
-    Codewords are taken in the order of ``alive`` and, for each, parts in
-    order; the first private pattern found is returned as a ``PruneStep``.
-    """
-    for ci in alive:
-        for p, part in enumerate(parts):
-            if _first_sharer(words, part, ci, alive) is None:
-                return PruneStep(removed=ci, part=p, pattern=_pattern(words[ci], part))
+    """The lowest codeword of the mask ``alive`` with a pattern, parts taken in
+    order, that no other alive codeword shows, as a ``PruneStep``, or None."""
+    for ci in core.elements(alive):
+        for p, shared in enumerate(sharers[ci]):
+            if not shared & alive:
+                pattern = tuple(map(code.words[ci].__getitem__, parts[p]))
+                return PruneStep(removed=ci, part=p, pattern=pattern)
     return None
 
 
@@ -261,12 +252,14 @@ def prune_special_codewords(code: Code, partition: PatternPartition) -> PruneRes
     outcome is deterministic.  The result may be empty.
     """
     _require_partition_fits(code, partition)
-    alive = list(range(code.size))
+    parts = partition.parts
+    sharers = _sharers(code, parts)
+    alive = (1 << code.size) - 1
     steps: list[PruneStep] = []
-    while (special := _first_special(code.words, partition.parts, alive)) is not None:
-        alive.remove(special.removed)
+    while (special := _first_special(code, parts, sharers, alive)) is not None:
+        alive ^= 1 << special.removed
         steps.append(special)
-    return PruneResult(tuple(alive), tuple(steps))
+    return PruneResult(tuple(core.elements(alive)), tuple(steps))
 
 
 @record
@@ -292,27 +285,21 @@ class IppViolationCertificate(NamedTuple):
 def certificate_problems(
     cert: IppViolationCertificate, code: Code, t: int
 ) -> list[str]:
-    """Check a violation certificate from first principles; [] when sound."""
+    """Check a violation certificate from first principles; [] when sound.
+    Its descendant and coalitions are replayed as an IPP violation by
+    ``recheck.recheck_witness``; the chain and replacements are checked here."""
+    from .recheck import recheck_witness
+
     problems: list[str] = []
     if len(set(cert.chain)) != len(cert.chain):
         problems.append("chain members repeat")
     if len(cert.coalitions) != len(cert.chain) + 1:
         problems.append("expected one coalition per chain member plus the chain itself")
-    for which, coalition in enumerate(cert.coalitions):
-        if not coalition:
-            problems.append(f"coalition {which} is empty")
-            continue
-        if len(coalition) > t:
-            problems.append(f"coalition {which} has {len(coalition)} members, cap is {t}")
-        if not core.is_descendant(cert.descendant, code.coalition_words(coalition)):
-            problems.append(f"coalition {which} cannot produce the descendant")
     for i, (member, repl) in enumerate(zip(cert.chain, cert.replacements)):
         if member in repl:
             problems.append(f"replacement family {i} contains the member it replaces")
-    common = core.shared_members(cert.coalitions)
-    if common:
-        problems.append(f"coalitions share members {list(common)}")
-    return problems
+    witness = {"kind": "ipp-violation", "word": cert.descendant, "coalitions": cert.coalitions}
+    return problems + recheck_witness(witness, code, t)
 
 
 def build_ipp_violation(
@@ -335,17 +322,17 @@ def build_ipp_violation(
     if t < 2:
         raise ValueError(f"coalition bound must be >= 2, got {t}")
     _require_partition_fits(code, partition)
-    v = (t + 2) ** 2 // 4
-    if partition.v != v or len(partition.parts) != v - 1:
+    k = core.row_parts(code.length, t)[0]
+    if len(partition.parts) != k:
         raise ValueError(
-            f"partition was built for v={partition.v}, coalition bound {t} needs v={v}"
+            f"partition was built for v={partition.v}, coalition bound {t} needs v={k + 1}"
         )
     words = code.words
-    n = code.size
     parts = partition.parts
     P = len(parts)
+    sharers = _sharers(code, parts)
 
-    special = _first_special(words, parts, range(n))
+    special = _first_special(code, parts, sharers, (1 << code.size) - 1)
     if special is not None:
         raise ValueError(
             f"codeword {special.removed} owns a private pattern on part {special.part}; "
@@ -354,14 +341,17 @@ def build_ipp_violation(
 
     step = t // 2 + 1
     chain = [0]
+    before = 0  # the backbone members before the last, as a word mask
     milestones: list[int] = []
     m = step - 1
     while m < P:
-        if _first_sharer(words, parts[m], chain[-1], chain[:-1]) is not None:
+        x = chain[-1]
+        if sharers[x][m] & before:
             m += 1
         else:
             milestones.append(m)
-            chain.append(_first_sharer(words, parts[m], chain[-1], range(n)))
+            before |= 1 << x
+            chain.append(next(core.elements(sharers[x][m])))
             m += step
 
     # Each member's segment runs from the part after the previous milestone
@@ -373,10 +363,7 @@ def build_ipp_violation(
         for part in parts[first:end]:
             for coord in part:
                 descendant[coord] = words[x][coord]
-        ys = {
-            _first_sharer(words, part, x, range(n))
-            for part in parts[first : min(first + step - 1, end)]
-        }
+        ys = {next(core.elements(s)) for s in sharers[x][first : min(first + step - 1, end)]}
         replacements.append(tuple(sorted(ys)))
 
     coalitions = [tuple(sorted(chain))]
@@ -483,12 +470,14 @@ def distance_strip(
 
     diagnostics = None
     if survivor_code is not None and survivor_code.size >= 2 and d_after == d:
-        pair = next(
-            (a, b)
-            for a, b in combinations(survivors, 2)
-            if core.hamming_distance(code.words[a], code.words[b]) == d
-        )
-        diagnostics = PairDiagnostics(pair)
+        # The first survivor with a later one N - d agreements away, and the
+        # first such later one (``core.most_held`` over word columns).
+        held, alive = code.own_cols(), sum(1 << i for i in survivors)
+        for a in survivors[:-1]:
+            k, later = core.most_held(held[a], alive & -(2 << a))
+            if k == N - d:
+                diagnostics = PairDiagnostics((a, next(core.elements(later))))
+                break
 
     trace = StripTrace(
         case=case,

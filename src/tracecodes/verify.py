@@ -31,7 +31,9 @@ skipped (the pigeonhole step of the distance condition of Staddon, Stinson
 and Wei, *Combinatorial properties of frameproof and traceability codes*,
 IEEE Trans. IT 47 (2001)).  An outsider shares at most N - d coordinates
 with each member, so every size s with s*(N - d) < ceil(N/s) is settled
-whole, without forming a coalition.
+whole, without forming a coalition.  The witness's distances and outsider
+are read off the failing word's columns by ``core.most_held``, so no word
+is compared with another symbol by symbol.
 
 Parent identifiability needs a word-free reformulation to stay exact
 without enumerating the whole ambient space: a code fails the t-check
@@ -71,7 +73,7 @@ from __future__ import annotations
 import math
 from functools import reduce
 from itertools import chain, combinations
-from operator import add, eq, or_
+from operator import add, or_
 from typing import NamedTuple, Sequence
 
 from . import core
@@ -479,11 +481,10 @@ def check_ta(code: Code, t: int) -> Verdict:
             x, leaves = core.untraced_descendant(cols, members, outs, kids, q)
             leaves_total += leaves
             if x is not None:
-                a_in = max(sum(map(eq, x, words[i])) for i in coalition)
-                outsiders = [o for o in range(n) if o not in coalition]
-                agree = [sum(map(eq, x, words[o])) for o in outsiders]
-                a_out = max(agree)
-                outsider = outsiders[agree.index(a_out)]
+                agree = code.word_cols(x)
+                a_in = core.most_held(agree, members)[0]
+                a_out, nearest = core.most_held(agree, (1 << n) - 1 - members)
+                outsider = next(core.elements(nearest))
                 witness = TaViolation(coalition, x, outsider, N - a_in, N - a_out)
                 return Verdict("TA", t, False, witness, Counters(subsets, leaves_total))
     return Verdict("TA", t, True, None, Counters(subsets, leaves_total))

@@ -4,10 +4,12 @@ Everything here works on plain tuples/frozensets by value, never on the
 package's Code/SetFamily types or index conventions, and never shares code
 with the package.  The point is independence: when a fast checker and its
 oracle agree on an exhaustive family of inputs, both are probably right.
-Two exceptions pin an order rather than a verdict: ``untraced_walk``
+Some exceptions pin an order rather than a verdict: ``untraced_walk``
 takes one-hot sets (bit i*q + s for symbol s at coordinate i) and reads
-every agreement as the popcount of an AND, and ``parent_sets_flat`` lists
-parent sets by index in the package's order.
+every agreement as the popcount of an AND, ``parent_sets_flat`` lists
+parent sets by index in the package's order, and ``prune_special`` and
+``ipp_violation`` run the IPP bound's pruning and backbone proof on word
+indices, comparing patterns as tuples.
 """
 
 from __future__ import annotations
@@ -387,3 +389,68 @@ def untraced_walk(ins, outs, union: int, N: int, q: int):
             stack.append((depth, x | high << (depth * q)))
             block ^= high
     return None, leaves
+
+
+def _pattern(word, part):
+    return tuple(word[i] for i in part)
+
+
+def _first_sharer(words, part, i, pool):
+    """The first index of ``pool`` but i whose word shows word i's pattern on ``part``."""
+    pat = _pattern(words[i], part)
+    return next((j for j in pool if j != i and _pattern(words[j], part) == pat), None)
+
+
+def prune_special(words, parts):
+    """The pruning proof: each round deletes the lowest surviving index whose
+    word shows, on some part (taken in order), a pattern no other survivor
+    shows.  Returns (survivors, steps), a step being (index, part, pattern)."""
+    alive = list(range(len(words)))
+    steps = []
+    while True:
+        step = next(
+            (
+                (i, p, _pattern(words[i], part))
+                for i in alive
+                for p, part in enumerate(parts)
+                if _first_sharer(words, part, i, alive) is None
+            ),
+            None,
+        )
+        if step is None:
+            return tuple(alive), tuple(steps)
+        alive.remove(step[0])
+        steps.append(step)
+
+
+def ipp_violation(words, parts, t: int):
+    """The backbone proof of the IPP bound on words with no private pattern.
+
+    From word 0, the next milestone is the first part, from t//2 and then at
+    least t//2 + 1 past the last, where no earlier backbone member shares the
+    last one's pattern; its first sharer joins.  Each member's segment runs
+    through its milestone, the descendant copies the member there, and its
+    replacements are its first sharers on the segment's first t//2 parts.
+    Returns (chain, milestones, descendant, replacements, coalitions).
+    """
+    n, P, step = len(words), len(parts), t // 2 + 1
+    chain, milestones, m = [0], [], step - 1
+    while m < P:
+        if _first_sharer(words, parts[m], chain[-1], chain[:-1]) is not None:
+            m += 1
+        else:
+            milestones.append(m)
+            chain.append(_first_sharer(words, parts[m], chain[-1], range(n)))
+            m += step
+    bounds = [0, *(m + 1 for m in milestones), P]
+    descendant = list(words[0])
+    replacements = []
+    for x, first, end in zip(chain, bounds, bounds[1:]):
+        for part in parts[first:end]:
+            for i in part:
+                descendant[i] = words[x][i]
+        heads = parts[first : min(first + step - 1, end)]
+        replacements.append(tuple(sorted({_first_sharer(words, p, x, range(n)) for p in heads})))
+    coalitions = [tuple(sorted(chain))]
+    coalitions += [tuple(sorted(set(chain) - {x} | set(r))) for x, r in zip(chain, replacements)]
+    return tuple(chain), tuple(milestones), tuple(descendant), tuple(replacements), tuple(coalitions)

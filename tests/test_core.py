@@ -566,6 +566,8 @@ REFUSALS = {
         "need t >= 3, got 2",
     ),
     "binary-fp-length-zero": (lambda: bounds.binary_fp_status(0, 3), "need N >= 1, got 0"),
+    # Raised by ``min_exceed_length_quadratic``, before C(t+1, 2) is taken.
+    "binary-fp-negative": (lambda: bounds.binary_fp_status(None, -2), "need t >= 3, got -2"),
     "ipp-bound-one": (
         lambda: bounds.ipp_bound(4, 2, 1),
         "need N >= 1, q >= 2, t >= 2, got (4, 2, 1)",

@@ -91,6 +91,11 @@ COMMANDS = {
         ["transform", "--op", "double", "id3.code"],
         {"commands.transform", "transform"},
     ),
+    # Pruning leaves the cube whole, and its certificate is checked by ``recheck``.
+    "violate": (
+        ["transform", "--op", "violate", "--t", "2", "cube.code"],
+        {"commands.transform", "transform", "recheck"},
+    ),
     "search": (SEARCH, {"commands.search", "search"}),
     "search-cached": (SEARCH, {"commands.search", "commands.cache", "search", "recheck"}),
     "recheck": (
@@ -106,6 +111,8 @@ def after_command(tmp_path: Path, name: str, probe: str) -> dict:
     argv = COMMANDS[name][0]
     (tmp_path / "id3.code").write_text("3 3 2\n1 0 0\n0 1 0\n0 0 1\n")
     (tmp_path / "id3.family").write_text("3 3\n100\n010\n001\n")
+    cube = "".join(f"{i >> 2} {i >> 1 & 1} {i & 1}\n" for i in range(8))
+    (tmp_path / "cube.code").write_text("3 8 2\n" + cube)
     (tmp_path / "w.json").write_text('{"kind": "framed-word", "framed": 0, "coalition": [1, 2]}')
     run = "import tracecodes.cli\n"
     if argv:
@@ -140,9 +147,11 @@ def test_a_subcommand_leaves_dataclasses_unloaded(tmp_path, name):
     assert after_command(tmp_path, name, probe) == []
 
 
-def test_recheck_loads_only_for_recheck_and_a_cached_search():
+def test_recheck_loads_only_where_a_witness_is_checked():
+    # ``recheck`` itself, a cached search's stored witnesses, and an IPP
+    # violation certificate.
     loads = {name for name, (_, added) in COMMANDS.items() if "recheck" in added}
-    assert loads == {"recheck", "search-cached"}
+    assert loads == {"recheck", "search-cached", "violate"}
 
 
 def test_recheck_imports_only_core():

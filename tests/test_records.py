@@ -72,7 +72,7 @@ EXAMPLES = {
         ("value", 4),
     ),
     "ParentSetFamily": (dict(word=(0, 1), t=2, coalitions=((0,), (0, 1))), ("t", 3)),
-    "PatternPartition": (dict(parts=((0, 1), (2,)), v=3, r=1), ("r", 0)),
+    "PatternPartition": (dict(parts=((0, 1), (2,))), ("parts", ((0,), (1, 2)))),
     "PirateStrategy": (dict(kind="random", seed=7), ("seed", 8)),
     "PruneResult": (
         dict(survivors=(1, 2), steps=(transform.PruneStep(removed=0, part=1, pattern=(0,)),)),
@@ -240,9 +240,8 @@ def test_parent_set_family_reads_as_its_coalitions():
         (lambda: search.SearchProblem("FP", 3, 2, mode="minimize"), "unknown mode 'minimize'"),
         (lambda: trace.PirateStrategy("bogus"), "unknown strategy 'bogus'"),
         (lambda: trace.PirateStrategy("first")._replace(kind="bogus"), "unknown strategy 'bogus'"),
-        (lambda: transform.PatternPartition(((0,), (1,)), 4, 0), "expected v-1=3 parts, got 2"),
-        (lambda: transform.PatternPartition(((0,), (2,)), 3, 0), "parts must partition 0..N-1"),
-        (lambda: transform.PatternPartition(((0, 1), ()), 3, 0), "empty part"),
+        (lambda: transform.PatternPartition(((0,), (2,))), "parts must partition 0..N-1"),
+        (lambda: transform.PatternPartition(((0, 1), ())), "empty part"),
     ],
 )
 def test_validating_records_keep_their_messages(make, message):

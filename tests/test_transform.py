@@ -4,20 +4,22 @@ from __future__ import annotations
 
 import math
 import random
-from itertools import product
+import time
+from itertools import combinations, product
 
 import pytest
 
 import oracles
 from conftest import random_code, random_code_stream, random_family, sample_verified
+from tracecodes import bounds, cli
 from tracecodes import transform as tr
 from tracecodes import verify
-from tracecodes.core import Code
+from tracecodes.core import Code, hamming_distance
 
 FULL2 = Code(tuple(product(range(2), repeat=2)), 2)
 FULL3 = Code(tuple(product(range(2), repeat=3)), 2)
-SINGLETON2 = tr.PatternPartition(((0,), (1,)), v=3, r=0)
-SINGLETON3 = tr.PatternPartition(((0,), (1,), (2,)), v=4, r=0)
+SINGLETON2 = tr.PatternPartition(((0,), (1,)))
+SINGLETON3 = tr.PatternPartition(((0,), (1,), (2,)))
 
 
 class TestSetFamily:
@@ -211,12 +213,11 @@ class TestBlockComposition:
 class TestRowPartition:
     def test_profile_examples(self):
         p = tr.make_row_partition(4, 2)
-        assert (p.v, p.r) == (4, 1)
+        assert p.v == 4
         assert tuple(len(part) for part in p.parts) == (2, 1, 1)
         assert p.parts == ((0, 1), (2,), (3,))
 
         p = tr.make_row_partition(3, 2)
-        assert p.r == 0
         assert tuple(len(part) for part in p.parts) == (1, 1, 1)
 
         p = tr.make_row_partition(5, 3)
@@ -237,16 +238,47 @@ class TestRowPartition:
                 flat = [i for part in p.parts for i in part]
                 assert sorted(flat) == list(range(N))
                 assert len(flat) == len(set(flat))
-                assert p.r == N % (v - 1)
                 sizes = [len(part) for part in p.parts]
+                assert len(sizes) == v - 1 == p.v - 1
+                assert sum(s > min(sizes) for s in sizes) == N % (v - 1)
                 assert sizes == sorted(sizes, reverse=True)
                 assert max(sizes) - min(sizes) <= 1
 
+    def test_a_huge_t_costs_nothing(self, tmp_path, capsys):
+        # The shape is closed form (``core.row_parts``): at t = 100000 there
+        # are 2,500,100,000 parts, too many to list their sizes.
+        code_file = tmp_path / "id3.code"
+        code_file.write_text("3 3 2\n1 0 0\n0 1 0\n0 0 1\n")
+        calls = [
+            lambda: bounds.ipp_bound(5, 2, 10**5),
+            lambda: pytest.raises(ValueError, tr.make_row_partition, 3, 10**5),
+            lambda: cli.main(["transform", "--op", "prune", "--t", "100000", str(code_file)]),
+        ]
+        for call in calls:
+            start = time.perf_counter()
+            call()
+            assert time.perf_counter() - start < 0.5
+        assert bounds.ipp_bound(5, 2, 10**5)[0].note == "v=2500100001, r=5"
+        assert "need N >= 2500100000 coordinates" in capsys.readouterr().err
+
     def test_bad_partitions_rejected(self):
         with pytest.raises(ValueError):
-            tr.PatternPartition(((0,), (0,)), v=3, r=0)  # overlap
+            tr.PatternPartition(((0,), (0,)))  # overlap
         with pytest.raises(ValueError):
-            tr.PatternPartition(((0,), (2,)), v=3, r=0)  # gap
+            tr.PatternPartition(((0,), (2,)))  # gap
+
+
+def pattern_codes(seed, count):
+    """``count`` (code, t, partition) draws at t = 2 and 3 from spaces of at
+    most 64 words, sizes skewed small: about half lose words to pruning, and
+    more than half keep some, so the violation builder runs on them."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        t = rng.choice((2, 3))
+        q, N = rng.choice([(2, 3), (2, 4), (2, 5), (2, 6), (3, 3)] if t == 2 else [(2, 5), (2, 6)])
+        space = list(product(range(q), repeat=N))
+        code = Code(tuple(rng.sample(space, rng.randint(2, rng.randint(2, len(space))))), q)
+        yield code, t, tr.make_row_partition(N, t)
 
 
 class TestPruning:
@@ -284,6 +316,16 @@ class TestPruning:
             again = tr.prune_special_codewords(sub, partition)
             assert again.survivors == tuple(range(sub.size))
             assert again.steps == ()
+
+    def test_matches_the_tuple_rule(self):
+        # Sharers are column ANDs in the package and tuple comparisons here.
+        pruned = 0
+        for code, t, partition in pattern_codes(52, 300):
+            res = tr.prune_special_codewords(code, partition)
+            steps = tuple((s.removed, s.part, s.pattern) for s in res.steps)
+            assert (res.survivors, steps) == oracles.prune_special(code.words, partition.parts)
+            pruned += bool(steps)
+        assert pruned > 100
 
     def test_partition_must_fit(self):
         with pytest.raises(ValueError):
@@ -350,6 +392,17 @@ class TestViolationCertificate:
             chain, milestones, descendant, replacements, coalitions
         )
 
+    def test_every_field_matches_the_tuple_rule(self):
+        built = {2: 0, 3: 0}
+        for code, t, partition in pattern_codes(53, 300):
+            sub = tr.prune_special_codewords(code, partition).subcode(code)
+            if sub is None:
+                continue
+            cert = tr.build_ipp_violation(sub, partition, t)
+            assert tuple(cert) == oracles.ipp_violation(sub.words, partition.parts, t), (sub, t)
+            built[t] += 1
+        assert built[2] > 50 and built[3] > 50, built
+
     def test_private_pattern_is_an_error(self):
         code = Code.from_strings(["000", "001", "010"], 2)
         with pytest.raises(ValueError, match="private"):
@@ -384,8 +437,8 @@ class TestViolationCertificate:
                 {"coalitions": ((1,), (0, 3))},
                 "expected one coalition per chain member plus the chain itself",
             ),
-            ({"coalitions": ((0, 1), (), (0, 3))}, "coalition 1 is empty"),
-            ({"coalitions": ((0, 1), (1,), (0, 3, 5))}, "coalition 2 has 3 members, cap is 2"),
+            ({"coalitions": ((0, 1), (), (0, 3))}, "coalition 1 size 0 outside 1..2"),
+            ({"coalitions": ((0, 1), (1,), (0, 3, 5))}, "coalition 2 size 3 outside 1..2"),
             ({"replacements": ((0,), (3,))}, "replacement family 0 contains the member it replaces"),
             ({"coalitions": ((0, 1), (1,), (1, 3))}, "coalitions share members [1]"),
         ],
@@ -454,6 +507,23 @@ class TestDistanceStrip:
             assert tr._min_pattern_frequency(code, t) == oracles.min_pattern_frequency(
                 code.words, t
             ), (code, t)
+
+    def test_surviving_pair_is_the_first_at_distance_d(self):
+        # The strip reads agreements off word columns; recount them by
+        # Hamming distance, pair by pair.
+        rng = random.Random(54)
+        found = 0
+        for _ in range(200):
+            code = random_code(rng, 9, 2, rng.randint(3, 30))
+            trace = tr.distance_strip(code, 1)[2]
+            pairs = [
+                pair
+                for pair in combinations(trace.survivors, 2)
+                if hamming_distance(*code.coalition_words(pair)) == trace.d_before
+            ]
+            assert trace.diagnostics == (tr.PairDiagnostics(pairs[0]) if pairs else None), code
+            found += bool(pairs)
+        assert found > 100
 
     def test_partition_identity_on_arbitrary_inputs(self):
         rng = random.Random(48)

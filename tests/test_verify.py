@@ -788,6 +788,26 @@ class TestTraceability:
             held += self.assert_first_violation(code, rng.randint(1, 3))
         assert 1000 < held < 1400
 
+    def test_witness_outsider_is_the_first_nearest(self):
+        # The witness reads agreements off word columns; recount them by
+        # Hamming distance, word by word, on codes too big for the oracle.
+        rng = random.Random(2103)
+        failed = 0
+        for _ in range(400):
+            q, N = rng.randint(2, 4), rng.randint(2, 7)
+            code = random_code(rng, N, q, rng.randint(3, min(12, q**N)))
+            w = verify.check_ta(code, rng.randint(1, 3)).witness
+            if w is None:
+                continue
+            failed += 1
+            outsiders = [o for o in range(code.size) if o not in w.coalition]
+            far = [hamming_distance(w.pirate, code.words[o]) for o in outsiders]
+            near = min(hamming_distance(w.pirate, code.words[i]) for i in w.coalition)
+            assert (w.outsider, w.outsider_distance, w.insider_distance) == (
+                outsiders[far.index(min(far))], min(far), near
+            ), code
+        assert failed > 200
+
     def test_in_at_least_counts_every_threshold(self):
         rng = random.Random(2102)
         for _ in range(300):
